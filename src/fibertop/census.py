@@ -162,13 +162,3 @@ def sampled_instances(n_max: int, count: int, seed: int):
                                                     _trusted=True)))
     return out
 
-
-def random_rational_function(space: FiniteSpace, rng: random.Random,
-                             num_range: int = 8, den_range: int = 6):
-    from fractions import Fraction
-
-    from .oscillation import RationalFunction
-
-    vals = [Fraction(rng.randint(-num_range, num_range),
-                     rng.randint(1, den_range)) for _ in range(space.n)]
-    return RationalFunction.total(space, vals)

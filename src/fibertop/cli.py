@@ -1,7 +1,8 @@
 """Command-line surface: check, build, census, harness.
 
 Exit codes: 0 the property holds / artifact built, 1 it fails (a
-counterexample is emitted), 2 usage or validation error.
+counterexample is emitted), 2 usage or validation error, 3 internal error
+(a broken invariant of the program, never a verdict).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .census import census_instances, sampled_instances
@@ -18,8 +20,7 @@ from .harness import (
     classify,
     digest,
     hierarchy_violations,
-    summarize,
-    theorem_record,
+    run_theorem_sweep,
 )
 from .normality import (
     build_binary_partitions,
@@ -145,6 +146,10 @@ def cmd_build(args, config: RunConfig) -> int:
     f = _pick_map(inst, args.map)
     _cap(f, config)
     y = args.y
+    if not 0 <= y < f.codomain.n:
+        raise FibertopError(f"--y {y} is not a codomain point: the codomain "
+                            f"has {f.codomain.n} points, 0..{f.codomain.n - 1}")
+    code = 0
     out: dict = {"kind": args.kind, "y": y}
     if args.kind in ("partitions", "separator", "sigma-family"):
         f_side = _named_set(inst, args.F, f.domain)
@@ -188,7 +193,7 @@ def cmd_build(args, config: RunConfig) -> int:
         rep = is_f_functionally_open(f, u)
         out["holds"] = rep.holds
         if rep.holds:
-            witness = rep.witnesses[min(y, len(rep.witnesses) - 1)]
+            witness = rep.witnesses[y]
             members = is_perfectly_normal(f).witnesses
             fam = None
             for w in members:
@@ -202,13 +207,14 @@ def cmd_build(args, config: RunConfig) -> int:
             else:
                 out["phi"] = [str(v) for v in witness.phi.values]
         else:
+            code = 1
             out["counterexample"] = {"y": rep.counterexample[0],
                                      "component": _points(rep.counterexample[1])}
     else:
         raise FibertopError(f"unknown build kind {args.kind!r}")
     print(json.dumps(out, sort_keys=True) if args.json else
           "\n".join(f"{k}: {v}" for k, v in out.items()))
-    return 0
+    return code
 
 
 def cmd_census(args, config: RunConfig) -> int:
@@ -252,14 +258,11 @@ def cmd_census(args, config: RunConfig) -> int:
 def cmd_harness(args, config: RunConfig) -> int:
     if args.total > config.max_points:
         raise CapExceeded(args.total, config.max_points)
-    records = [theorem_record(inst, config.depth, args.budget, config.tolerance)
-               for inst in census_instances(args.total)]
-    report = summarize(records, {"max_total": args.total, "depth": config.depth,
-                                 "extender_budget": args.budget,
-                                 "tolerance": str(config.tolerance)})
+    report = run_theorem_sweep(args.total, config.depth, args.budget,
+                               config.tolerance)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            for rec in records:
+            for rec in report["records"]:
                 handle.write(json.dumps(rec, sort_keys=True) + "\n")
     clean = not (report["thm_mismatches"] or report["hierarchy_violations"]
                  or report["anomalies"] or report["extension_contract_failures"])
@@ -349,6 +352,10 @@ def main(argv=None) -> int:
     except (FibertopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

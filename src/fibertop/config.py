@@ -21,7 +21,6 @@ class RunConfig:
     tolerance: Fraction = Fraction(1, 1024)
     max_points: int = field(default_factory=_env_cap)
     seed: int = 0
-    fmt: str = "text"
 
     def __post_init__(self):
         if self.depth < 1:
@@ -30,5 +29,3 @@ class RunConfig:
             self.tolerance = Fraction(self.tolerance)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.fmt not in ("text", "json"):
-            raise ValueError("format must be text or json")

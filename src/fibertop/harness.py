@@ -7,10 +7,11 @@ co-sigma-perfect class) plus the whole classification lattice, and records
 any disagreement.  Zero recorded mismatches over a census is the artifact
 level acceptance ground.
 
-The inner loops run on raw masks with per-instance caching of partition
-builds; the public deciders recompute the same answers through their
-slower certificate-producing paths and are cross-checked against this fast
-path in the unit tests.
+Side A of each theorem and the whole classification come from the public
+deciders in ``normality``; the hereditary entries run those same deciders
+on carrier masks.  The other sides are computed here on their own routes:
+from the partition families built for each closed pair (cached per
+instance), and from the minimal-neighborhood components.
 """
 
 from __future__ import annotations
@@ -31,121 +32,24 @@ from .normality import (
     build_levels,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
+    is_hereditarily_normal,
+    is_hereditarily_perfectly_normal,
     is_normal,
     is_perfectly_normal,
     is_prenormal,
     is_sigma_normal,
+    is_sigma_normal_on_f_sigma_submaps,
     is_sigma_prenormal,
 )
-from .oscillation import RationalFunction, norm, osc_on_set
-from .spaces import FiberedMap, FiniteSpace, bits, constant_map
+from .oscillation import norm, osc_on_set
+from .spaces import FiberedMap, bits, constant_map
 from .urysohn_tietze import (
+    boundary_function,
     build_separator,
     exact_extension_exists,
     tietze_extend,
     verify_condition_D,
 )
-
-TWO_THIRDS = Fraction(2, 3)
-
-
-# ------------------------------------------------------- relative kernels
-
-
-def _components(space: FiniteSpace, region: int) -> tuple[int, ...]:
-    """Minimal-neighborhood components of an arbitrary region: x and z are
-    linked whenever z lies in min_nbhd(x) & region, symmetrized."""
-    parent = {x: x for x in bits(region)}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in bits(region):
-        for z in bits(space._min_nbhd[x] & region):
-            ra, rb = find(x), find(z)
-            if ra != rb:
-                parent[rb] = ra
-    comps: dict[int, int] = {}
-    for x in bits(region):
-        r = find(x)
-        comps[r] = comps.get(r, 0) | 1 << x
-    return tuple(sorted(comps.values()))
-
-
-def _rel_normal(f: FiberedMap, carrier: int) -> bool:
-    """Normality of the submapping over an arbitrary carrier, computed with
-    relative closures instead of a re-indexed subspace."""
-    space = f.domain
-    for y in range(f.codomain.n):
-        w = f.preimage(f.codomain.min_nbhd(y)) & carrier
-        rel_closed = sorted({(space.full ^ o) & w for o in space.opens})
-        hulls = {}
-        for a in rel_closed:
-            h = 0
-            for x in bits(a):
-                h |= space._min_nbhd[x]
-            hulls[a] = h & w
-        for i, a in enumerate(rel_closed):
-            for b in rel_closed[i + 1:]:
-                if a & b:
-                    continue
-                if hulls[a] & hulls[b]:
-                    return False
-    return True
-
-
-def _rel_sigma_normal(f: FiberedMap, carrier: int) -> bool:
-    space = f.domain
-    for y in range(f.codomain.n):
-        w = f.preimage(f.codomain.min_nbhd(y)) & carrier
-        rel_closed = sorted({(space.full ^ o) & w for o in space.opens})
-        for t in rel_closed:
-            for fm in rel_closed:
-                if t & fm:
-                    continue
-                bad = False
-                for x in bits(t):
-                    piece = space.closure_point(x) & w
-                    v = 0
-                    for z in bits(piece):
-                        v |= space._min_nbhd[z]
-                    v &= w
-                    cl_v = 0
-                    for z in bits(v):
-                        cl_v |= space.closure_point(z)
-                    if cl_v & w & fm:
-                        bad = True
-                        break
-                if bad:
-                    return False
-    return True
-
-
-def _rel_perfect(f: FiberedMap, carrier: int) -> bool:
-    space = f.domain
-    for y in range(f.codomain.n):
-        w = f.preimage(f.codomain.min_nbhd(y)) & carrier
-        comps = _components(space, w)
-        for o in space.opens:
-            target = o & w
-            for comp in comps:
-                if comp & target and comp & ~target:
-                    return False
-    return True
-
-
-def _rel_f_sigma_submapping(f: FiberedMap, carrier: int) -> bool:
-    space = f.domain
-    for y in range(f.codomain.n):
-        pre = f.preimage(f.codomain.min_nbhd(y))
-        trace = carrier & pre
-        for x in bits(trace):
-            if space.closure_point(x) & pre & ~trace:
-                return False
-    return True
 
 
 def functional_co_sigma(f: FiberedMap) -> bool:
@@ -155,7 +59,7 @@ def functional_co_sigma(f: FiberedMap) -> bool:
     space, cod = f.domain, f.codomain
     for o_mask in cod.opens:
         pre_o = f.preimage(o_mask)
-        rel_opens = sorted({o & pre_o for o in space.opens})
+        rel_opens = space.rel_opens(pre_o)
         for y in bits(o_mask):
             w = f.preimage(cod.min_nbhd(y))
             comps = space.nbhd_classes(w)
@@ -181,21 +85,12 @@ def classify(f: FiberedMap) -> dict:
         "co_perfectly_normal": is_co_perfectly_normal(f).holds,
         "co_sigma_perfectly_normal": is_co_sigma_perfectly_normal(f).holds,
         "functional_co_sigma": functional_co_sigma(f),
+        "hereditarily_normal": is_hereditarily_normal(f).holds,
+        "hereditarily_perfectly_normal": is_hereditarily_perfectly_normal(f).holds,
     }
-    her_normal = True
-    her_perfect = True
-    sigma_inherit_ok = True
-    for carrier in range(f.domain.full + 1):
-        if not _rel_normal(f, carrier):
-            her_normal = False
-        if not _rel_perfect(f, carrier):
-            her_perfect = False
-        if out["sigma_normal"] and _rel_f_sigma_submapping(f, carrier):
-            if not _rel_sigma_normal(f, carrier):
-                sigma_inherit_ok = False
-    out["hereditarily_normal"] = her_normal
-    out["hereditarily_perfectly_normal"] = her_perfect
-    out["sigma_inherited_by_f_sigma_submaps"] = sigma_inherit_ok
+    # the inheritance theorem is about sigma-normal maps only
+    out["sigma_inherited_by_f_sigma_submaps"] = (
+        not out["sigma_normal"] or is_sigma_normal_on_f_sigma_submaps(f).holds)
     constant = len(set(f.table)) <= 1
     out["constant_map"] = constant
     if constant:
@@ -356,7 +251,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         if o_mask == 0:
             continue
         pre_o = f.preimage(o_mask)
-        rel_closed = sorted({(space.full ^ o) & pre_o for o in space.opens})
+        rel_closed = space.rel_closed_sets(pre_o)
         for y in bits(o_mask):
             w = f.preimage(cod.min_nbhd(y))
             comps = space.nbhd_classes(w)
@@ -445,15 +340,10 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
 def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
                    o_mask: int, tolerance: Fraction, expect_ok: bool,
                    anomalies: list) -> dict:
-    space = f.domain
-    union = f_side | t_side
-    vals = tuple(Fraction(1) if t_side >> x & 1 else
-                 (Fraction(0) if f_side >> x & 1 else None)
-                 for x in range(space.n))
-    phit = RationalFunction(space, vals, union)
+    phit = boundary_function(f.domain, f_side, t_side)
     run = {"O": o_mask, "F": f_side, "T": t_side, "y": y}
     try:
-        res = tietze_extend(f, union, phit, y, tolerance=tolerance,
+        res = tietze_extend(f, phit.carrier, phit, y, tolerance=tolerance,
                             within=o_mask)
     except FibertopError as exc:
         run["ok"] = False
@@ -463,7 +353,7 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         return run
     chain_ok = all(3 * res.residuals[i + 1] <= 2 * res.residuals[i]
                    for i in range(len(res.residuals) - 1))
-    trace = union & f.preimage(f.codomain.min_nbhd(y))
+    trace = phit.carrier & f.preimage(f.codomain.min_nbhd(y))
     exact = res.residual_bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)
     sup = Fraction(0)
@@ -582,17 +472,13 @@ def constant_map_degeneration(n_max: int = 5, depth: int = 4) -> dict:
                     if ours != (classical is not None):
                         separator_disagreements.append(sid)
                     # extension: two-valued boundary data on the closed union
-                    union = a | b
-                    vals = tuple(Fraction(1) if b >> x & 1 else
-                                 (Fraction(0) if a >> x & 1 else None)
-                                 for x in range(space.n))
-                    phit = RationalFunction(space, vals, union)
+                    phit = boundary_function(space, a, b)
                     ext = exact_extension_exists(f, phit, 0)
                     cla = tietze_function(space, phit)
                     if ext.exists != (cla is not None):
                         tietze_disagreements.append(sid)
                     if ext.exists:
-                        rep = verify_condition_D(f, union, phit, ext.phi, 0)
+                        rep = verify_condition_D(f, phit.carrier, phit, ext.phi, 0)
                         if not rep.all_ok:
                             contract_failures.append(sid + " contract")
                         if cla is not None and norm(cla) > norm(phit):

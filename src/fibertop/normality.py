@@ -83,10 +83,6 @@ def are_f_separated(f: FiberedMap, a: int, b: int) -> SeparationReport:
     return SeparationReport(True, tuple(certs), None)
 
 
-def _closed_sets(space: FiniteSpace) -> tuple[int, ...]:
-    return tuple(sorted(space.full ^ o for o in space.opens))
-
-
 @dataclass(frozen=True)
 class PrenormalReport:
     holds: bool
@@ -95,7 +91,7 @@ class PrenormalReport:
 
 def is_prenormal(f: FiberedMap) -> PrenormalReport:
     """Every pair of disjoint closed subsets of the domain is f-separated."""
-    closed = _closed_sets(f.domain)
+    closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
         for b in closed[i + 1:]:
             if a & b:
@@ -112,7 +108,7 @@ class NormalReport:
     counterexample: tuple[int, int, int, int] | None  # (O, A, B, y)
 
 
-def is_normal(f: FiberedMap) -> NormalReport:
+def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
     """Prenormality of every restriction over an open of the codomain.
 
     Collapsed form: traces of relatively closed sets over any open O are
@@ -120,18 +116,23 @@ def is_normal(f: FiberedMap) -> NormalReport:
     suffices to separate disjoint relatively-closed pairs over f^{-1} of
     each minimal neighborhood.  The counterexample is reported in the
     literal (O, pair, y) shape with O the minimal neighborhood.
+
+    With a carrier mask the submapping on it is decided instead: every
+    preimage is cut down to the carrier, and closures and hulls relative to
+    the cut-down preimage are those of the carrier subspace.
     """
     space = f.domain
+    if carrier is None:
+        carrier = space.full
     for y in range(f.codomain.n):
         nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd)
+        pre = f.preimage(nbhd) & carrier
         rel_closed = space.rel_closed_sets(pre)
+        hulls = [space.rel_hull(pre, a) for a in rel_closed]
         for i, a in enumerate(rel_closed):
-            ha = space.rel_hull(pre, a)
-            for b in rel_closed[i + 1:]:
-                if a & b:
-                    continue
-                if ha & space.rel_hull(pre, b):
+            for j in range(i + 1, len(rel_closed)):
+                b = rel_closed[j]
+                if not a & b and hulls[i] & hulls[j]:
                     return NormalReport(False, (nbhd, a, b, y))
     return NormalReport(True, None)
 
@@ -194,7 +195,7 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     singleton closures (any coarser decomposition is refined by it).
     """
     space = f.domain
-    closed = _closed_sets(space)
+    closed = space.rel_closed_sets(space.full)
     for t in closed:
         for fm in closed:
             if t & fm:
@@ -207,12 +208,15 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     return SigmaReport(True, None)
 
 
-def is_sigma_normal(f: FiberedMap) -> SigmaReport:
-    """Sigma-prenormality of every restriction, collapsed like is_normal."""
+def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
+    """Sigma-prenormality of every restriction, collapsed like is_normal
+    (and relative to a carrier mask in the same way)."""
     space = f.domain
+    if carrier is None:
+        carrier = space.full
     for y in range(f.codomain.n):
         nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd)
+        pre = f.preimage(nbhd) & carrier
         rel_closed = space.rel_closed_sets(pre)
         for t in rel_closed:
             for fm in rel_closed:
@@ -412,23 +416,13 @@ class PerfectNormalityReport:
     counterexample: tuple[int, int, int] | None  # (O, y, offending component)
 
 
-def _class_family(space: FiniteSpace, region: int, target: int):
-    """Indicator functions of the components inside target, or None if some
-    component straddles the target boundary."""
-    members = []
-    for comp in space.nbhd_classes(region):
-        if comp & target:
-            if comp & ~target:
-                return None
-            members.append(RationalFunction.indicator(space, comp))
-    if not members:
-        members.append(RationalFunction.constant(space, 0))
-    return tuple(members)
-
-
 def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
-    """Independent re-check of conditions (1), (2) and equicontinuity."""
+    """Independent re-check of conditions (1), (2) and equicontinuity, over
+    the common carrier of the family (the domain of the submapping the
+    witness was produced for)."""
     pre = f.preimage(w.nbhd)
+    for phi in w.family:
+        pre &= phi.carrier
     if not f.codomain.is_open(w.nbhd) or not w.nbhd >> w.y & 1:
         return False
     ones = 0
@@ -442,31 +436,40 @@ def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
     return ok
 
 
-def is_perfectly_normal(f: FiberedMap, with_witnesses: bool = True
-                        ) -> PerfectNormalityReport:
+def is_perfectly_normal(f: FiberedMap, with_witnesses: bool = True,
+                        carrier: int | None = None) -> PerfectNormalityReport:
     """Every open set is locally the union of the 1-sets of an equicontinuous
     family vanishing off it.
 
     Finite collapse: such a family exists at y iff the open set meets the
     minimal-neighborhood components of f^{-1}(min_nbhd(y)) only in whole
     components; the witnesses are the component indicators, re-verified by
-    the independent predicate before being reported.
+    the independent predicate before being reported.  With a carrier mask
+    the submapping on it is decided: the components are those of the
+    preimage cut down to the carrier, and the indicators live on the carrier.
     """
-    space = f.domain
+    space, cod = f.domain, f.codomain
+    if carrier is None:
+        carrier = space.full
+    classes = [space.nbhd_classes(f.preimage(cod.min_nbhd(y)) & carrier)
+               for y in range(cod.n)]
     witnesses = []
     for open_mask in space.opens:
-        for y in range(f.codomain.n):
-            nbhd = f.codomain.min_nbhd(y)
-            region = f.preimage(nbhd)
-            family = _class_family(space, region, open_mask & region)
-            if family is None:
-                for comp in space.nbhd_classes(region):
-                    if comp & open_mask and comp & ~open_mask:
+        for y, comps in enumerate(classes):
+            members = []
+            for comp in comps:
+                if comp & open_mask:
+                    if comp & ~open_mask:
                         return PerfectNormalityReport(False, tuple(witnesses),
                                                       (open_mask, y, comp))
-                raise AssertionError("unreachable")
+                    members.append(comp)
             if with_witnesses:
-                w = PerfectWitness(open_mask, y, nbhd, family)
+                family = tuple(
+                    RationalFunction.on_carrier(space, carrier,
+                                                lambda x, c=comp: c >> x & 1)
+                    for comp in members
+                ) or (RationalFunction.constant(space, 0, carrier),)
+                w = PerfectWitness(open_mask, y, cod.min_nbhd(y), family)
                 if not verify_perfect_witness(f, w):
                     raise AssertionError("perfect witness failed re-verification")
                 witnesses.append(w)
@@ -511,14 +514,12 @@ def is_f_functionally_closed(f: FiberedMap, closed_mask: int) -> FunctionalRepor
     rep = is_f_functionally_open(f, space.full ^ closed_mask)
     if not rep.holds:
         return rep
-    witnesses = []
     for w in rep.witnesses:
         region = f.preimage(w.nbhd)
         zero = w.phi.preimage(lambda v: v == 0) & region
         if zero != closed_mask & region:
             raise AssertionError("functional duality broke")
-        witnesses.append(w)
-    return FunctionalReport(True, tuple(witnesses), None)
+    return rep
 
 
 # ------------------------------------------------------- co-perfect variants
@@ -564,17 +565,27 @@ class HereditaryReport:
     offending_carrier: int | None
 
 
-def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
+def _first_failing_carrier(f: FiberedMap, decide) -> HereditaryReport:
     for carrier in range(f.domain.full + 1):
-        induced, _ = Submapping(f, carrier).induced()
-        if not is_normal(induced).holds:
+        if not decide(carrier):
             return HereditaryReport(False, carrier)
     return HereditaryReport(True, None)
+
+
+def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
+    """Normality of the submapping on every carrier."""
+    return _first_failing_carrier(f, lambda c: is_normal(f, c).holds)
 
 
 def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
-    for carrier in range(f.domain.full + 1):
-        induced, _ = Submapping(f, carrier).induced()
-        if not is_perfectly_normal(induced, with_witnesses=False).holds:
-            return HereditaryReport(False, carrier)
-    return HereditaryReport(True, None)
+    """Perfect normality of the submapping on every carrier."""
+    return _first_failing_carrier(
+        f, lambda c: is_perfectly_normal(f, False, c).holds)
+
+
+def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
+    """Sigma-normality of the submapping on every carrier that makes it an
+    F_sigma submapping."""
+    return _first_failing_carrier(
+        f, lambda c: (not is_f_sigma_submapping(Submapping(f, c)).holds
+                      or is_sigma_normal(f, c).holds))

@@ -174,47 +174,34 @@ class FiniteSpace:
     # ------------------------------------------------------------- classes
 
     def nbhd_classes(self, region: int) -> tuple[int, ...]:
-        """Partition of a saturated region into minimal-neighborhood components.
+        """Partition of a region into minimal-neighborhood components.
 
-        region must be open (then x in region implies min_nbhd(x) inside it).
-        A function has zero oscillation on region iff it is constant on each
+        x is linked to every point of ``min_nbhd(x) & region``, the minimal
+        neighborhood of x in the subspace on region; on an open region that
+        is min_nbhd(x) itself.  A function has zero oscillation on region
+        (relative to the region subspace) iff it is constant on each
         component; this is the engine behind every f-continuity collapse.
         """
         cached = self._class_cache.get(region)
         if cached is not None:
             return cached
-        if not self.is_open(region):
-            raise NotOpen(region)
-        parent = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x in bits(region):
-            parent[x] = x
-        for x in bits(region):
-            rx = find(x)
-            for z in bits(self._min_nbhd[x]):
-                rz = find(z)
-                if rz != rx:
-                    parent[rz] = rx
-                    rx = find(x)
-        comps = {}
-        for x in bits(region):
-            comps.setdefault(find(x), 0)
-            comps[find(x)] |= 1 << x
-        out = tuple(sorted(comps.values()))
+        # z in min_nbhd(x) iff x in cl{z}, so the symmetrized links of x
+        # are (min_nbhd(x) | cl{x}) & region
+        comps = []
+        left = region
+        while left:
+            comp, frontier = 0, left & -left
+            while frontier:
+                comp |= frontier
+                reach = 0
+                for x in bits(frontier):
+                    reach |= self._min_nbhd[x] | self._cl_point[x]
+                frontier = reach & region & ~comp
+            comps.append(comp)
+            left &= ~comp
+        out = tuple(sorted(comps))
         self._class_cache[region] = out
         return out
-
-    def class_of(self, region: int, x: int) -> int:
-        for c in self.nbhd_classes(region):
-            if c >> x & 1:
-                return c
-        raise ValueError(f"point {x} not in region {region:#x}")
 
     # -------------------------------------------------------- constructions
 
@@ -299,15 +286,12 @@ def validate_topology(n: int, opens) -> FiniteSpace:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Re-indexed subspace with the back-map into the parent."""
+    """Re-indexed subspace; points[i] is the parent point of index i."""
 
     parent: FiniteSpace
     carrier: int
     space: FiniteSpace
     points: tuple[int, ...]  # new index -> parent point
-
-    def to_parent(self, mask: int) -> int:
-        return mask_of(self.points[i] for i in bits(mask))
 
     def from_parent(self, mask: int) -> int:
         index = {p: i for i, p in enumerate(self.points)}

@@ -33,7 +33,7 @@ from .oscillation import (
     osc_on_set,
 )
 from .partitions import ApproximateLimitFunction, assemble_limit
-from .spaces import FiberedMap, bits
+from .spaces import FiberedMap, FiniteSpace, bits
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -332,6 +332,13 @@ def verify_condition_D(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     )
 
 
+def boundary_function(space: FiniteSpace, f_side: int, t_side: int) -> RationalFunction:
+    """The two-valued boundary data of the extension route: 0 on F and 1 on
+    T, given on F union T."""
+    return RationalFunction.on_carrier(space, f_side | t_side,
+                                       lambda x: t_side >> x & 1)
+
+
 def separation_from_extension(f: FiberedMap, f_side: int, t_side: int,
                               y: int) -> SeparationCertificate:
     """Run the extension direction of the proof to get a separation witness.
@@ -341,17 +348,13 @@ def separation_from_extension(f: FiberedMap, f_side: int, t_side: int,
     the minimal neighborhood.
     """
     space = f.domain
-    union = f_side | t_side
-    vals = tuple(Fraction(1) if t_side >> x & 1 else
-                 (Fraction(0) if f_side >> x & 1 else None)
-                 for x in range(space.n))
-    phit = RationalFunction(space, vals, union)
+    phit = boundary_function(space, f_side, t_side)
     ext = exact_extension_exists(f, phit, y)
     if not ext.exists:
         raise NotFound(f"no exact extension; component {ext.conflict:#x} "
                        f"meets both sides")
     phi = ext.phi.clamp(0, 1)
-    rep = verify_condition_D(f, union, phit, phi, y)
+    rep = verify_condition_D(f, phit.carrier, phit, phi, y)
     if not rep.all_ok:
         raise CheckFailed("exact extension failed the (D) contract")
     nbhd = f.codomain.min_nbhd(y)

@@ -19,11 +19,7 @@ from fibertop.classical import (
 )
 from fibertop.errors import SearchFailed
 from fibertop.harness import (
-    _components,
     _condition_c_ok,
-    _rel_normal,
-    _rel_perfect,
-    _rel_sigma_normal,
     _stepwise_bounds_ok,
     classify,
     constant_map_degeneration,
@@ -38,13 +34,22 @@ from fibertop.normality import (
     build_levels,
     build_binary_partitions,
     is_co_sigma_perfectly_normal,
+    is_hereditarily_normal,
+    is_hereditarily_perfectly_normal,
     is_normal,
     is_perfectly_normal,
     is_sigma_normal,
+    is_sigma_normal_on_f_sigma_submaps,
+    verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
 from fibertop.partitions import assemble_limit
-from fibertop.spaces import FiberedMap, Submapping, identity_map
+from fibertop.spaces import (
+    FiberedMap,
+    Submapping,
+    identity_map,
+    is_f_sigma_submapping,
+)
 from fibertop.urysohn_tietze import verify_condition_C
 
 
@@ -150,20 +155,106 @@ class TestFastPathsAgainstPublic:
                     assert rep.all_ok == _condition_c_ok(f, levels, a, b)
                     assert _stepwise_bounds_ok(f, levels)
 
-    def test_rel_kernels_match_subspace_deciders(self):
+
+def _is_f_sigma_literally(f: FiberedMap, carrier: int) -> bool:
+    """Over each minimal preimage, the carrier trace is a union of closed
+    sets of the re-indexed preimage subspace."""
+    for y in range(f.codomain.n):
+        view = f.domain.subspace(f.preimage(f.codomain.min_nbhd(y)))
+        trace = view.from_parent(carrier)
+        covered = 0
+        for o in view.space.opens:
+            closed = view.space.full ^ o
+            if not closed & ~trace:
+                covered |= closed
+        if covered != trace:
+            return False
+    return True
+
+
+def _bfs_classes(space, region: int) -> tuple[int, ...]:
+    """Components of the graph on region linking x and z whenever every
+    open around x contains z, found by breadth-first search."""
+    points = [x for x in range(space.n) if region >> x & 1]
+
+    def linked(x, z):
+        return all(o >> z & 1 for o in space.opens if o >> x & 1)
+
+    seen, comps = set(), []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = [start], 0
+        while queue:
+            x = queue.pop(0)
+            comp |= 1 << x
+            for z in points:
+                if z not in seen and (linked(x, z) or linked(z, x)):
+                    seen.add(z)
+                    queue.append(z)
+        comps.append(comp)
+    return tuple(sorted(comps))
+
+
+class TestCarrierRelativeDeciders:
+    def test_carrier_deciders_match_induced_maps(self):
         for inst in census_instances(4):
             f = inst.f
             for carrier in range(f.domain.full + 1):
                 induced, _ = Submapping(f, carrier).induced()
-                assert _rel_normal(f, carrier) == is_normal(induced).holds
-                assert _rel_sigma_normal(f, carrier) == is_sigma_normal(induced).holds
-                assert _rel_perfect(f, carrier) == is_perfectly_normal(
-                    induced, with_witnesses=False).holds
+                assert is_normal(f, carrier).holds == is_normal(induced).holds
+                assert is_sigma_normal(f, carrier).holds == \
+                    is_sigma_normal(induced).holds
+                assert is_perfectly_normal(f, False, carrier).holds == \
+                    is_perfectly_normal(induced, with_witnesses=False).holds
+                assert is_f_sigma_submapping(Submapping(f, carrier)).holds == \
+                    _is_f_sigma_literally(f, carrier)
 
-    def test_components_equal_open_region_classes(self):
+    def test_carrier_witnesses_verify(self):
+        for inst in census_instances(3):
+            f = inst.f
+            for carrier in range(f.domain.full + 1):
+                rep = is_perfectly_normal(f, carrier=carrier)
+                induced, _ = Submapping(f, carrier).induced()
+                assert rep.holds == is_perfectly_normal(induced).holds
+                for w in rep.witnesses:
+                    assert all(phi.carrier == carrier for phi in w.family)
+                    assert verify_perfect_witness(f, w)
+
+    def test_hereditary_deciders_match_induced_loops(self):
+        # maps from 4-point spaces onto a point are the smallest ones with a
+        # non-F_sigma submapping that is not sigma-normal
+        onto_point = [inst for inst in census_instances(5)
+                      if inst.f.domain.n == 4]
+        for inst in [*census_instances(4), *onto_point]:
+            f = inst.f
+            carriers = range(f.domain.full + 1)
+            induced = [Submapping(f, c).induced()[0] for c in carriers]
+
+            def first_bad(ok):
+                return next((c for c in carriers if not ok(c, induced[c])), None)
+
+            expected = {
+                is_hereditarily_normal:
+                    first_bad(lambda c, g: is_normal(g).holds),
+                is_hereditarily_perfectly_normal:
+                    first_bad(lambda c, g: is_perfectly_normal(
+                        g, with_witnesses=False).holds),
+                is_sigma_normal_on_f_sigma_submaps:
+                    first_bad(lambda c, g: (
+                        not is_f_sigma_submapping(Submapping(f, c)).holds
+                        or is_sigma_normal(g).holds)),
+            }
+            for decider, bad in expected.items():
+                rep = decider(f)
+                assert (rep.holds, rep.offending_carrier) == (bad is None, bad), \
+                    (decider.__name__, inst.uid)
+
+    def test_nbhd_classes_match_bfs_on_every_region(self):
         for space in canonical_spaces(4):
-            for region in space.opens:
-                assert _components(space, region) == space.nbhd_classes(region)
+            for region in range(space.full + 1):
+                assert space.nbhd_classes(region) == _bfs_classes(space, region)
 
 
 class TestHarnessRecords:

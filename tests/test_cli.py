@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from fibertop import cli
 from fibertop.cli import main
+
+DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
 
 ID_D2 = """\
 space D2
@@ -151,6 +155,38 @@ class TestBuild:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["families"]) == 1
+
+
+    @pytest.mark.parametrize("y", ["99", "-1"])
+    @pytest.mark.parametrize("kind, names", [
+        ("functional-witness", ["--F", "F"]),
+        ("separator", ["--F", "F", "--T", "T"]),
+        ("extend", ["--phi", "phit"]),
+    ])
+    def test_y_outside_codomain_rejected(self, kind, names, y, capsys):
+        assert main(["build", kind, DEMO, *names, f"--y={y}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--y {y}" in captured.err and "2 points" in captured.err
+
+    def test_functional_witness_failure_exits_1(self, capsys):
+        code = main(["--json", "build", "functional-witness", DEMO,
+                     "--F", "F", "--y", "0"])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["holds"] is False and "counterexample" in out
+
+
+class TestInternalError:
+    def test_invariant_failure_exits_3(self, d2_file, capsys, monkeypatch):
+        def broken(f):
+            raise AssertionError("invariant broke")
+
+        monkeypatch.setattr(cli, "is_normal", broken)
+        assert main(["check", "normal", d2_file]) == 3
+        captured = capsys.readouterr()
+        assert "internal error" in captured.err and "invariant broke" in captured.err
+        assert captured.out == ""
 
 
 class TestCensus:
