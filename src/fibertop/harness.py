@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from .census import Instance, canonical_spaces, census_instances
 from .classical import (
@@ -42,7 +43,7 @@ from .normality import (
     is_sigma_prenormal,
 )
 from .oscillation import norm, osc_on_set
-from .spaces import FiberedMap, bits, constant_map
+from .spaces import FiberedMap, bits, bits_tuple, constant_map
 from .urysohn_tietze import (
     boundary_function,
     build_separator,
@@ -150,80 +151,84 @@ def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
         except SearchFailed:
             hit = (False, False, False)
         else:
-            bounds_ok = _stepwise_bounds_ok(f, levels)
-            c_ok = _condition_c_ok(f, levels, f_side, t_side)
-            hit = (True, bounds_ok, c_ok)
+            tables = _level_tables(f, levels)
+            hit = (True, _stepwise_bounds_ok(tables),
+                   _condition_c_ok(f, tables, f_side, t_side))
         cache[key] = hit
     return hit
 
 
-def _level_indices(blocks, points: int):
-    idx = {}
-    for k, block in enumerate(blocks):
-        m = block & points
-        while m:
-            low = m & -m
-            idx[low.bit_length() - 1] = k
-            m ^= low
-    return idx
+class LevelTables(NamedTuple):
+    """Integer view of a flat-chain family over the level-1 preimage W."""
+
+    mask: int                             # W
+    points: tuple[int, ...]               # the points of W
+    links: tuple[tuple[int, int], ...]    # (x, z), z != x in min_nbhd(x)
+    block_of: tuple[list[int], ...]       # block_of[n][x]: level-n block of x
 
 
-def _stepwise_bounds_ok(f: FiberedMap, levels) -> bool:
-    """The two displayed stepwise bounds, checked with exact rationals on the
-    level index tables (same-denominator oscillation, cross-denominator
-    increments)."""
+def _level_tables(f: FiberedMap, levels) -> LevelTables:
     space = f.domain
-    depth = len(levels) - 1
-    if depth < 1:
-        return True
     w = f.preimage(levels[1][0])
-    tables = [None] + [_level_indices(levels[n][1], w) for n in range(1, depth + 1)]
-    for n in range(1, depth + 1):
-        idx = tables[n]
-        for x in bits(w):
-            kx = idx[x]
-            for z in bits(space._min_nbhd[x]):
-                if abs(kx - idx[z]) > 1:
-                    return False
-    for n in range(1, depth):
-        d_lo = Fraction(1, (1 << n) - 1)
-        d_hi = Fraction(1, (1 << (n + 1)) - 1)
-        lo, hi = tables[n], tables[n + 1]
-        for x in bits(w):
-            if abs(hi[x] * d_hi - lo[x] * d_lo) > d_hi:
+    points = bits_tuple(w)
+    links = tuple((x, z) for x in points for z in bits(space.min_nbhd(x))
+                  if z != x)
+    block_of = []
+    for _, blocks in levels[1:]:
+        idx = [0] * space.n
+        for k, block in enumerate(blocks):
+            m = block & w
+            while m:
+                low = m & -m
+                idx[low.bit_length() - 1] = k
+                m ^= low
+        block_of.append(idx)
+    return LevelTables(w, points, links, (None, *block_of))
+
+
+def _stepwise_bounds_ok(tables: LevelTables) -> bool:
+    """The two displayed stepwise bounds on the level index tables: the
+    level-n oscillation k/(2^n - 1) is at most one step, and the increment
+    |k'/(2^(n+1) - 1) - k/(2^n - 1)| <= 1/(2^(n+1) - 1), cross-multiplied."""
+    block_of, links = tables.block_of, tables.links
+    for idx in block_of[1:]:
+        for x, z in links:
+            if abs(idx[x] - idx[z]) > 1:
+                return False
+    for n in range(1, len(block_of) - 1):
+        d_lo, d_hi = (1 << n) - 1, (1 << (n + 1)) - 1
+        lo, hi = block_of[n], block_of[n + 1]
+        for x in tables.points:
+            if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
                 return False
     return True
 
 
-def _condition_c_ok(f: FiberedMap, levels, f_side: int, t_side: int) -> bool:
+def _condition_c_ok(f: FiberedMap, tables: LevelTables, f_side: int,
+                    t_side: int) -> bool:
     """Condition (C) for the truncated limit of a flat-chain family: the
     limit equals the deepest step function on the preimage of the minimal
     neighborhood and vanishes elsewhere, so the checks reduce to integer
     comparisons on the deepest index table."""
     space = f.domain
-    depth = len(levels) - 1
-    w = f.preimage(levels[1][0])
-    idx = _level_indices(levels[depth][1], w)
+    depth = len(tables.block_of) - 1
+    idx = tables.block_of[depth]
     top = (1 << depth) - 1
-    worst = 0
-    for x in bits(w):
-        kx = idx[x]
-        for z in bits(space._min_nbhd[x]):
-            d = abs(kx - idx[z])
-            if d > worst:
-                worst = d
+    worst = max((abs(idx[x] - idx[z]) for x, z in tables.links), default=0)
     if not 2 * worst < top:
         return False
-    for x in bits(f_side & w):
-        if idx[x] != 0:
-            return False
-    for x in bits(t_side & w):
-        if idx[x] != top:
-            return False
-    upper = 0
-    for x in bits(w):
-        if 2 * idx[x] >= top:
+    w = tables.mask
+    zero = one = upper = 0
+    for x in tables.points:
+        k = idx[x]
+        if k == 0:
+            zero |= 1 << x
+        if k == top:
+            one |= 1 << x
+        if 2 * k >= top:
             upper |= 1 << x
+    if f_side & w & ~zero or t_side & w & ~one:
+        return False
     if f_side & space.rel_closure(w, upper):
         return False
     if t_side & w & ~space.rel_interior(w, upper):

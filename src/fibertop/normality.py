@@ -302,8 +302,7 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
     the inputs beyond what the sandwiches themselves detect.
     """
     space, cod = f.domain, f.codomain
-    cl_point = space._cl_point
-    min_nbhd = space._min_nbhd
+    closure, hull = space.closure, space.hull
     levels = [(cod.full, (space.full,))]
     nbhd = cod.min_nbhd(y)
     carrier = f.preimage(nbhd)
@@ -315,32 +314,14 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
         lowers = [0] * k_count
         for k in range(k_count - 1, -1, -1):
             lowers[k] = suffix_cl
-            m = blocks[k] & carrier
-            while m:
-                low = m & -m
-                suffix_cl |= cl_point[low.bit_length() - 1]
-                m ^= low
-            suffix_cl &= carrier
+            suffix_cl = (suffix_cl | closure(blocks[k] & carrier)) & carrier
         lowers[k_count - 1] |= tt
         prefix = 0
         children = []
         for k in range(k_count):
-            lower = lowers[k]
             avoid = ft if k == 0 else prefix & carrier
-            v = 0
-            m = lower
-            while m:
-                low = m & -m
-                v |= min_nbhd[low.bit_length() - 1]
-                m ^= low
-            v &= carrier
-            cl_v = 0
-            m = v
-            while m:
-                low = m & -m
-                cl_v |= cl_point[low.bit_length() - 1]
-                m ^= low
-            if cl_v & avoid:
+            v = hull(lowers[k]) & carrier
+            if closure(v) & avoid:
                 raise SearchFailed(n + 1, f"sandwich {k}", component)
             block = blocks[k] & carrier
             children.append(block & ~v)

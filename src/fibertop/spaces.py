@@ -23,6 +23,11 @@ from .errors import (
 
 MAX_CANONICAL_POINTS = 8
 
+# closure and hull lookups split a mask into chunks of this many points,
+# one table of 2^CHUNK_BITS unions per chunk
+CHUNK_BITS = 12
+_CHUNK = (1 << CHUNK_BITS) - 1
+
 
 def mask_of(points) -> int:
     m = 0
@@ -43,11 +48,25 @@ def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+def _union_tables(images) -> tuple[list[int], ...]:
+    """Per chunk of CHUNK_BITS points, the union of images[x] over the
+    points x of every submask: t[m] = t[m ^ low] | images[low]."""
+    tables = []
+    for base in range(0, len(images), CHUNK_BITS):
+        chunk = images[base:base + CHUNK_BITS]
+        table = [0] * (1 << len(chunk))
+        for m in range(1, len(table)):
+            low = m & -m
+            table[m] = table[m ^ low] | chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
 class FiniteSpace:
     """A validated topology on points 0..n-1, opens stored as sorted bitmasks."""
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
-                 "_canon", "_class_cache")
+                 "_closure_tables", "_hull_tables", "_canon", "_class_cache")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -71,6 +90,7 @@ class FiniteSpace:
             for x in bits(min_nbhd[z]):
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
+        self._closure_tables = self._hull_tables = None  # built on first use
         self._canon = None
         self._class_cache = {}
 
@@ -132,9 +152,13 @@ class FiniteSpace:
         return self._cl_point[x]
 
     def closure(self, mask: int) -> int:
+        tables = self._closure_tables
+        if tables is None:
+            tables = self._closure_tables = _union_tables(self._cl_point)
         out = 0
-        for x in bits(mask):
-            out |= self._cl_point[x]
+        for table in tables:
+            out |= table[mask & _CHUNK]
+            mask >>= CHUNK_BITS
         return out
 
     def interior(self, mask: int) -> int:
@@ -142,9 +166,13 @@ class FiniteSpace:
 
     def hull(self, mask: int) -> int:
         """Smallest open superset (union of minimal neighborhoods)."""
+        tables = self._hull_tables
+        if tables is None:
+            tables = self._hull_tables = _union_tables(self._min_nbhd)
         out = 0
-        for x in bits(mask):
-            out |= self._min_nbhd[x]
+        for table in tables:
+            out |= table[mask & _CHUNK]
+            mask >>= CHUNK_BITS
         return out
 
     # ------------------------------------------------- relative (subspace) ops
@@ -193,9 +221,7 @@ class FiniteSpace:
             comp, frontier = 0, left & -left
             while frontier:
                 comp |= frontier
-                reach = 0
-                for x in bits(frontier):
-                    reach |= self._min_nbhd[x] | self._cl_point[x]
+                reach = self.hull(frontier) | self.closure(frontier)
                 frontier = reach & region & ~comp
             comps.append(comp)
             left &= ~comp

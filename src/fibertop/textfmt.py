@@ -138,6 +138,8 @@ def parse_instance(text: str) -> InstanceFile:
                     raise InstanceSyntaxError(i + 1, "expected integers") from None
                 if not 0 <= src < dom.n:
                     raise InstanceSyntaxError(i + 1, f"point {src} outside domain")
+                if table[src] is not None:
+                    raise InstanceSyntaxError(i + 1, f"point {src} mapped twice")
                 table[src] = dst
                 i += 1
             if None in table:
@@ -191,13 +193,18 @@ def parse_instance(text: str) -> InstanceFile:
                     raise InstanceSyntaxError(i + 1, "expected: <i>: <p/q>")
                 try:
                     pt = int(parts[0])
-                    values[pt] = Fraction(parts[1].strip())
+                    value = Fraction(parts[1].strip())
                 except (ValueError, ZeroDivisionError):
                     raise InstanceSyntaxError(i + 1, "bad rational") from None
+                if not 0 <= pt < space.n:
+                    raise InstanceSyntaxError(
+                        i + 1, f"point {pt} outside space {sname} "
+                        f"(points 0..{space.n - 1})")
+                if pt in values:
+                    raise InstanceSyntaxError(i + 1, f"point {pt} given twice")
+                values[pt] = value
                 i += 1
             carrier = mask_of(values)
-            if carrier & ~space.full:
-                raise InstanceValidationError(f"func {name}", "points outside space")
             table = tuple(values.get(x) for x in range(space.n))
             out.funcs[name] = (sname, RationalFunction(space, table, carrier))
         elif kw == "family":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -33,7 +34,7 @@ from .oscillation import (
     osc_on_set,
 )
 from .partitions import ApproximateLimitFunction, assemble_limit
-from .spaces import FiberedMap, FiniteSpace, bits
+from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -149,6 +150,19 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
     return ExactExtension(True, phi, None)
 
 
+def _separator_mask(f: FiberedMap, p_side: int, q_side: int, y: int) -> int | None:
+    """The union of the minimal-neighborhood components of
+    f^{-1}(min_nbhd(y)) that meet Q, or None when one of them meets P too."""
+    region = f.preimage(f.codomain.min_nbhd(y))
+    out = 0
+    for comp in f.domain.nbhd_classes(region):
+        if comp & q_side:
+            if comp & p_side:
+                return None
+            out |= comp
+    return out
+
+
 def exact_separator(f: FiberedMap, p_side: int, q_side: int, y: int
                     ) -> RationalFunction | None:
     """Exactly f-continuous-at-y {0,1} function, 0 on P and 1 on Q traces.
@@ -157,15 +171,8 @@ def exact_separator(f: FiberedMap, p_side: int, q_side: int, y: int
     stabilizes.  None when some component meets both traces, which refutes
     normality of the map.
     """
-    space = f.domain
-    region = f.preimage(f.codomain.min_nbhd(y))
-    out = 0
-    for comp in space.nbhd_classes(region):
-        if comp & q_side:
-            if comp & p_side:
-                return None
-            out |= comp
-    return RationalFunction.indicator(space, out)
+    mask = _separator_mask(f, p_side, q_side, y)
+    return None if mask is None else RationalFunction.indicator(f.domain, mask)
 
 
 # ------------------------------------------------------------ the extension
@@ -209,76 +216,96 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     if not res.holds:
         raise PreconditionNotFContinuous(
             f"osc {res.osc} over the carrier trace of the minimal neighborhood")
-    zero = RationalFunction.constant(space, 0)
-    mu0 = norm(phit)
     nbhd = cod.min_nbhd(y)
     pre = f.preimage(nbhd)
     carrier = f_carrier & pre
-    if carrier == 0 or mu0 == 0:
-        agree = _agreement(phit, zero, carrier)
-        return ExtensionResult(zero, agree, True, (mu0,), 0,
-                               _sup_difference(phit, zero, carrier), ())
+    # Every value is kept as an integer numerator over one denominator,
+    # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
+    # integral.  Fractions are built only for the result.
+    given = bits_tuple(f_carrier)
+    scale = lcm(*(phit.values[x].denominator for x in given))
+    data = [0] * space.n
+    for x in given:
+        v = phit.values[x]
+        data[x] = v.numerator * (scale // v.denominator)
+    m0 = max((abs(data[x]) for x in given), default=0)
+    mu0 = Fraction(m0, scale)
+    if carrier == 0 or m0 == 0:
+        # the zero function agrees with phit on the whole carrier trace
+        zero = RationalFunction.constant(space, 0)
+        return ExtensionResult(zero, carrier, True, (mu0,), 0, Fraction(0), ())
 
-    third = Fraction(1, 3)
-    cur = phit.restrict(carrier) if carrier != f_carrier else phit
-    residuals = [mu0]
-    psis = []
-    mu = mu0
-    total = [Fraction(0)] * space.n
+    tol = Fraction(tolerance)
+    # the geometric bound mu0 (2/3)^n, cross-multiplied with the tolerance
+    geo_lhs, geo_rhs = m0 * tol.denominator, scale * tol.numerator
+    points = bits_tuple(carrier)
+    cur = [data[x] for x in points]
+    total = [0] * space.n
+    mu = m0
+    residuals = [m0]
+    steps = []  # (mu numerator, separator mask) of every iteration
     n = 0
-    while True:
-        mu = norm(cur) if n else mu0
-        if n:
-            residuals.append(mu)
-        if mu == 0:
-            break
-        geometric = mu0 * Fraction(2, 3) ** n
-        if geometric <= tolerance:
-            break
+    while mu and geo_lhs > geo_rhs:
         if max_iter is not None and n >= max_iter:
-            raise MaxIterReached(mu)
-        thresh = mu * third
-        p_side = space.rel_closure(pre, cur.preimage(lambda v: v <= -thresh))
-        q_side = space.rel_closure(pre, cur.preimage(lambda v: v >= thresh))
+            raise MaxIterReached(Fraction(mu, scale * 3 ** n))
+        # over scale * 3^(n+1) the thresholds +/- mu/3 are +/- mu
+        cur = [3 * c for c in cur]
+        low = high = 0
+        for x, c in zip(points, cur):
+            if c <= -mu:
+                low |= 1 << x
+            elif c >= mu:
+                high |= 1 << x
+        p_side = space.rel_closure(pre, low)
+        q_side = space.rel_closure(pre, high)
         if p_side & q_side:
             raise CheckFailed("level closures overlap despite the osc bound")
-        xi = exact_separator(f, p_side, q_side, y)
-        if xi is None:
+        out = _separator_mask(f, p_side, q_side, y)
+        if out is None:
             raise SearchFailed(n, "exact separator")
-        psi = xi.affine(2 * thresh, -thresh)
-        if norm(psi) > thresh:
+        psi = [mu if out >> x & 1 else -mu for x in range(space.n)]
+        if max(map(abs, psi)) > mu:
             raise CheckFailed("psi norm above mu/3")
-        psis.append(psi)
-        for x in range(space.n):
-            total[x] += psi.values[x]
-        nxt_vals = tuple(cur.values[x] - psi.values[x] if carrier >> x & 1 else None
-                         for x in range(space.n))
-        nxt = RationalFunction(space, nxt_vals, carrier)
-        if norm(nxt) > Fraction(2, 3) * mu:
+        steps.append((mu, out))
+        total = [3 * t + p for t, p in zip(total, psi)]
+        cur = [c - psi[x] for x, c in zip(points, cur)]
+        nxt = max(map(abs, cur))
+        if nxt > 2 * mu:
             raise CheckFailed("residual contraction failed")
-        cur = nxt
+        mu = nxt
+        residuals.append(mu)
+        geo_lhs *= 2
+        geo_rhs *= 3
         n += 1
-    phi = RationalFunction(space, tuple(total), space.full)
-    total_norm = norm(phi)
-    norm_ok = total_norm <= mu0
+    lift = 3 ** n
+    norm_ok = max(map(abs, total)) <= m0 * lift
     if not norm_ok:
         raise CheckFailed("norm of the extension above the boundary norm")
-    agree = _agreement(phit, phi, carrier)
+    agree = 0
+    sup = 0
+    for x in points:
+        d = abs(data[x] * lift - total[x])
+        if d == 0:
+            agree |= 1 << x
+        elif d > sup:
+            sup = d
     if mu == 0 and (carrier & ~agree):
         raise CheckFailed("zero residual without exact agreement")
-    sup = _sup_difference(phit, phi, carrier)
     if sup > mu:
         raise CheckFailed("reported residual below the actual difference")
-    return ExtensionResult(phi, agree, norm_ok, tuple(residuals), n, mu,
-                           tuple(psis))
-
-
-def _agreement(a: RationalFunction, b: RationalFunction, mask: int) -> int:
-    out = 0
-    for x in bits(mask & a.carrier & b.carrier):
-        if a.values[x] == b.values[x]:
-            out |= 1 << x
-    return out
+    den = scale * lift
+    phi = RationalFunction(
+        space, tuple(Fraction(t, den) for t in total), space.full)
+    psis = []
+    for k, (m, out) in enumerate(steps):
+        plus = Fraction(m, scale * 3 ** (k + 1))
+        psis.append(RationalFunction(
+            space, tuple(plus if out >> x & 1 else -plus for x in range(space.n)),
+            space.full))
+    return ExtensionResult(
+        phi, agree, norm_ok,
+        tuple(Fraction(m, scale * 3 ** k) for k, m in enumerate(residuals)),
+        n, Fraction(mu, den), tuple(psis))
 
 
 def _sup_difference(a: RationalFunction, b: RationalFunction, mask: int) -> Fraction:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,8 +19,11 @@ from fibertop.classical import (
     vedenisov_perfectly_normal,
 )
 from fibertop.errors import SearchFailed
+from fibertop import harness
 from fibertop.harness import (
+    LevelTables,
     _condition_c_ok,
+    _level_tables,
     _stepwise_bounds_ok,
     classify,
     constant_map_degeneration,
@@ -47,6 +51,7 @@ from fibertop.partitions import assemble_limit
 from fibertop.spaces import (
     FiberedMap,
     Submapping,
+    bits,
     identity_map,
     is_f_sigma_submapping,
 )
@@ -152,8 +157,101 @@ class TestFastPathsAgainstPublic:
                     lim = assemble_limit(fam)
                     rep = verify_condition_C(f, a, b, y, lim.phi,
                                              fam.levels[2].nbhd)
-                    assert rep.all_ok == _condition_c_ok(f, levels, a, b)
-                    assert _stepwise_bounds_ok(f, levels)
+                    tables = _level_tables(f, levels)
+                    assert rep.all_ok == _condition_c_ok(f, tables, a, b)
+                    assert _stepwise_bounds_ok(tables)
+
+    def test_integer_bounds_match_fractions(self, monkeypatch):
+        # every family the census-5 sweep builds, recorded as it is built
+        built = []
+
+        def recording(f, *args):
+            levels = build_levels(f, *args)
+            built.append((f, levels))
+            return levels
+
+        monkeypatch.setattr(harness, "build_levels", recording)
+        for inst in census_instances(5):
+            theorem_record(inst, depth=6, extender_budget=0)
+        assert len(built) > 1000
+        verdicts = set()
+        for f, levels in built:
+            ok = _stepwise_bounds_ok(_level_tables(f, levels))
+            assert ok == _stepwise_bounds_fraction(f, levels)
+            verdicts.add(ok)
+        assert verdicts == {True}
+
+    def test_bounds_fail_on_mutated_tables(self):
+        verdicts = Counter()
+        for inst in census_instances(4):
+            f = inst.f
+            closed = sorted(f.domain.full ^ o for o in f.domain.opens)
+            for a, b in combinations(closed, 2):
+                if a & b:
+                    continue
+                try:
+                    levels = build_levels(f, a, b, 0, 4)
+                except SearchFailed:
+                    continue
+                tables = _level_tables(f, levels)
+                assert _stepwise_bounds_ok(tables)
+                if not tables.points:
+                    continue
+                # shifting a whole level keeps every oscillation and breaks
+                # the increment into it
+                for n in range(2, len(tables.block_of)):
+                    shifted = list(tables.block_of)
+                    shifted[n] = [k + 3 for k in shifted[n]]
+                    bad = tables._replace(block_of=tuple(shifted))
+                    assert not _stepwise_bounds_ok(bad)
+                    assert not _stepwise_bounds_fraction_on(bad)
+                # moving one point by one or two blocks lands on both sides
+                # of each bound; the verdict must match the rationals, also
+                # with the levels below n cut off (no increment out of n)
+                for n in range(1, len(tables.block_of)):
+                    for x in tables.points:
+                        for delta in (-2, -1, 1, 2):
+                            moved = list(tables.block_of)
+                            moved[n] = list(moved[n])
+                            moved[n][x] += delta
+                            for cut in (len(moved), n + 1):
+                                bad = tables._replace(
+                                    block_of=tuple(moved[:cut]))
+                                ok = _stepwise_bounds_ok(bad)
+                                assert ok == _stepwise_bounds_fraction_on(bad)
+                                verdicts[ok] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def _stepwise_bounds_fraction(f: FiberedMap, levels) -> bool:
+    """The two stepwise bounds with exact rationals, read off the blocks."""
+    w = f.preimage(levels[1][0])
+    block_of = [None]
+    for _, blocks in levels[1:]:
+        idx = [0] * f.domain.n
+        for k, block in enumerate(blocks):
+            for x in bits(block & w):
+                idx[x] = k
+        block_of.append(idx)
+    links = [(x, z) for x in bits(w) for z in bits(f.domain.min_nbhd(x))]
+    return _stepwise_bounds_fraction_on(
+        LevelTables(w, tuple(bits(w)), tuple(links), tuple(block_of)))
+
+
+def _stepwise_bounds_fraction_on(tables) -> bool:
+    block_of = tables.block_of
+    for idx in block_of[1:]:
+        for x, z in tables.links:
+            if abs(idx[x] - idx[z]) > 1:
+                return False
+    for n in range(1, len(block_of) - 1):
+        d_lo = Fraction(1, (1 << n) - 1)
+        d_hi = Fraction(1, (1 << (n + 1)) - 1)
+        lo, hi = block_of[n], block_of[n + 1]
+        for x in tables.points:
+            if abs(hi[x] * d_hi - lo[x] * d_lo) > d_hi:
+                return False
+    return True
 
 
 def _is_f_sigma_literally(f: FiberedMap, carrier: int) -> bool:

@@ -65,6 +65,67 @@ func phit on S
 1: 1
 """
 
+MIXED_EXTEND = """\
+# two Sierpinski spaces and a point, mapped onto a point; the boundary data
+# on the closed set {1, 3, 4} has mixed denominators
+space X
+points 5
+opens
+-
+0
+2
+4
+0 1
+0 2
+0 4
+2 3
+2 4
+0 1 2
+0 1 4
+0 2 3
+0 2 4
+2 3 4
+0 1 2 3
+0 1 2 4
+0 2 3 4
+0 1 2 3 4
+space P
+points 1
+opens
+-
+0
+map c X -> P
+0 -> 0
+1 -> 0
+2 -> 0
+3 -> 0
+4 -> 0
+func phit on X
+1: -3/7
+3: 5/6
+4: 1/4
+"""
+
+EXTEND_GOLDEN = {
+    "agreement": [],
+    "checks": {"agreement": False, "eps": False, "norm": True},
+    "iterations": 17,
+    "kind": "extend",
+    "norm_ok": True,
+    "phi": ["-332586175/774840978",
+            "-332586175/774840978",
+            "645045455/774840978",
+            "645045455/774840978",
+            "193481285/774840978"],
+    "residual_bound": "327680/387420489",
+    "residuals": ["5/6", "5/9", "10/27", "20/81", "40/243", "80/729", "160/2187",
+                  "320/6561", "640/19683", "1280/59049", "2560/177147",
+                  "5120/531441", "10240/1594323", "20480/4782969", "40960/14348907",
+                  "81920/43046721", "163840/129140163", "327680/387420489"],
+    "y": 0,
+}
+
+
 BIG = "space B\npoints 20\nopens\n-\n" + \
     "\n".join(" ".join(str(i) for i in range(k + 1)) for k in range(20)) + \
     "\nmap c B -> B\n" + "\n".join(f"{i} -> 0" for i in range(20)) + "\n"
@@ -138,6 +199,18 @@ class TestBuild:
         out = json.loads(capsys.readouterr().out)
         assert out["residuals"][0] == "1"
 
+    def test_extend_golden_output(self, tmp_path, capsys):
+        # mixed-denominator boundary data; the expected output is pinned
+        # from the Fraction implementation of the iteration
+        path = tmp_path / "mixed.top"
+        path.write_text(MIXED_EXTEND)
+        code = main(["--json", "build", "extend", str(path),
+                     "--phi", "phit", "--y", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(EXTEND_GOLDEN, sort_keys=True) + "\n"
+        assert len(EXTEND_GOLDEN["residuals"]) == 18
+
     def test_partitions_requires_disjoint(self, tmp_path, capsys):
         text = CONST_D2 + "set G in D2\n0 1\n"
         path = tmp_path / "x.top"
@@ -175,6 +248,26 @@ class TestBuild:
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert out["holds"] is False and "counterexample" in out
+
+
+class TestInstanceErrors:
+    def test_func_point_outside_space(self, tmp_path, capsys):
+        path = tmp_path / "bad.top"
+        path.write_text(ID_S.replace("1: 1", "-1: 1/2"))
+        assert main(["build", "extend", str(path), "--phi", "phit",
+                     "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 15" in captured.err
+        assert "point -1 outside space S" in captured.err
+
+    def test_func_point_given_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.top"
+        path.write_text(ID_S + "0: 1\n0: 1/2\n")
+        assert main(["build", "extend", str(path), "--phi", "phit",
+                     "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "line 17" in captured.err and "point 0 given twice" in captured.err
 
 
 class TestInternalError:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibertop.census import canonical_spaces
 from fibertop.errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
@@ -12,11 +15,13 @@ from fibertop.errors import (
 from fibertop.spaces import (
     FiberedMap,
     Submapping,
+    bits,
     bits_tuple,
     chain,
     constant_map,
     discrete,
     identity_map,
+    indiscrete,
     is_f_sigma_submapping,
     is_f_sigma_subset,
     mask_of,
@@ -100,6 +105,40 @@ class TestClosureInterior:
             for o in space.opens:
                 if o >> x & 1:
                     assert m & ~o == 0
+
+
+def _per_bit(table, mask: int) -> int:
+    out = 0
+    for x in bits(mask):
+        out |= table(x)
+    return out
+
+
+class TestLookupTables:
+    """closure and hull read lookup tables; they must equal the unions of
+    singleton closures and minimal neighborhoods."""
+
+    def _check(self, space, masks):
+        for m in masks:
+            assert space.closure(m) == _per_bit(space.closure_point, m)
+            assert space.hull(m) == _per_bit(space.min_nbhd, m)
+
+    def test_every_canonical_space_up_to_5_points(self):
+        for n in range(1, 6):
+            for space in canonical_spaces(n):
+                self._check(space, range(1 << n))
+
+    @pytest.mark.parametrize("make", [chain, discrete])
+    def test_twelve_points(self, make):
+        space = make(12)
+        self._check(space, range(1 << 12))
+
+    @pytest.mark.parametrize("make", [chain, indiscrete])
+    def test_masks_spanning_several_tables(self, make):
+        space = make(30)  # few opens, so the space itself stays small
+        rng = random.Random(5)
+        self._check(space, [rng.getrandbits(30) for _ in range(500)]
+                    + [space.full, 1 << 29, 1 << 12 | 1 << 11])
 
 
 class TestSubspace:

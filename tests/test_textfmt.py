@@ -65,6 +65,28 @@ class TestParse:
         with pytest.raises(InstanceSyntaxError):
             parse_instance(bad)
 
+    @pytest.mark.parametrize("point", ["-1", "2", "17"])
+    def test_func_point_outside_space(self, point):
+        bad = SIERPINSKI_ID + f"func g on S\n0: 1\n{point}: 1/2\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 21
+        assert f"point {point} outside space S" in str(err.value)
+
+    def test_func_point_given_twice(self):
+        bad = SIERPINSKI_ID + "func g on S\n0: 1\n1: 2\n0: 3\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 22
+        assert "point 0 given twice" in str(err.value)
+
+    def test_map_point_given_twice(self):
+        bad = SIERPINSKI_ID + "map g S -> S\n0 -> 0\n1 -> 1\n1 -> 0\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 22
+        assert "point 1 mapped twice" in str(err.value)
+
     def test_unknown_space_reference(self):
         with pytest.raises(InstanceValidationError):
             parse_instance("set A in nowhere\n0\n")

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from tietze_reference import tietze_extend_reference
 
 from fibertop.census import census_instances
 from fibertop.errors import (
+    FibertopError,
     MaxIterReached,
     NotFound,
     PreconditionNotFContinuous,
@@ -20,6 +23,7 @@ from fibertop.oscillation import (
 )
 from fibertop.spaces import constant_map, identity_map, sierpinski
 from fibertop.urysohn_tietze import (
+    ExtensionResult,
     build_separator,
     exact_extension_exists,
     exact_separator,
@@ -181,6 +185,79 @@ class TestTietze:
             assert norm(res.phi) <= norm(phit)
             for i, psi in enumerate(res.psis):
                 assert 3 * norm(psi) <= res.residuals[i]
+
+
+def _outcome(extend, *args, **kwargs):
+    """The result of one extension run, or the type, message and residual
+    of the error it raised."""
+    try:
+        return extend(*args, **kwargs)
+    except FibertopError as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+class TestTietzeAgainstReference:
+    """The integer iteration reproduces the Fraction reference exactly."""
+
+    def test_census4_seeded_boundaries(self):
+        rng = random.Random(2406)
+        denominators = (1, 2, 3, 4, 5, 7, 9, 12)
+
+        def rational(_x=None):
+            if rng.random() < 0.3:
+                # a third of a likely maximum: values on the +/- mu/3 levels
+                return Fraction(rng.choice((-3, -1, 1, 3)), 4)
+            return Fraction(rng.randint(-12, 12), rng.choice(denominators))
+
+        seen = Counter()
+        for inst in census_instances(4):
+            f = inst.f
+            space = f.domain
+            classes = space.nbhd_classes(space.full)
+            for carrier in sorted(space.full ^ o for o in space.opens):
+                if not carrier:
+                    continue
+                # constant on every component: f-continuous at every y
+                level = {c: rational() for c in classes}
+                tame = RationalFunction.on_carrier(
+                    space, carrier,
+                    lambda x: next(v for c, v in level.items() if c >> x & 1))
+                wild = RationalFunction.on_carrier(space, carrier, rational)
+                for phit in (tame, wild):
+                    y = rng.randrange(f.codomain.n)
+                    max_iter = rng.choice((None, None, 1, 3))
+                    new = _outcome(tietze_extend, f, carrier, phit, y,
+                                   max_iter=max_iter)
+                    old = _outcome(tietze_extend_reference, f, carrier, phit,
+                                   y, max_iter=max_iter)
+                    assert new == old
+                    seen[type(new) if isinstance(new, ExtensionResult)
+                         else new[0]] += 1
+        assert seen[ExtensionResult] > 100
+        assert seen[MaxIterReached] > 10
+        assert seen[PreconditionNotFContinuous] > 10
+        assert seen[SearchFailed] > 0
+
+    def test_search_failed_on_tangled_boundary(self, V_poset):
+        # the closed points 0 and 1 share the open point 2: one component
+        # meets both the -mu/3 and the +mu/3 level closures
+        f = constant_map(V_poset)
+        phit = RationalFunction(V_poset, (Fraction(1), Fraction(-1, 2), None),
+                                0b011)
+        new = _outcome(tietze_extend, f, 0b011, phit, 0)
+        assert new[0] is SearchFailed
+        assert new == _outcome(tietze_extend_reference, f, 0b011, phit, 0)
+
+    def test_tolerances_and_early_exact_residuals(self, D3):
+        f = constant_map(D3)
+        phit = RationalFunction(D3, (Fraction(-5, 6), None, Fraction(3, 4)),
+                                0b101)
+        # 20/81 = (5/6)(2/3)^3 is hit exactly by the geometric bound
+        for tol in (Fraction(1), Fraction(20, 81), Fraction(1, 3),
+                    Fraction(1, 10**6), 0.01):
+            new = tietze_extend(f, 0b101, phit, 0, tolerance=tol)
+            assert new == tietze_extend_reference(f, 0b101, phit, 0,
+                                                  tolerance=tol)
 
 
 class TestConditionD:
