@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 DEFAULT_MAX_POINTS = 12
+# level n of a partition family has 2^n blocks
+MAX_DEPTH = 16
 ENV_MAX_POINTS = "FIBERTOP_MAX_POINTS"
 
 
@@ -23,8 +25,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be between 1 and {MAX_DEPTH}, "
+                             f"got {self.depth}")
         if not isinstance(self.tolerance, Fraction):
             self.tolerance = Fraction(self.tolerance)
         if self.tolerance <= 0:

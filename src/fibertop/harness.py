@@ -30,6 +30,7 @@ from .classical import (
 )
 from .errors import FibertopError, SearchFailed
 from .normality import (
+    LevelIndex,
     build_levels,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
@@ -43,7 +44,7 @@ from .normality import (
     is_sigma_prenormal,
 )
 from .oscillation import norm, osc_on_set
-from .spaces import FiberedMap, bits, bits_tuple, constant_map
+from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, constant_map
 from .urysohn_tietze import (
     boundary_function,
     build_separator,
@@ -151,7 +152,7 @@ def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
         except SearchFailed:
             hit = (False, False, False)
         else:
-            tables = _level_tables(f, levels)
+            tables = _level_tables(f.domain, levels)
             hit = (True, _stepwise_bounds_ok(tables),
                    _condition_c_ok(f, tables, f_side, t_side))
         cache[key] = hit
@@ -167,22 +168,12 @@ class LevelTables(NamedTuple):
     block_of: tuple[list[int], ...]       # block_of[n][x]: level-n block of x
 
 
-def _level_tables(f: FiberedMap, levels) -> LevelTables:
-    space = f.domain
-    w = f.preimage(levels[1][0])
+def _level_tables(space: FiniteSpace, levels: LevelIndex) -> LevelTables:
+    w = levels.carrier
     points = bits_tuple(w)
     links = tuple((x, z) for x in points for z in bits(space.min_nbhd(x))
                   if z != x)
-    block_of = []
-    for _, blocks in levels[1:]:
-        idx = [0] * space.n
-        for k, block in enumerate(blocks):
-            m = block & w
-            while m:
-                low = m & -m
-                idx[low.bit_length() - 1] = k
-                m ^= low
-        block_of.append(idx)
+    block_of = [levels.level(n) for n in range(1, levels.depth + 1)]
     return LevelTables(w, points, links, (None, *block_of))
 
 
@@ -356,8 +347,10 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         if expect_ok:
             anomalies.append(f"extension failed on normal map: {exc}")
         return run
-    chain_ok = all(3 * res.residuals[i + 1] <= 2 * res.residuals[i]
-                   for i in range(len(res.residuals) - 1))
+    # residual i+1 is at most 2/3 of residual i, cross-multiplied
+    chain_ok = all(3 * r1.numerator * r0.denominator
+                   <= 2 * r0.numerator * r1.denominator
+                   for r0, r1 in zip(res.residuals, res.residuals[1:]))
     trace = phit.carrier & f.preimage(f.codomain.min_nbhd(y))
     exact = res.residual_bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)

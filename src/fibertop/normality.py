@@ -19,6 +19,7 @@ of-components check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotFound, NotOpen, SearchFailed
 from .oscillation import RationalFunction, is_f_equicontinuous_at
@@ -262,6 +263,34 @@ def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
 # ------------------------------------------------------- partition builders
 
 
+class LevelIndex(NamedTuple):
+    """A flat-chain family as integers.
+
+    Level 0 is the whole domain over the whole codomain; every level n >= 1
+    lives over ``nbhd`` on ``carrier`` = f^{-1}(nbhd), and the level-n block
+    of a carrier point x is ``index[x] >> (depth - n)``, the numerator of
+    its step value over 2^n - 1.
+    """
+
+    nbhd: int
+    carrier: int
+    depth: int
+    index: tuple[int, ...]   # deepest-level block per point, 0 off the carrier
+
+    def level(self, n: int) -> list[int]:
+        """The level-n block of every point, n >= 1."""
+        shift = self.depth - n
+        return [k >> shift for k in self.index]
+
+    def blocks(self, n: int) -> tuple[int, ...]:
+        """The 2^n blocks of level n >= 1 as masks."""
+        out = [0] * (1 << n)
+        level = self.level(n)
+        for x in bits(self.carrier):
+            out[level[x]] |= 1 << x
+        return tuple(out)
+
+
 def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
                             depth: int, within: int | None = None,
                             component: int | None = None
@@ -285,9 +314,10 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
         raise ValueError("F and T must be disjoint")
     if not space.rel_is_closed(base, f_side) or not space.rel_is_closed(base, t_side):
         raise ValueError("F and T must be relatively closed over the context open")
-    levels = [Level(nbhd, tuple(blocks))
-              for nbhd, blocks in build_levels(f, f_side, t_side, y, depth,
-                                               component)]
+    built = build_levels(f, f_side, t_side, y, depth, component)
+    levels = [Level(cod.full, (space.full,))]
+    levels.extend(Level(built.nbhd, built.blocks(n))
+                  for n in range(1, depth + 1))
     family = validate_consistent_family(
         ConsistentBinaryFamily(f, y, tuple(levels)))
     check_lemma_conditions(family, f_side, t_side)
@@ -295,20 +325,38 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
 
 
 def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
-                 component: int | None = None):
+                 component: int | None = None) -> LevelIndex:
     """Raw level construction shared by the builder and the census sweep.
 
-    Returns [(nbhd, blocks), ...]; raises SearchFailed.  No validation of
-    the inputs beyond what the sandwiches themselves detect.
+    Raises SearchFailed.  No validation of the inputs beyond what the
+    sandwiches themselves detect.  The family depends only on the domain
+    and on (carrier, F and T inside it, depth), so it is memoised per
+    domain space on that key; the neighborhood, the carrier and the
+    component of a failure come from each call.
     """
-    space, cod = f.domain, f.codomain
-    closure, hull = space.closure, space.hull
-    levels = [(cod.full, (space.full,))]
-    nbhd = cod.min_nbhd(y)
+    space = f.domain
+    nbhd = f.codomain.min_nbhd(y)
     carrier = f.preimage(nbhd)
-    ft, tt = f_side & carrier, t_side & carrier
+    key = (carrier, f_side & carrier, t_side & carrier, depth)
+    memo = space._levels_memo
+    if memo is None:
+        memo = space._levels_memo = {}
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _level_walk(space, *key)
+    index, failed = hit
+    if failed is not None:
+        raise SearchFailed(*failed, component)
+    return LevelIndex(nbhd, carrier, depth, index)
+
+
+def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
+                depth: int):
+    """One canonical sandwich per block per level: (index, None), or
+    (None, (level, step)) at the first sandwich that fails."""
+    closure, hull = space.closure, space.hull
+    blocks = (space.full,)
     for n in range(depth):
-        blocks = levels[n][1]
         k_count = 1 << n
         suffix_cl = 0
         lowers = [0] * k_count
@@ -322,13 +370,17 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
             avoid = ft if k == 0 else prefix & carrier
             v = hull(lowers[k]) & carrier
             if closure(v) & avoid:
-                raise SearchFailed(n + 1, f"sandwich {k}", component)
+                return None, (n + 1, f"sandwich {k}")
             block = blocks[k] & carrier
             children.append(block & ~v)
             children.append(block & v)
             prefix |= blocks[k]
-        levels.append((nbhd, tuple(children)))
-    return levels
+        blocks = tuple(children)
+    index = [0] * space.n
+    for k, block in enumerate(blocks):
+        for x in bits(block):
+            index[x] = k
+    return tuple(index), None
 
 
 def check_lemma_conditions(family: ConsistentBinaryFamily, f_side: int,

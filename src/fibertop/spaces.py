@@ -66,7 +66,8 @@ class FiniteSpace:
     """A validated topology on points 0..n-1, opens stored as sorted bitmasks."""
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
-                 "_closure_tables", "_hull_tables", "_canon", "_class_cache")
+                 "_closure_tables", "_hull_tables", "_canon", "_class_cache",
+                 "_levels_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -91,6 +92,7 @@ class FiniteSpace:
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
         self._closure_tables = self._hull_tables = None  # built on first use
+        self._levels_memo = None  # normality.build_levels, on first use
         self._canon = None
         self._class_cache = {}
 

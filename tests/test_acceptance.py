@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from fibertop import census
 from fibertop.census import canonical_spaces, census_instances, sampled_instances
 from fibertop.errors import PartitionError
 from fibertop.harness import (
@@ -189,7 +190,13 @@ def test_criterion_8_constant_map_degeneration(reports):
 
 
 def test_criterion_9_determinism(reports):
+    # the rerun builds fresh space objects, so no per-space memo or cache
+    # filled by the first run can serve it
+    first_spaces = census._CANONICAL_CACHE[5]
+    census._CANONICAL_CACHE.clear()
+    census._LABELED_CACHE.clear()
     second = run_all(SEED)
+    assert census._CANONICAL_CACHE[5][0] is not first_spaces[0]
     same = all(report_json(reports[name]) == report_json(second[name])
                for name in ("osc", "covering", "sweep", "sampled", "constant"))
     _verdict(9, same, "reruns of criteria 1-8 byte-identical: "

@@ -37,6 +37,7 @@ from fibertop.harness import (
 from fibertop.normality import (
     build_levels,
     build_binary_partitions,
+    build_binary_partitions_sigma,
     is_co_sigma_perfectly_normal,
     is_hereditarily_normal,
     is_hereditarily_perfectly_normal,
@@ -49,13 +50,18 @@ from fibertop.normality import (
 from fibertop.oscillation import RationalFunction, norm
 from fibertop.partitions import assemble_limit
 from fibertop.spaces import (
+    FiniteSpace,
     FiberedMap,
     Submapping,
     bits,
+    constant_map,
+    discrete,
     identity_map,
     is_f_sigma_submapping,
+    sierpinski,
 )
 from fibertop.urysohn_tietze import verify_condition_C
+from levels_reference import build_levels_reference
 
 
 KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -136,6 +142,62 @@ class TestClassical:
         assert norm(ext) <= norm(phit)
 
 
+@pytest.fixture(scope="module")
+def census5_builds():
+    """Every build_levels call of the census-5 sweep, as (f, args, fresh,
+    outcome), with the memos of the census spaces emptied first so that
+    the first call on each key walks and the later ones hit."""
+    for n in range(1, 5):
+        for space in canonical_spaces(n):
+            space._levels_memo = None
+    calls = []
+
+    def recording(f, *args):
+        fresh = _memo_key(f, *args) not in (f.domain._levels_memo or {})
+        try:
+            levels = build_levels(f, *args)
+        except SearchFailed as exc:
+            calls.append((f, args, fresh, _failure(exc)))
+            raise
+        calls.append((f, args, fresh, _expand(f, levels)))
+        return levels
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "build_levels", recording)
+        for inst in census_instances(5):
+            theorem_record(inst, depth=6, extender_budget=0)
+    return calls
+
+
+def _memo_key(f: FiberedMap, f_side, t_side, y, depth):
+    carrier = f.preimage(f.codomain.min_nbhd(y))
+    return (carrier, f_side & carrier, t_side & carrier, depth)
+
+
+def _expand(f: FiberedMap, levels) -> list:
+    """A LevelIndex in the oracle's shape: [(nbhd, blocks), ...] from 0."""
+    return [(f.codomain.full, (f.domain.full,))] + [
+        (levels.nbhd, levels.blocks(n)) for n in range(1, levels.depth + 1)]
+
+
+def _failure(exc: SearchFailed) -> tuple:
+    return ("failed", exc.level, exc.step, exc.l)
+
+
+def _reference(f: FiberedMap, *args):
+    try:
+        return build_levels_reference(f, *args)
+    except SearchFailed as exc:
+        return _failure(exc)
+
+
+def _memoised(f: FiberedMap, *args):
+    try:
+        return _expand(f, build_levels(f, *args))
+    except SearchFailed as exc:
+        return _failure(exc)
+
+
 class TestFastPathsAgainstPublic:
     def test_condition_c_and_bounds(self):
         for inst in census_instances(4):
@@ -153,31 +215,25 @@ class TestFastPathsAgainstPublic:
                             build_binary_partitions(f, a, b, y, 4)
                         continue
                     fam = build_binary_partitions(f, a, b, y, 4)
-                    assert [(l.nbhd, l.blocks) for l in fam.levels] == levels
+                    assert ([(l.nbhd, l.blocks) for l in fam.levels]
+                            == _expand(f, levels)
+                            == build_levels_reference(f, a, b, y, 4))
                     lim = assemble_limit(fam)
                     rep = verify_condition_C(f, a, b, y, lim.phi,
                                              fam.levels[2].nbhd)
-                    tables = _level_tables(f, levels)
+                    tables = _level_tables(space, levels)
                     assert rep.all_ok == _condition_c_ok(f, tables, a, b)
                     assert _stepwise_bounds_ok(tables)
 
-    def test_integer_bounds_match_fractions(self, monkeypatch):
-        # every family the census-5 sweep builds, recorded as it is built
-        built = []
-
-        def recording(f, *args):
-            levels = build_levels(f, *args)
-            built.append((f, levels))
-            return levels
-
-        monkeypatch.setattr(harness, "build_levels", recording)
-        for inst in census_instances(5):
-            theorem_record(inst, depth=6, extender_budget=0)
+    def test_integer_bounds_match_fractions(self, census5_builds):
+        built = [(f, args) for f, args, _, out in census5_builds
+                 if out[0] != "failed"]
         assert len(built) > 1000
         verdicts = set()
-        for f, levels in built:
-            ok = _stepwise_bounds_ok(_level_tables(f, levels))
-            assert ok == _stepwise_bounds_fraction(f, levels)
+        for f, args in built:
+            levels = build_levels(f, *args)
+            ok = _stepwise_bounds_ok(_level_tables(f.domain, levels))
+            assert ok == _stepwise_bounds_fraction(f, _expand(f, levels))
             verdicts.add(ok)
         assert verdicts == {True}
 
@@ -193,7 +249,7 @@ class TestFastPathsAgainstPublic:
                     levels = build_levels(f, a, b, 0, 4)
                 except SearchFailed:
                     continue
-                tables = _level_tables(f, levels)
+                tables = _level_tables(f.domain, levels)
                 assert _stepwise_bounds_ok(tables)
                 if not tables.points:
                     continue
@@ -221,6 +277,64 @@ class TestFastPathsAgainstPublic:
                                 assert ok == _stepwise_bounds_fraction_on(bad)
                                 verdicts[ok] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+class TestLevelMemo:
+    def test_sweep_calls_match_reference(self, census5_builds):
+        copies = {}
+        fresh = Counter()
+        for f, args, was_fresh, out in census5_builds:
+            fresh[was_fresh] += 1
+            expected = _reference(f, *args)
+            assert out == expected
+            # the same call again is served by the memo
+            assert _memo_key(f, *args) in f.domain._levels_memo
+            assert _memoised(f, *args) == expected
+            # an equal space object has a memo of its own
+            dom = copies.get(id(f.domain))
+            if dom is None:
+                dom = copies[id(f.domain)] = FiniteSpace(f.domain.n,
+                                                         f.domain.opens)
+            assert dom == f.domain and dom is not f.domain
+            g = FiberedMap(dom, f.codomain, f.table)
+            assert _memoised(g, *args) == expected
+        keys = {(id(f.domain), _memo_key(f, *args))
+                for f, args, _, _ in census5_builds}
+        assert fresh[True] == len(keys) and fresh[False] > fresh[True]
+        assert any(out[0] == "failed" for _, _, _, out in census5_builds)
+
+    def test_nbhd_comes_from_each_call(self):
+        # one domain object and carrier, two codomain neighborhoods of y
+        space = discrete(2)
+        over_point = constant_map(space)
+        over_open_point = FiberedMap(space, sierpinski(), (1, 1))
+        assert over_point.codomain.min_nbhd(0) == 0b1
+        assert over_open_point.codomain.min_nbhd(1) == 0b11
+        for f, y in ((over_point, 0), (over_open_point, 1),
+                     (over_point, 0)):
+            levels = build_levels(f, 0b01, 0b10, y, 3)
+            assert levels.nbhd == f.codomain.min_nbhd(y)
+            assert levels.carrier == space.full
+            fam = build_binary_partitions(f, 0b01, 0b10, y, 3)
+            assert [l.nbhd for l in fam.levels[1:]] == [levels.nbhd] * 3
+        assert len(space._levels_memo) == 1
+
+    def test_memoised_failure_carries_callers_component(self):
+        # two closed points whose hulls meet in the open point 2
+        space = FiniteSpace(3, [0b000, 0b100, 0b101, 0b110, 0b111])
+        f = constant_map(space)
+        with pytest.raises(SearchFailed) as first:
+            build_levels(f, 0b001, 0b010, 0, 3)
+        assert (first.value.level, first.value.l) == (1, None)
+        with pytest.raises(SearchFailed) as direct:
+            build_binary_partitions(f, 0b001, 0b010, 0, 3, component=1)
+        assert direct.value.l == 1
+        with pytest.raises(SearchFailed) as sigma:
+            build_binary_partitions_sigma(f, 0b001, [0, 0b010], 0, 3)
+        assert (sigma.value.level, sigma.value.step, sigma.value.l) == (
+            1, "sandwich 0", 1)
+        assert sigma.value.__cause__.l == 1
+        assert len(space._levels_memo) == 2
 
 
 def _stepwise_bounds_fraction(f: FiberedMap, levels) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from fibertop import cli
 from fibertop.cli import main
+from fibertop.config import MAX_DEPTH, RunConfig
 
 DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
 
@@ -248,6 +249,27 @@ class TestBuild:
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert out["holds"] is False and "counterexample" in out
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("depth", ["17", "40", "0"])
+    def test_depth_outside_bound_rejected(self, const_d2_file, depth, capsys,
+                                          monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(cli, "build_binary_partitions", never)
+        code = main(["--depth", depth, "build", "partitions", const_d2_file,
+                     "--F", "F", "--T", "T", "--y", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "between 1 and 16" in captured.err and depth in captured.err
+
+    def test_bound_is_inclusive(self):
+        assert RunConfig(depth=MAX_DEPTH).depth == 16
+        with pytest.raises(ValueError):
+            RunConfig(depth=MAX_DEPTH + 1)
 
 
 class TestInstanceErrors:

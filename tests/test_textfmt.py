@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibertop.errors import InstanceSyntaxError, InstanceValidationError
+from conftest import spaces
+from fibertop.census import continuous_tables
+from fibertop.errors import InstanceSyntaxError, InstanceValidationError, SearchFailed
 from fibertop.normality import build_binary_partitions
-from fibertop.spaces import constant_map, discrete
+from fibertop.oscillation import RationalFunction
+from fibertop.spaces import FiberedMap, constant_map, discrete
 from fibertop.textfmt import (
     InstanceFile,
     parse_instance,
@@ -123,6 +128,56 @@ class TestRoundTrip:
         assert part.carrier == 0b10 and part.values[1] == Fraction(4, 7)
         again = parse_instance(serialize_instance(inst))
         assert again.funcs["part"][1].values == part.values
+
+
+@st.composite
+def instance_files(draw):
+    """Random spaces, continuous maps between them, sets, partial rational
+    functions and, where the builder succeeds, partition families."""
+    inst = InstanceFile()
+    for i in range(draw(st.integers(1, 3))):
+        inst.spaces[f"S{i}"] = draw(spaces(max_points=4))
+    names = sorted(inst.spaces)
+    for i in range(draw(st.integers(0, 2))):
+        xname, yname = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        dom, cod = inst.spaces[xname], inst.spaces[yname]
+        table = draw(st.sampled_from(continuous_tables(dom, cod)))
+        inst.maps[f"f{i}"] = FiberedMap(dom, cod, table)
+        inst.map_names[f"f{i}"] = (xname, yname)
+    for i in range(draw(st.integers(0, 2))):
+        sname = draw(st.sampled_from(names))
+        mask = draw(st.integers(0, inst.spaces[sname].full))
+        inst.sets[f"A{i}"] = (sname, mask)
+    for i in range(draw(st.integers(0, 2))):
+        sname = draw(st.sampled_from(names))
+        space = inst.spaces[sname]
+        carrier = draw(st.integers(0, space.full))
+        vals = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                          max_denominator=9),
+                             min_size=space.n, max_size=space.n))
+        inst.funcs[f"g{i}"] = (sname, RationalFunction.on_carrier(
+            space, carrier, lambda x: vals[x]))
+    for mname, f in inst.maps.items():
+        closed = f.domain.rel_closed_sets(f.domain.full)
+        f_side, t_side = draw(st.sampled_from(closed)), draw(st.sampled_from(closed))
+        y = draw(st.integers(0, f.codomain.n - 1))
+        if f_side & t_side:
+            continue
+        try:
+            fam = build_binary_partitions(f, f_side, t_side, y, 2)
+        except SearchFailed:
+            continue
+        inst.families[f"fam_{mname}"] = (mname, fam)
+    return inst
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_files())
+def test_round_trip_property(inst):
+    text = serialize_instance(inst)
+    parsed = parse_instance(text)
+    assert serialize_instance(parsed) == text
+    assert parsed == inst
 
 
 def test_serialize_family_shape():
