@@ -21,7 +21,11 @@ _CANONICAL_CACHE: dict[int, tuple[FiniteSpace, ...]] = {}
 
 def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
     """All labeled Alexandrov topologies on n points, as per-point minimal
-    neighborhoods (U[i] contains i; j in U[i] forces U[j] inside U[i])."""
+    neighborhoods (U[i] contains i; j in U[i] forces U[j] inside U[i]).
+
+    Point i tries, in ascending order, the masks containing i inside every
+    earlier U[j] that contains i, keeping those that contain the U[j] of
+    their earlier points j."""
     cached = _LABELED_CACHE.get(n)
     if cached is not None:
         return cached
@@ -34,21 +38,26 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
             out.append(tuple(assign))
             return
         bit = 1 << i
-        for cand in range(full + 1):
-            if not cand & bit:
-                continue
-            ok = True
-            for j in range(i):
-                uj = assign[j]
-                if cand >> j & 1 and uj & ~cand:
-                    ok = False
+        room = full
+        for uj in assign[:i]:
+            if uj & bit:
+                room &= uj
+        room ^= bit
+        sub = 0
+        while True:
+            cand = sub | bit
+            below = cand & (bit - 1)
+            while below:
+                low = below & -below
+                if assign[low.bit_length() - 1] & ~cand:
                     break
-                if uj & bit and cand & ~uj:
-                    ok = False
-                    break
-            if ok:
+                below ^= low
+            else:
                 assign[i] = cand
                 backtrack(i + 1)
+            if sub == room:
+                break
+            sub = (sub - room) & room  # next submask of room, ascending
         assign[i] = 0
 
     backtrack(0)

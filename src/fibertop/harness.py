@@ -152,10 +152,26 @@ def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
         except SearchFailed:
             hit = (False, False, False)
         else:
-            tables = _level_tables(f.domain, levels)
-            hit = (True, _stepwise_bounds_ok(tables),
-                   _condition_c_ok(f, tables, f_side, t_side))
+            hit = (True, *_family_checks(f, levels, f_side, t_side))
         cache[key] = hit
+    return hit
+
+
+def _family_checks(f: FiberedMap, levels: LevelIndex, f_side: int,
+                   t_side: int) -> tuple[bool, bool]:
+    """(stepwise bounds, condition C) of a built family.  Both depend only
+    on the domain and the level memo key, so they are memoised per domain
+    space on (carrier, F and T inside it, depth)."""
+    space, w = f.domain, levels.carrier
+    key = (w, f_side & w, t_side & w, levels.depth)
+    memo = space._checks_memo
+    if memo is None:
+        memo = space._checks_memo = {}
+    hit = memo.get(key)
+    if hit is None:
+        tables = _level_tables(space, levels)
+        hit = memo[key] = (_stepwise_bounds_ok(tables),
+                           _condition_c_ok(f, tables, f_side, t_side))
     return hit
 
 

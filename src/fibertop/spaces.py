@@ -10,8 +10,6 @@ deciders cheap enough to run over whole censuses of spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 
 from .errors import (
     MissingEmptyOrFull,
@@ -67,7 +65,7 @@ class FiniteSpace:
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
                  "_closure_tables", "_hull_tables", "_canon", "_class_cache",
-                 "_levels_memo")
+                 "_levels_memo", "_checks_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -93,6 +91,7 @@ class FiniteSpace:
         self._cl_point = tuple(cl_point)
         self._closure_tables = self._hull_tables = None  # built on first use
         self._levels_memo = None  # normality.build_levels, on first use
+        self._checks_memo = None  # harness family checks, on first use
         self._canon = None
         self._class_cache = {}
 
@@ -253,28 +252,43 @@ class FiniteSpace:
     def canonical_form(self) -> tuple[int, ...]:
         """Lexicographically least sorted opens tuple over all relabelings.
 
-        A homeomorphism proxy used for census deduplication; exhaustive over
-        permutations, so exact at census sizes.
+        Exact, by a pruned search giving positions 0, 1, ... to points in
+        turn.  Placing a point at position j fixes the image masks in
+        [2^j, 2^(j+1)), those of the opens whose last unplaced point it
+        was; equal-size sorted families compare by the lowest mask in
+        which they differ, so only partial labelings with the best new
+        masks can reach the minimum.  Survivors with the same placed set P
+        and the same pairs (O - P, image of O & P) have the same futures.
         """
         if self._canon is not None:
             return self._canon
         if self.n > MAX_CANONICAL_POINTS:
             raise ValueError("canonical form capped at 8 points")
-        best = None
-        if self.n <= 6:
-            for table in _mask_permutations(self.n):
-                relabeled = sorted(table[o] for o in self.opens)
-                cand = tuple(relabeled)
-                if best is None or cand < best:
-                    best = cand
-        else:
-            for perm in permutations(range(self.n)):
-                cand = tuple(sorted(mask_of(perm[p] for p in bits(o))
-                                    for o in self.opens))
-                if best is None or cand < best:
-                    best = cand
-        self._canon = best
-        return best
+        # state: (P, {unplaced part: sorted images of the placed parts})
+        groups = {o: (0,) for o in self.opens}
+        form = list(groups.pop(0, ()))
+        states = [(0, groups)]
+        for j in range(self.n):
+            bit = 1 << j
+            # the sentinel bit sorts a segment after its extensions
+            cands = [(groups.get(1 << v, ()) + (bit,), placed, groups, 1 << v)
+                     for placed, groups in states for v in bits(self.full & ~placed)]
+            best = min(c[0] for c in cands)
+            form.extend(img | bit for img in best[:-1])
+            seen = {}
+            for _, placed, groups, vbit in (c for c in cands if c[0] == best):
+                # images below bit first, then those of the opens through v
+                nxt = {r: imgs for r, imgs in groups.items() if not r & vbit}
+                for rest, imgs in groups.items():
+                    if rest & vbit and rest != vbit:
+                        shifted = tuple([img | bit for img in imgs])
+                        rest ^= vbit
+                        nxt[rest] = nxt.get(rest, ()) + shifted
+                placed |= vbit
+                seen.setdefault((placed, frozenset(nxt.items())), (placed, nxt))
+            states = list(seen.values())
+        self._canon = tuple(form)
+        return self._canon
 
     # ------------------------------------------------------------- dunders
 
@@ -287,24 +301,6 @@ class FiniteSpace:
     def __repr__(self):
         sets = ",".join("{" + " ".join(map(str, bits(o))) + "}" for o in self.opens)
         return f"FiniteSpace(n={self.n}, opens=[{sets}])"
-
-
-@lru_cache(maxsize=8)
-def _mask_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each point permutation, the induced lookup table on masks."""
-    tables = []
-    for perm in permutations(range(n)):
-        table = [0] * (1 << n)
-        for m in range(1 << n):
-            pm = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                pm |= 1 << perm[low.bit_length() - 1]
-                mm ^= low
-            table[m] = pm
-        tables.append(tuple(table))
-    return tuple(tables)
 
 
 def validate_topology(n: int, opens) -> FiniteSpace:

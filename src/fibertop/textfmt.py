@@ -47,14 +47,26 @@ class InstanceFile:
     families: dict[str, tuple[str, ConsistentBinaryFamily]] = field(default_factory=dict)
 
 
-def _parse_set_line(body: str, lineno: int) -> int:
+def _parse_set_line(body: str, lineno: int, n: int, where: str) -> int:
+    """The mask of a point list on a line; every point must be in 0..n-1."""
     body = body.strip()
     if body == "-":
         return 0
     try:
-        return mask_of(int(tok) for tok in body.split())
+        points = [int(tok) for tok in body.split()]
     except ValueError:
         raise InstanceSyntaxError(lineno, f"bad point list {body!r}") from None
+    mask = 0
+    for p in points:
+        if not 0 <= p < n:
+            raise _outside(p, lineno, n, where)
+        mask |= 1 << p
+    return mask
+
+
+def _outside(p: int, lineno: int, n: int, where: str) -> InstanceSyntaxError:
+    return InstanceSyntaxError(
+        lineno, f"point {p} outside {where} (points 0..{n - 1})")
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -95,6 +107,8 @@ def parse_instance(text: str) -> InstanceFile:
                 count = int(lines[i].split()[1])
             except (IndexError, ValueError):
                 raise InstanceSyntaxError(i + 1, "expected: points <n>") from None
+            if count < 0:
+                raise InstanceSyntaxError(i + 1, f"negative point count {count}")
             i = skip_blank(i + 1)
             if i >= n or lines[i].strip() != "opens":
                 raise InstanceSyntaxError(i + 1, "expected: opens")
@@ -107,7 +121,8 @@ def parse_instance(text: str) -> InstanceFile:
                     continue
                 if peek_keyword(i):
                     break
-                opens.append(_parse_set_line(stripped, i + 1))
+                opens.append(_parse_set_line(stripped, i + 1, count,
+                                             f"space {name}"))
                 i += 1
             try:
                 out.spaces[name] = FiniteSpace(count, opens)
@@ -167,10 +182,8 @@ def parse_instance(text: str) -> InstanceFile:
                     continue
                 if peek_keyword(i):
                     break
-                mask |= _parse_set_line(stripped, i + 1)
+                mask |= _parse_set_line(stripped, i + 1, space.n, f"space {sname}")
                 i += 1
-            if mask & ~space.full:
-                raise InstanceValidationError(f"set {name}", "points outside space")
             out.sets[name] = (sname, mask)
         elif kw == "func":
             if len(head) != 4 or head[2] != "on":
@@ -197,9 +210,7 @@ def parse_instance(text: str) -> InstanceFile:
                 except (ValueError, ZeroDivisionError):
                     raise InstanceSyntaxError(i + 1, "bad rational") from None
                 if not 0 <= pt < space.n:
-                    raise InstanceSyntaxError(
-                        i + 1, f"point {pt} outside space {sname} "
-                        f"(points 0..{space.n - 1})")
+                    raise _outside(pt, i + 1, space.n, f"space {sname}")
                 if pt in values:
                     raise InstanceSyntaxError(i + 1, f"point {pt} given twice")
                 values[pt] = value
@@ -219,6 +230,9 @@ def parse_instance(text: str) -> InstanceFile:
             except ValueError:
                 raise InstanceSyntaxError(lineno, "bad base point") from None
             fmap = out.maps[mname]
+            dom, cod = out.map_names[mname]
+            if not 0 <= ypt < fmap.codomain.n:
+                raise _outside(ypt, lineno, fmap.codomain.n, f"space {cod}")
             levels = []
             i += 1
             while i < n:
@@ -228,14 +242,16 @@ def parse_instance(text: str) -> InstanceFile:
                     continue
                 if not stripped.startswith("O:"):
                     break
-                nbhd = _parse_set_line(stripped[2:], i + 1)
+                nbhd = _parse_set_line(stripped[2:], i + 1, fmap.codomain.n,
+                                       f"space {cod}")
                 i += 1
                 while i < n and (not lines[i].strip() or lines[i].strip().startswith("#")):
                     i += 1
                 if i >= n or not lines[i].strip().startswith("blocks:"):
                     raise InstanceSyntaxError(i + 1, "expected: blocks:")
                 body = lines[i].strip()[len("blocks:"):]
-                blocks = tuple(_parse_set_line(part, i + 1)
+                blocks = tuple(_parse_set_line(part, i + 1, fmap.domain.n,
+                                               f"space {dom}")
                                for part in body.split("|"))
                 levels.append(Level(nbhd, blocks))
                 i += 1

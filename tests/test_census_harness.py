@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from fibertop.census import (
+    Instance,
     canonical_spaces,
     census_instances,
     continuous_tables,
@@ -64,7 +65,7 @@ from fibertop.urysohn_tietze import verify_condition_C
 from levels_reference import build_levels_reference
 
 
-KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 KNOWN_CANONICAL = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
 
 
@@ -335,6 +336,61 @@ class TestLevelMemo:
             1, "sandwich 0", 1)
         assert sigma.value.__cause__.l == 1
         assert len(space._levels_memo) == 2
+
+
+class TestFamilyChecksMemo:
+    def test_memo_matches_fresh_checks(self, census5_builds):
+        verdicts = Counter()
+        for f, (a, b, y, depth), _, out in census5_builds:
+            if out[0] == "failed":
+                continue
+            levels = build_levels(f, a, b, y, depth)
+            tables = _level_tables(f.domain, levels)
+            expected = (_stepwise_bounds_ok(tables),
+                        _condition_c_ok(f, tables, a, b))
+            key = _memo_key(f, a, b, y, depth)
+            assert f.domain._checks_memo[key] == expected
+            assert harness._family_checks(f, levels, a, b) == expected
+            verdicts[expected] += 1
+        # every family the sweep builds passes both checks
+        assert set(verdicts) == {(True, True)} and verdicts[True, True] > 1000
+
+    def test_memo_keys_on_each_component(self):
+        # one family checked against other sides, or read at another depth,
+        # gets other verdicts; a key without F, T or the depth would hand
+        # back the first of each pair
+        f = constant_map(discrete(2))
+        levels = build_levels(f, 0b01, 0b10, 0, 3)
+        shallow = levels._replace(depth=1)
+        pairs = [((levels, 0b01, 0b00), (levels, 0b11, 0b00)),
+                 ((levels, 0b00, 0b00), (levels, 0b00, 0b01)),
+                 ((levels, 0b01, 0b10), (shallow, 0b01, 0b10))]
+        for pair in pairs:
+            verdicts = []
+            for lv, a, b in pair:
+                tables = _level_tables(f.domain, lv)
+                expected = (_stepwise_bounds_ok(tables),
+                            _condition_c_ok(f, tables, a, b))
+                assert harness._family_checks(f, lv, a, b) == expected
+                verdicts.append(expected)
+            assert verdicts[0] != verdicts[1]
+        assert len(f.domain._checks_memo) == 2 * len(pairs)
+
+    def test_memo_lives_on_each_space_object(self):
+        records = 0
+        for inst in census_instances(4):
+            f = inst.f
+            record = theorem_record(inst, extender_budget=0)
+            if not record["stepwise"]["families"]:
+                continue
+            assert f.domain._checks_memo
+            dom = FiniteSpace(f.domain.n, f.domain.opens)
+            assert dom == f.domain and dom._checks_memo is None
+            g = FiberedMap(dom, f.codomain, f.table)
+            assert theorem_record(Instance(inst.uid, g), extender_budget=0) == record
+            assert dom._checks_memo and dom._checks_memo is not f.domain._checks_memo
+            records += 1
+        assert records > 50
 
 
 def _stepwise_bounds_fraction(f: FiberedMap, levels) -> bool:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from fibertop import cli
 from fibertop.cli import main
@@ -290,6 +294,59 @@ class TestInstanceErrors:
                      "--y", "0"]) == 2
         captured = capsys.readouterr()
         assert "line 17" in captured.err and "point 0 given twice" in captured.err
+
+    def test_opens_point_outside_space(self, tmp_path, capsys):
+        path = tmp_path / "bad.top"
+        path.write_text(Path(DEMO).read_text().replace("\n0 1 2\n", "\n0 1 99\n"))
+        assert main(["check", "normal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 15: point 99 outside space C3 (points 0..2)" in captured.err
+
+
+DEMO_LINES = Path(DEMO).read_text().splitlines()
+BAD_TOKENS = ["-1", "99", "x", "1/0", "-", "->", ":", "0", "2", "3", "1/2",
+              "opens", "space", "points", "map", "set", "func", "C3", "S"]
+
+
+@st.composite
+def mutated_demo(draw):
+    """demo.top after one to three edits, each deleting, duplicating or
+    truncating a line, or replacing one of its tokens."""
+    lines = list(DEMO_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "truncate", "token"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_demo())
+def test_mutated_demo_never_crashes(tmp_path, text):
+    path = tmp_path / "mutated.top"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", "normal", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestInternalError:

@@ -92,6 +92,40 @@ class TestParse:
         assert err.value.line == 22
         assert "point 1 mapped twice" in str(err.value)
 
+    @pytest.mark.parametrize("point", ["-1", "2", "99"])
+    def test_opens_point_outside_space(self, point):
+        bad = SIERPINSKI_ID.replace("\n0 1\n", f"\n0 {point}\n", 1)
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 7
+        assert f"point {point} outside space S (points 0..1)" in str(err.value)
+
+    @pytest.mark.parametrize("point", ["-1", "2", "99"])
+    def test_set_point_outside_space(self, point):
+        bad = SIERPINSKI_ID + f"set G in S\n0\n{point}\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 21
+        assert f"point {point} outside space S (points 0..1)" in str(err.value)
+
+    def test_negative_point_count(self):
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance("space X\npoints -1\nopens\n-\n")
+        assert err.value.line == 2 and "negative point count" in str(err.value)
+
+    @pytest.mark.parametrize("line, point, bad", [
+        ("family fam map id y 99", "99", 19),
+        ("O: 0 5", "5", 20),
+        ("blocks: 0 | -1", "-1", 21),
+    ])
+    def test_family_point_outside_space(self, line, point, bad):
+        lines = ["family fam map id y 1", "O: 0 1", "blocks: 0 1"]
+        lines[bad - 19] = line
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(SIERPINSKI_ID + "\n".join(lines) + "\n")
+        assert err.value.line == bad
+        assert f"point {point} outside space S (points 0..1)" in str(err.value)
+
     def test_unknown_space_reference(self):
         with pytest.raises(InstanceValidationError):
             parse_instance("set A in nowhere\n0\n")
