@@ -42,6 +42,7 @@ from .normality import (
     is_prenormal,
     is_sigma_normal,
     is_sigma_prenormal,
+    perfect_witnesses,
     small_urysohn_search,
 )
 from .spaces import (
@@ -66,6 +67,6 @@ from .urysohn_tietze import (
     verify_condition_C,
     verify_condition_D,
 )
-from .harness import classify, equivalence_harness, run_theorem_sweep
+from .harness import classify, run_theorem_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

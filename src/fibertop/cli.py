@@ -12,6 +12,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice
 
 from .census import census_instances, sampled_instances
 from .config import RunConfig
@@ -33,11 +34,15 @@ from .normality import (
     is_perfectly_normal,
     is_prenormal,
     is_sigma_normal,
+    perfect_witnesses,
 )
 from .oscillation import weighted_sum
 from .spaces import bits
 from .textfmt import parse_instance, serialize_family
 from .urysohn_tietze import build_separator, sigma_separator_family, tietze_extend, verify_condition_C, verify_condition_D
+
+# perfectly-normal lists the first this many witnesses
+WITNESS_LIMIT = 32
 
 CHECKS = {
     "prenormal": lambda f: _plain(is_prenormal(f)),
@@ -66,7 +71,7 @@ def _perfect(f):
     witnesses = [{"y": w.y, "Oy": _points(w.nbhd),
                   "functions": [[str(v) for v in phi.values] for phi in w.family],
                   "open": _points(w.open_mask)}
-                 for w in rep.witnesses[:32]]
+                 for w in islice(perfect_witnesses(f), WITNESS_LIMIT)]
     ce = None
     if rep.counterexample is not None:
         o, y, comp = rep.counterexample
@@ -194,12 +199,8 @@ def cmd_build(args, config: RunConfig) -> int:
         out["holds"] = rep.holds
         if rep.holds:
             witness = rep.witnesses[y]
-            members = is_perfectly_normal(f).witnesses
-            fam = None
-            for w in members:
-                if w.open_mask == u and w.y == y:
-                    fam = w.family
-                    break
+            fam = next((w.family for w in perfect_witnesses(f)
+                        if w.open_mask == u and w.y == y), None)
             if fam is not None:
                 weights = [Fraction(1, 1 << (l + 1)) for l in range(len(fam))]
                 total = weighted_sum(f, fam, weights, y)

@@ -7,6 +7,13 @@ reconstruct the offending instance by hand.
 from __future__ import annotations
 
 
+def points_text(mask: int) -> str:
+    """A set as its point list, the way an instance file writes it:
+    ``{0 1}``, and ``{}`` for the empty set."""
+    return "{" + " ".join(str(x) for x in range(mask.bit_length())
+                          if mask >> x & 1) + "}"
+
+
 class FibertopError(Exception):
     pass
 
@@ -25,19 +32,21 @@ class MissingEmptyOrFull(TopologyError):
 class NotClosedUnderUnion(TopologyError):
     def __init__(self, a: int, b: int):
         self.witness = (a, b)
-        super().__init__(f"union of opens {a:#x} and {b:#x} is not open")
+        super().__init__(f"union of opens {points_text(a)} and "
+                         f"{points_text(b)} is not open")
 
 
 class NotClosedUnderIntersection(TopologyError):
     def __init__(self, a: int, b: int):
         self.witness = (a, b)
-        super().__init__(f"intersection of opens {a:#x} and {b:#x} is not open")
+        super().__init__(f"intersection of opens {points_text(a)} and "
+                         f"{points_text(b)} is not open")
 
 
 class NotOpen(FibertopError):
     def __init__(self, mask: int):
         self.mask = mask
-        super().__init__(f"set {mask:#x} is not open")
+        super().__init__(f"set {points_text(mask)} is not open")
 
 
 class NotContinuous(FibertopError):
@@ -45,7 +54,8 @@ class NotContinuous(FibertopError):
         self.witness_open = open_mask
         self.preimage = preimage
         super().__init__(
-            f"preimage {preimage:#x} of open {open_mask:#x} is not open"
+            f"preimage {points_text(preimage)} of open {points_text(open_mask)} "
+            "is not open"
         )
 
 

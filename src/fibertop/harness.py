@@ -83,7 +83,7 @@ def classify(f: FiberedMap) -> dict:
         "normal": is_normal(f).holds,
         "sigma_prenormal": is_sigma_prenormal(f).holds,
         "sigma_normal": is_sigma_normal(f).holds,
-        "perfectly_normal": is_perfectly_normal(f, with_witnesses=False).holds,
+        "perfectly_normal": is_perfectly_normal(f).holds,
         "co_perfectly_normal": is_co_perfectly_normal(f).holds,
         "co_sigma_perfectly_normal": is_co_sigma_perfectly_normal(f).holds,
         "functional_co_sigma": functional_co_sigma(f),
@@ -398,17 +398,6 @@ def run_theorem_sweep(max_total: int = 6, depth: int = 6,
     records = [theorem_record(inst, depth, extender_budget, tolerance)
                for inst in census_instances(max_total)]
     return summarize(records, {"max_total": max_total, "depth": depth,
-                               "extender_budget": extender_budget,
-                               "tolerance": str(tolerance)})
-
-
-def equivalence_harness(maps, depth: int = 6, extender_budget: int = 2,
-                        tolerance: Fraction = Fraction(1, 1024)) -> dict:
-    """Cross-decider consistency report over an arbitrary instance set."""
-    records = [theorem_record(Instance(f"m{i:04d}", f), depth,
-                              extender_budget, tolerance)
-               for i, f in enumerate(maps)]
-    return summarize(records, {"instances": len(records), "depth": depth,
                                "extender_budget": extender_budget,
                                "tolerance": str(tolerance)})
 

@@ -14,6 +14,13 @@ A function has zero oscillation over an open region iff it is constant on
 each minimal-neighborhood component of the region, which turns every
 "there is an f-continuous function such that ..." question into a union-
 of-components check.
+
+Closures and hulls are unions over points, so every quantifier over pairs
+of (relatively) closed sets reduces to one over pairs of points of the
+preimage P of a minimal neighborhood (see ``_separation_ok``).  The
+deciders answer on those point tables and run the literal scan over closed
+sets only once a failure is known, so each counterexample is the first one
+in the literal order.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NotFound, NotOpen, SearchFailed
+from .errors import NotFound, NotOpen, SearchFailed, points_text
 from .oscillation import RationalFunction, is_f_equicontinuous_at
 from .partitions import (
     ConsistentBinaryFamily,
@@ -29,6 +36,58 @@ from .partitions import (
     validate_consistent_family,
 )
 from .spaces import FiberedMap, FiniteSpace, Submapping, bits, is_f_sigma_submapping
+
+# ------------------------------------------------------------ pointwise forms
+
+
+def _separation_ok(space: FiniteSpace, pre: int, sigma: bool,
+                   relative: bool) -> bool:
+    """Pointwise (sigma-)(pre)normality over the preimage P of a minimal
+    neighborhood.
+
+    The smallest closed sets through x and z are cl{x} and cl{z} (cut to P
+    when closures are relative), so a failing closed pair exists iff a
+    failing pair of points does.  For x in P, the z whose closure meets
+    cl{x} (inside P when relative) form ``allowed``; the literal test fails
+    iff some z in P outside ``allowed`` is reached from x: through a
+    meeting minimal neighborhood, z in cl(U_x & P) (plain), or through the
+    closed sandwich of cl{x} & P, z in cl(hull(cl{x} & P) & P) (sigma).
+
+    On each P the sigma and plain tests give the same verdict, which is
+    the finite-space theorem that the sigma classes equal the plain ones.
+    Each decider still checks its own quantifier, so the harness's
+    normal-versus-sigma-normal comparison compares two different tests.
+    """
+    closure, hull = space.closure, space.hull
+    nbhd, cl = space._min_nbhd, space._cl_point
+    for x in bits(pre):
+        near = hull(cl[x] & pre) & pre
+        reach = closure(near if sigma else nbhd[x] & pre)
+        allowed = near if relative else hull(cl[x])
+        if reach & pre & ~allowed:
+            return False
+    return True
+
+
+def _components_indiscrete(space: FiniteSpace, region: int) -> bool:
+    """Does every minimal-neighborhood component K of region lie inside U_x
+    for each of its points x?  Equivalently, U_x and cl{x} have the same
+    trace on region for every x in it (then that trace is x's component)."""
+    nbhd, cl = space._min_nbhd, space._cl_point
+    for x in bits(region):
+        if (nbhd[x] ^ cl[x]) & region:
+            return False
+    return True
+
+
+def _first_failing_y(f: FiberedMap, carrier: int, ok, **flags) -> int | None:
+    """The first codomain point y with ``not ok(domain, f^{-1}(U_y) &
+    carrier, **flags)``, or None."""
+    space, cod = f.domain, f.codomain
+    for y in range(cod.n):
+        if not ok(space, f.preimage(cod.min_nbhd(y)) & carrier, **flags):
+            return y
+    return None
 
 # --------------------------------------------------------------- f-separation
 
@@ -91,7 +150,14 @@ class PrenormalReport:
 
 
 def is_prenormal(f: FiberedMap) -> PrenormalReport:
-    """Every pair of disjoint closed subsets of the domain is f-separated."""
+    """Every pair of disjoint closed subsets of the domain is f-separated.
+
+    Decided pointwise; on failure the literal pair scan finds the first
+    failing pair and its first failing y.
+    """
+    if _first_failing_y(f, f.domain.full, _separation_ok,
+                        sigma=False, relative=False) is None:
+        return PrenormalReport(True, None)
     closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
         for b in closed[i + 1:]:
@@ -100,7 +166,7 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
             rep = are_f_separated(f, a, b)
             if not rep.holds:
                 return PrenormalReport(False, (a, b, rep.failure_y))
-    return PrenormalReport(True, None)
+    raise AssertionError("pointwise and literal prenormality disagree")
 
 
 @dataclass(frozen=True)
@@ -121,21 +187,27 @@ def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
     With a carrier mask the submapping on it is decided instead: every
     preimage is cut down to the carrier, and closures and hulls relative to
     the cut-down preimage are those of the carrier subspace.
+
+    Decided pointwise; the literal pair scan runs only at the first failing
+    y, where it finds the first failing pair.
     """
     space = f.domain
     if carrier is None:
         carrier = space.full
-    for y in range(f.codomain.n):
-        nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd) & carrier
-        rel_closed = space.rel_closed_sets(pre)
-        hulls = [space.rel_hull(pre, a) for a in rel_closed]
-        for i, a in enumerate(rel_closed):
-            for j in range(i + 1, len(rel_closed)):
-                b = rel_closed[j]
-                if not a & b and hulls[i] & hulls[j]:
-                    return NormalReport(False, (nbhd, a, b, y))
-    return NormalReport(True, None)
+    y = _first_failing_y(f, carrier, _separation_ok, sigma=False,
+                         relative=True)
+    if y is None:
+        return NormalReport(True, None)
+    nbhd = f.codomain.min_nbhd(y)
+    pre = f.preimage(nbhd) & carrier
+    rel_closed = space.rel_closed_sets(pre)
+    hulls = [space.rel_hull(pre, a) for a in rel_closed]
+    for i, a in enumerate(rel_closed):
+        for j in range(i + 1, len(rel_closed)):
+            b = rel_closed[j]
+            if not a & b and hulls[i] & hulls[j]:
+                return NormalReport(False, (nbhd, a, b, y))
+    raise AssertionError("pointwise and literal normality disagree")
 
 
 # ------------------------------------------------------------ sigma variants
@@ -194,8 +266,12 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     F_sigma subsets of a finite space are exactly the closed ones; the
     quantifier runs over closed T with the canonical decomposition into
     singleton closures (any coarser decomposition is refined by it).
+    Decided pointwise; on failure the literal scan finds the first pair.
     """
     space = f.domain
+    if _first_failing_y(f, space.full, _separation_ok,
+                        sigma=True, relative=False) is None:
+        return SigmaReport(True, None)
     closed = space.rel_closed_sets(space.full)
     for t in closed:
         for fm in closed:
@@ -206,26 +282,30 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
                 pre = f.preimage(nbhd)
                 if _sigma_separated_at(space, pre, t, fm) is None:
                     return SigmaReport(False, (t, fm, y))
-    return SigmaReport(True, None)
+    raise AssertionError("pointwise and literal sigma-prenormality disagree")
 
 
 def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
     """Sigma-prenormality of every restriction, collapsed like is_normal
-    (and relative to a carrier mask in the same way)."""
+    (and relative to a carrier mask in the same way), and decided like it:
+    pointwise, with the literal scan only at the first failing y."""
     space = f.domain
     if carrier is None:
         carrier = space.full
-    for y in range(f.codomain.n):
-        nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd) & carrier
-        rel_closed = space.rel_closed_sets(pre)
-        for t in rel_closed:
-            for fm in rel_closed:
-                if t & fm:
-                    continue
-                if _sigma_separated_at(space, pre, t, fm) is None:
-                    return SigmaReport(False, (nbhd, t, fm, y))
-    return SigmaReport(True, None)
+    y = _first_failing_y(f, carrier, _separation_ok, sigma=True,
+                         relative=True)
+    if y is None:
+        return SigmaReport(True, None)
+    nbhd = f.codomain.min_nbhd(y)
+    pre = f.preimage(nbhd) & carrier
+    rel_closed = space.rel_closed_sets(pre)
+    for t in rel_closed:
+        for fm in rel_closed:
+            if t & fm:
+                continue
+            if _sigma_separated_at(space, pre, t, fm) is None:
+                return SigmaReport(False, (nbhd, t, fm, y))
+    raise AssertionError("pointwise and literal sigma-normality disagree")
 
 
 def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
@@ -245,7 +325,7 @@ def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
     union = 0
     for t in t_list:
         if not space.rel_is_closed(base, t):
-            raise ValueError(f"piece {t:#x} is not relatively closed")
+            raise ValueError(f"piece {points_text(t)} is not relatively closed")
         union |= t
     if union & ~u:
         raise ValueError("the pieces must lie inside their neighborhood U")
@@ -255,7 +335,7 @@ def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
     for t in t_list:
         v = space.rel_hull(pre, t & pre)
         if space.rel_closure(pre, v) & ~(u & pre):
-            raise NotFound(f"piece {t:#x} admits no closed sandwich")
+            raise NotFound(f"piece {points_text(t)} admits no closed sandwich")
         v_list.append(v)
     return nbhd, tuple(v_list)
 
@@ -445,7 +525,6 @@ class PerfectWitness:
 @dataclass(frozen=True)
 class PerfectNormalityReport:
     holds: bool
-    witnesses: tuple[PerfectWitness, ...]
     counterexample: tuple[int, int, int] | None  # (O, y, offending component)
 
 
@@ -469,44 +548,66 @@ def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
     return ok
 
 
-def is_perfectly_normal(f: FiberedMap, with_witnesses: bool = True,
-                        carrier: int | None = None) -> PerfectNormalityReport:
+def _components(f: FiberedMap, carrier: int) -> list[tuple[int, ...]]:
+    space, cod = f.domain, f.codomain
+    return [space.nbhd_classes(f.preimage(cod.min_nbhd(y)) & carrier)
+            for y in range(cod.n)]
+
+
+def is_perfectly_normal(f: FiberedMap, carrier: int | None = None
+                        ) -> PerfectNormalityReport:
     """Every open set is locally the union of the 1-sets of an equicontinuous
     family vanishing off it.
 
     Finite collapse: such a family exists at y iff the open set meets the
     minimal-neighborhood components of f^{-1}(min_nbhd(y)) only in whole
-    components; the witnesses are the component indicators, re-verified by
-    the independent predicate before being reported.  With a carrier mask
+    components; every open does so iff each component lies inside U_x for
+    all of its points x, which is decided pointwise.  With a carrier mask
     the submapping on it is decided: the components are those of the
-    preimage cut down to the carrier, and the indicators live on the carrier.
+    preimage cut down to the carrier.  On failure the literal scan over
+    (open, y) reports the first straddled component; ``perfect_witnesses``
+    gives the witnesses.
     """
+    space = f.domain
+    if carrier is None:
+        carrier = space.full
+    if _first_failing_y(f, carrier, _components_indiscrete) is None:
+        return PerfectNormalityReport(True, None)
+    classes = _components(f, carrier)
+    for open_mask in space.opens:
+        for y, comps in enumerate(classes):
+            for comp in comps:
+                if comp & open_mask and comp & ~open_mask:
+                    return PerfectNormalityReport(False, (open_mask, y, comp))
+    raise AssertionError("pointwise and literal perfect normality disagree")
+
+
+def perfect_witnesses(f: FiberedMap, carrier: int | None = None):
+    """The component-indicator families, one per (open, y) in the order of
+    ``space.opens`` and then of the codomain, each re-verified by the
+    independent predicate before it is yielded; stops at the first (open,
+    y) whose open straddles a component, where no family exists."""
     space, cod = f.domain, f.codomain
     if carrier is None:
         carrier = space.full
-    classes = [space.nbhd_classes(f.preimage(cod.min_nbhd(y)) & carrier)
-               for y in range(cod.n)]
-    witnesses = []
+    classes = _components(f, carrier)
     for open_mask in space.opens:
         for y, comps in enumerate(classes):
             members = []
             for comp in comps:
                 if comp & open_mask:
                     if comp & ~open_mask:
-                        return PerfectNormalityReport(False, tuple(witnesses),
-                                                      (open_mask, y, comp))
+                        return
                     members.append(comp)
-            if with_witnesses:
-                family = tuple(
-                    RationalFunction.on_carrier(space, carrier,
-                                                lambda x, c=comp: c >> x & 1)
-                    for comp in members
-                ) or (RationalFunction.constant(space, 0, carrier),)
-                w = PerfectWitness(open_mask, y, cod.min_nbhd(y), family)
-                if not verify_perfect_witness(f, w):
-                    raise AssertionError("perfect witness failed re-verification")
-                witnesses.append(w)
-    return PerfectNormalityReport(True, tuple(witnesses), None)
+            family = tuple(
+                RationalFunction.on_carrier(space, carrier,
+                                            lambda x, c=comp: c >> x & 1)
+                for comp in members
+            ) or (RationalFunction.constant(space, 0, carrier),)
+            w = PerfectWitness(open_mask, y, cod.min_nbhd(y), family)
+            if not verify_perfect_witness(f, w):
+                raise AssertionError("perfect witness failed re-verification")
+            yield w
 
 
 # ------------------------------------------------ functionally open / closed
@@ -606,19 +707,22 @@ def _first_failing_carrier(f: FiberedMap, decide) -> HereditaryReport:
 
 
 def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
-    """Normality of the submapping on every carrier."""
-    return _first_failing_carrier(f, lambda c: is_normal(f, c).holds)
+    """Normality of the submapping on every carrier (pointwise)."""
+    return _first_failing_carrier(
+        f, lambda c: _first_failing_y(f, c, _separation_ok, sigma=False,
+                                      relative=True) is None)
 
 
 def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
-    """Perfect normality of the submapping on every carrier."""
+    """Perfect normality of the submapping on every carrier (pointwise)."""
     return _first_failing_carrier(
-        f, lambda c: is_perfectly_normal(f, False, c).holds)
+        f, lambda c: _first_failing_y(f, c, _components_indiscrete) is None)
 
 
 def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     """Sigma-normality of the submapping on every carrier that makes it an
-    F_sigma submapping."""
+    F_sigma submapping (pointwise)."""
     return _first_failing_carrier(
         f, lambda c: (not is_f_sigma_submapping(Submapping(f, c)).holds
-                      or is_sigma_normal(f, c).holds))
+                      or _first_failing_y(f, c, _separation_ok, sigma=True,
+                                          relative=True) is None))

@@ -29,6 +29,7 @@ from .errors import (
     NotOpen,
     PartitionError,
     PrefixNotClosed,
+    points_text,
 )
 from .oscillation import RationalFunction, osc_on_set
 from .spaces import FiberedMap, FiniteSpace, bits
@@ -54,12 +55,14 @@ def validate_regular_partition(space: FiniteSpace, carrier: int,
     union = 0
     for b in blocks:
         if b & ~carrier:
-            raise NotCovering(f"block {b:#x} leaves the carrier {carrier:#x}")
+            raise NotCovering(f"block {points_text(b)} leaves the carrier "
+                              f"{points_text(carrier)}")
         if b & union:
-            raise NotDisjoint(f"block {b:#x} overlaps an earlier block")
+            raise NotDisjoint(f"block {points_text(b)} overlaps an earlier block")
         union |= b
     if union != carrier:
-        raise NotCovering(f"blocks cover {union:#x}, carrier is {carrier:#x}")
+        raise NotCovering(f"blocks cover {points_text(union)}, carrier is "
+                          f"{points_text(carrier)}")
     k = len(blocks)
     prefix = 0
     prefixes = []

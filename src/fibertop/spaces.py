@@ -17,6 +17,7 @@ from .errors import (
     NotClosedUnderUnion,
     NotContinuous,
     NotOpen,
+    points_text,
 )
 
 MAX_CANONICAL_POINTS = 8
@@ -73,7 +74,8 @@ class FiniteSpace:
         family = sorted(set(int(o) for o in opens))
         for o in family:
             if o & ~self.full:
-                raise ValueError(f"open {o:#x} uses points outside 0..{n - 1}")
+                raise ValueError(f"open {points_text(o)} uses points outside "
+                                 f"0..{n - 1}")
         if not _trusted:
             family = self._validate(family)
         self.opens = tuple(family)

@@ -25,6 +25,7 @@ from .errors import (
     NotOpen,
     PreconditionNotFContinuous,
     SearchFailed,
+    points_text,
 )
 from .normality import SeparationCertificate, build_binary_partitions
 from .oscillation import (
@@ -378,7 +379,7 @@ def separation_from_extension(f: FiberedMap, f_side: int, t_side: int,
     phit = boundary_function(space, f_side, t_side)
     ext = exact_extension_exists(f, phit, y)
     if not ext.exists:
-        raise NotFound(f"no exact extension; component {ext.conflict:#x} "
+        raise NotFound(f"no exact extension; component {points_text(ext.conflict)} "
                        f"meets both sides")
     phi = ext.phi.clamp(0, 1)
     rep = verify_condition_D(f, phit.carrier, phit, phi, y)

@@ -46,6 +46,7 @@ from fibertop.normality import (
     is_perfectly_normal,
     is_sigma_normal,
     is_sigma_normal_on_f_sigma_submaps,
+    perfect_witnesses,
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
@@ -474,8 +475,8 @@ class TestCarrierRelativeDeciders:
                 assert is_normal(f, carrier).holds == is_normal(induced).holds
                 assert is_sigma_normal(f, carrier).holds == \
                     is_sigma_normal(induced).holds
-                assert is_perfectly_normal(f, False, carrier).holds == \
-                    is_perfectly_normal(induced, with_witnesses=False).holds
+                assert is_perfectly_normal(f, carrier).holds == \
+                    is_perfectly_normal(induced).holds
                 assert is_f_sigma_submapping(Submapping(f, carrier)).holds == \
                     _is_f_sigma_literally(f, carrier)
 
@@ -486,7 +487,7 @@ class TestCarrierRelativeDeciders:
                 rep = is_perfectly_normal(f, carrier=carrier)
                 induced, _ = Submapping(f, carrier).induced()
                 assert rep.holds == is_perfectly_normal(induced).holds
-                for w in rep.witnesses:
+                for w in perfect_witnesses(f, carrier):
                     assert all(phi.carrier == carrier for phi in w.family)
                     assert verify_perfect_witness(f, w)
 
@@ -507,8 +508,7 @@ class TestCarrierRelativeDeciders:
                 is_hereditarily_normal:
                     first_bad(lambda c, g: is_normal(g).holds),
                 is_hereditarily_perfectly_normal:
-                    first_bad(lambda c, g: is_perfectly_normal(
-                        g, with_witnesses=False).holds),
+                    first_bad(lambda c, g: is_perfectly_normal(g).holds),
                 is_sigma_normal_on_f_sigma_submaps:
                     first_bad(lambda c, g: (
                         not is_f_sigma_submapping(Submapping(f, c)).holds

@@ -254,6 +254,27 @@ class TestBuild:
         out = json.loads(capsys.readouterr().out)
         assert out["holds"] is False and "counterexample" in out
 
+    def test_functional_witness_weights_the_perfect_family(self, const_d2_file,
+                                                            capsys):
+        assert main(["--json", "build", "functional-witness", const_d2_file,
+                     "--F", "F", "--y", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"holds": True, "kind": "functional-witness",
+                       "phi": ["1/2", "0"], "y": 0}
+
+    def test_perfect_witnesses_first_32_in_open_order(self, tmp_path, capsys):
+        # the constant map from the 6-point discrete space has 64 opens
+        opens = "\n".join(" ".join(str(p) for p in range(6) if m >> p & 1) or "-"
+                          for m in range(64))
+        path = tmp_path / "d6.top"
+        path.write_text(f"space D6\npoints 6\nopens\n{opens}\n"
+                        "space P\npoints 1\nopens\n-\n0\nmap c D6 -> P\n"
+                        + "".join(f"{x} -> 0\n" for x in range(6)))
+        assert main(["--json", "check", "perfectly-normal", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [w["open"] for w in out["witnesses"]] == [
+            [p for p in range(6) if m >> p & 1] for m in range(32)]
+
 
 class TestDepthBound:
     @pytest.mark.parametrize("depth", ["17", "40", "0"])
@@ -302,6 +323,22 @@ class TestInstanceErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 15: point 99 outside space C3 (points 0..2)" in captured.err
+
+    @pytest.mark.parametrize("opens, message", [
+        ("-\n0\n0 1 2", "map f: preimage {0 1} of open {0} is not open"),
+        ("-\n0\n1\n0 1 2", "space C3: union of opens {1} and {0} is not open"),
+        ("-\n0 1\n1 2\n0 1 2",
+         "space C3: intersection of opens {0 1} and {1 2} is not open"),
+    ])
+    def test_invalid_sets_named_by_points(self, tmp_path, capsys, opens,
+                                          message):
+        path = tmp_path / "bad.top"
+        path.write_text(Path(DEMO).read_text().replace("-\n0\n0 1\n0 1 2",
+                                                       opens, 1))
+        assert main(["check", "normal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 DEMO_LINES = Path(DEMO).read_text().splitlines()

@@ -22,6 +22,7 @@ from fibertop.normality import (
     is_prenormal,
     is_sigma_normal,
     is_sigma_prenormal,
+    perfect_witnesses,
     sigma_separation_certificates,
     small_urysohn_search,
     verify_perfect_witness,
@@ -165,8 +166,7 @@ class TestPrenormalNormal:
                     "prenormal": is_prenormal(inst.f).holds,
                     "normal": is_normal(inst.f).holds,
                     "sigma_normal": is_sigma_normal(inst.f).holds,
-                    "perfectly_normal": is_perfectly_normal(
-                        inst.f, with_witnesses=False).holds,
+                    "perfectly_normal": is_perfectly_normal(inst.f).holds,
                 }
         assert seen == table
 
@@ -346,10 +346,12 @@ class TestBuilders:
 
 class TestPerfectlyNormal:
     def test_discrete(self, D3):
-        rep = is_perfectly_normal(constant_map(D3))
-        assert rep.holds
-        for w in rep.witnesses:
-            assert verify_perfect_witness(constant_map(D3), w)
+        f = constant_map(D3)
+        assert is_perfectly_normal(f).holds
+        witnesses = list(perfect_witnesses(f))
+        assert len(witnesses) == len(D3.opens)
+        for w in witnesses:
+            assert verify_perfect_witness(f, w)
 
     def test_indiscrete_identity(self, I2):
         assert is_perfectly_normal(identity_map(I2)).holds
@@ -399,7 +401,7 @@ class TestPerfectlyNormal:
                         break
                 if not expected:
                     break
-            assert is_perfectly_normal(f, with_witnesses=False).holds == expected, inst.uid
+            assert is_perfectly_normal(f).holds == expected, inst.uid
 
 
 class TestFunctionallyOpenClosed:
@@ -418,8 +420,8 @@ class TestFunctionallyOpenClosed:
     def test_weighted_sum_witness_on_perfect_map(self, D3):
         f = constant_map(D3)
         u = 0b011
-        rep = is_perfectly_normal(f)
-        fam = next(w.family for w in rep.witnesses if w.open_mask == u and w.y == 0)
+        fam = next(w.family for w in perfect_witnesses(f)
+                   if w.open_mask == u and w.y == 0)
         weights = [Fraction(1, 1 << (l + 1)) for l in range(len(fam))]
         total = weighted_sum(f, fam, weights, 0).phi
         region = f.preimage(f.codomain.min_nbhd(0))
@@ -443,7 +445,7 @@ class TestCoPerfect:
         for inst in census_instances(4):
             if is_co_sigma_perfectly_normal(inst.f).holds:
                 co_sigma += 1
-            if is_perfectly_normal(inst.f, with_witnesses=False).holds:
+            if is_perfectly_normal(inst.f).holds:
                 perfect += 1
             if is_co_perfectly_normal(inst.f).holds:
                 co_perfect += 1
@@ -456,7 +458,7 @@ class TestHereditary:
 
     def test_perfect_implies_hereditarily_normal(self):
         for inst in census_instances(4):
-            if is_perfectly_normal(inst.f, with_witnesses=False).holds:
+            if is_perfectly_normal(inst.f).holds:
                 assert is_hereditarily_normal(inst.f).holds, inst.uid
 
     def test_offending_carrier_reported(self, V_poset):

@@ -1,0 +1,110 @@
+"""The deciders answer pointwise and scan closed sets only once a failure
+is known.  These tests hold them to the literal scans kept in
+``normality_reference``: the same verdict, the same counterexample and the
+same perfect-normality witnesses, on whole censuses and on random maps."""
+
+from hypothesis import given, seed, settings
+
+import normality_reference as ref
+from conftest import fibered_maps
+from fibertop import normality
+from fibertop.census import census_instances
+from fibertop.normality import perfect_witnesses
+from fibertop.spaces import bits
+
+DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
+            "is_sigma_normal", "is_perfectly_normal",
+            "is_co_perfectly_normal", "is_co_sigma_perfectly_normal")
+CARRIER_DECIDERS = ("is_normal", "is_sigma_normal", "is_perfectly_normal")
+HEREDITARY = ("is_hereditarily_normal", "is_hereditarily_perfectly_normal",
+              "is_sigma_normal_on_f_sigma_submaps")
+
+
+def _disagreements(f) -> list[str]:
+    return [name for name in DECIDERS
+            if getattr(normality, name)(f) != getattr(ref, name)(f)]
+
+
+def test_deciders_match_literal_scans_on_census6():
+    bad = [(inst.uid, _disagreements(inst.f)) for inst in census_instances(6)]
+    assert [b for b in bad if b[1]] == []
+
+
+def test_carrier_and_hereditary_deciders_match_on_census5():
+    for inst in census_instances(5):
+        f = inst.f
+        for carrier in range(f.domain.full + 1):
+            for name in CARRIER_DECIDERS:
+                assert getattr(normality, name)(f, carrier) == \
+                    getattr(ref, name)(f, carrier), (name, inst.uid, carrier)
+        for name in HEREDITARY:
+            assert getattr(normality, name)(f) == getattr(ref, name)(f), \
+                (name, inst.uid)
+
+
+def test_perfect_witnesses_match_literal_scan():
+    for inst in census_instances(5):
+        f = inst.f
+        assert tuple(perfect_witnesses(f)) == ref.perfect_scan(f)[1], inst.uid
+    for inst in census_instances(4):
+        f = inst.f
+        for carrier in range(f.domain.full + 1):
+            assert tuple(perfect_witnesses(f, carrier)) == \
+                ref.perfect_scan(f, carrier)[1], (inst.uid, carrier)
+
+
+def _sandwich_meets(space, pre: int, t: int, fm: int) -> bool:
+    """Some canonical piece of T has a closed sandwich meeting F."""
+    for x in bits(t & pre):
+        v = space.rel_hull(pre, space.rel_closure(pre, 1 << x))
+        if space.rel_closure(pre, v) & fm:
+            return True
+    return False
+
+
+def _check_counterexamples(f) -> None:
+    space, cod = f.domain, f.codomain
+
+    def minimal_preimage(y):
+        return f.preimage(cod.min_nbhd(y))
+
+    rep = normality.is_prenormal(f)
+    if not rep.holds:
+        a, b, y = rep.counterexample
+        pre = minimal_preimage(y)
+        assert not a & b and space.is_closed(a) and space.is_closed(b)
+        assert space.rel_hull(pre, a & pre) & space.rel_hull(pre, b & pre)
+    rep = normality.is_normal(f)
+    if not rep.holds:
+        o, a, b, y = rep.counterexample
+        pre = minimal_preimage(y)
+        assert o == cod.min_nbhd(y) and not a & b
+        assert space.rel_is_closed(pre, a) and space.rel_is_closed(pre, b)
+        assert space.rel_hull(pre, a) & space.rel_hull(pre, b)
+    rep = normality.is_sigma_prenormal(f)
+    if not rep.holds:
+        t, fm, y = rep.counterexample
+        assert not t & fm and space.is_closed(t) and space.is_closed(fm)
+        assert _sandwich_meets(space, minimal_preimage(y), t, fm)
+    rep = normality.is_sigma_normal(f)
+    if not rep.holds:
+        o, t, fm, y = rep.counterexample
+        pre = minimal_preimage(y)
+        assert o == cod.min_nbhd(y) and not t & fm
+        assert space.rel_is_closed(pre, t) and space.rel_is_closed(pre, fm)
+        assert _sandwich_meets(space, pre, t, fm)
+    rep = normality.is_perfectly_normal(f)
+    if not rep.holds:
+        o, y, comp = rep.counterexample
+        assert space.is_open(o) and comp & o and comp & ~o
+        assert comp in space.nbhd_classes(minimal_preimage(y))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(fibered_maps(max_points=5))
+def test_pointwise_verdicts_and_counterexamples(f):
+    assert _disagreements(f) == []
+    for name in HEREDITARY:
+        assert getattr(normality, name)(f) == getattr(ref, name)(f), name
+    _check_counterexamples(f)

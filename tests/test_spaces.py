@@ -228,7 +228,7 @@ class TestRestrictMap:
         assert g.table == (0, 0)
 
     def test_requires_open(self, S):
-        with pytest.raises(NotOpen):
+        with pytest.raises(NotOpen, match=r"^set \{1\} is not open$"):
             restrict_map(identity_map(S), 0b10)
 
 
