@@ -202,7 +202,11 @@ class InstanceSyntaxError(FibertopError):
 
 
 class InstanceValidationError(FibertopError):
-    def __init__(self, obj: str, reason: str):
+    """An object of an instance file that parses but is invalid; ``line``
+    is the line of its block's header."""
+
+    def __init__(self, obj: str, reason: str, line: int):
         self.obj = obj
         self.reason = reason
-        super().__init__(f"{obj}: {reason}")
+        self.line = line
+        super().__init__(f"{obj} (line {line}): {reason}")

@@ -430,12 +430,58 @@ def summarize(records: list, params: dict) -> dict:
     }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_pieces(obj):
+    """The canonical JSON text of obj, ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))``, in pieces, so that the text of a whole sweep
+    report is never held at once.  A list of dicts comes item by item, and
+    a dict's entries that hold such lists come apart from the runs of
+    entries between them; everything else is encoded whole.  Dict keys
+    must be strings."""
+    if isinstance(obj, dict):
+        sep, run = "{", {}
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"dict key {key!r} is not a string")
+            value = obj[key]
+            if not _is_dict_list(value):
+                run[key] = value
+                continue
+            if run:
+                yield sep + _ENCODE(run)[1:-1]
+                sep, run = ",", {}
+            yield f"{sep}{_ENCODE(key)}:"
+            yield from _json_pieces(value)
+            sep = ","
+        if run:
+            yield sep + _ENCODE(run)[1:]
+        else:
+            yield "{}" if sep == "{" else "}"
+    elif _is_dict_list(obj):
+        sep = "["
+        for item in obj:
+            yield sep + _ENCODE(item)
+            sep = ","
+        yield "]"
+    else:
+        yield _ENCODE(obj)
+
+
+def _is_dict_list(obj) -> bool:
+    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], dict)
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return "".join(_json_pieces(report))
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(report_json(obj).encode()).hexdigest()
+    h = hashlib.sha256()
+    for piece in _json_pieces(obj):
+        h.update(piece.encode())
+    return h.hexdigest()
 
 
 # ------------------------------------------- constant-map degeneration check

@@ -35,7 +35,7 @@ from .partitions import (
     Level,
     validate_consistent_family,
 )
-from .spaces import FiberedMap, FiniteSpace, Submapping, bits, is_f_sigma_submapping
+from .spaces import FiberedMap, FiniteSpace, bits
 
 # ------------------------------------------------------------ pointwise forms
 
@@ -666,11 +666,24 @@ class CoPerfectReport:
     counterexample: tuple | None  # normality ce or (open carrier, y)
 
 
+def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
+    """The first y at which the submapping on carrier is not locally
+    F_sigma, or None: the first y where the closure of some point of
+    carrier & P, relative to P = f^{-1}(U_y), leaves the carrier (the
+    failure_y of ``spaces.is_f_sigma_submapping``)."""
+    space, cod = f.domain, f.codomain
+    for y in range(cod.n):
+        pre = f.preimage(cod.min_nbhd(y))
+        if space.closure(carrier & pre) & pre & ~carrier:
+            return y
+    return None
+
+
 def _open_submaps_f_sigma(f: FiberedMap):
     for u in f.domain.opens:
-        rep = is_f_sigma_submapping(Submapping(f, u))
-        if not rep.holds:
-            return (u, rep.failure_y)
+        y = _f_sigma_failure(f, u)
+        if y is not None:
+            return (u, y)
     return None
 
 
@@ -723,6 +736,6 @@ def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     """Sigma-normality of the submapping on every carrier that makes it an
     F_sigma submapping (pointwise)."""
     return _first_failing_carrier(
-        f, lambda c: (not is_f_sigma_submapping(Submapping(f, c)).holds
+        f, lambda c: (_f_sigma_failure(f, c) is not None
                       or _first_failing_y(f, c, _separation_ok, sigma=True,
                                           relative=True) is None))

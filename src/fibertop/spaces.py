@@ -66,7 +66,7 @@ class FiniteSpace:
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
                  "_closure_tables", "_hull_tables", "_canon", "_class_cache",
-                 "_levels_memo", "_checks_memo")
+                 "_levels_memo", "_checks_memo", "_extend_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -94,6 +94,7 @@ class FiniteSpace:
         self._closure_tables = self._hull_tables = None  # built on first use
         self._levels_memo = None  # normality.build_levels, on first use
         self._checks_memo = None  # harness family checks, on first use
+        self._extend_memo = None  # urysohn_tietze.tietze_extend, on first use
         self._canon = None
         self._class_cache = {}
 

@@ -127,13 +127,14 @@ def parse_instance(text: str) -> InstanceFile:
             try:
                 out.spaces[name] = FiniteSpace(count, opens)
             except (FibertopError, ValueError) as exc:
-                raise InstanceValidationError(f"space {name}", str(exc)) from exc
+                raise InstanceValidationError(f"space {name}", str(exc),
+                                              lineno) from exc
         elif kw == "map":
             if len(head) != 5 or head[3] != "->":
                 raise InstanceSyntaxError(lineno, "expected: map <name> <X> -> <Y>")
             name, xname, yname = head[1], head[2], head[4]
             if xname not in out.spaces or yname not in out.spaces:
-                raise InstanceValidationError(f"map {name}", "unknown space")
+                raise InstanceValidationError(f"map {name}", "unknown space", lineno)
             dom, cod = out.spaces[xname], out.spaces[yname]
             table = [None] * dom.n
             i += 1
@@ -160,18 +161,20 @@ def parse_instance(text: str) -> InstanceFile:
             if None in table:
                 missing = table.index(None)
                 raise InstanceValidationError(f"map {name}",
-                                              f"no image for point {missing}")
+                                              f"no image for point {missing}",
+                                              lineno)
             try:
                 out.maps[name] = FiberedMap(dom, cod, table)
             except (FibertopError, ValueError) as exc:
-                raise InstanceValidationError(f"map {name}", str(exc)) from exc
+                raise InstanceValidationError(f"map {name}", str(exc),
+                                              lineno) from exc
             out.map_names[name] = (xname, yname)
         elif kw == "set":
             if len(head) != 4 or head[2] != "in":
                 raise InstanceSyntaxError(lineno, "expected: set <name> in <space>")
             name, sname = head[1], head[3]
             if sname not in out.spaces:
-                raise InstanceValidationError(f"set {name}", "unknown space")
+                raise InstanceValidationError(f"set {name}", "unknown space", lineno)
             space = out.spaces[sname]
             mask = 0
             i += 1
@@ -190,7 +193,7 @@ def parse_instance(text: str) -> InstanceFile:
                 raise InstanceSyntaxError(lineno, "expected: func <name> on <space>")
             name, sname = head[1], head[3]
             if sname not in out.spaces:
-                raise InstanceValidationError(f"func {name}", "unknown space")
+                raise InstanceValidationError(f"func {name}", "unknown space", lineno)
             space = out.spaces[sname]
             values: dict[int, Fraction] = {}
             i += 1
@@ -224,7 +227,7 @@ def parse_instance(text: str) -> InstanceFile:
                     lineno, "expected: family <name> map <map> y <point>")
             name, mname = head[1], head[3]
             if mname not in out.maps:
-                raise InstanceValidationError(f"family {name}", "unknown map")
+                raise InstanceValidationError(f"family {name}", "unknown map", lineno)
             try:
                 ypt = int(head[5])
             except ValueError:
@@ -259,7 +262,8 @@ def parse_instance(text: str) -> InstanceFile:
                 fam = validate_consistent_family(
                     ConsistentBinaryFamily(fmap, ypt, tuple(levels)))
             except FibertopError as exc:
-                raise InstanceValidationError(f"family {name}", str(exc)) from exc
+                raise InstanceValidationError(f"family {name}", str(exc),
+                                              lineno) from exc
             out.families[name] = (mname, fam)
         elif kw in ("points", "opens"):
             raise InstanceSyntaxError(lineno, f"{kw} outside a space block")

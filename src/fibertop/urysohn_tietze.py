@@ -35,7 +35,7 @@ from .oscillation import (
     osc_on_set,
 )
 from .partitions import ApproximateLimitFunction, assemble_limit
-from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple
+from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, mask_of
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -151,12 +151,12 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
     return ExactExtension(True, phi, None)
 
 
-def _separator_mask(f: FiberedMap, p_side: int, q_side: int, y: int) -> int | None:
-    """The union of the minimal-neighborhood components of
-    f^{-1}(min_nbhd(y)) that meet Q, or None when one of them meets P too."""
-    region = f.preimage(f.codomain.min_nbhd(y))
+def _separator_mask(space: FiniteSpace, region: int, p_side: int,
+                    q_side: int) -> int | None:
+    """The union of the minimal-neighborhood components of region that
+    meet Q, or None when one of them meets P too."""
     out = 0
-    for comp in f.domain.nbhd_classes(region):
+    for comp in space.nbhd_classes(region):
         if comp & q_side:
             if comp & p_side:
                 return None
@@ -169,11 +169,13 @@ def exact_separator(f: FiberedMap, p_side: int, q_side: int, y: int
     """Exactly f-continuous-at-y {0,1} function, 0 on P and 1 on Q traces.
 
     This is the closed form of the stepwise limit once the partition chain
-    stabilizes.  None when some component meets both traces, which refutes
-    normality of the map.
+    stabilizes.  None when some component of f^{-1}(min_nbhd(y)) meets both
+    traces, which refutes normality of the map.
     """
-    mask = _separator_mask(f, p_side, q_side, y)
-    return None if mask is None else RationalFunction.indicator(f.domain, mask)
+    space = f.domain
+    region = f.preimage(f.codomain.min_nbhd(y))
+    mask = _separator_mask(space, region, p_side, q_side)
+    return None if mask is None else RationalFunction.indicator(space, mask)
 
 
 # ------------------------------------------------------------ the extension
@@ -203,6 +205,12 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     loop stops at an exact residual of zero or once the geometric bound
     drops below the tolerance; an explicit max_iter that cuts the loop
     earlier raises MaxIterReached.
+
+    Past the checks of each call, the run depends only on the domain and on
+    (P = f^{-1}(min_nbhd(y)), phit.values, tolerance, max_iter), so
+    successful results are memoised per domain space on that key.  The
+    values fix the carrier, being None exactly off it.  Errors are not
+    stored: each failing call runs and raises afresh.
     """
     space, cod = f.domain, f.codomain
     if within is None:
@@ -217,17 +225,30 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     if not res.holds:
         raise PreconditionNotFContinuous(
             f"osc {res.osc} over the carrier trace of the minimal neighborhood")
-    nbhd = cod.min_nbhd(y)
-    pre = f.preimage(nbhd)
-    carrier = f_carrier & pre
+    key = (f.preimage(cod.min_nbhd(y)), phit.values, Fraction(tolerance),
+           max_iter)
+    memo = space._extend_memo
+    if memo is None:
+        memo = space._extend_memo = {}
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _extension_walk(space, *key)
+    return hit
+
+
+def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
+                    max_iter: int | None) -> ExtensionResult:
+    """The separator-subtraction iteration over P = ``pre`` for boundary
+    ``values`` (None off the carrier); raises on the first failed check."""
+    given = tuple(x for x, v in enumerate(values) if v is not None)
+    carrier = mask_of(given) & pre
     # Every value is kept as an integer numerator over one denominator,
     # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
     # integral.  Fractions are built only for the result.
-    given = bits_tuple(f_carrier)
-    scale = lcm(*(phit.values[x].denominator for x in given))
+    scale = lcm(*(values[x].denominator for x in given))
     data = [0] * space.n
     for x in given:
-        v = phit.values[x]
+        v = values[x]
         data[x] = v.numerator * (scale // v.denominator)
     m0 = max((abs(data[x]) for x in given), default=0)
     mu0 = Fraction(m0, scale)
@@ -236,7 +257,6 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
         zero = RationalFunction.constant(space, 0)
         return ExtensionResult(zero, carrier, True, (mu0,), 0, Fraction(0), ())
 
-    tol = Fraction(tolerance)
     # the geometric bound mu0 (2/3)^n, cross-multiplied with the tolerance
     geo_lhs, geo_rhs = m0 * tol.denominator, scale * tol.numerator
     points = bits_tuple(carrier)
@@ -261,7 +281,7 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
         q_side = space.rel_closure(pre, high)
         if p_side & q_side:
             raise CheckFailed("level closures overlap despite the osc bound")
-        out = _separator_mask(f, p_side, q_side, y)
+        out = _separator_mask(space, pre, p_side, q_side)
         if out is None:
             raise SearchFailed(n, "exact separator")
         psi = [mu if out >> x & 1 else -mu for x in range(space.n)]

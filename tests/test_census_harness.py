@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +34,7 @@ from fibertop.harness import (
     functional_co_sigma,
     hierarchy_violations,
     report_json,
+    run_theorem_sweep,
     summarize,
     theorem_record,
 )
@@ -565,6 +568,41 @@ class TestHarnessRecords:
         for inst in sampled_instances(4, 40, seed=11):
             cls = classify(inst.f)
             assert hierarchy_violations(cls, inst.f.codomain.n == 1) == []
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestStreamedDigest:
+    """digest and report_json stream the canonical text in pieces; the
+    bytes are those of one json.dumps call."""
+
+    @staticmethod
+    def _same(obj) -> None:
+        text = _dumps(obj)
+        assert report_json(obj) == text
+        assert digest(obj) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_census5_report_and_records(self):
+        report = run_theorem_sweep(5)
+        self._same(report)
+        for record in report["records"]:
+            self._same(record)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], {"a": {}, "b": []}, [{}], [[]],
+        [[{"x": 1}], [{"y": [{"z": 2}]}]],
+        {"k": [[{"a": 1}, {"b": [{"c": 3}]}]], "j": [{"d": {"e": [{}]}}]},
+        [{"a": 1}, 2, "three", [4], None],
+        {"runs": [{"a": 1}, [2], {"b": 2}, 0.5], "z": [{}, {}], "a": "s"},
+    ])
+    def test_small_shapes(self, obj):
+        self._same(obj)
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError):
+            digest({1: [{"a": 1}]})
 
 
 class TestConstantMapDegeneration:

@@ -333,8 +333,31 @@ class TestInstanceErrors:
     def test_invalid_sets_named_by_points(self, tmp_path, capsys, opens,
                                           message):
         path = tmp_path / "bad.top"
-        path.write_text(Path(DEMO).read_text().replace("-\n0\n0 1\n0 1 2",
-                                                       opens, 1))
+        text = Path(DEMO).read_text().replace("-\n0\n0 1\n0 1 2", opens, 1)
+        path.write_text(text)
+        assert main(["check", "normal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the message names the header line of the offending block
+        obj, reason = message.split(": ", 1)
+        header = next(i for i, line in enumerate(text.splitlines(), 1)
+                      if line.split()[:2] == obj.split())
+        assert captured.err == f"error: {obj} (line {header}): {reason}\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("\n0 -> 0\n", "\n0 -> 1\n",
+         "map f (line 24): preimage {1} of open {0} is not open"),
+        ("\n0 1\n0 1 2\n", "\n1\n0 1 2\n",
+         "space C3 (line 9): union of opens {1} and {0} is not open"),
+        ("2: 3/4\n", "2: 3/4\n\nfamily fam map f y 0\nO: 0 1\n"
+                      "blocks: 0 1 2\nO: 0\nblocks: 2 | 0 1\n",
+         "family fam (line 38): level 1 partition not regular: "
+         "block {2} leaves the carrier {0 1}"),
+    ])
+    def test_validation_error_names_header_line(self, tmp_path, capsys, old,
+                                                new, message):
+        path = tmp_path / "bad.top"
+        path.write_text(Path(DEMO).read_text().replace(old, new, 1))
         assert main(["check", "normal", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

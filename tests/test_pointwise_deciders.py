@@ -10,7 +10,7 @@ from conftest import fibered_maps
 from fibertop import normality
 from fibertop.census import census_instances
 from fibertop.normality import perfect_witnesses
-from fibertop.spaces import bits
+from fibertop.spaces import Submapping, bits, is_f_sigma_submapping
 
 DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
             "is_sigma_normal", "is_perfectly_normal",
@@ -51,6 +51,15 @@ def test_perfect_witnesses_match_literal_scan():
         for carrier in range(f.domain.full + 1):
             assert tuple(perfect_witnesses(f, carrier)) == \
                 ref.perfect_scan(f, carrier)[1], (inst.uid, carrier)
+
+
+def test_f_sigma_failure_matches_submapping_report():
+    for inst in census_instances(4):
+        f = inst.f
+        for carrier in range(f.domain.full + 1):
+            rep = is_f_sigma_submapping(Submapping(f, carrier))
+            assert normality._f_sigma_failure(f, carrier) == rep.failure_y, \
+                (inst.uid, carrier)
 
 
 def _sandwich_meets(space, pre: int, t: int, fm: int) -> bool:

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from tietze_reference import tietze_extend_reference
 
-from fibertop.census import census_instances
+from fibertop import harness
+from fibertop.census import canonical_spaces, census_instances
 from fibertop.errors import (
     FibertopError,
     MaxIterReached,
@@ -21,7 +22,13 @@ from fibertop.oscillation import (
     is_f_equicontinuous_at,
     norm,
 )
-from fibertop.spaces import constant_map, identity_map, sierpinski
+from fibertop.spaces import (
+    FiberedMap,
+    constant_map,
+    discrete,
+    identity_map,
+    sierpinski,
+)
 from fibertop.urysohn_tietze import (
     ExtensionResult,
     build_separator,
@@ -258,6 +265,132 @@ class TestTietzeAgainstReference:
             new = tietze_extend(f, 0b101, phit, 0, tolerance=tol)
             assert new == tietze_extend_reference(f, 0b101, phit, 0,
                                                   tolerance=tol)
+
+
+@pytest.fixture(scope="module")
+def census5_extensions():
+    """Every tietze_extend call of the census-5 sweep, as (f, args, kwargs,
+    result, stored): stored tells whether the call added a memo entry.
+    The memos of the census spaces are emptied first."""
+    for n in range(1, 5):
+        for space in canonical_spaces(n):
+            space._extend_memo = None
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        before = len(f.domain._extend_memo or {})
+        res = tietze_extend(f, *args, **kwargs)
+        calls.append((f, args, kwargs, res, len(f.domain._extend_memo) > before))
+        return res
+
+    runs = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "tietze_extend", recording)
+        for inst in census_instances(5):
+            runs += len(harness.theorem_record(inst)["extension_runs"])
+    # every run of the sweep returned a result
+    assert len(calls) == runs
+    return calls
+
+
+def _one_point_boundary(space, value=Fraction(1)):
+    """Boundary data ``value`` on point 0 alone; over a discrete space its
+    extension needs one step per factor 2/3 of the residual."""
+    return RationalFunction(space, (value,) + (None,) * (space.n - 1), 0b1)
+
+
+class TestExtendMemo:
+    """tietze_extend memoises successful runs per domain space; every
+    check still runs on every call and errors are never stored."""
+
+    def test_sweep_calls_match_fresh_runs(self, census5_extensions):
+        # most of the sweep's runs are memo hits
+        stored = Counter(s for *_, s in census5_extensions)
+        assert stored[True] > 100 and stored[False] > stored[True]
+        for f, args, kwargs, out, _ in census5_extensions:
+            f.domain._extend_memo = None
+            assert _outcome(tietze_extend, f, *args, **kwargs) == out
+            assert _outcome(tietze_extend_reference, f, *args, **kwargs) == out
+
+    def test_equal_spaces_keep_separate_memos(self):
+        one, two = discrete(2), discrete(2)
+        assert one == two and one is not two
+        first = tietze_extend(constant_map(one), 0b1, _one_point_boundary(one), 0)
+        second = tietze_extend(constant_map(two), 0b1, _one_point_boundary(two), 0)
+        assert first == second and first is not second
+        assert len(one._extend_memo) == len(two._extend_memo) == 1
+
+    def test_same_domain_and_preimage_share_the_result(self):
+        space = discrete(2)
+        phit = _one_point_boundary(space)
+        first = tietze_extend(constant_map(space), 0b1, phit, 0)
+        # another codomain, and a point y whose minimal neighborhood pulls
+        # back to the same P
+        other = FiberedMap(space, sierpinski(), (1, 1))
+        assert tietze_extend(other, 0b1, phit, 1) is first
+        assert len(space._extend_memo) == 1
+
+    @pytest.mark.parametrize("part", ["P", "carrier", "values", "tolerance",
+                                      "max_iter"])
+    def test_each_key_part_gets_a_fresh_answer(self, part):
+        space = sierpinski() if part == "P" else discrete(2)
+        f = identity_map(space) if part == "P" else constant_map(space)
+        one = dict(f_carrier=0b1, phit=_one_point_boundary(space), y=0)
+        if part == "P":
+            # point 1 is closed, its minimal neighborhood is {0 1}
+            one.update(f_carrier=0b10, phit=RationalFunction(
+                space, (None, Fraction(1)), 0b10))
+            two = dict(one, y=1)
+        elif part == "carrier":
+            two = dict(one, f_carrier=0b11,
+                       phit=RationalFunction.total(space, (1, 1)))
+        elif part == "values":
+            two = dict(one, phit=_one_point_boundary(space, Fraction(1, 3)))
+        elif part == "tolerance":
+            two = dict(one, tolerance=Fraction(1, 10))
+        else:
+            two = dict(one, max_iter=100)
+        first = tietze_extend(f, **one)
+        second = tietze_extend(f, **two)
+        assert first == tietze_extend_reference(f, **one)
+        assert second == tietze_extend_reference(f, **two)
+        assert len(space._extend_memo) == 2
+        if part != "max_iter":
+            assert first != second
+
+    def test_max_iter_cuts_a_memoised_run(self):
+        space = discrete(2)
+        f, phit = constant_map(space), _one_point_boundary(space)
+        assert tietze_extend(f, 0b1, phit, 0).iterations > 3
+        with pytest.raises(MaxIterReached):
+            tietze_extend(f, 0b1, phit, 0, max_iter=3)
+
+    def test_errors_are_not_stored(self, V_poset):
+        tangled = RationalFunction(V_poset, (Fraction(1), Fraction(-1, 2), None),
+                                   0b011)
+        space = discrete(2)
+        cases = [(constant_map(V_poset), 0b011, tangled, 0, {}),
+                 (constant_map(space), 0b1, _one_point_boundary(space), 0,
+                  {"max_iter": 3})]
+        for f, carrier, phit, y, kwargs in cases:
+            first = _outcome(tietze_extend, f, carrier, phit, y, **kwargs)
+            assert first[0] in (SearchFailed, MaxIterReached)
+            assert _outcome(tietze_extend, f, carrier, phit, y, **kwargs) == first
+            assert first == _outcome(tietze_extend_reference, f, carrier, phit,
+                                     y, **kwargs)
+            assert not f.domain._extend_memo
+
+    def test_checks_run_on_a_memo_hit(self, S):
+        # {0} is closed over the open {0} but not over the whole codomain,
+        # and both runs have the same P = {0}
+        f = identity_map(S)
+        phit = RationalFunction(S, (Fraction(1), None), 0b01)
+        assert tietze_extend(f, 0b01, phit, 0, within=0b01).iterations > 0
+        with pytest.raises(ValueError, match="relatively closed"):
+            tietze_extend(f, 0b01, phit, 0)
+        with pytest.raises(ValueError, match="exactly on the carrier"):
+            tietze_extend(f, 0b11, phit, 0, within=0b01)
+        assert len(S._extend_memo) == 1
 
 
 class TestConditionD:
