@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import NamedTuple
 
 from .census import Instance, canonical_spaces, census_instances
 from .classical import (
@@ -30,7 +29,6 @@ from .classical import (
 )
 from .errors import FibertopError, SearchFailed
 from .normality import (
-    LevelIndex,
     build_levels,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
@@ -44,7 +42,7 @@ from .normality import (
     is_sigma_prenormal,
 )
 from .oscillation import norm, osc_on_set
-from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, constant_map
+from .spaces import FiberedMap, bits, constant_map
 from .urysohn_tietze import (
     boundary_function,
     build_separator,
@@ -144,6 +142,7 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
 
 def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
                  depth: int):
+    """(built, stepwise bounds, condition C) of the family for (F, T, y)."""
     key = (f_side, t_side, y)
     hit = cache.get(key)
     if hit is None:
@@ -152,95 +151,9 @@ def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
         except SearchFailed:
             hit = (False, False, False)
         else:
-            hit = (True, *_family_checks(f, levels, f_side, t_side))
+            hit = (True, levels.stepwise_ok, levels.condition_c_ok)
         cache[key] = hit
     return hit
-
-
-def _family_checks(f: FiberedMap, levels: LevelIndex, f_side: int,
-                   t_side: int) -> tuple[bool, bool]:
-    """(stepwise bounds, condition C) of a built family.  Both depend only
-    on the domain and the level memo key, so they are memoised per domain
-    space on (carrier, F and T inside it, depth)."""
-    space, w = f.domain, levels.carrier
-    key = (w, f_side & w, t_side & w, levels.depth)
-    memo = space._checks_memo
-    if memo is None:
-        memo = space._checks_memo = {}
-    hit = memo.get(key)
-    if hit is None:
-        tables = _level_tables(space, levels)
-        hit = memo[key] = (_stepwise_bounds_ok(tables),
-                           _condition_c_ok(f, tables, f_side, t_side))
-    return hit
-
-
-class LevelTables(NamedTuple):
-    """Integer view of a flat-chain family over the level-1 preimage W."""
-
-    mask: int                             # W
-    points: tuple[int, ...]               # the points of W
-    links: tuple[tuple[int, int], ...]    # (x, z), z != x in min_nbhd(x)
-    block_of: tuple[list[int], ...]       # block_of[n][x]: level-n block of x
-
-
-def _level_tables(space: FiniteSpace, levels: LevelIndex) -> LevelTables:
-    w = levels.carrier
-    points = bits_tuple(w)
-    links = tuple((x, z) for x in points for z in bits(space.min_nbhd(x))
-                  if z != x)
-    block_of = [levels.level(n) for n in range(1, levels.depth + 1)]
-    return LevelTables(w, points, links, (None, *block_of))
-
-
-def _stepwise_bounds_ok(tables: LevelTables) -> bool:
-    """The two displayed stepwise bounds on the level index tables: the
-    level-n oscillation k/(2^n - 1) is at most one step, and the increment
-    |k'/(2^(n+1) - 1) - k/(2^n - 1)| <= 1/(2^(n+1) - 1), cross-multiplied."""
-    block_of, links = tables.block_of, tables.links
-    for idx in block_of[1:]:
-        for x, z in links:
-            if abs(idx[x] - idx[z]) > 1:
-                return False
-    for n in range(1, len(block_of) - 1):
-        d_lo, d_hi = (1 << n) - 1, (1 << (n + 1)) - 1
-        lo, hi = block_of[n], block_of[n + 1]
-        for x in tables.points:
-            if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
-                return False
-    return True
-
-
-def _condition_c_ok(f: FiberedMap, tables: LevelTables, f_side: int,
-                    t_side: int) -> bool:
-    """Condition (C) for the truncated limit of a flat-chain family: the
-    limit equals the deepest step function on the preimage of the minimal
-    neighborhood and vanishes elsewhere, so the checks reduce to integer
-    comparisons on the deepest index table."""
-    space = f.domain
-    depth = len(tables.block_of) - 1
-    idx = tables.block_of[depth]
-    top = (1 << depth) - 1
-    worst = max((abs(idx[x] - idx[z]) for x, z in tables.links), default=0)
-    if not 2 * worst < top:
-        return False
-    w = tables.mask
-    zero = one = upper = 0
-    for x in tables.points:
-        k = idx[x]
-        if k == 0:
-            zero |= 1 << x
-        if k == top:
-            one |= 1 << x
-        if 2 * k >= top:
-            upper |= 1 << x
-    if f_side & w & ~zero or t_side & w & ~one:
-        return False
-    if f_side & space.rel_closure(w, upper):
-        return False
-    if t_side & w & ~space.rel_interior(w, upper):
-        return False
-    return True
 
 
 def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,

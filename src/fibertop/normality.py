@@ -344,18 +344,22 @@ def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
 
 
 class LevelIndex(NamedTuple):
-    """A flat-chain family as integers.
+    """A flat-chain family as integers, with its two verdicts.
 
     Level 0 is the whole domain over the whole codomain; every level n >= 1
     lives over ``nbhd`` on ``carrier`` = f^{-1}(nbhd), and the level-n block
     of a carrier point x is ``index[x] >> (depth - n)``, the numerator of
-    its step value over 2^n - 1.
+    its step value over 2^n - 1.  ``stepwise_ok`` and ``condition_c_ok``
+    are the family's stepwise bounds and condition (C) for the F and T it
+    was built for (see ``_stepwise_bounds_ok`` and ``_condition_c_ok``).
     """
 
     nbhd: int
     carrier: int
     depth: int
     index: tuple[int, ...]   # deepest-level block per point, 0 off the carrier
+    stepwise_ok: bool
+    condition_c_ok: bool
 
     def level(self, n: int) -> list[int]:
         """The level-n block of every point, n >= 1."""
@@ -409,31 +413,26 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
     """Raw level construction shared by the builder and the census sweep.
 
     Raises SearchFailed.  No validation of the inputs beyond what the
-    sandwiches themselves detect.  The family depends only on the domain
-    and on (carrier, F and T inside it, depth), so it is memoised per
-    domain space on that key; the neighborhood, the carrier and the
-    component of a failure come from each call.
+    sandwiches themselves detect.  The family and its verdicts depend only
+    on the domain and on (carrier, F and T inside it, depth), so they are
+    memoised per domain space on that key, failures included; the
+    neighborhood, the carrier and the component of a failure come from
+    each call.
     """
-    space = f.domain
     nbhd = f.codomain.min_nbhd(y)
     carrier = f.preimage(nbhd)
-    key = (carrier, f_side & carrier, t_side & carrier, depth)
-    memo = space._levels_memo
-    if memo is None:
-        memo = space._levels_memo = {}
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _level_walk(space, *key)
-    index, failed = hit
+    facts, failed = f.domain.memoised(_level_walk, carrier, f_side & carrier,
+                                      t_side & carrier, depth)
     if failed is not None:
         raise SearchFailed(*failed, component)
-    return LevelIndex(nbhd, carrier, depth, index)
+    return LevelIndex(nbhd, carrier, depth, *facts)
 
 
 def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
                 depth: int):
-    """One canonical sandwich per block per level: (index, None), or
-    (None, (level, step)) at the first sandwich that fails."""
+    """One canonical sandwich per block per level: ((index, stepwise bounds,
+    condition C), None), or (None, (level, step)) at the first sandwich
+    that fails."""
     closure, hull = space.closure, space.hull
     blocks = (space.full,)
     for n in range(depth):
@@ -460,7 +459,64 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
     for k, block in enumerate(blocks):
         for x in bits(block):
             index[x] = k
-    return tuple(index), None
+    levels = [[k >> (depth - n) for k in index] for n in range(1, depth + 1)]
+    return (tuple(index), _stepwise_bounds_ok(space, carrier, levels),
+            _condition_c_ok(space, carrier, ft, tt, index, depth)), None
+
+
+def _links(space: FiniteSpace, carrier: int):
+    """The pairs (x, z) of points of an open carrier with z != x in U_x."""
+    nbhd = space._min_nbhd
+    return [(x, z) for x in bits(carrier) for z in bits(nbhd[x]) if z != x]
+
+
+def _stepwise_bounds_ok(space: FiniteSpace, carrier: int, levels) -> bool:
+    """The two displayed stepwise bounds of a flat-chain family on the open
+    carrier W, where ``levels[n - 1][x]`` is the level-n block of x: the
+    level-n oscillation k/(2^n - 1) is at most one step, and the increment
+    |k'/(2^(n+1) - 1) - k/(2^n - 1)| <= 1/(2^(n+1) - 1), cross-multiplied."""
+    links = _links(space, carrier)
+    for idx in levels:
+        for x, z in links:
+            if abs(idx[x] - idx[z]) > 1:
+                return False
+    for n in range(1, len(levels)):
+        d_lo, d_hi = (1 << n) - 1, (1 << (n + 1)) - 1
+        lo, hi = levels[n - 1], levels[n]
+        for x in bits(carrier):
+            if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
+                return False
+    return True
+
+
+def _condition_c_ok(space: FiniteSpace, carrier: int, ft: int, tt: int,
+                    idx, depth: int) -> bool:
+    """Condition (C) for the truncated limit of a flat-chain family on the
+    open carrier W, whose deepest (level ``depth``) block of x is idx[x],
+    for F and T traces ft and tt: the limit equals the deepest step
+    function on W and vanishes elsewhere, so the checks reduce to integer
+    comparisons on idx."""
+    top = (1 << depth) - 1
+    worst = max((abs(idx[x] - idx[z]) for x, z in _links(space, carrier)),
+                default=0)
+    if not 2 * worst < top:
+        return False
+    zero = one = upper = 0
+    for x in bits(carrier):
+        k = idx[x]
+        if k == 0:
+            zero |= 1 << x
+        if k == top:
+            one |= 1 << x
+        if 2 * k >= top:
+            upper |= 1 << x
+    if ft & ~zero or tt & ~one:
+        return False
+    if ft & space.rel_closure(carrier, upper):
+        return False
+    if tt & ~space.rel_interior(carrier, upper):
+        return False
+    return True
 
 
 def check_lemma_conditions(family: ConsistentBinaryFamily, f_side: int,
@@ -669,8 +725,13 @@ class CoPerfectReport:
 def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
     """The first y at which the submapping on carrier is not locally
     F_sigma, or None: the first y where the closure of some point of
-    carrier & P, relative to P = f^{-1}(U_y), leaves the carrier (the
-    failure_y of ``spaces.is_f_sigma_submapping``)."""
+    carrier & P, relative to P = f^{-1}(U_y), leaves the carrier.
+
+    This is the verdict-only route, on masks, for the deciders' carrier
+    loops.  The public decider is ``spaces.is_f_sigma_submapping``, which
+    also gives the witnesses; this returns its ``failure_y``, as
+    ``test_f_sigma_failure_matches_submapping_report`` (in
+    tests/test_pointwise_deciders.py) checks on every carrier of census 4."""
     space, cod = f.domain, f.codomain
     for y in range(cod.n):
         pre = f.preimage(cod.min_nbhd(y))

@@ -66,7 +66,7 @@ class FiniteSpace:
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
                  "_closure_tables", "_hull_tables", "_canon", "_class_cache",
-                 "_levels_memo", "_checks_memo", "_extend_memo")
+                 "_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -76,14 +76,16 @@ class FiniteSpace:
             if o & ~self.full:
                 raise ValueError(f"open {points_text(o)} uses points outside "
                                  f"0..{n - 1}")
-        if not _trusted:
-            family = self._validate(family)
-        self.opens = tuple(family)
-        self._opens_set = frozenset(family)
+        # the intersection of the opens around x; on a valid family, the
+        # minimal neighborhood of x
         min_nbhd = [self.full] * n
         for o in family:
             for x in bits(o):
                 min_nbhd[x] &= o
+        if not _trusted:
+            self._validate(family, min_nbhd)
+        self.opens = tuple(family)
+        self._opens_set = frozenset(family)
         self._min_nbhd = tuple(min_nbhd)
         # z is in cl{x} iff x lies in every open around z, i.e. x in min_nbhd(z)
         cl_point = [0] * n
@@ -92,13 +94,14 @@ class FiniteSpace:
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
         self._closure_tables = self._hull_tables = None  # built on first use
-        self._levels_memo = None  # normality.build_levels, on first use
-        self._checks_memo = None  # harness family checks, on first use
-        self._extend_memo = None  # urysohn_tietze.tietze_extend, on first use
+        self._memo = None  # see memoised, on first use
         self._canon = None
         self._class_cache = {}
 
-    def _validate(self, family):
+    def _validate(self, family, cand) -> None:
+        """Raise unless family is a topology; cand[x] is the intersection
+        of the opens containing x.  A family containing every cand[x] and
+        all their unions is closed under pairwise union and intersection."""
         fam_set = set(family)
         if 0 not in fam_set:
             raise MissingEmptyOrFull("family must contain the empty set")
@@ -108,12 +111,6 @@ class FiniteSpace:
         if covered != self.full:
             raise MissingEmptyOrFull(
                 f"no open covers point {(self.full & ~covered).bit_length() - 1}")
-        # Minimal neighborhood candidates; a family containing them and all
-        # their unions is closed under pairwise union and intersection.
-        cand = [self.full] * self.n
-        for o in family:
-            for x in bits(o):
-                cand[x] &= o
         for x in range(self.n):
             if cand[x] not in fam_set:
                 acc = None
@@ -139,7 +136,20 @@ class FiniteSpace:
             # some open is not a union of minimal neighborhoods: impossible,
             # since every open contains the candidates of its points
             raise AssertionError("open set family inconsistent")
-        return family
+
+    def memoised(self, walk, *key):
+        """``walk(self, *key)``, computed once per space object and stored
+        under (walk, *key).  The walk must depend only on this space and
+        its key, and must not return None.  A walk that raises stores
+        nothing, so the next call runs it again."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        full_key = (walk, *key)
+        hit = memo.get(full_key)
+        if hit is None:
+            hit = memo[full_key] = walk(self, *key)
+        return hit
 
     # ----------------------------------------------------------- basic ops
 

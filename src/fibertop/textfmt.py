@@ -101,11 +101,12 @@ def parse_instance(text: str) -> InstanceFile:
                 raise InstanceSyntaxError(lineno, "expected: space <name>")
             name = head[1]
             i = skip_blank(i + 1)
-            if i >= n or lines[i].split()[:1] != ["points"]:
+            parts = lines[i].split() if i < n else []
+            if len(parts) != 2 or parts[0] != "points":
                 raise InstanceSyntaxError(i + 1, "expected: points <n>")
             try:
-                count = int(lines[i].split()[1])
-            except (IndexError, ValueError):
+                count = int(parts[1])
+            except ValueError:
                 raise InstanceSyntaxError(i + 1, "expected: points <n>") from None
             if count < 0:
                 raise InstanceSyntaxError(i + 1, f"negative point count {count}")
@@ -154,6 +155,8 @@ def parse_instance(text: str) -> InstanceFile:
                     raise InstanceSyntaxError(i + 1, "expected integers") from None
                 if not 0 <= src < dom.n:
                     raise InstanceSyntaxError(i + 1, f"point {src} outside domain")
+                if not 0 <= dst < cod.n:
+                    raise _outside(dst, i + 1, cod.n, f"space {yname}")
                 if table[src] is not None:
                     raise InstanceSyntaxError(i + 1, f"point {src} mapped twice")
                 table[src] = dst

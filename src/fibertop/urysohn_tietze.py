@@ -153,8 +153,9 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
 
 def _separator_mask(space: FiniteSpace, region: int, p_side: int,
                     q_side: int) -> int | None:
-    """The union of the minimal-neighborhood components of region that
-    meet Q, or None when one of them meets P too."""
+    """The 1-set of the exactly f-continuous {0, 1} separator of P and Q
+    over region: the union of the minimal-neighborhood components of
+    region that meet Q, or None when one of them meets P too."""
     out = 0
     for comp in space.nbhd_classes(region):
         if comp & q_side:
@@ -162,20 +163,6 @@ def _separator_mask(space: FiniteSpace, region: int, p_side: int,
                 return None
             out |= comp
     return out
-
-
-def exact_separator(f: FiberedMap, p_side: int, q_side: int, y: int
-                    ) -> RationalFunction | None:
-    """Exactly f-continuous-at-y {0,1} function, 0 on P and 1 on Q traces.
-
-    This is the closed form of the stepwise limit once the partition chain
-    stabilizes.  None when some component of f^{-1}(min_nbhd(y)) meets both
-    traces, which refutes normality of the map.
-    """
-    space = f.domain
-    region = f.preimage(f.codomain.min_nbhd(y))
-    mask = _separator_mask(space, region, p_side, q_side)
-    return None if mask is None else RationalFunction.indicator(space, mask)
 
 
 # ------------------------------------------------------------ the extension
@@ -225,15 +212,8 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     if not res.holds:
         raise PreconditionNotFContinuous(
             f"osc {res.osc} over the carrier trace of the minimal neighborhood")
-    key = (f.preimage(cod.min_nbhd(y)), phit.values, Fraction(tolerance),
-           max_iter)
-    memo = space._extend_memo
-    if memo is None:
-        memo = space._extend_memo = {}
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _extension_walk(space, *key)
-    return hit
+    return space.memoised(_extension_walk, f.preimage(cod.min_nbhd(y)),
+                          phit.values, Fraction(tolerance), max_iter)
 
 
 def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,

@@ -24,10 +24,6 @@ from fibertop.classical import (
 from fibertop.errors import SearchFailed
 from fibertop import harness
 from fibertop.harness import (
-    LevelTables,
-    _condition_c_ok,
-    _level_tables,
-    _stepwise_bounds_ok,
     classify,
     constant_map_degeneration,
     digest,
@@ -38,7 +34,10 @@ from fibertop.harness import (
     summarize,
     theorem_record,
 )
+from fibertop import normality
 from fibertop.normality import (
+    _condition_c_ok,
+    _stepwise_bounds_ok,
     build_levels,
     build_binary_partitions,
     build_binary_partitions_sigma,
@@ -154,11 +153,11 @@ def census5_builds():
     the first call on each key walks and the later ones hit."""
     for n in range(1, 5):
         for space in canonical_spaces(n):
-            space._levels_memo = None
+            space._memo = None
     calls = []
 
     def recording(f, *args):
-        fresh = _memo_key(f, *args) not in (f.domain._levels_memo or {})
+        fresh = _memo_key(f, *args) not in (f.domain._memo or {})
         try:
             levels = build_levels(f, *args)
         except SearchFailed as exc:
@@ -176,7 +175,27 @@ def census5_builds():
 
 def _memo_key(f: FiberedMap, f_side, t_side, y, depth):
     carrier = f.preimage(f.codomain.min_nbhd(y))
-    return (carrier, f_side & carrier, t_side & carrier, depth)
+    return (normality._level_walk, carrier, f_side & carrier,
+            t_side & carrier, depth)
+
+
+def _level_lists(levels) -> list:
+    """The level-n block of every point, for n = 1..depth."""
+    return [levels.level(n) for n in range(1, levels.depth + 1)]
+
+
+def _fresh_checks(f: FiberedMap, levels, f_side: int, t_side: int,
+                  depth: int | None = None) -> tuple[bool, bool]:
+    """(stepwise bounds, condition C) run afresh on a built family for F
+    and T, reading its index at ``depth`` (the family's own by default)."""
+    space, w = f.domain, levels.carrier
+    if depth is None:
+        depth = levels.depth
+    lists = [[k >> (depth - n) for k in levels.index]
+             for n in range(1, depth + 1)]
+    return (_stepwise_bounds_ok(space, w, lists),
+            _condition_c_ok(space, w, f_side & w, t_side & w, levels.index,
+                            depth))
 
 
 def _expand(f: FiberedMap, levels) -> list:
@@ -205,6 +224,7 @@ def _memoised(f: FiberedMap, *args):
 
 class TestFastPathsAgainstPublic:
     def test_condition_c_and_bounds(self):
+        verdicts = Counter()
         for inst in census_instances(4):
             f = inst.f
             space = f.domain
@@ -213,22 +233,28 @@ class TestFastPathsAgainstPublic:
                 if a & b:
                     continue
                 for y in range(f.codomain.n):
-                    try:
-                        levels = build_levels(f, a, b, y, 4)
-                    except SearchFailed:
-                        with pytest.raises(SearchFailed):
-                            build_binary_partitions(f, a, b, y, 4)
-                        continue
-                    fam = build_binary_partitions(f, a, b, y, 4)
-                    assert ([(l.nbhd, l.blocks) for l in fam.levels]
-                            == _expand(f, levels)
-                            == build_levels_reference(f, a, b, y, 4))
-                    lim = assemble_limit(fam)
-                    rep = verify_condition_C(f, a, b, y, lim.phi,
-                                             fam.levels[2].nbhd)
-                    tables = _level_tables(space, levels)
-                    assert rep.all_ok == _condition_c_ok(f, tables, a, b)
-                    assert _stepwise_bounds_ok(tables)
+                    # depth 1 leaves some families without condition (C)
+                    for depth in (1, 4):
+                        try:
+                            levels = build_levels(f, a, b, y, depth)
+                        except SearchFailed:
+                            with pytest.raises(SearchFailed):
+                                build_binary_partitions(f, a, b, y, depth)
+                            continue
+                        fam = build_binary_partitions(f, a, b, y, depth)
+                        assert ([(l.nbhd, l.blocks) for l in fam.levels]
+                                == _expand(f, levels)
+                                == build_levels_reference(f, a, b, y, depth))
+                        lim = assemble_limit(fam)
+                        rep = verify_condition_C(f, a, b, y, lim.phi,
+                                                 levels.nbhd)
+                        assert rep.all_ok == levels.condition_c_ok
+                        assert levels.stepwise_ok
+                        assert ((levels.stepwise_ok, levels.condition_c_ok)
+                                == _fresh_checks(f, levels, a, b))
+                        verdicts[depth, rep.all_ok] += 1
+        assert verdicts[1, False] and verdicts[1, True] and verdicts[4, True]
+        assert not verdicts[4, False]
 
     def test_integer_bounds_match_fractions(self, census5_builds):
         built = [(f, args) for f, args, _, out in census5_builds
@@ -237,7 +263,9 @@ class TestFastPathsAgainstPublic:
         verdicts = set()
         for f, args in built:
             levels = build_levels(f, *args)
-            ok = _stepwise_bounds_ok(_level_tables(f.domain, levels))
+            ok = levels.stepwise_ok
+            assert ok == _stepwise_bounds_ok(f.domain, levels.carrier,
+                                             _level_lists(levels))
             assert ok == _stepwise_bounds_fraction(f, _expand(f, levels))
             verdicts.add(ok)
         assert verdicts == {True}
@@ -246,7 +274,8 @@ class TestFastPathsAgainstPublic:
         verdicts = Counter()
         for inst in census_instances(4):
             f = inst.f
-            closed = sorted(f.domain.full ^ o for o in f.domain.opens)
+            space = f.domain
+            closed = sorted(space.full ^ o for o in space.opens)
             for a, b in combinations(closed, 2):
                 if a & b:
                     continue
@@ -254,32 +283,32 @@ class TestFastPathsAgainstPublic:
                     levels = build_levels(f, a, b, 0, 4)
                 except SearchFailed:
                     continue
-                tables = _level_tables(f.domain, levels)
-                assert _stepwise_bounds_ok(tables)
-                if not tables.points:
+                w, lists = levels.carrier, _level_lists(levels)
+                assert levels.stepwise_ok
+                assert _stepwise_bounds_ok(space, w, lists)
+                if not w:
                     continue
                 # shifting a whole level keeps every oscillation and breaks
                 # the increment into it
-                for n in range(2, len(tables.block_of)):
-                    shifted = list(tables.block_of)
-                    shifted[n] = [k + 3 for k in shifted[n]]
-                    bad = tables._replace(block_of=tuple(shifted))
-                    assert not _stepwise_bounds_ok(bad)
-                    assert not _stepwise_bounds_fraction_on(bad)
+                for i in range(1, len(lists)):
+                    shifted = list(lists)
+                    shifted[i] = [k + 3 for k in shifted[i]]
+                    assert not _stepwise_bounds_ok(space, w, shifted)
+                    assert not _stepwise_bounds_fraction_on(space, w, shifted)
                 # moving one point by one or two blocks lands on both sides
                 # of each bound; the verdict must match the rationals, also
-                # with the levels below n cut off (no increment out of n)
-                for n in range(1, len(tables.block_of)):
-                    for x in tables.points:
+                # with the levels below i cut off (no increment out of i)
+                for i in range(len(lists)):
+                    for x in bits(w):
                         for delta in (-2, -1, 1, 2):
-                            moved = list(tables.block_of)
-                            moved[n] = list(moved[n])
-                            moved[n][x] += delta
-                            for cut in (len(moved), n + 1):
-                                bad = tables._replace(
-                                    block_of=tuple(moved[:cut]))
-                                ok = _stepwise_bounds_ok(bad)
-                                assert ok == _stepwise_bounds_fraction_on(bad)
+                            moved = list(lists)
+                            moved[i] = list(moved[i])
+                            moved[i][x] += delta
+                            for cut in (len(moved), i + 1):
+                                bad = moved[:cut]
+                                ok = _stepwise_bounds_ok(space, w, bad)
+                                assert ok == _stepwise_bounds_fraction_on(
+                                    space, w, bad)
                                 verdicts[ok] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
@@ -293,7 +322,7 @@ class TestLevelMemo:
             expected = _reference(f, *args)
             assert out == expected
             # the same call again is served by the memo
-            assert _memo_key(f, *args) in f.domain._levels_memo
+            assert _memo_key(f, *args) in f.domain._memo
             assert _memoised(f, *args) == expected
             # an equal space object has a memo of its own
             dom = copies.get(id(f.domain))
@@ -322,7 +351,7 @@ class TestLevelMemo:
             assert levels.carrier == space.full
             fam = build_binary_partitions(f, 0b01, 0b10, y, 3)
             assert [l.nbhd for l in fam.levels[1:]] == [levels.nbhd] * 3
-        assert len(space._levels_memo) == 1
+        assert len(space._memo) == 1
 
     def test_memoised_failure_carries_callers_component(self):
         # two closed points whose hulls meet in the open point 2
@@ -339,46 +368,63 @@ class TestLevelMemo:
         assert (sigma.value.level, sigma.value.step, sigma.value.l) == (
             1, "sandwich 0", 1)
         assert sigma.value.__cause__.l == 1
-        assert len(space._levels_memo) == 2
+        # a failure is stored as its (level, step), without the component
+        failing = (normality._level_walk, 0b111, 0b001, 0b010, 3)
+        assert space._memo[failing] == (None, (1, "sandwich 0"))
+        assert len(space._memo) == 2
 
 
 class TestFamilyChecksMemo:
+    """A family's verdicts are computed by the level walk and memoised
+    with its index, on the same key."""
+
     def test_memo_matches_fresh_checks(self, census5_builds):
         verdicts = Counter()
         for f, (a, b, y, depth), _, out in census5_builds:
             if out[0] == "failed":
                 continue
             levels = build_levels(f, a, b, y, depth)
-            tables = _level_tables(f.domain, levels)
-            expected = (_stepwise_bounds_ok(tables),
-                        _condition_c_ok(f, tables, a, b))
+            expected = _fresh_checks(f, levels, a, b)
+            assert (levels.stepwise_ok, levels.condition_c_ok) == expected
             key = _memo_key(f, a, b, y, depth)
-            assert f.domain._checks_memo[key] == expected
-            assert harness._family_checks(f, levels, a, b) == expected
+            assert f.domain._memo[key] == ((levels.index, *expected), None)
             verdicts[expected] += 1
         # every family the sweep builds passes both checks
         assert set(verdicts) == {(True, True)} and verdicts[True, True] > 1000
 
     def test_memo_keys_on_each_component(self):
         # one family checked against other sides, or read at another depth,
-        # gets other verdicts; a key without F, T or the depth would hand
-        # back the first of each pair
+        # gets other verdicts, so the checks read F, T and the depth
         f = constant_map(discrete(2))
         levels = build_levels(f, 0b01, 0b10, 0, 3)
-        shallow = levels._replace(depth=1)
-        pairs = [((levels, 0b01, 0b00), (levels, 0b11, 0b00)),
-                 ((levels, 0b00, 0b00), (levels, 0b00, 0b01)),
-                 ((levels, 0b01, 0b10), (shallow, 0b01, 0b10))]
+        pairs = [((0b01, 0b00, 3), (0b11, 0b00, 3)),
+                 ((0b00, 0b00, 3), (0b00, 0b01, 3)),
+                 ((0b01, 0b10, 3), (0b01, 0b10, 1))]
         for pair in pairs:
-            verdicts = []
-            for lv, a, b in pair:
-                tables = _level_tables(f.domain, lv)
-                expected = (_stepwise_bounds_ok(tables),
-                            _condition_c_ok(f, tables, a, b))
-                assert harness._family_checks(f, lv, a, b) == expected
-                verdicts.append(expected)
+            verdicts = [_fresh_checks(f, levels, a, b, depth)
+                        for a, b, depth in pair]
             assert verdicts[0] != verdicts[1]
-        assert len(f.domain._checks_memo) == 2 * len(pairs)
+        # and every part of the level key gets its own walk and verdicts:
+        # the carrier (through y), F, T and the depth
+        space = FiniteSpace(3, [0b000, 0b001, 0b011, 0b101, 0b111])
+        g = FiberedMap(space, sierpinski(), (0, 0, 1))
+        calls = [(g, 0b000, 0b010, 0, 1), (g, 0b000, 0b010, 1, 1),
+                 (g, 0b100, 0b010, 1, 1), (g, 0b000, 0b000, 1, 1),
+                 (g, 0b000, 0b010, 1, 0), (f, 0b01, 0b10, 0, 1),
+                 (f, 0b01, 0b10, 0, 0)]
+        outcomes = []
+        for h, *args in calls:
+            out = _memoised(h, *args)
+            assert out == _reference(h, *args)
+            if out[0] != "failed":
+                levels = build_levels(h, *args)
+                out = (levels.stepwise_ok, levels.condition_c_ok)
+                assert out == _fresh_checks(h, levels, *args[:2])
+            outcomes.append(out)
+        assert outcomes == [(True, True), (True, False),
+                            ("failed", 1, "sandwich 0", None), (True, True),
+                            (True, False), (True, True), (True, False)]
+        assert len(space._memo) == 5
 
     def test_memo_lives_on_each_space_object(self):
         records = 0
@@ -387,12 +433,12 @@ class TestFamilyChecksMemo:
             record = theorem_record(inst, extender_budget=0)
             if not record["stepwise"]["families"]:
                 continue
-            assert f.domain._checks_memo
+            assert f.domain._memo
             dom = FiniteSpace(f.domain.n, f.domain.opens)
-            assert dom == f.domain and dom._checks_memo is None
+            assert dom == f.domain and dom._memo is None
             g = FiberedMap(dom, f.codomain, f.table)
             assert theorem_record(Instance(inst.uid, g), extender_budget=0) == record
-            assert dom._checks_memo and dom._checks_memo is not f.domain._checks_memo
+            assert dom._memo and dom._memo is not f.domain._memo
             records += 1
         assert records > 50
 
@@ -400,29 +446,28 @@ class TestFamilyChecksMemo:
 def _stepwise_bounds_fraction(f: FiberedMap, levels) -> bool:
     """The two stepwise bounds with exact rationals, read off the blocks."""
     w = f.preimage(levels[1][0])
-    block_of = [None]
+    lists = []
     for _, blocks in levels[1:]:
         idx = [0] * f.domain.n
         for k, block in enumerate(blocks):
             for x in bits(block & w):
                 idx[x] = k
-        block_of.append(idx)
-    links = [(x, z) for x in bits(w) for z in bits(f.domain.min_nbhd(x))]
-    return _stepwise_bounds_fraction_on(
-        LevelTables(w, tuple(bits(w)), tuple(links), tuple(block_of)))
+        lists.append(idx)
+    return _stepwise_bounds_fraction_on(f.domain, w, lists)
 
 
-def _stepwise_bounds_fraction_on(tables) -> bool:
-    block_of = tables.block_of
-    for idx in block_of[1:]:
-        for x, z in tables.links:
-            if abs(idx[x] - idx[z]) > 1:
-                return False
-    for n in range(1, len(block_of) - 1):
+def _stepwise_bounds_fraction_on(space: FiniteSpace, w: int, lists) -> bool:
+    """The same on the level-n blocks lists[n - 1] of the points of w."""
+    for idx in lists:
+        for x in bits(w):
+            for z in bits(space.min_nbhd(x)):
+                if abs(idx[x] - idx[z]) > 1:
+                    return False
+    for n in range(1, len(lists)):
         d_lo = Fraction(1, (1 << n) - 1)
         d_hi = Fraction(1, (1 << (n + 1)) - 1)
-        lo, hi = block_of[n], block_of[n + 1]
-        for x in tables.points:
+        lo, hi = lists[n - 1], lists[n]
+        for x in bits(w):
             if abs(hi[x] * d_hi - lo[x] * d_lo) > d_hi:
                 return False
     return True

@@ -324,6 +324,20 @@ class TestInstanceErrors:
         assert captured.out == ""
         assert "line 15: point 99 outside space C3 (points 0..2)" in captured.err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("\npoints 3\n", "\npoints 3 7\n", "line 10: expected: points <n>"),
+        ("\n2 -> 1\n", "\n2 -> 5\n",
+         "line 27: point 5 outside space S (points 0..1)"),
+    ])
+    def test_header_and_image_errors_name_their_line(self, tmp_path, capsys,
+                                                     old, new, message):
+        path = tmp_path / "bad.top"
+        path.write_text(Path(DEMO).read_text().replace(old, new, 1))
+        assert main(["check", "normal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("opens, message", [
         ("-\n0\n0 1 2", "map f: preimage {0 1} of open {0} is not open"),
         ("-\n0\n1\n0 1 2", "space C3: union of opens {1} and {0} is not open"),

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from fibertop.errors import (
+    CheckFailed,
     CoherenceViolated,
     Condition2Violated,
     DepthExceeded,
@@ -27,7 +28,7 @@ from fibertop.partitions import (
     validate_consistent_family,
     validate_regular_partition,
 )
-from fibertop.spaces import constant_map, discrete, identity_map
+from fibertop.spaces import constant_map, discrete, identity_map, indiscrete
 
 
 def all_ordered_partitions(space, k):
@@ -193,6 +194,18 @@ class TestAssembleLimit:
         lim = assemble_limit(fam)
         region = fam.carrier(5)
         assert osc_on_set(lim.phi, region) <= Fraction(1, 31)
+
+    def test_unvalidated_family_breaking_b_raises(self):
+        # level 2 puts the two points of an indiscrete space in blocks 0
+        # and 3: oscillation 1 against the bound 1/3 of hypothesis (b)
+        f = constant_map(indiscrete(2))
+        fam = ConsistentBinaryFamily(f, 0, (
+            Level(1, (0b11,)), Level(1, (0b01, 0b10)),
+            Level(1, (0b01, 0, 0, 0b10))))
+        with pytest.raises(LevelNotRegular):
+            validate_consistent_family(fam)
+        with pytest.raises(CheckFailed, match="oscillation bound at level 2"):
+            assemble_limit(fam)
 
     def test_exact_limit_is_f_continuous_when_stabilized(self):
         # census of builder families: wherever stabilization is detected the

@@ -64,6 +64,67 @@ class TestValidateTopology:
         assert a == b
 
 
+    def test_every_family_on_three_points(self):
+        # accepted exactly when it is a topology, checked by brute force
+        subsets = range(8)
+        for code in range(1 << 8):
+            family = [m for m in subsets if code >> m & 1]
+            fam = set(family)
+            topology = ({0, 7} <= fam
+                        and all(a | b in fam and a & b in fam
+                                for a in fam for b in fam))
+            try:
+                space = validate_topology(3, family)
+            except (MissingEmptyOrFull, NotClosedUnderIntersection,
+                    NotClosedUnderUnion):
+                assert not topology
+            else:
+                assert topology and space.opens == tuple(sorted(fam))
+                for x in range(3):
+                    around = [o for o in fam if o >> x & 1]
+                    nbhd = 7
+                    for o in around:
+                        nbhd &= o
+                    assert space.min_nbhd(x) == nbhd
+
+
+class TestMemoised:
+    def test_once_per_walk_key_and_space(self):
+        calls = []
+
+        def first(space, *key):
+            calls.append(("first", key))
+            return ("first", key)
+
+        def second(space, *key):
+            calls.append(("second", key))
+            return ("second", key)
+
+        one, two = discrete(2), discrete(2)
+        assert one == two
+        assert one.memoised(first, 1, 2) == ("first", (1, 2))
+        # another walk on the same key is not handed the first's answer
+        assert one.memoised(second, 1, 2) == ("second", (1, 2))
+        assert one.memoised(first, 1, 3) == ("first", (1, 3))
+        hit = one.memoised(first, 1, 2)
+        assert hit == ("first", (1, 2)) and hit is one.memoised(first, 1, 2)
+        assert two.memoised(first, 1, 2) == ("first", (1, 2))
+        assert calls == [("first", (1, 2)), ("second", (1, 2)),
+                         ("first", (1, 3)), ("first", (1, 2))]
+
+    def test_a_walk_that_raises_stores_nothing(self):
+        space, attempts = discrete(2), []
+
+        def failing(space, k):
+            attempts.append(k)
+            raise ValueError(f"walk {k} failed")
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="walk 5 failed"):
+                space.memoised(failing, 5)
+        assert attempts == [5, 5] and not space._memo
+
+
 class TestClosureInterior:
     def test_sierpinski_closure(self, S):
         assert S.closure(0b01) == 0b11

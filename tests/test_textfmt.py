@@ -126,6 +126,21 @@ class TestParse:
         assert err.value.line == bad
         assert f"point {point} outside space S (points 0..1)" in str(err.value)
 
+    def test_points_line_with_extra_tokens(self):
+        bad = SIERPINSKI_ID.replace("points 2\n", "points 2 7\n")
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 3 and "expected: points <n>" in str(err.value)
+
+    @pytest.mark.parametrize("image", ["-1", "2", "5"])
+    def test_map_image_outside_codomain(self, image):
+        bad = SIERPINSKI_ID + f"space P\npoints 1\nopens\n-\n0\n" \
+            f"map g S -> P\n0 -> 0\n1 -> {image}\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 26
+        assert f"point {image} outside space P (points 0..0)" in str(err.value)
+
     def test_unknown_space_reference(self):
         with pytest.raises(InstanceValidationError):
             parse_instance("set A in nowhere\n0\n")

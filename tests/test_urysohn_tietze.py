@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from tietze_reference import tietze_extend_reference
+from tietze_reference import exact_separator_reference, tietze_extend_reference
 
 from fibertop import harness
 from fibertop.census import canonical_spaces, census_instances
@@ -31,9 +31,10 @@ from fibertop.spaces import (
 )
 from fibertop.urysohn_tietze import (
     ExtensionResult,
+    _extension_walk,
+    _separator_mask,
     build_separator,
     exact_extension_exists,
-    exact_separator,
     separation_from_extension,
     sigma_separator_family,
     tietze_extend,
@@ -122,7 +123,12 @@ class TestExactExtension:
                 if a & b:
                     continue
                 for y in range(f.codomain.n):
-                    assert exact_separator(f, a, b, y) is not None
+                    region = f.preimage(f.codomain.min_nbhd(y))
+                    mask = _separator_mask(f.domain, region, a, b)
+                    assert mask is not None
+                    ref = exact_separator_reference(f, a, b, y)
+                    assert ref.values == RationalFunction.indicator(
+                        f.domain, mask).values
 
 
 class TestTietze:
@@ -274,13 +280,13 @@ def census5_extensions():
     The memos of the census spaces are emptied first."""
     for n in range(1, 5):
         for space in canonical_spaces(n):
-            space._extend_memo = None
+            space._memo = None
     calls = []
 
     def recording(f, *args, **kwargs):
-        before = len(f.domain._extend_memo or {})
+        before = _extensions(f.domain)
         res = tietze_extend(f, *args, **kwargs)
-        calls.append((f, args, kwargs, res, len(f.domain._extend_memo) > before))
+        calls.append((f, args, kwargs, res, _extensions(f.domain) > before))
         return res
 
     runs = 0
@@ -291,6 +297,11 @@ def census5_extensions():
     # every run of the sweep returned a result
     assert len(calls) == runs
     return calls
+
+
+def _extensions(space) -> int:
+    """The number of tietze_extend runs stored in the memo of space."""
+    return sum(1 for key in space._memo or () if key[0] is _extension_walk)
 
 
 def _one_point_boundary(space, value=Fraction(1)):
@@ -308,7 +319,7 @@ class TestExtendMemo:
         stored = Counter(s for *_, s in census5_extensions)
         assert stored[True] > 100 and stored[False] > stored[True]
         for f, args, kwargs, out, _ in census5_extensions:
-            f.domain._extend_memo = None
+            f.domain._memo = None
             assert _outcome(tietze_extend, f, *args, **kwargs) == out
             assert _outcome(tietze_extend_reference, f, *args, **kwargs) == out
 
@@ -318,7 +329,8 @@ class TestExtendMemo:
         first = tietze_extend(constant_map(one), 0b1, _one_point_boundary(one), 0)
         second = tietze_extend(constant_map(two), 0b1, _one_point_boundary(two), 0)
         assert first == second and first is not second
-        assert len(one._extend_memo) == len(two._extend_memo) == 1
+        assert _extensions(one) == _extensions(two) == 1
+        assert one._memo is not two._memo
 
     def test_same_domain_and_preimage_share_the_result(self):
         space = discrete(2)
@@ -328,7 +340,7 @@ class TestExtendMemo:
         # back to the same P
         other = FiberedMap(space, sierpinski(), (1, 1))
         assert tietze_extend(other, 0b1, phit, 1) is first
-        assert len(space._extend_memo) == 1
+        assert _extensions(space) == 1
 
     @pytest.mark.parametrize("part", ["P", "carrier", "values", "tolerance",
                                       "max_iter"])
@@ -354,7 +366,7 @@ class TestExtendMemo:
         second = tietze_extend(f, **two)
         assert first == tietze_extend_reference(f, **one)
         assert second == tietze_extend_reference(f, **two)
-        assert len(space._extend_memo) == 2
+        assert _extensions(space) == 2
         if part != "max_iter":
             assert first != second
 
@@ -378,7 +390,7 @@ class TestExtendMemo:
             assert _outcome(tietze_extend, f, carrier, phit, y, **kwargs) == first
             assert first == _outcome(tietze_extend_reference, f, carrier, phit,
                                      y, **kwargs)
-            assert not f.domain._extend_memo
+            assert not _extensions(f.domain)
 
     def test_checks_run_on_a_memo_hit(self, S):
         # {0} is closed over the open {0} but not over the whole codomain,
@@ -390,7 +402,7 @@ class TestExtendMemo:
             tietze_extend(f, 0b01, phit, 0)
         with pytest.raises(ValueError, match="exactly on the carrier"):
             tietze_extend(f, 0b11, phit, 0, within=0b01)
-        assert len(S._extend_memo) == 1
+        assert _extensions(S) == 1
 
 
 class TestConditionD:

@@ -19,8 +19,19 @@ from fibertop.errors import (
 )
 from fibertop.oscillation import RationalFunction, is_f_continuous_at, norm
 from fibertop.spaces import FiberedMap, bits
-from fibertop.urysohn_tietze import (
-    ExtensionResult, _sup_difference, exact_separator)
+from fibertop.urysohn_tietze import ExtensionResult, _sup_difference
+
+
+def exact_separator_reference(f: FiberedMap, p_side: int, q_side: int,
+                              y: int) -> RationalFunction | None:
+    """The {0, 1} function that is 1 exactly on the minimal-neighborhood
+    components of P = f^{-1}(U_y) meeting Q, or None when a component
+    meets both traces."""
+    comps = f.domain.nbhd_classes(f.preimage(f.codomain.min_nbhd(y)))
+    if any(c & p_side and c & q_side for c in comps):
+        return None
+    return RationalFunction.indicator(f.domain,
+                                      sum(c for c in comps if c & q_side))
 
 
 def tietze_extend_reference(f: FiberedMap, f_carrier: int,
@@ -74,7 +85,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
         q_side = space.rel_closure(pre, cur.preimage(lambda v: v >= thresh))
         if p_side & q_side:
             raise CheckFailed("level closures overlap despite the osc bound")
-        xi = exact_separator(f, p_side, q_side, y)
+        xi = exact_separator_reference(f, p_side, q_side, y)
         if xi is None:
             raise SearchFailed(n, "exact separator")
         psi = xi.affine(2 * thresh, -thresh)
