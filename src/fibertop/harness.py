@@ -56,12 +56,12 @@ def functional_co_sigma(f: FiberedMap) -> bool:
     """Right-hand side of the functional characterization of the
     co-sigma-perfect class, checked literally over every restriction and
     every relatively open set."""
-    space, cod = f.domain, f.codomain
-    for o_mask in cod.opens:
+    space = f.domain
+    for o_mask in f.codomain.opens:
         pre_o = f.preimage(o_mask)
         rel_opens = space.rel_opens(pre_o)
         for y in bits(o_mask):
-            w = f.preimage(cod.min_nbhd(y))
+            w = f._nbhd_pre[y]
             comps = space.nbhd_classes(w)
             for u in rel_opens:
                 target = u & w
@@ -177,8 +177,10 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
             continue
         pre_o = f.preimage(o_mask)
         rel_closed = space.rel_closed_sets(pre_o)
+        pieces_of = [[space.rel_closure(pre_o, 1 << x) for x in bits(t)]
+                     for t in rel_closed]
         for y in bits(o_mask):
-            w = f.preimage(cod.min_nbhd(y))
+            w = f._nbhd_pre[y]
             comps = space.nbhd_classes(w)
             for i, a in enumerate(rel_closed):
                 for b in rel_closed[i:]:
@@ -211,8 +213,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                         ext_runs.append(
                             _extension_run(f, a, b, y, o_mask, tolerance, a_dec,
                                            anomalies))
-            for t in rel_closed:
-                pieces = [space.rel_closure(pre_o, 1 << x) for x in bits(t)]
+            for t, pieces in zip(rel_closed, pieces_of):
                 for fm in rel_closed:
                     if t & fm:
                         continue
@@ -280,7 +281,7 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     chain_ok = all(3 * r1.numerator * r0.denominator
                    <= 2 * r0.numerator * r1.denominator
                    for r0, r1 in zip(res.residuals, res.residuals[1:]))
-    trace = phit.carrier & f.preimage(f.codomain.min_nbhd(y))
+    trace = phit.carrier & f._nbhd_pre[y]
     exact = res.residual_bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)
     sup = Fraction(0)

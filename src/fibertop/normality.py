@@ -80,12 +80,13 @@ def _components_indiscrete(space: FiniteSpace, region: int) -> bool:
     return True
 
 
-def _first_failing_y(f: FiberedMap, carrier: int, ok, **flags) -> int | None:
+def _first_failing_y(f: FiberedMap, carrier: int, ok, *flags) -> int | None:
     """The first codomain point y with ``not ok(domain, f^{-1}(U_y) &
-    carrier, **flags)``, or None."""
-    space, cod = f.domain, f.codomain
-    for y in range(cod.n):
-        if not ok(space, f.preimage(cod.min_nbhd(y)) & carrier, **flags):
+    carrier, *flags)``, or None.  The verdict depends only on the domain
+    and its key, so it is memoised per domain space."""
+    memoised = f.domain.memoised
+    for y, pre in enumerate(f._nbhd_pre):
+        if not memoised(ok, pre & carrier, *flags):
             return y
     return None
 
@@ -131,9 +132,8 @@ def are_f_separated(f: FiberedMap, a: int, b: int) -> SeparationReport:
     and the two hulls are the canonical disjoint opens when any exist.
     """
     certs = []
-    for y in range(f.codomain.n):
+    for y, pre in enumerate(f._nbhd_pre):
         nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd)
         at, bt = a & pre, b & pre
         u = f.domain.rel_hull(pre, at)
         v = f.domain.rel_hull(pre, bt)
@@ -155,8 +155,9 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
     Decided pointwise; on failure the literal pair scan finds the first
     failing pair and its first failing y.
     """
-    if _first_failing_y(f, f.domain.full, _separation_ok,
-                        sigma=False, relative=False) is None:
+    # plain, global closures
+    if _first_failing_y(f, f.domain.full, _separation_ok, False,
+                        False) is None:
         return PrenormalReport(True, None)
     closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
@@ -194,12 +195,12 @@ def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
     space = f.domain
     if carrier is None:
         carrier = space.full
-    y = _first_failing_y(f, carrier, _separation_ok, sigma=False,
-                         relative=True)
+    # plain, relative closures
+    y = _first_failing_y(f, carrier, _separation_ok, False, True)
     if y is None:
         return NormalReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
-    pre = f.preimage(nbhd) & carrier
+    pre = f._nbhd_pre[y] & carrier
     rel_closed = space.rel_closed_sets(pre)
     hulls = [space.rel_hull(pre, a) for a in rel_closed]
     for i, a in enumerate(rel_closed):
@@ -249,9 +250,8 @@ def sigma_separation_certificates(f: FiberedMap, t_mask: int, f_mask: int
     union of the V closures misses F inside each minimal preimage.
     """
     certs = []
-    for y in range(f.codomain.n):
+    for y, pre in enumerate(f._nbhd_pre):
         nbhd = f.codomain.min_nbhd(y)
-        pre = f.preimage(nbhd)
         hit = _sigma_separated_at(f.domain, pre, t_mask, f_mask)
         if hit is None:
             return None
@@ -269,17 +269,15 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     Decided pointwise; on failure the literal scan finds the first pair.
     """
     space = f.domain
-    if _first_failing_y(f, space.full, _separation_ok,
-                        sigma=True, relative=False) is None:
+    # sigma, global closures
+    if _first_failing_y(f, space.full, _separation_ok, True, False) is None:
         return SigmaReport(True, None)
     closed = space.rel_closed_sets(space.full)
     for t in closed:
         for fm in closed:
             if t & fm:
                 continue
-            for y in range(f.codomain.n):
-                nbhd = f.codomain.min_nbhd(y)
-                pre = f.preimage(nbhd)
+            for y, pre in enumerate(f._nbhd_pre):
                 if _sigma_separated_at(space, pre, t, fm) is None:
                     return SigmaReport(False, (t, fm, y))
     raise AssertionError("pointwise and literal sigma-prenormality disagree")
@@ -292,12 +290,12 @@ def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
     space = f.domain
     if carrier is None:
         carrier = space.full
-    y = _first_failing_y(f, carrier, _separation_ok, sigma=True,
-                         relative=True)
+    # sigma, relative closures
+    y = _first_failing_y(f, carrier, _separation_ok, True, True)
     if y is None:
         return SigmaReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
-    pre = f.preimage(nbhd) & carrier
+    pre = f._nbhd_pre[y] & carrier
     rel_closed = space.rel_closed_sets(pre)
     for t in rel_closed:
         for fm in rel_closed:
@@ -330,7 +328,7 @@ def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
     if union & ~u:
         raise ValueError("the pieces must lie inside their neighborhood U")
     nbhd = f.codomain.min_nbhd(y)
-    pre = f.preimage(nbhd)
+    pre = f._nbhd_pre[y]
     v_list = []
     for t in t_list:
         v = space.rel_hull(pre, t & pre)
@@ -420,7 +418,7 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
     each call.
     """
     nbhd = f.codomain.min_nbhd(y)
-    carrier = f.preimage(nbhd)
+    carrier = f._nbhd_pre[y]
     facts, failed = f.domain.memoised(_level_walk, carrier, f_side & carrier,
                                       t_side & carrier, depth)
     if failed is not None:
@@ -605,9 +603,8 @@ def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
 
 
 def _components(f: FiberedMap, carrier: int) -> list[tuple[int, ...]]:
-    space, cod = f.domain, f.codomain
-    return [space.nbhd_classes(f.preimage(cod.min_nbhd(y)) & carrier)
-            for y in range(cod.n)]
+    space = f.domain
+    return [space.nbhd_classes(pre & carrier) for pre in f._nbhd_pre]
 
 
 def is_perfectly_normal(f: FiberedMap, carrier: int | None = None
@@ -687,9 +684,8 @@ def is_f_functionally_open(f: FiberedMap, u: int) -> FunctionalReport:
     """Is U locally cut out as phi^{-1}((0,1]) by f-continuous functions?"""
     space = f.domain
     witnesses = []
-    for y in range(f.codomain.n):
+    for y, region in enumerate(f._nbhd_pre):
         nbhd = f.codomain.min_nbhd(y)
-        region = f.preimage(nbhd)
         for comp in space.nbhd_classes(region):
             if comp & u and comp & ~u:
                 return FunctionalReport(False, tuple(witnesses), (y, comp))
@@ -732,10 +728,9 @@ def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
     also gives the witnesses; this returns its ``failure_y``, as
     ``test_f_sigma_failure_matches_submapping_report`` (in
     tests/test_pointwise_deciders.py) checks on every carrier of census 4."""
-    space, cod = f.domain, f.codomain
-    for y in range(cod.n):
-        pre = f.preimage(cod.min_nbhd(y))
-        if space.closure(carrier & pre) & pre & ~carrier:
+    closure = f.domain.closure
+    for y, pre in enumerate(f._nbhd_pre):
+        if closure(carrier & pre) & pre & ~carrier:
             return y
     return None
 
@@ -783,8 +778,8 @@ def _first_failing_carrier(f: FiberedMap, decide) -> HereditaryReport:
 def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
     """Normality of the submapping on every carrier (pointwise)."""
     return _first_failing_carrier(
-        f, lambda c: _first_failing_y(f, c, _separation_ok, sigma=False,
-                                      relative=True) is None)
+        f, lambda c: _first_failing_y(f, c, _separation_ok, False,
+                                      True) is None)
 
 
 def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
@@ -798,5 +793,5 @@ def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     F_sigma submapping (pointwise)."""
     return _first_failing_carrier(
         f, lambda c: (_f_sigma_failure(f, c) is not None
-                      or _first_failing_y(f, c, _separation_ok, sigma=True,
-                                          relative=True) is None))
+                      or _first_failing_y(f, c, _separation_ok, True,
+                                          True) is None))

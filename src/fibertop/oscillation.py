@@ -222,7 +222,7 @@ def is_f_continuous_at(f: FiberedMap, phi: RationalFunction, y: int) -> FContinu
     oscillation is monotone in the set.
     """
     nbhd = f.codomain.min_nbhd(y)
-    region = f.preimage(nbhd) & phi.carrier
+    region = f._nbhd_pre[y] & phi.carrier
     o = osc_on_set(phi, region)
     return FContinuityResult(o == 0, nbhd, o)
 
@@ -239,9 +239,10 @@ def is_f_equicontinuous_at(f: FiberedMap, family: Sequence[RationalFunction],
                            y: int) -> tuple[bool, EquicontinuityCertificate]:
     """One shared neighborhood with zero oscillation for every member."""
     nbhd = f.codomain.min_nbhd(y)
+    pre = f._nbhd_pre[y]
     oscs = []
     for phi in family:
-        region = f.preimage(nbhd) & phi.carrier
+        region = pre & phi.carrier
         oscs.append(osc_on_set(phi, region))
     bound = max(oscs, default=ZERO)
     cert = EquicontinuityCertificate(y, nbhd, bound, tuple(oscs))

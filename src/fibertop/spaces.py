@@ -348,9 +348,13 @@ def minimal_open_neighborhood(space: FiniteSpace, x: int) -> int:
 
 
 class FiberedMap:
-    """A continuous map between finite spaces, table[x] = image of x."""
+    """A continuous map between finite spaces, table[x] = image of x.
 
-    __slots__ = ("domain", "codomain", "table", "_fiber")
+    ``_nbhd_pre[y]`` is f^{-1}(U_y), the preimage of the minimal
+    neighborhood of y, on which every pointwise decider works.
+    """
+
+    __slots__ = ("domain", "codomain", "table", "_fiber", "_nbhd_pre")
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, table,
                  *, _trusted: bool = False):
@@ -366,6 +370,13 @@ class FiberedMap:
         for x, v in enumerate(self.table):
             fiber[v] |= 1 << x
         self._fiber = tuple(fiber)
+        # z lies in U_y iff y lies in cl{z}
+        nbhd_pre = [0] * codomain.n
+        for z, pre in enumerate(fiber):
+            if pre:
+                for y in bits(codomain._cl_point[z]):
+                    nbhd_pre[y] |= pre
+        self._nbhd_pre = tuple(nbhd_pre)
         if not _trusted:
             for o in codomain.opens:
                 pre = self.preimage(o)

@@ -154,7 +154,7 @@ def parse_instance(text: str) -> InstanceFile:
                 except ValueError:
                     raise InstanceSyntaxError(i + 1, "expected integers") from None
                 if not 0 <= src < dom.n:
-                    raise InstanceSyntaxError(i + 1, f"point {src} outside domain")
+                    raise _outside(src, i + 1, dom.n, f"space {xname}")
                 if not 0 <= dst < cod.n:
                     raise _outside(dst, i + 1, cod.n, f"space {yname}")
                 if table[src] is not None:

@@ -134,7 +134,7 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
     increasing the norm.
     """
     space = f.domain
-    region = f.preimage(f.codomain.min_nbhd(y))
+    region = f._nbhd_pre[y]
     values = [Fraction(0)] * space.n
     for comp in space.nbhd_classes(region):
         pinned = comp & phit.carrier
@@ -212,7 +212,7 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     if not res.holds:
         raise PreconditionNotFContinuous(
             f"osc {res.osc} over the carrier trace of the minimal neighborhood")
-    return space.memoised(_extension_walk, f.preimage(cod.min_nbhd(y)),
+    return space.memoised(_extension_walk, f._nbhd_pre[y],
                           phit.values, Fraction(tolerance), max_iter)
 
 

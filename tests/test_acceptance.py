@@ -1,12 +1,14 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The heavy census sweep
-runs once per session and is shared by criteria 3 through 7; criterion 9
+runs once per session and is shared by criteria 3 through 7, by the pin of
+its digest and by the count of the memo entries it stores; criterion 9
 reruns everything and compares the canonical JSON byte for byte.
 """
 
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from fibertop.errors import PartitionError
 from fibertop.harness import (
     classify,
     constant_map_degeneration,
+    digest,
     hierarchy_violations,
     report_json,
     summarize,
@@ -29,6 +32,8 @@ SEED = 0
 CENSUS_TOTAL = 6
 DEPTH = 6
 EXTENDER_BUDGET = 2
+# the sweep6 gate of the benchmark, which runs the same sweep
+SWEEP_DIGEST = "7ee68c3bf469138ada8007158c6f27ebff2a44d4a532a0f7bd72c3aecb1d1785"
 
 
 def run_osc_oracle(seed: int) -> dict:
@@ -81,6 +86,25 @@ def run_sweep() -> dict:
                                "tolerance": "1/1024"})
 
 
+def _census_domains():
+    return [space for n in range(1, CENSUS_TOTAL)
+            for space in canonical_spaces(n)]
+
+
+def run_sweep_from_empty_memos() -> dict:
+    """run_sweep with the memos of its domain spaces emptied first, as in a
+    fresh process."""
+    for space in _census_domains():
+        space._memo = None
+    return run_sweep()
+
+
+def memo_entries() -> Counter:
+    """The entries per walk in the memos of the sweep's domain spaces."""
+    return Counter(key[0].__name__ for space in _census_domains()
+                   for key in space._memo or ())
+
+
 def run_sampled_hierarchy(seed: int) -> dict:
     bad = []
     for inst in sampled_instances(5, 200, seed=seed):
@@ -106,12 +130,14 @@ def reports():
     timer = {}
     for name, fn in [("osc", lambda: run_osc_oracle(SEED)),
                      ("covering", run_covering_lemma),
-                     ("sweep", run_sweep),
+                     ("sweep", run_sweep_from_empty_memos),
                      ("sampled", lambda: run_sampled_hierarchy(SEED)),
                      ("constant", lambda: constant_map_degeneration(5, 4))]:
         t0 = time.monotonic()
         out[name] = fn()
         timer[name] = time.monotonic() - t0
+        if name == "sweep":
+            out["memo_entries"] = memo_entries()
     out["elapsed"] = timer
     return out
 
@@ -201,3 +227,15 @@ def test_criterion_9_determinism(reports):
                for name in ("osc", "covering", "sweep", "sampled", "constant"))
     _verdict(9, same, "reruns of criteria 1-8 byte-identical: "
                       f"{same}")
+
+
+def test_sweep_digest_is_the_benchmark_gate(reports):
+    assert digest(reports["sweep"]) == SWEEP_DIGEST
+
+
+def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
+    # level walks (72 of them failed), successful extension runs, and the
+    # pointwise verdicts of the deciders, over the 185 domain spaces
+    assert reports["memo_entries"] == {
+        "_level_walk": 2835, "_extension_walk": 801,
+        "_separation_ok": 5934, "_components_indiscrete": 1727}

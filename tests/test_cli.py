@@ -328,6 +328,8 @@ class TestInstanceErrors:
         ("\npoints 3\n", "\npoints 3 7\n", "line 10: expected: points <n>"),
         ("\n2 -> 1\n", "\n2 -> 5\n",
          "line 27: point 5 outside space S (points 0..1)"),
+        ("\n2 -> 1\n", "\n7 -> 1\n",
+         "line 27: point 7 outside space C3 (points 0..2)"),
     ])
     def test_header_and_image_errors_name_their_line(self, tmp_path, capsys,
                                                      old, new, message):

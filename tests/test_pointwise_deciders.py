@@ -10,7 +10,14 @@ from conftest import fibered_maps
 from fibertop import normality
 from fibertop.census import census_instances
 from fibertop.normality import perfect_witnesses
-from fibertop.spaces import Submapping, bits, is_f_sigma_submapping
+from fibertop.spaces import (
+    FiberedMap,
+    Submapping,
+    bits,
+    chain,
+    is_f_sigma_submapping,
+    sierpinski,
+)
 
 DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
             "is_sigma_normal", "is_perfectly_normal",
@@ -60,6 +67,39 @@ def test_f_sigma_failure_matches_submapping_report():
             rep = is_f_sigma_submapping(Submapping(f, carrier))
             assert normality._f_sigma_failure(f, carrier) == rep.failure_y, \
                 (inst.uid, carrier)
+
+
+class TestVerdictMemo:
+    """Each pointwise verdict is stored once per domain space, under
+    (verdict, P, flags), by ``FiniteSpace.memoised``."""
+
+    def test_reports_equal_fresh_runs_and_literal_scans_on_census5(self):
+        for inst in census_instances(5):
+            f, space = inst.f, inst.f.domain
+            for name in DECIDERS + HEREDITARY:
+                warm = getattr(normality, name)(f)
+                kept, space._memo = space._memo, None
+                fresh = getattr(normality, name)(f)
+                space._memo = kept
+                assert warm == fresh == getattr(ref, name)(f), (name, inst.uid)
+
+    def test_sigma_and_relative_verdicts_have_their_own_entries(self):
+        # fresh spaces, so the memo holds only what these calls store
+        f = FiberedMap(chain(3), sierpinski(), [0, 0, 1])
+        space = f.domain
+        assert normality.is_prenormal(f).holds
+        assert normality.is_normal(f).holds
+        assert normality.is_sigma_prenormal(f).holds
+        assert normality.is_sigma_normal(f).holds
+        ok = normality._separation_ok
+        expected = {(ok, pre, sigma, relative): ok(space, pre, sigma, relative)
+                    for pre in f._nbhd_pre
+                    for sigma in (False, True) for relative in (False, True)}
+        assert len(expected) == 8 and space._memo == expected
+        assert not normality.is_perfectly_normal(f).holds
+        comps = {k: v for k, v in space._memo.items()
+                 if k[0] is normality._components_indiscrete}
+        assert comps == {(normality._components_indiscrete, 0b011): False}
 
 
 def _sandwich_meets(space, pre: int, t: int, fm: int) -> bool:

@@ -1,10 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibertop.census import canonical_spaces
+from fibertop.census import canonical_spaces, census_instances
 from fibertop.errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
@@ -30,6 +31,7 @@ from fibertop.spaces import (
     sierpinski,
     validate_topology,
 )
+from fibertop.textfmt import parse_instance
 
 from conftest import spaces
 
@@ -270,6 +272,36 @@ class TestFiberedMap:
         else:
             with pytest.raises(NotContinuous):
                 FiberedMap(dom, cod, table)
+
+
+def _nbhd_table_exact(f: FiberedMap) -> bool:
+    cod = f.codomain
+    return f._nbhd_pre == tuple(f.preimage(cod.min_nbhd(y))
+                                for y in range(cod.n))
+
+
+class TestNbhdPreimages:
+    """``_nbhd_pre[y]`` is f^{-1}(U_y), however the map was built."""
+
+    def test_census_5_maps_and_their_restrictions(self):
+        for inst in census_instances(5):
+            f = inst.f
+            untrusted = FiberedMap(f.domain, f.codomain, f.table)
+            assert _nbhd_table_exact(f) and _nbhd_table_exact(untrusted)
+            for o in f.codomain.opens:
+                assert _nbhd_table_exact(restrict_map(f, o)[0])
+            for carrier in range(f.domain.full + 1):
+                assert _nbhd_table_exact(Submapping(f, carrier).induced()[0])
+
+    def test_demo_file_maps(self):
+        demo = Path(__file__).resolve().parents[1] / "scripts" / "demo.top"
+        maps = parse_instance(demo.read_text()).maps
+        assert maps
+        for f in maps.values():
+            assert _nbhd_table_exact(f)
+            # the fibre alone misses the points mapped into U_y - {y}
+            assert any(f._nbhd_pre[y] != f.fiber(y)
+                       for y in range(f.codomain.n))
 
 
 class TestRestrictMap:

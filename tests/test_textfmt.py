@@ -141,6 +141,15 @@ class TestParse:
         assert err.value.line == 26
         assert f"point {image} outside space P (points 0..0)" in str(err.value)
 
+    @pytest.mark.parametrize("source", ["-1", "2", "7"])
+    def test_map_source_outside_domain(self, source):
+        bad = SIERPINSKI_ID + f"space P\npoints 1\nopens\n-\n0\n" \
+            f"map g S -> P\n0 -> 0\n{source} -> 0\n"
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(bad)
+        assert err.value.line == 26
+        assert f"point {source} outside space S (points 0..1)" in str(err.value)
+
     def test_unknown_space_reference(self):
         with pytest.raises(InstanceValidationError):
             parse_instance("set A in nowhere\n0\n")
