@@ -8,6 +8,7 @@ counterexample is emitted), 2 usage or validation error, 3 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -292,7 +293,11 @@ def _shared_flags(suppress: bool) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Reuse is
+    safe: every parse_args call makes a fresh Namespace, and argparse looks
+    up sys.stdout/sys.stderr only when it prints."""
     parser = argparse.ArgumentParser(
         prog="fibertop",
         description="normality deciders and constructions for maps of finite spaces",
@@ -332,11 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise FibertopError(f"--tol {text} has a zero denominator") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        kwargs = {"depth": args.depth, "tolerance": Fraction(args.tol),
+        kwargs = {"depth": args.depth, "tolerance": _tolerance(args.tol),
                   "seed": args.seed}
         if args.max_points is not None:
             kwargs["max_points"] = args.max_points

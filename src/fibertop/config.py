@@ -14,7 +14,16 @@ ENV_MAX_POINTS = "FIBERTOP_MAX_POINTS"
 
 def _env_cap() -> int:
     raw = os.environ.get(ENV_MAX_POINTS)
-    return int(raw) if raw else DEFAULT_MAX_POINTS
+    if not raw:
+        return DEFAULT_MAX_POINTS
+    try:
+        cap = int(raw)
+        if cap < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_POINTS} must be a positive integer, "
+                         f"got {raw!r}") from None
+    return cap
 
 
 @dataclass
@@ -32,3 +41,6 @@ class RunConfig:
             self.tolerance = Fraction(self.tolerance)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_points < 1:
+            raise ValueError(f"the point cap (--max-points) must be a positive "
+                             f"integer, got {self.max_points}")

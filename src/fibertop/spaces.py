@@ -61,12 +61,27 @@ def _union_tables(images) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
+def _nbhd_classes(space: "FiniteSpace", region: int) -> tuple[int, ...]:
+    # z in min_nbhd(x) iff x in cl{z}, so the symmetrized links of x
+    # are (min_nbhd(x) | cl{x}) & region
+    comps = []
+    left = region
+    while left:
+        comp, frontier = 0, left & -left
+        while frontier:
+            comp |= frontier
+            reach = space.hull(frontier) | space.closure(frontier)
+            frontier = reach & region & ~comp
+        comps.append(comp)
+        left &= ~comp
+    return tuple(sorted(comps))
+
+
 class FiniteSpace:
     """A validated topology on points 0..n-1, opens stored as sorted bitmasks."""
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
-                 "_closure_tables", "_hull_tables", "_canon", "_class_cache",
-                 "_memo")
+                 "_closure_tables", "_hull_tables", "_canon", "_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -96,7 +111,6 @@ class FiniteSpace:
         self._closure_tables = self._hull_tables = None  # built on first use
         self._memo = None  # see memoised, on first use
         self._canon = None
-        self._class_cache = {}
 
     def _validate(self, family, cand) -> None:
         """Raise unless family is a topology; cand[x] is the intersection
@@ -224,24 +238,7 @@ class FiniteSpace:
         (relative to the region subspace) iff it is constant on each
         component; this is the engine behind every f-continuity collapse.
         """
-        cached = self._class_cache.get(region)
-        if cached is not None:
-            return cached
-        # z in min_nbhd(x) iff x in cl{z}, so the symmetrized links of x
-        # are (min_nbhd(x) | cl{x}) & region
-        comps = []
-        left = region
-        while left:
-            comp, frontier = 0, left & -left
-            while frontier:
-                comp |= frontier
-                reach = self.hull(frontier) | self.closure(frontier)
-                frontier = reach & region & ~comp
-            comps.append(comp)
-            left &= ~comp
-        out = tuple(sorted(comps))
-        self._class_cache[region] = out
-        return out
+        return self.memoised(_nbhd_classes, region)
 
     # -------------------------------------------------------- constructions
 

@@ -64,6 +64,12 @@ def _parse_set_line(body: str, lineno: int, n: int, where: str) -> int:
     return mask
 
 
+def _opens_block(line: str) -> bool:
+    """Whether a stripped line that is neither blank nor a comment starts
+    the next block."""
+    return line.split(None, 1)[0] in KEYWORDS
+
+
 def _outside(p: int, lineno: int, n: int, where: str) -> InstanceSyntaxError:
     return InstanceSyntaxError(
         lineno, f"point {p} outside {where} (points 0..{n - 1})")
@@ -72,24 +78,18 @@ def _outside(p: int, lineno: int, n: int, where: str) -> InstanceSyntaxError:
 def parse_instance(text: str) -> InstanceFile:
     """Parse and validate the whole file; every object is checked on sight."""
     out = InstanceFile()
-    lines = text.splitlines()
+    # stripped once; line i + 1 of the file is lines[i]
+    lines = [ln.strip() for ln in text.splitlines()]
     i = 0
     n = len(lines)
 
-    def peek_keyword(idx: int) -> bool:
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("#"):
-            return False
-        return stripped.split()[0] in KEYWORDS
-
     def skip_blank(idx: int) -> int:
-        while idx < n and (not lines[idx].strip()
-                           or lines[idx].strip().startswith("#")):
+        while idx < n and (not lines[idx] or lines[idx].startswith("#")):
             idx += 1
         return idx
 
     while i < n:
-        line = lines[i].strip()
+        line = lines[i]
         lineno = i + 1
         if not line or line.startswith("#"):
             i += 1
@@ -111,16 +111,16 @@ def parse_instance(text: str) -> InstanceFile:
             if count < 0:
                 raise InstanceSyntaxError(i + 1, f"negative point count {count}")
             i = skip_blank(i + 1)
-            if i >= n or lines[i].strip() != "opens":
+            if i >= n or lines[i] != "opens":
                 raise InstanceSyntaxError(i + 1, "expected: opens")
             i += 1
             opens = []
             while i < n:
-                stripped = lines[i].strip()
+                stripped = lines[i]
                 if not stripped or stripped.startswith("#"):
                     i += 1
                     continue
-                if peek_keyword(i):
+                if _opens_block(stripped):
                     break
                 opens.append(_parse_set_line(stripped, i + 1, count,
                                              f"space {name}"))
@@ -140,11 +140,11 @@ def parse_instance(text: str) -> InstanceFile:
             table = [None] * dom.n
             i += 1
             while i < n:
-                stripped = lines[i].strip()
+                stripped = lines[i]
                 if not stripped or stripped.startswith("#"):
                     i += 1
                     continue
-                if peek_keyword(i):
+                if _opens_block(stripped):
                     break
                 parts = stripped.split()
                 if len(parts) != 3 or parts[1] != "->":
@@ -182,11 +182,11 @@ def parse_instance(text: str) -> InstanceFile:
             mask = 0
             i += 1
             while i < n:
-                stripped = lines[i].strip()
+                stripped = lines[i]
                 if not stripped or stripped.startswith("#"):
                     i += 1
                     continue
-                if peek_keyword(i):
+                if _opens_block(stripped):
                     break
                 mask |= _parse_set_line(stripped, i + 1, space.n, f"space {sname}")
                 i += 1
@@ -201,11 +201,11 @@ def parse_instance(text: str) -> InstanceFile:
             values: dict[int, Fraction] = {}
             i += 1
             while i < n:
-                stripped = lines[i].strip()
+                stripped = lines[i]
                 if not stripped or stripped.startswith("#"):
                     i += 1
                     continue
-                if peek_keyword(i):
+                if _opens_block(stripped):
                     break
                 parts = stripped.split(":")
                 if len(parts) != 2:
@@ -242,7 +242,7 @@ def parse_instance(text: str) -> InstanceFile:
             levels = []
             i += 1
             while i < n:
-                stripped = lines[i].strip()
+                stripped = lines[i]
                 if not stripped or stripped.startswith("#"):
                     i += 1
                     continue
@@ -251,11 +251,10 @@ def parse_instance(text: str) -> InstanceFile:
                 nbhd = _parse_set_line(stripped[2:], i + 1, fmap.codomain.n,
                                        f"space {cod}")
                 i += 1
-                while i < n and (not lines[i].strip() or lines[i].strip().startswith("#")):
-                    i += 1
-                if i >= n or not lines[i].strip().startswith("blocks:"):
+                i = skip_blank(i)
+                if i >= n or not lines[i].startswith("blocks:"):
                     raise InstanceSyntaxError(i + 1, "expected: blocks:")
-                body = lines[i].strip()[len("blocks:"):]
+                body = lines[i][len("blocks:"):]
                 blocks = tuple(_parse_set_line(part, i + 1, fmap.domain.n,
                                                f"space {dom}")
                                for part in body.split("|"))

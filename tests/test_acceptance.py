@@ -234,8 +234,10 @@ def test_sweep_digest_is_the_benchmark_gate(reports):
 
 
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
-    # level walks (72 of them failed), successful extension runs, and the
-    # pointwise verdicts of the deciders, over the 185 domain spaces
+    # level walks (72 of them failed), successful extension runs, the
+    # pointwise verdicts of the deciders and the neighbourhood classes of
+    # each region, over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
-        "_separation_ok": 5934, "_components_indiscrete": 1727}
+        "_separation_ok": 5934, "_components_indiscrete": 1727,
+        "_nbhd_classes": 402}

@@ -181,6 +181,32 @@ class TestCheck:
         path.write_text(BIG)
         assert main(["check", "normal", str(path)]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-4", "0", "1.5"])
+    def test_env_cap_must_be_a_positive_integer(self, d2_file, capsys,
+                                                monkeypatch, value):
+        monkeypatch.setenv("FIBERTOP_MAX_POINTS", value)
+        assert main(["check", "normal", d2_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: FIBERTOP_MAX_POINTS must be a positive "
+                                f"integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("argv", [["--max-points", "-4", "check"],
+                                      ["check", "--max-points=0"]])
+    def test_flag_cap_must_be_a_positive_integer(self, d2_file, capsys, argv):
+        assert main([*argv, "normal", d2_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-points" in captured.err and "positive integer" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--tol", "1/0", "check"],
+                                      ["check", "--tol=1/0"]])
+    def test_zero_denominator_tolerance_is_a_usage_error(self, capsys, argv):
+        assert main([*argv, "normal", DEMO]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol 1/0 has a zero denominator\n"
+
     def test_every_class_runs(self, d2_file):
         for prop in ["prenormal", "normal", "sigma-normal", "perfectly-normal",
                      "co-perfect", "co-sigma-perfect", "hereditarily-normal"]:
@@ -423,6 +449,50 @@ def test_mutated_demo_never_crashes(tmp_path, text):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+class TestParserReuse:
+    """main() parses every call with the one parser built on the first."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_does_not_stick(self, d2_file, capsys):
+        assert main(["--json", "check", "normal", d2_file]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+        assert main(["check", "normal", d2_file]) == 0
+        assert capsys.readouterr().out == "normal: holds\n"
+
+    def test_depth_does_not_stick(self, const_d2_file, capsys):
+        def levels(argv):
+            assert main([*argv, "--json", "build", "partitions", const_d2_file,
+                         "--F", "F", "--T", "T", "--y", "0"]) == 0
+            return json.loads(capsys.readouterr().out)["family"].count("O:")
+
+        assert levels(["--depth", "3"]) == 4
+        assert levels([]) == 7
+
+    def test_usage_error_then_valid_call(self, d2_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "no-such-class", d2_file])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["check", "normal", d2_file]) == 0
+        assert capsys.readouterr().out == "normal: holds\n"
+
+    @pytest.mark.parametrize("command", [[], ["check"], ["build"], ["census"],
+                                         ["harness"]])
+    def test_help_matches_a_fresh_parser(self, d2_file, capsys, command):
+        assert main(["check", "normal", d2_file]) == 0
+        capsys.readouterr()
+        helps = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(" ".join(["usage: fibertop", *command]))
 
 
 class TestInternalError:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,55 @@ class TestParse:
     def test_unknown_space_reference(self):
         with pytest.raises(InstanceValidationError):
             parse_instance("set A in nowhere\n0\n")
+
+
+# demo.top with a family whose O: and blocks: lines are split by a blank line
+DEMO_WITH_FAMILY = (Path(__file__).resolve().parents[1] / "scripts"
+                    / "demo.top").read_text() + """
+family fam map f y 0
+O: 0 1
+blocks: 0 1 2
+O: 0
+
+blocks: 0 1 | -
+"""
+
+
+def _untidy(text: str, indent: str, trail: str) -> str:
+    """text with every line indented and trailed by whitespace, and every
+    blank line an indented comment, so that each line keeps its number."""
+    return "\n".join(f"{indent}{line}{trail}" if line.strip()
+                     else f"{indent}# blank{trail}"
+                     for line in text.splitlines()) + "\n"
+
+
+class TestWhitespace:
+    @pytest.mark.parametrize("indent, trail", [("\t", " "), ("    ", "\t  "),
+                                               (" \t", "")])
+    def test_untidy_demo_parses_like_the_clean_file(self, indent, trail):
+        clean = parse_instance(DEMO_WITH_FAMILY)
+        assert clean.families and clean.funcs
+        assert parse_instance(_untidy(DEMO_WITH_FAMILY, indent, trail)) == clean
+
+    @pytest.mark.parametrize("old, new", [
+        ("\n0 1 2\n", "\n0 1 99\n"),
+        ("\n2 -> 1\n", "\n2 -> 5\n"),
+        ("\n0 -> 0\n", "\n0 -> 1\n"),
+        ("\n2: 3/4\n", "\n2: 3/0\n"),
+        ("\nblocks: 0 1 | -\n", "\nblocks: 2 | 0 1\n"),
+        ("\nblocks: 0 1 | -\n", "\n"),
+    ])
+    @pytest.mark.parametrize("indent, trail", [("\t", " "), ("    ", "\t  ")])
+    def test_untidy_demo_errors_name_the_same_line(self, old, new, indent,
+                                                    trail):
+        bad = DEMO_WITH_FAMILY.replace(old, new, 1)
+        assert bad != DEMO_WITH_FAMILY
+        with pytest.raises((InstanceSyntaxError, InstanceValidationError)) as clean:
+            parse_instance(bad)
+        with pytest.raises(type(clean.value)) as untidy:
+            parse_instance(_untidy(bad, indent, trail))
+        assert str(untidy.value) == str(clean.value)
+        assert "line " in str(clean.value)
 
 
 class TestRoundTrip:
