@@ -67,18 +67,12 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def space_from_min_nbhds(nbhds) -> FiniteSpace:
-    """The topology generated by a minimal-neighborhood assignment."""
-    n = len(nbhds)
-    opens = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for u in nbhds:
-            nxt = cur | u
-            if nxt not in opens:
-                opens.add(nxt)
-                frontier.append(nxt)
-    return FiniteSpace(n, sorted(opens), _trusted=True)
+    """The topology generated by a minimal-neighborhood assignment: the
+    unions of every subset of the neighborhoods, 2^n of them with repeats."""
+    opens = [0]
+    for u in nbhds:
+        opens += [o | u for o in opens]
+    return FiniteSpace(len(nbhds), opens, _trusted=True)
 
 
 def all_spaces(n: int):
@@ -140,10 +134,13 @@ class Instance:
     f: FiberedMap
 
 
-def census_instances(max_total: int):
-    """Every continuous map between canonical spaces with |X|+|Y| bounded."""
-    for nx in range(1, max_total):
-        for ny in range(1, max_total - nx + 1):
+def census_instances(max_total: int, max_side: int | None = None):
+    """Every continuous map between canonical spaces with |X|+|Y| bounded,
+    and with at most max_side points on either side when it is given.  The
+    bound only drops instances: the others keep their uids and order."""
+    side = max_total if max_side is None else max_side
+    for nx in range(1, min(max_total - 1, side) + 1):
+        for ny in range(1, min(max_total - nx, side) + 1):
             xs = canonical_spaces(nx)
             ys = canonical_spaces(ny)
             for xi, x_space in enumerate(xs):

@@ -228,8 +228,7 @@ def cmd_census(args, config: RunConfig) -> int:
         total = args.total if args.total else 2 * args.n
         if total > config.max_points:
             raise CapExceeded(total, config.max_points)
-        instances = [inst for inst in census_instances(total)
-                     if inst.f.domain.n <= args.n and inst.f.codomain.n <= args.n]
+        instances = list(census_instances(total, args.n))
     violations = []
     lines = []
     for inst in instances:
@@ -339,9 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tolerance(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        tol = Fraction(text)
     except ZeroDivisionError:
         raise FibertopError(f"--tol {text} has a zero denominator") from None
+    except ValueError:
+        raise FibertopError(f"--tol {text} is not a rational number p/q") from None
+    if tol <= 0:
+        raise FibertopError(f"--tol {text} must be positive")
+    return tol
 
 
 def main(argv=None) -> int:

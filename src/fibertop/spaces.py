@@ -85,18 +85,26 @@ class FiniteSpace:
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
-        self.full = (1 << n) - 1
+        self.full = full = (1 << n) - 1
         family = sorted(set(int(o) for o in opens))
+        if family and (family[0] < 0 or family[-1] > full):
+            for o in family:
+                if o & ~full:
+                    raise ValueError(f"open {points_text(o)} uses points "
+                                     f"outside 0..{n - 1}")
+        # on a topology the minimal neighborhood of x lies inside every
+        # open around x, so it is the numerically least of them: one pass
+        # over the sorted family, until every point is covered
+        min_nbhd = [0] * n
+        covered = 0
         for o in family:
-            if o & ~self.full:
-                raise ValueError(f"open {points_text(o)} uses points outside "
-                                 f"0..{n - 1}")
-        # the intersection of the opens around x; on a valid family, the
-        # minimal neighborhood of x
-        min_nbhd = [self.full] * n
-        for o in family:
-            for x in bits(o):
-                min_nbhd[x] &= o
+            new = o & ~covered
+            if new:
+                for x in bits(new):
+                    min_nbhd[x] = o
+                covered |= new
+                if covered == full:
+                    break
         if not _trusted:
             self._validate(family, min_nbhd)
         self.opens = tuple(family)
@@ -112,10 +120,23 @@ class FiniteSpace:
         self._memo = None  # see memoised, on first use
         self._canon = None
 
-    def _validate(self, family, cand) -> None:
-        """Raise unless family is a topology; cand[x] is the intersection
-        of the opens containing x.  A family containing every cand[x] and
-        all their unions is closed under pairwise union and intersection."""
+    def _validate(self, family, least) -> None:
+        """Raise unless family is a topology; least[x] is the numerically
+        least open containing x.
+
+        A family is a topology iff it is exactly the unions of the least[x]
+        and these nest: y in least[x] puts least[y] inside least[x].  Then
+        every open holds the least[y] of each of its points y, so least[y]
+        is the intersection of the opens around y, and the intersection of
+        two opens is the union of the least[y] of its points.
+
+        The first error is the one an intersection-first check gives: on
+        any failure the witness search over the intersections of the opens
+        around each point runs first.  It raises whenever some open misses
+        the least[y] of one of its points, since the intersection around y
+        is then a proper subset of least[y] and so not open; otherwise the
+        intersections are the least[x] and the union error stands.
+        """
         fam_set = set(family)
         if 0 not in fam_set:
             raise MissingEmptyOrFull("family must contain the empty set")
@@ -125,6 +146,38 @@ class FiniteSpace:
         if covered != self.full:
             raise MissingEmptyOrFull(
                 f"no open covers point {(self.full & ~covered).bit_length() - 1}")
+        for u in least:
+            for y in bits(u):
+                if least[y] & ~u:
+                    self._intersection_witness(family, fam_set)
+                    raise AssertionError("intersection witness not found")
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            cur = frontier.pop()
+            for x in range(self.n):
+                u = cur | least[x]
+                if u not in seen:
+                    if u not in fam_set:
+                        self._intersection_witness(family, fam_set)
+                        raise NotClosedUnderUnion(cur, least[x])
+                    seen.add(u)
+                    frontier.append(u)
+        if len(seen) != len(fam_set):
+            # some open is not a union of least opens, so it misses the
+            # least open of one of its points
+            self._intersection_witness(family, fam_set)
+            raise AssertionError("open set family inconsistent")
+
+    def _intersection_witness(self, family, fam_set) -> None:
+        """Raise NotClosedUnderIntersection for the first point x whose
+        opens do not intersect to an open, at the first open that breaks
+        the running intersection; return if every such intersection is
+        open."""
+        cand = [self.full] * self.n
+        for o in family:
+            for x in bits(o):
+                cand[x] &= o
         for x in range(self.n):
             if cand[x] not in fam_set:
                 acc = None
@@ -135,21 +188,6 @@ class FiniteSpace:
                             raise NotClosedUnderIntersection(acc, o)
                         acc = nxt
                 raise AssertionError("intersection witness not found")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            cur = frontier.pop()
-            for x in range(self.n):
-                u = cur | cand[x]
-                if u not in seen:
-                    if u not in fam_set:
-                        raise NotClosedUnderUnion(cur, cand[x])
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != len(fam_set):
-            # some open is not a union of minimal neighborhoods: impossible,
-            # since every open contains the candidates of its points
-            raise AssertionError("open set family inconsistent")
 
     def memoised(self, walk, *key):
         """``walk(self, *key)``, computed once per space object and stored
@@ -259,6 +297,27 @@ class FiniteSpace:
             out.append(mask_of(perm[p] for p in bits(o)))
         return FiniteSpace(self.n, out, _trusted=True)
 
+    def twins(self) -> tuple[int, ...]:
+        """Per point v, the mask of its twins: the points w (v included)
+        for which swapping v and w is a homeomorphism.
+
+        The swap preserves the minimal neighborhoods iff U_v and U_w agree
+        off {v, w}, cl{v} and cl{w} agree off {v, w} (so every other U_x
+        holds both or neither), and w in U_v iff v in U_w.  Being twins is
+        an equivalence: (v u) = (v w)(w u)(v w).
+        """
+        nbhd, cl = self._min_nbhd, self._cl_point
+        out = [1 << v for v in range(self.n)]
+        for v in range(self.n):
+            for w in range(v):
+                pair = 1 << v | 1 << w
+                if (not (nbhd[v] ^ nbhd[w]) & ~pair
+                        and not (cl[v] ^ cl[w]) & ~pair
+                        and nbhd[v] >> w & 1 == nbhd[w] >> v & 1):
+                    out[v] |= 1 << w
+                    out[w] |= 1 << v
+        return tuple(out)
+
     def canonical_form(self) -> tuple[int, ...]:
         """Lexicographically least sorted opens tuple over all relabelings.
 
@@ -269,34 +328,75 @@ class FiniteSpace:
         which they differ, so only partial labelings with the best new
         masks can reach the minimum.  Survivors with the same placed set P
         and the same pairs (O - P, image of O & P) have the same futures.
+
+        Integer segments: the sorted images of a group are one int, with
+        image m at bit 2^n - 1 - m.  Two segments of images below 2^j,
+        each followed by the sentinel 2^j that sorts a segment after its
+        extensions, part at the least image m that one of them lacks; the
+        one holding m is lexicographically smaller, and its int is larger,
+        since bit 2^n - 1 - m is their top differing bit.  So the best
+        segment is the largest int, and the images m + 2^j of a placed
+        point's opens are the int shifted right by 2^j.  The form is
+        decoded once, at the end.
+
+        Twin pruning: permuting points inside a twin class (see twins) is
+        an automorphism and leaves the image family unchanged, so some
+        least labeling gives each class increasing positions in point
+        order.  A point is a candidate only once its lower-numbered twins
+        are placed; every prefix of that labeling still survives, and
+        merging stays valid because the allowed moves depend only on P.
+
+        The last position only reads its segment: every open is then
+        placed, so no state follows it and none is built.
         """
         if self._canon is not None:
             return self._canon
-        if self.n > MAX_CANONICAL_POINTS:
+        n = self.n
+        if n > MAX_CANONICAL_POINTS:
             raise ValueError("canonical form capped at 8 points")
-        # state: (P, {unplaced part: sorted images of the placed parts})
-        groups = {o: (0,) for o in self.opens}
-        form = list(groups.pop(0, ()))
+        top = (1 << n) - 1  # the bit of image 0
+        lower = [t & ((1 << v) - 1) for v, t in enumerate(self.twins())]
+        # state: (P, {unplaced part: encoded images of the placed parts})
+        groups = dict.fromkeys(self.opens, 1 << top)
+        enc = groups.pop(0, 0)
         states = [(0, groups)]
-        for j in range(self.n):
-            bit = 1 << j
-            # the sentinel bit sorts a segment after its extensions
-            cands = [(groups.get(1 << v, ()) + (bit,), placed, groups, 1 << v)
-                     for placed, groups in states for v in bits(self.full & ~placed)]
-            best = min(c[0] for c in cands)
-            form.extend(img | bit for img in best[:-1])
-            seen = {}
-            for _, placed, groups, vbit in (c for c in cands if c[0] == best):
-                # images below bit first, then those of the opens through v
-                nxt = {r: imgs for r, imgs in groups.items() if not r & vbit}
+        for j in range(n):
+            best, picks = -1, []
+            for placed, groups in states:
+                for v in bits(self.full & ~placed):
+                    if lower[v] & ~placed:
+                        continue
+                    seg = groups.get(1 << v, 0)
+                    if seg > best:
+                        best, picks = seg, [(placed, groups, 1 << v)]
+                    elif seg == best:
+                        picks.append((placed, groups, 1 << v))
+            shift = 1 << j
+            enc |= best >> shift
+            if j == n - 1:
+                break
+            seen, states = {}, []
+            for placed, groups, vbit in picks:
+                # v leaves the unplaced part of the opens through it, and
+                # their images gain 2^j
+                nxt = {}
                 for rest, imgs in groups.items():
-                    if rest & vbit and rest != vbit:
-                        shifted = tuple([img | bit for img in imgs])
-                        rest ^= vbit
-                        nxt[rest] = nxt.get(rest, ()) + shifted
+                    if rest & vbit:
+                        if rest != vbit:
+                            rest ^= vbit
+                            nxt[rest] = nxt.get(rest, 0) | imgs >> shift
+                    elif rest in nxt:
+                        nxt[rest] |= imgs
+                    else:
+                        nxt[rest] = imgs
                 placed |= vbit
-                seen.setdefault((placed, frozenset(nxt.items())), (placed, nxt))
-            states = list(seen.values())
+                # merge states with the same P and equal groups
+                same = seen.setdefault(placed, [])
+                if nxt not in same:
+                    same.append(nxt)
+                    states.append((placed, nxt))
+        form = [top - p for p in bits(enc)]
+        form.reverse()
         self._canon = tuple(form)
         return self._canon
 

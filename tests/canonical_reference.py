@@ -1,11 +1,13 @@
 """Reference oracles for the census layer: the brute-force canonical form
-over every point permutation, and the topology enumeration that filters
-all 2^n candidate masks per point.
+over every point permutation, the pruned search on tuples of image masks
+without twin pruning, and the topology enumeration that filters all 2^n
+candidate masks per point.
 
 They are kept only for the differential tests, which require
 ``FiniteSpace.canonical_form`` to return the same tuple as the minimum
-over all n! relabelings, and ``census.minimal_nbhd_assignments`` to return
-the same assignments in the same order.
+over all n! relabelings (and, at 8 points, where n! is too slow, the same
+tuple as the pruned search), and ``census.minimal_nbhd_assignments`` to
+return the same assignments in the same order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,39 @@ def canonical_form_reference(space: FiniteSpace) -> tuple[int, ...]:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def canonical_form_pruned_reference(space: FiniteSpace) -> tuple[int, ...]:
+    """The same least tuple by the position-by-position search, with each
+    group of images kept as a sorted tuple and every point a candidate.
+
+    Placing a point at position j fixes the image masks in [2^j, 2^(j+1))
+    of the opens whose last unplaced point it was; only the partial
+    labelings with the least such segment survive, and survivors with the
+    same placed set and the same (unplaced part, images) pairs are merged.
+    """
+    groups = {o: (0,) for o in space.opens}
+    form = list(groups.pop(0, ()))
+    states = [(0, groups)]
+    for j in range(space.n):
+        bit = 1 << j
+        # the sentinel bit sorts a segment after its extensions
+        cands = [(groups.get(1 << v, ()) + (bit,), placed, groups, 1 << v)
+                 for placed, groups in states for v in bits(space.full & ~placed)]
+        best = min(c[0] for c in cands)
+        form.extend(img | bit for img in best[:-1])
+        seen = {}
+        for _, placed, groups, vbit in (c for c in cands if c[0] == best):
+            nxt = {r: imgs for r, imgs in groups.items() if not r & vbit}
+            for rest, imgs in groups.items():
+                if rest & vbit and rest != vbit:
+                    shifted = tuple([img | bit for img in imgs])
+                    rest ^= vbit
+                    nxt[rest] = nxt.get(rest, ()) + shifted
+            placed |= vbit
+            seen.setdefault((placed, frozenset(nxt.items())), (placed, nxt))
+        states = list(seen.values())
+    return tuple(form)
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,7 @@
 """The pruned canonical form and the bounded topology enumeration against
-their brute-force oracles in ``canonical_reference``."""
+their oracles in ``canonical_reference``: the brute force over every
+relabeling up to 7 points, and the pruned search without integer segments
+or twin pruning at 8."""
 
 import random
 from itertools import permutations
@@ -16,6 +18,7 @@ from fibertop.census import (
 from fibertop.spaces import FiniteSpace, chain, discrete, indiscrete
 
 from canonical_reference import (
+    canonical_form_pruned_reference,
     canonical_form_reference,
     minimal_nbhd_assignments_reference,
 )
@@ -74,6 +77,78 @@ class TestCanonicalAgainstReference:
     def test_cap(self):
         with pytest.raises(ValueError):
             chain(9).canonical_form()
+
+
+def block_sum(blocks) -> FiniteSpace:
+    """Disjoint sum, each block on the points after those of the ones
+    before it."""
+    nbhds, base = [], 0
+    for block in blocks:
+        nbhds += [block.min_nbhd(x) << base for x in range(block.n)]
+        base += block.n
+    return space_from_min_nbhds(nbhds)
+
+
+def _twin_rich_sums() -> dict[str, FiniteSpace]:
+    """Sums of discrete (D), indiscrete (I) and chain (C) blocks on 8 points,
+    by name: five fixed, then up to sixteen seeded."""
+    makers = {"D": discrete, "I": indiscrete, "C": chain}
+    names = ["D3+I2+C3", "I2+I2+I2+I2", "C2+C2+C2+C2", "C4+C4", "D2+C2+D2+C2"]
+    rng = random.Random(8)
+    for _ in range(16):
+        left, blocks = 8, []
+        while left:
+            k = rng.randint(1, left)
+            left -= k
+            blocks.append(rng.choice("DIC") + str(k))
+        names.append("+".join(blocks))
+    return {name: block_sum([makers[b[0]](int(b[1:])) for b in name.split("+")])
+            for name in names}
+
+
+TWIN_RICH_SUMS = _twin_rich_sums()
+
+
+class TestTwins:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_twins_are_the_swaps_that_fix_the_opens(self, n):
+        for nbhds in minimal_nbhd_assignments(n):
+            space = space_from_min_nbhds(nbhds)
+            twins = space.twins()
+            for v in range(n):
+                assert twins[v] >> v & 1
+                for w in range(v):
+                    swap = list(range(n))
+                    swap[v], swap[w] = w, v
+                    fixed = space.relabel(swap).opens == space.opens
+                    assert bool(twins[v] >> w & 1) == fixed == bool(twins[w] >> v & 1)
+
+    def test_sums_have_their_blocks_as_classes(self):
+        space = block_sum([discrete(3), indiscrete(2), chain(3)])
+        assert space.twins() == (0b111, 0b111, 0b111, 0b11000, 0b11000,
+                                 0b100000, 0b1000000, 0b10000000)
+
+
+class TestCanonicalAgainstPrunedReference:
+    """At 8 points the n! brute force is too slow; the same search on
+    tuples, without integer segments or twin pruning, is the oracle."""
+
+    @staticmethod
+    def _check(space, rng):
+        perm = list(range(space.n))
+        rng.shuffle(perm)
+        form = canonical_form_pruned_reference(space)
+        assert space.canonical_form() == form
+        assert space.relabel(perm).canonical_form() == form
+
+    def test_seeded_spaces_at_eight_points(self):
+        rng = random.Random(8191)
+        for _ in range(20):
+            self._check(make_space(8, [rng.randrange(1 << 8) for _ in range(8)]), rng)
+
+    @pytest.mark.parametrize("name", sorted(TWIN_RICH_SUMS))
+    def test_twin_rich_sums(self, name):
+        self._check(TWIN_RICH_SUMS[name], random.Random(name))
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from fibertop import cli
+from fibertop import census, cli
 from fibertop.cli import main
 from fibertop.config import MAX_DEPTH, RunConfig
 
@@ -206,6 +206,19 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --tol 1/0 has a zero denominator\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "--tol abc is not a rational number p/q"),
+        ("-1", "--tol -1 must be positive"),
+        ("0", "--tol 0 must be positive")])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_bad_tolerance_names_the_flag(self, capsys, value, message, before):
+        argv = (["--tol", value, "check"] if before
+                else ["check", f"--tol={value}"])
+        assert main([*argv, "normal", DEMO]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_every_class_runs(self, d2_file):
         for prop in ["prenormal", "normal", "sigma-normal", "perfectly-normal",
@@ -512,6 +525,28 @@ class TestCensus:
         assert main(["census", "--n", "2"]) == 0
         err = capsys.readouterr().err
         assert "violations=0" in err
+
+    def test_sides_bounded_inside_the_enumeration(self, capsys, monkeypatch):
+        # --n 3 asks for the total-6 census but builds no 4- or 5-point space,
+        # and prints the same instances, with the same uids, as filtering it
+        asked = []
+        real = census.canonical_spaces
+
+        def spy(n):
+            asked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(census, "canonical_spaces", spy)
+        assert main(["census", "--n", "3"]) == 0
+        assert max(asked) == 3
+        uids = [json.loads(line)["id"]
+                for line in capsys.readouterr().out.splitlines()]
+        assert uids == [inst.uid for inst in census.census_instances(6)
+                        if inst.f.domain.n <= 3 and inst.f.codomain.n <= 3]
+
+    def test_side_bound_at_four_points(self):
+        # what `census --n 4` enumerates: total 8, no 5-, 6- or 7-point space
+        assert sum(1 for _ in census.census_instances(8, 4)) == 87389
 
     def test_sampled(self, capsys):
         assert main(["--seed", "7", "census", "--n", "3", "--sample", "25"]) == 0

@@ -12,6 +12,8 @@ from fibertop.errors import (
     NotClosedUnderUnion,
     NotContinuous,
     NotOpen,
+    TopologyError,
+    points_text,
 )
 from fibertop.spaces import (
     FiberedMap,
@@ -88,6 +90,117 @@ class TestValidateTopology:
                     for o in around:
                         nbhd &= o
                     assert space.min_nbhd(x) == nbhd
+
+
+def _validate_intersection_first(n: int, opens) -> list[int]:
+    """The validator as it was before the one-pass minimal neighborhoods:
+    each U_x is the intersection of the opens around x, and every check
+    reads those intersections.  Returns them, or raises as it did."""
+    full = (1 << n) - 1
+    family = sorted(set(int(o) for o in opens))
+    for o in family:
+        if o & ~full:
+            raise ValueError(f"open {points_text(o)} uses points outside "
+                             f"0..{n - 1}")
+    cand = [full] * n
+    for o in family:
+        for x in bits(o):
+            cand[x] &= o
+    fam_set = set(family)
+    if 0 not in fam_set:
+        raise MissingEmptyOrFull("family must contain the empty set")
+    covered = 0
+    for o in family:
+        covered |= o
+    if covered != full:
+        raise MissingEmptyOrFull(
+            f"no open covers point {(full & ~covered).bit_length() - 1}")
+    for x in range(n):
+        if cand[x] not in fam_set:
+            acc = None
+            for o in family:
+                if o >> x & 1:
+                    nxt = o if acc is None else acc & o
+                    if acc is not None and nxt not in fam_set:
+                        raise NotClosedUnderIntersection(acc, o)
+                    acc = nxt
+            raise AssertionError("intersection witness not found")
+    seen, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for x in range(n):
+            u = cur | cand[x]
+            if u not in seen:
+                if u not in fam_set:
+                    raise NotClosedUnderUnion(cur, cand[x])
+                seen.add(u)
+                frontier.append(u)
+    assert len(seen) == len(fam_set)
+    return cand
+
+
+def _outcome(validate, n, family):
+    try:
+        return validate(n, family)
+    except (ValueError, TopologyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstIntersectionFirst:
+    """The one-pass least opens and the nesting check: the same spaces,
+    minimal neighborhoods, and first error (type and message) as the
+    intersection-first check."""
+
+    @staticmethod
+    def _new(n, family):
+        return list(validate_topology(n, family)._min_nbhd)
+
+    def test_every_family_on_three_points(self):
+        errors = 0
+        for code in range(1 << 8):
+            family = [m for m in range(8) if code >> m & 1]
+            want = _outcome(_validate_intersection_first, 3, family)
+            assert _outcome(self._new, 3, family) == want, family
+            errors += isinstance(want, tuple)
+        assert errors == 256 - 29  # OEIS A000798: 29 topologies on 3 points
+
+    def test_seeded_families_on_four_points(self):
+        rng = random.Random(4096)
+        for _ in range(3000):
+            family = rng.sample(range(16), rng.randint(2, 16))
+            family += [0, 15][:rng.randint(0, 2)]
+            assert (_outcome(self._new, 4, family)
+                    == _outcome(_validate_intersection_first, 4, family)), family
+
+    def test_census_spaces_with_one_open_added_or_removed(self):
+        for n in range(1, 6):
+            for space in canonical_spaces(n):
+                fam = set(space.opens)
+                for family in ([fam - {o} for o in fam]
+                               + [fam | {m} for m in range(1 << n) if m not in fam]):
+                    assert (_outcome(self._new, n, family)
+                            == _outcome(_validate_intersection_first, n, family))
+
+    @pytest.mark.parametrize("family", [[0, 1, 8, 9], [0, -1, 7], [0, 3, 4, 7, 16]])
+    def test_points_outside_the_space(self, family):
+        assert (_outcome(self._new, 3, family)
+                == _outcome(_validate_intersection_first, 3, family))
+
+    def test_census_spaces_subspaces_and_relabelings(self):
+        rng = random.Random(185)
+        for n in range(1, 6):
+            for space in canonical_spaces(n):
+                views = [space.subspace(c).space for c in range(1, 1 << n)]
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    views.append(space.relabel(perm))
+                for view in [space] + views:
+                    meets = [view.full] * view.n
+                    for o in view.opens:
+                        for x in bits(o):
+                            meets[x] &= o
+                    assert list(view._min_nbhd) == meets
 
 
 class TestMemoised:
