@@ -61,6 +61,7 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
         assign[i] = 0
 
     backtrack(0)
+    del backtrack  # the nested recursion holds itself in a cycle
     result = tuple(out)
     _LABELED_CACHE[n] = result
     return result
@@ -125,6 +126,7 @@ def continuous_tables(x_space: FiniteSpace, y_space: FiniteSpace
         tab[i] = 0
 
     backtrack(0)
+    del backtrack
     return tuple(out)
 
 

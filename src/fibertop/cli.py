@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -220,6 +221,9 @@ def cmd_build(args, config: RunConfig) -> int:
 
 
 def cmd_census(args, config: RunConfig) -> int:
+    for flag, value in (("--n", args.n), ("--sample", args.sample)):
+        if value is not None and value <= 0:
+            raise FibertopError(f"{flag} {value} must be positive")
     if args.sample:
         if 2 * args.n > config.max_points:
             raise CapExceeded(2 * args.n, config.max_points)
@@ -231,11 +235,13 @@ def cmd_census(args, config: RunConfig) -> int:
         instances = list(census_instances(total, args.n))
     violations = []
     lines = []
+    counts = Counter()
     for inst in instances:
         cls = classify(inst.f)
         bad = hierarchy_violations(cls, inst.f.codomain.n == 1)
         if bad:
             violations.append((inst.uid, bad))
+        counts.update(key for key, val in cls.items() if val is True)
         lines.append(json.dumps(
             {"id": inst.uid, "classes": cls, "violations": bad},
             sort_keys=True))
@@ -245,12 +251,6 @@ def cmd_census(args, config: RunConfig) -> int:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
-    counts = {}
-    for line in lines:
-        rec = json.loads(line)
-        for key, val in rec["classes"].items():
-            if isinstance(val, bool) and val:
-                counts[key] = counts.get(key, 0) + 1
     print(f"# instances={len(instances)} violations={len(violations)} "
           f"counts={json.dumps(counts, sort_keys=True)}", file=sys.stderr)
     return 1 if violations else 0

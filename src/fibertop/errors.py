@@ -9,7 +9,9 @@ from __future__ import annotations
 
 def points_text(mask: int) -> str:
     """A set as its point list, the way an instance file writes it:
-    ``{0 1}``, and ``{}`` for the empty set."""
+    ``{0 1}``, ``{}`` for the empty set, and a negative mask as given."""
+    if mask < 0:
+        return str(mask)
     return "{" + " ".join(str(x) for x in range(mask.bit_length())
                           if mask >> x & 1) + "}"
 

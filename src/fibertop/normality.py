@@ -33,6 +33,9 @@ from .oscillation import RationalFunction, is_f_equicontinuous_at
 from .partitions import (
     ConsistentBinaryFamily,
     Level,
+    _links,
+    block_numerators,
+    stepwise_violation,
     validate_consistent_family,
 )
 from .spaces import FiberedMap, FiniteSpace, bits
@@ -349,7 +352,7 @@ class LevelIndex(NamedTuple):
     of a carrier point x is ``index[x] >> (depth - n)``, the numerator of
     its step value over 2^n - 1.  ``stepwise_ok`` and ``condition_c_ok``
     are the family's stepwise bounds and condition (C) for the F and T it
-    was built for (see ``_stepwise_bounds_ok`` and ``_condition_c_ok``).
+    was built for (see ``stepwise_violation`` and ``_condition_c_ok``).
     """
 
     nbhd: int
@@ -374,8 +377,7 @@ class LevelIndex(NamedTuple):
 
 
 def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
-                            depth: int, within: int | None = None,
-                            component: int | None = None
+                            depth: int, within: int | None = None
                             ) -> ConsistentBinaryFamily:
     """The inductive family construction for disjoint closed F and T at y.
 
@@ -396,7 +398,7 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
         raise ValueError("F and T must be disjoint")
     if not space.rel_is_closed(base, f_side) or not space.rel_is_closed(base, t_side):
         raise ValueError("F and T must be relatively closed over the context open")
-    built = build_levels(f, f_side, t_side, y, depth, component)
+    built = build_levels(f, f_side, t_side, y, depth)
     levels = [Level(cod.full, (space.full,))]
     levels.extend(Level(built.nbhd, built.blocks(n))
                   for n in range(1, depth + 1))
@@ -406,23 +408,23 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
     return family
 
 
-def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int, depth: int,
-                 component: int | None = None) -> LevelIndex:
+def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int,
+                 depth: int) -> LevelIndex:
     """Raw level construction shared by the builder and the census sweep.
 
     Raises SearchFailed.  No validation of the inputs beyond what the
     sandwiches themselves detect.  The family and its verdicts depend only
     on the domain and on (carrier, F and T inside it, depth), so they are
     memoised per domain space on that key, failures included; the
-    neighborhood, the carrier and the component of a failure come from
-    each call.
+    neighborhood and the carrier come from each call, and every failing
+    call raises a fresh SearchFailed.
     """
     nbhd = f.codomain.min_nbhd(y)
     carrier = f._nbhd_pre[y]
     facts, failed = f.domain.memoised(_level_walk, carrier, f_side & carrier,
                                       t_side & carrier, depth)
     if failed is not None:
-        raise SearchFailed(*failed, component)
+        raise SearchFailed(*failed)
     return LevelIndex(nbhd, carrier, depth, *facts)
 
 
@@ -453,38 +455,11 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
             children.append(block & v)
             prefix |= blocks[k]
         blocks = tuple(children)
-    index = [0] * space.n
-    for k, block in enumerate(blocks):
-        for x in bits(block):
-            index[x] = k
-    levels = [[k >> (depth - n) for k in index] for n in range(1, depth + 1)]
-    return (tuple(index), _stepwise_bounds_ok(space, carrier, levels),
+    index = block_numerators(space.n, blocks)
+    tables = [[k >> (depth - n) for k in index] for n in range(depth + 1)]
+    carriers = [space.full] + [carrier] * depth
+    return (tuple(index), stepwise_violation(space, carriers, tables) is None,
             _condition_c_ok(space, carrier, ft, tt, index, depth)), None
-
-
-def _links(space: FiniteSpace, carrier: int):
-    """The pairs (x, z) of points of an open carrier with z != x in U_x."""
-    nbhd = space._min_nbhd
-    return [(x, z) for x in bits(carrier) for z in bits(nbhd[x]) if z != x]
-
-
-def _stepwise_bounds_ok(space: FiniteSpace, carrier: int, levels) -> bool:
-    """The two displayed stepwise bounds of a flat-chain family on the open
-    carrier W, where ``levels[n - 1][x]`` is the level-n block of x: the
-    level-n oscillation k/(2^n - 1) is at most one step, and the increment
-    |k'/(2^(n+1) - 1) - k/(2^n - 1)| <= 1/(2^(n+1) - 1), cross-multiplied."""
-    links = _links(space, carrier)
-    for idx in levels:
-        for x, z in links:
-            if abs(idx[x] - idx[z]) > 1:
-                return False
-    for n in range(1, len(levels)):
-        d_lo, d_hi = (1 << n) - 1, (1 << (n + 1)) - 1
-        lo, hi = levels[n - 1], levels[n]
-        for x in bits(carrier):
-            if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
-                return False
-    return True
 
 
 def _condition_c_ok(space: FiniteSpace, carrier: int, ft: int, tt: int,
@@ -553,9 +528,8 @@ def build_binary_partitions_sigma(f: FiberedMap, f_side: int, t_list, y: int,
     families = []
     for l, t_piece in enumerate(t_list):
         try:
-            families.append(
-                build_binary_partitions(f, f_side, t_piece, y, depth,
-                                        within=within, component=l))
+            families.append(build_binary_partitions(f, f_side, t_piece, y,
+                                                    depth, within=within))
         except SearchFailed as exc:
             raise SearchFailed(exc.level, exc.step, l) from exc
     for fam in families[1:]:

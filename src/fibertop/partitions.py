@@ -31,7 +31,7 @@ from .errors import (
     PrefixNotClosed,
     points_text,
 )
-from .oscillation import RationalFunction, osc_on_set
+from .oscillation import RationalFunction
 from .spaces import FiberedMap, FiniteSpace, bits
 
 
@@ -149,8 +149,57 @@ def validate_consistent_family(family: ConsistentBinaryFamily) -> ConsistentBina
     return family
 
 
+def block_numerators(n_points: int, blocks) -> list[int]:
+    """Each point's block index, 0 off the blocks: its step numerator."""
+    idx = [0] * n_points
+    for k in range(1, len(blocks)):
+        for x in bits(blocks[k]):
+            idx[x] = k
+    return idx
+
+
+def _links(space: FiniteSpace, carrier: int) -> list[tuple[int, int]]:
+    """The pairs (x, z) of a point x of the carrier and a z != x in U_x."""
+    nbhd = space._min_nbhd
+    return [(x, z) for x in bits(carrier) for z in bits(nbhd[x]) if z != x]
+
+
+def _within_one_step(idx, links) -> bool:
+    for x, z in links:
+        if abs(idx[x] - idx[z]) > 1:
+            return False
+    return True
+
+
+def stepwise_violation(space: FiniteSpace, carriers, tables
+                       ) -> tuple[str, int] | None:
+    """The first stepwise bound broken by the level-n numerator tables
+    over d_n = 2^n - 1 (zero at level 0) on the level-n carriers: first
+    ("osc", n), a point of carriers[n] more than one step from some z in
+    its U_x; then ("c", n), |k'/d_{n+1} - k/d_n| > 1/d_{n+1} on
+    carriers[n + 1], cross-multiplied.  With d_0 = 0 the level-0 bound is
+    |k'| <= 1, the same test with d_0 read as 1."""
+    increment = last = None
+    for n in range(1, len(tables)):
+        carrier = carriers[n]
+        if carrier != last:
+            last = carrier
+            points = tuple(bits(carrier))
+            links = _links(space, carrier)
+        lo, hi = tables[n - 1], tables[n]
+        if not _within_one_step(hi, links):
+            return "osc", n
+        if increment is None:
+            d_lo, d_hi = (1 << (n - 1)) - 1 or 1, (1 << n) - 1
+            for x in points:
+                if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
+                    increment = "c", n - 1
+                    break
+    return increment
+
+
 def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunction:
-    """The level-n step function: k/(2^n - 1) on block k, 0 off the preimage.
+    """The level-n step function: k/(2^n - 1) on block k, 0 off the blocks.
 
     Level 0 is structural only; its function is identically zero.  The
     oscillation bound 1/(2^n - 1) over the level carrier is asserted.
@@ -160,20 +209,11 @@ def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunctio
     space = family.f.domain
     if n == 0:
         return RationalFunction.constant(space, 0)
-    level = family.levels[n]
-    denom = (1 << n) - 1
-    values = [Fraction(0)] * space.n
-    for k, block in enumerate(level.blocks):
-        if k == 0:
-            continue
-        val = Fraction(k, denom)
-        for x in bits(block):
-            values[x] = val
-    phi = RationalFunction(space, tuple(values), space.full)
-    carrier = family.carrier(n)
-    if osc_on_set(phi, carrier) > Fraction(1, denom):
+    idx = block_numerators(space.n, family.levels[n].blocks)
+    if not _within_one_step(idx, _links(space, family.carrier(n))):
         raise CheckFailed(f"stepwise oscillation bound at level {n}")
-    return phi
+    denom = (1 << n) - 1
+    return RationalFunction.total(space, [Fraction(k, denom) for k in idx])
 
 
 @dataclass(frozen=True)
@@ -197,38 +237,29 @@ class ApproximateLimitFunction:
     exact_phi: RationalFunction | None
 
 
-def _block_index(level: Level, x: int) -> int | None:
-    for k, block in enumerate(level.blocks):
-        if block >> x & 1:
-            return k
-    return None
-
-
 def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
-    """Assemble the truncated limit of the stepwise functions.
-
-    Verifies the assembly hypotheses on the truncated data: the oscillation
-    chain osc(phi_n) <= 1/(2^n - 1), which ``stepwise_function`` asserts
-    on each level, and the increment bound
-    |phi_{n+1} - phi_n| <= 1/(2^{n+1} - 1) on the deeper carrier.
-    """
+    """Assemble the truncated limit of the stepwise functions, once
+    ``stepwise_violation`` has verified the assembly hypotheses on the
+    truncated data: osc(phi_n) <= 1/(2^n - 1) on each level, and
+    |phi_{n+1} - phi_n| <= 1/(2^{n+1} - 1) on the deeper carrier."""
     depth = family.depth
     if depth < 1:
         raise DepthExceeded("assembly needs depth >= 1")
     space = family.f.domain
-    steps = [stepwise_function(family, n) for n in range(depth + 1)]
     carriers = [family.carrier(n) for n in range(depth + 1)]
-    for n in range(depth):
-        bound = Fraction(1, (1 << (n + 1)) - 1)
-        for x in bits(carriers[n + 1]):
-            if abs(steps[n + 1].values[x] - steps[n].values[x]) > bound:
-                raise HypothesisFailed("c", n)
+    tables = [[0] * space.n] + [block_numerators(space.n, level.blocks)
+                                for level in family.levels[1:]]
+    failed = stepwise_violation(space, carriers, tables)
+    if failed and failed[0] == "osc":
+        raise CheckFailed(f"stepwise oscillation bound at level {failed[1]}")
+    if failed:
+        raise HypothesisFailed(*failed)
     values = []
     for x in range(space.n):
         n = 0
         while n < depth and carriers[n + 1] >> x & 1:
             n += 1
-        values.append(steps[n].values[x])
+        values.append(Fraction(tables[n][x], (1 << n) - 1 or 1))
     phi = RationalFunction(space, tuple(values), space.full)
     error = Fraction(1, (1 << depth) - 1)
 
@@ -248,26 +279,15 @@ def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
     stabilized = stab_depth is not None
     exact_phi = None
     if stabilized:
-        core = carriers[depth]
-        last = family.levels[depth]
+        # the limit continues each core point's constant child side
         exact_vals = list(values)
-        constant_bits = True
-        for x in bits(core):
-            bit = None
-            for n in range(stab_depth, depth):
-                k_lo = _block_index(family.levels[n], x)
-                k_hi = _block_index(family.levels[n + 1], x)
-                b = k_hi - 2 * k_lo
-                if bit is None:
-                    bit = b
-                elif bit != b:
-                    constant_bits = False
-                    break
-            if not constant_bits:
+        for x in bits(carriers[depth]):
+            sides = {tables[n + 1][x] - 2 * tables[n][x]
+                     for n in range(stab_depth, depth)}
+            if len(sides) > 1:
                 break
-            k_last = _block_index(last, x)
-            exact_vals[x] = Fraction(k_last + bit, 1 << depth)
-        if constant_bits:
+            exact_vals[x] = Fraction(tables[depth][x] + sides.pop(), 1 << depth)
+        else:
             exact_phi = RationalFunction(space, tuple(exact_vals), space.full)
     return ApproximateLimitFunction(family, phi, error, stabilized,
                                     stab_depth, exact_phi)

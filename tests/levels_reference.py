@@ -13,7 +13,7 @@ from fibertop.spaces import FiberedMap
 
 
 def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
-                           depth: int, component: int | None = None):
+                           depth: int):
     """Returns [(nbhd, blocks), ...] from level 0; raises SearchFailed."""
     space, cod = f.domain, f.codomain
     closure, hull = space.closure, space.hull
@@ -36,7 +36,7 @@ def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
             avoid = ft if k == 0 else prefix & carrier
             v = hull(lowers[k]) & carrier
             if closure(v) & avoid:
-                raise SearchFailed(n + 1, f"sandwich {k}", component)
+                raise SearchFailed(n + 1, f"sandwich {k}")
             block = blocks[k] & carrier
             children.append(block & ~v)
             children.append(block & v)

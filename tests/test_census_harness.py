@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -6,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from fibertop import census
 from fibertop.census import (
     Instance,
     canonical_spaces,
@@ -37,7 +39,6 @@ from fibertop.harness import (
 from fibertop import normality
 from fibertop.normality import (
     _condition_c_ok,
-    _stepwise_bounds_ok,
     build_levels,
     build_binary_partitions,
     build_binary_partitions_sigma,
@@ -52,12 +53,13 @@ from fibertop.normality import (
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
-from fibertop.partitions import assemble_limit
+from fibertop.partitions import assemble_limit, stepwise_violation
 from fibertop.spaces import (
     FiniteSpace,
     FiberedMap,
     Submapping,
     bits,
+    chain,
     constant_map,
     discrete,
     identity_map,
@@ -76,6 +78,20 @@ class TestEnumeration:
     def test_labeled_counts(self):
         for n, count in KNOWN_LABELED.items():
             assert len(minimal_nbhd_assignments(n)) == count
+
+    def test_backtracking_leaves_no_garbage(self):
+        # the nested recursive searches must not leave a reference cycle
+        # for the collector: with it disabled, nothing is left to collect
+        census._LABELED_CACHE.pop(3, None)
+        gc.collect()
+        gc.disable()
+        try:
+            minimal_nbhd_assignments(3)
+            assert gc.collect() == 0
+            continuous_tables(chain(2), chain(2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_canonical_counts(self):
         for n, count in KNOWN_CANONICAL.items():
@@ -193,9 +209,16 @@ def _fresh_checks(f: FiberedMap, levels, f_side: int, t_side: int,
         depth = levels.depth
     lists = [[k >> (depth - n) for k in levels.index]
              for n in range(1, depth + 1)]
-    return (_stepwise_bounds_ok(space, w, lists),
+    return (_bounds_ok(space, w, lists),
             _condition_c_ok(space, w, f_side & w, t_side & w, levels.index,
                             depth))
+
+
+def _bounds_ok(space: FiniteSpace, w: int, lists) -> bool:
+    """The stepwise check on the level-n blocks lists[n - 1] of a family
+    whose every level n >= 1 lives on the carrier w."""
+    return stepwise_violation(space, [space.full] + [w] * len(lists),
+                              [[0] * space.n] + lists) is None
 
 
 def _expand(f: FiberedMap, levels) -> list:
@@ -264,8 +287,8 @@ class TestFastPathsAgainstPublic:
         for f, args in built:
             levels = build_levels(f, *args)
             ok = levels.stepwise_ok
-            assert ok == _stepwise_bounds_ok(f.domain, levels.carrier,
-                                             _level_lists(levels))
+            assert ok == _bounds_ok(f.domain, levels.carrier,
+                                    _level_lists(levels))
             assert ok == _stepwise_bounds_fraction(f, _expand(f, levels))
             verdicts.add(ok)
         assert verdicts == {True}
@@ -285,7 +308,7 @@ class TestFastPathsAgainstPublic:
                     continue
                 w, lists = levels.carrier, _level_lists(levels)
                 assert levels.stepwise_ok
-                assert _stepwise_bounds_ok(space, w, lists)
+                assert _bounds_ok(space, w, lists)
                 if not w:
                     continue
                 # shifting a whole level keeps every oscillation and breaks
@@ -293,7 +316,7 @@ class TestFastPathsAgainstPublic:
                 for i in range(1, len(lists)):
                     shifted = list(lists)
                     shifted[i] = [k + 3 for k in shifted[i]]
-                    assert not _stepwise_bounds_ok(space, w, shifted)
+                    assert not _bounds_ok(space, w, shifted)
                     assert not _stepwise_bounds_fraction_on(space, w, shifted)
                 # moving one point by one or two blocks lands on both sides
                 # of each bound; the verdict must match the rationals, also
@@ -306,7 +329,7 @@ class TestFastPathsAgainstPublic:
                             moved[i][x] += delta
                             for cut in (len(moved), i + 1):
                                 bad = moved[:cut]
-                                ok = _stepwise_bounds_ok(space, w, bad)
+                                ok = _bounds_ok(space, w, bad)
                                 assert ok == _stepwise_bounds_fraction_on(
                                     space, w, bad)
                                 verdicts[ok] += 1
@@ -360,14 +383,14 @@ class TestLevelMemo:
         with pytest.raises(SearchFailed) as first:
             build_levels(f, 0b001, 0b010, 0, 3)
         assert (first.value.level, first.value.l) == (1, None)
-        with pytest.raises(SearchFailed) as direct:
-            build_binary_partitions(f, 0b001, 0b010, 0, 3, component=1)
-        assert direct.value.l == 1
         with pytest.raises(SearchFailed) as sigma:
             build_binary_partitions_sigma(f, 0b001, [0, 0b010], 0, 3)
         assert (sigma.value.level, sigma.value.step, sigma.value.l) == (
             1, "sandwich 0", 1)
-        assert sigma.value.__cause__.l == 1
+        # the plain builder's failure names no piece; the sigma builder
+        # re-raises it with the index of the piece
+        assert (sigma.value.__cause__.level, sigma.value.__cause__.l) == (
+            1, None)
         # a failure is stored as its (level, step), without the component
         failing = (normality._level_walk, 0b111, 0b001, 0b010, 3)
         assert space._memo[failing] == (None, (1, "sandwich 0"))
@@ -457,7 +480,10 @@ def _stepwise_bounds_fraction(f: FiberedMap, levels) -> bool:
 
 
 def _stepwise_bounds_fraction_on(space: FiniteSpace, w: int, lists) -> bool:
-    """The same on the level-n blocks lists[n - 1] of the points of w."""
+    """The same on the level-n blocks lists[n - 1] of the points of w;
+    the increment out of level 0, where phi_0 = 0, is |phi_1| <= 1."""
+    if lists and any(abs(lists[0][x]) > 1 for x in bits(w)):
+        return False
     for idx in lists:
         for x in bits(w):
             for z in bits(space.min_nbhd(x)):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -550,6 +551,29 @@ class TestCensus:
 
     def test_sampled(self, capsys):
         assert main(["--seed", "7", "census", "--n", "3", "--sample", "25"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "--n 0 must be positive"),
+        (["--n", "-1"], "--n -1 must be positive"),
+        (["--n", "0", "--sample", "3"], "--n 0 must be positive"),
+        (["--sample", "0"], "--sample 0 must be positive"),
+        (["--sample", "-2"], "--sample -2 must be positive")])
+    def test_sizes_must_be_positive(self, capsys, argv, message):
+        assert main(["census", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "3", "--total", "5"]])
+    def test_counts_are_the_true_classes_of_the_lines(self, capsys, argv):
+        assert main(["census", *argv]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        counts = Counter(key for rec in records
+                         for key, val in rec["classes"].items() if val is True)
+        assert captured.err == (
+            f"# instances={len(records)} violations=0 "
+            f"counts={json.dumps(dict(counts), sort_keys=True)}\n")
 
     def test_json_lines_output(self, tmp_path):
         out = tmp_path / "census.jsonl"

@@ -8,6 +8,7 @@ from fibertop.errors import (
     CoherenceViolated,
     Condition2Violated,
     DepthExceeded,
+    HypothesisFailed,
     InvalidPartition,
     LevelNotRegular,
     NeighborhoodNotNested,
@@ -206,6 +207,30 @@ class TestAssembleLimit:
             validate_consistent_family(fam)
         with pytest.raises(CheckFailed, match="oscillation bound at level 2"):
             assemble_limit(fam)
+
+    def test_unvalidated_family_breaking_increment_raises(self):
+        # on a discrete space every step function has zero oscillation;
+        # level 2 jumps from 0 and 1/1 to 2/3 and 3/3, which moves point 0
+        # by 2/3 against the increment bound 1/3 into level 2
+        f = constant_map(discrete(2))
+        fam = ConsistentBinaryFamily(f, 0, (
+            Level(1, (0b11,)), Level(1, (0b01, 0b10)),
+            Level(1, (0, 0, 0b01, 0b10))))
+        with pytest.raises(HypothesisFailed) as err:
+            assemble_limit(fam)
+        assert (err.value.which, err.value.level) == ("c", 1)
+        # each step function on its own keeps its oscillation bound
+        assert stepwise_function(fam, 2).values == (Fraction(2, 3), Fraction(1))
+
+    def test_unvalidated_family_breaking_level_zero_increment_raises(self):
+        # level 1 puts both points in block 2: the value 2 is more than
+        # one away from the zero function of level 0
+        f = constant_map(discrete(2))
+        fam = ConsistentBinaryFamily(f, 0, (
+            Level(1, (0b11,)), Level(1, (0, 0, 0b11, 0))))
+        with pytest.raises(HypothesisFailed) as err:
+            assemble_limit(fam)
+        assert (err.value.which, err.value.level) == ("c", 0)
 
     def test_exact_limit_is_f_continuous_when_stabilized(self):
         # census of builder families: wherever stabilization is detected the

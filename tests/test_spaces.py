@@ -17,6 +17,7 @@ from fibertop.errors import (
 )
 from fibertop.spaces import (
     FiberedMap,
+    FiniteSpace,
     Submapping,
     bits,
     bits_tuple,
@@ -66,6 +67,15 @@ class TestValidateTopology:
         a = validate_topology(2, [0b11, 0b00, 0b01])
         b = validate_topology(2, [0b00, 0b01, 0b11])
         assert a == b
+
+    @pytest.mark.parametrize("opens, named", [
+        ([0, -1, 7], "-1"), ([0, -2, 7], "-2"), ([0, 0b1010, 7], "{1 3}")])
+    def test_out_of_range_open_is_named_as_given(self, opens, named):
+        # a negative mask is no set of points: the message must not read
+        # its low bits as one
+        with pytest.raises(ValueError) as err:
+            FiniteSpace(3, opens)
+        assert str(err.value) == f"open {named} uses points outside 0..2"
 
 
     def test_every_family_on_three_points(self):
