@@ -7,7 +7,6 @@ machine-checkable witnesses, and the separating-function and extension
 constructions are executable with certified error bounds.
 """
 
-from .config import RunConfig
 from .oscillation import (
     RationalFunction,
     is_f_continuous_at,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from collections import Counter
@@ -17,7 +18,6 @@ from fractions import Fraction
 from itertools import islice
 
 from .census import census_instances, sampled_instances
-from .config import RunConfig
 from .errors import CapExceeded, FibertopError
 from .harness import (
     classify,
@@ -45,6 +45,12 @@ from .urysohn_tietze import build_separator, sigma_separator_family, tietze_exte
 
 # perfectly-normal lists the first this many witnesses
 WITNESS_LIMIT = 32
+# level n of a partition family has 2^n blocks
+MAX_DEPTH = 16
+# the named sets or function that each build kind reads, in --help order
+BUILD_FLAGS = {"partitions": ("F", "T"), "separator": ("F", "T"),
+               "extend": ("phi",), "sigma-family": ("F", "T"),
+               "functional-witness": ("F",)}
 
 CHECKS = {
     "prenormal": lambda f: _plain(is_prenormal(f)),
@@ -115,16 +121,15 @@ def _pick_map(inst, name):
     return next(iter(inst.maps.values()))
 
 
-def _cap(f, config: RunConfig):
-    total = f.domain.n + f.codomain.n
-    if total > config.max_points:
-        raise CapExceeded(total, config.max_points)
+def _cap(total: int, args) -> None:
+    if total > args.max_points:
+        raise CapExceeded(total, args.max_points)
 
 
-def cmd_check(args, config: RunConfig) -> int:
+def cmd_check(args) -> int:
     inst = _load(args.file)
     f = _pick_map(inst, args.map)
-    _cap(f, config)
+    _cap(f.domain.n + f.codomain.n, args)
     holds, witnesses, ce = CHECKS[args.property](f)
     cert = {"class": args.property, "holds": holds, "witnesses": witnesses}
     if ce is not None:
@@ -148,10 +153,13 @@ def _named_set(inst, name, space):
     return mask
 
 
-def cmd_build(args, config: RunConfig) -> int:
+def cmd_build(args) -> int:
+    for flag in BUILD_FLAGS[args.kind]:
+        if getattr(args, flag) is None:
+            raise FibertopError(f"build {args.kind} needs --{flag}")
     inst = _load(args.file)
     f = _pick_map(inst, args.map)
-    _cap(f, config)
+    _cap(f.domain.n + f.codomain.n, args)
     y = args.y
     if not 0 <= y < f.codomain.n:
         raise FibertopError(f"--y {y} is not a codomain point: the codomain "
@@ -162,17 +170,17 @@ def cmd_build(args, config: RunConfig) -> int:
         f_side = _named_set(inst, args.F, f.domain)
         if args.kind == "sigma-family":
             pieces = [_named_set(inst, nm, f.domain) for nm in args.T.split(",")]
-            fams = build_binary_partitions_sigma(f, f_side, pieces, y, config.depth)
-            res = sigma_separator_family(f, f_side, pieces, y, config.depth)
+            fams = build_binary_partitions_sigma(f, f_side, pieces, y, args.depth)
+            res = sigma_separator_family(f, f_side, pieces, y, args.depth)
             out["families"] = [serialize_family(fam) for fam in fams]
             out["Oy"] = _points(res.nbhd)
             out["osc_bounds"] = [str(o) for o in res.osc_values]
         else:
             t_side = _named_set(inst, args.T, f.domain)
-            fam = build_binary_partitions(f, f_side, t_side, y, config.depth)
+            fam = build_binary_partitions(f, f_side, t_side, y, args.depth)
             out["family"] = serialize_family(fam)
             if args.kind == "separator":
-                sep = build_separator(f, f_side, t_side, y, config.depth)
+                sep = build_separator(f, f_side, t_side, y, args.depth)
                 rep = verify_condition_C(f, f_side, t_side, y, sep.phi, sep.nbhd)
                 if not rep.all_ok:
                     raise FibertopError("separator failed re-verification")
@@ -185,7 +193,7 @@ def cmd_build(args, config: RunConfig) -> int:
         if args.phi not in inst.funcs:
             raise FibertopError(f"no func named {args.phi!r}")
         _, phit = inst.funcs[args.phi]
-        res = tietze_extend(f, phit.carrier, phit, y, tolerance=config.tolerance)
+        res = tietze_extend(f, phit.carrier, phit, y, tolerance=args.tol)
         rep = verify_condition_D(f, phit.carrier, phit, res.phi, y)
         out["phi"] = [str(v) for v in res.phi.values]
         out["residuals"] = [str(r) for r in res.residuals]
@@ -213,26 +221,28 @@ def cmd_build(args, config: RunConfig) -> int:
             code = 1
             out["counterexample"] = {"y": rep.counterexample[0],
                                      "component": _points(rep.counterexample[1])}
-    else:
-        raise FibertopError(f"unknown build kind {args.kind!r}")
     print(json.dumps(out, sort_keys=True) if args.json else
           "\n".join(f"{k}: {v}" for k, v in out.items()))
     return code
 
 
-def cmd_census(args, config: RunConfig) -> int:
+def _check_total(total: int) -> int:
+    if total < 2:
+        raise FibertopError(f"--total {total} must be at least 2: no instance "
+                            "has fewer than two points")
+    return total
+
+
+def cmd_census(args) -> int:
     for flag, value in (("--n", args.n), ("--sample", args.sample)):
         if value is not None and value <= 0:
             raise FibertopError(f"{flag} {value} must be positive")
-    if args.sample:
-        if 2 * args.n > config.max_points:
-            raise CapExceeded(2 * args.n, config.max_points)
-        instances = sampled_instances(args.n, args.sample, config.seed)
-    else:
-        total = args.total if args.total else 2 * args.n
-        if total > config.max_points:
-            raise CapExceeded(total, config.max_points)
-        instances = list(census_instances(total, args.n))
+    if args.sample and args.total is not None:
+        raise FibertopError("--total cannot be combined with --sample")
+    total = 2 * args.n if args.total is None else _check_total(args.total)
+    _cap(total, args)
+    instances = (sampled_instances(args.n, args.sample, args.seed) if args.sample
+                 else list(census_instances(total, args.n)))
     violations = []
     lines = []
     counts = Counter()
@@ -256,11 +266,12 @@ def cmd_census(args, config: RunConfig) -> int:
     return 1 if violations else 0
 
 
-def cmd_harness(args, config: RunConfig) -> int:
-    if args.total > config.max_points:
-        raise CapExceeded(args.total, config.max_points)
-    report = run_theorem_sweep(args.total, config.depth, args.budget,
-                               config.tolerance)
+def cmd_harness(args) -> int:
+    _check_total(args.total)
+    if args.budget < 0:
+        raise FibertopError(f"--budget {args.budget} must not be negative")
+    _cap(args.total, args)
+    report = run_theorem_sweep(args.total, args.depth, args.budget, args.tol)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             for rec in report["records"]:
@@ -312,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="run a construction",
                              parents=flags)
-    p_build.add_argument("kind", choices=["partitions", "separator", "extend",
-                                          "sigma-family", "functional-witness"])
+    p_build.add_argument("kind", choices=list(BUILD_FLAGS))
     p_build.add_argument("file")
     p_build.add_argument("--map", default=None)
     p_build.add_argument("--F", default=None)
@@ -336,36 +346,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerance(text: str) -> Fraction:
+def _check_flags(args) -> None:
+    """Check the shared flags in place and name the first bad one: --tol
+    becomes a Fraction, and an absent --max-points becomes the cap that
+    FIBERTOP_MAX_POINTS sets, or 12."""
+    text = args.tol
     try:
-        tol = Fraction(text)
+        args.tol = Fraction(text)
     except ZeroDivisionError:
         raise FibertopError(f"--tol {text} has a zero denominator") from None
     except ValueError:
         raise FibertopError(f"--tol {text} is not a rational number p/q") from None
-    if tol <= 0:
+    if args.tol <= 0:
         raise FibertopError(f"--tol {text} must be positive")
-    return tol
+    if args.max_points is None:
+        raw = os.environ.get("FIBERTOP_MAX_POINTS") or "12"
+        try:
+            args.max_points = int(raw)
+            if args.max_points < 1:
+                raise ValueError
+        except ValueError:
+            raise FibertopError("FIBERTOP_MAX_POINTS must be a positive "
+                                f"integer, got {raw!r}") from None
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise FibertopError(f"depth must be between 1 and {MAX_DEPTH}, "
+                            f"got {args.depth}")
+    if args.max_points < 1:
+        raise FibertopError(f"the point cap (--max-points) must be a positive "
+                            f"integer, got {args.max_points}")
+
+
+COMMANDS = {"check": cmd_check, "build": cmd_build, "census": cmd_census,
+            "harness": cmd_harness}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        kwargs = {"depth": args.depth, "tolerance": _tolerance(args.tol),
-                  "seed": args.seed}
-        if args.max_points is not None:
-            kwargs["max_points"] = args.max_points
-        config = RunConfig(**kwargs)
-        if args.command == "check":
-            return cmd_check(args, config)
-        if args.command == "build":
-            return cmd_build(args, config)
-        if args.command == "census":
-            return cmd_census(args, config)
-        if args.command == "harness":
-            return cmd_harness(args, config)
-        parser.error("unknown command")
+        _check_flags(args)
+        return COMMANDS[args.command](args)
     except (FibertopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -373,7 +392,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

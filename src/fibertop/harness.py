@@ -168,7 +168,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     b_ok = c_ok = d_ok = True
     bs_ok = cs_ok = True
     cache: dict = {}
-    osc_viol = inc_viol = 0
+    osc_viol = 0
     anomalies = []
     ext_runs = []
     budget = extender_budget
@@ -244,7 +244,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         "classes": cls,
         "thm3": {"A": a_dec, "B": b_ok, "C": c_ok, "D": d_ok},
         "thm4": {"A": a_sigma, "B": bs_ok, "C": cs_ok},
-        "stepwise": {"families": families, "osc_or_increment_violations": osc_viol + inc_viol},
+        "stepwise": {"families": families, "osc_or_increment_violations": osc_viol},
         "extension_runs": ext_runs,
         "hierarchy_violations": hierarchy_violations(cls, cod.n == 1),
         "anomalies": anomalies,

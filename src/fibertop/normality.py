@@ -388,6 +388,7 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
     through one canonical sandwich per block; failure of any sandwich
     raises SearchFailed, impossible on a normal map.
     """
+    f.check_point(y)
     space, cod = f.domain, f.codomain
     if within is None:
         within = cod.full
@@ -525,6 +526,7 @@ def build_binary_partitions_sigma(f: FiberedMap, f_side: int, t_list, y: int,
     trivial, so each component runs the plain construction against its own
     piece; the common chain is asserted afterwards.
     """
+    f.check_point(y)
     families = []
     for l, t_piece in enumerate(t_list):
         try:

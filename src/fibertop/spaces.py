@@ -480,6 +480,12 @@ class FiberedMap:
                 if not domain.is_open(pre):
                     raise NotContinuous(o, pre)
 
+    def check_point(self, y: int) -> None:
+        """Raise ValueError unless y is a point of the codomain."""
+        if not 0 <= y < self.codomain.n:
+            raise ValueError(f"y = {y} is not a codomain point (points "
+                             f"0..{self.codomain.n - 1})")
+
     def preimage(self, mask: int) -> int:
         out = 0
         for y in bits(mask):

@@ -34,7 +34,12 @@ from .oscillation import RationalFunction
 from .partitions import ConsistentBinaryFamily, Level, validate_consistent_family
 from .spaces import FiberedMap, FiniteSpace, bits, mask_of
 
-KEYWORDS = ("space", "points", "opens", "map", "set", "func", "family")
+# the header line of each block; a <placeholder> matches any one token
+HEADERS = {shape.split()[0]: shape.split() for shape in (
+    "space <name>", "map <name> <X> -> <Y>", "set <name> in <space>",
+    "func <name> on <space>", "family <name> map <map> y <point>")}
+# the first tokens of the lines that end a block body
+KEYWORDS = {*HEADERS, "points", "opens"}
 
 
 @dataclass
@@ -64,15 +69,168 @@ def _parse_set_line(body: str, lineno: int, n: int, where: str) -> int:
     return mask
 
 
-def _opens_block(line: str) -> bool:
-    """Whether a stripped line that is neither blank nor a comment starts
-    the next block."""
-    return line.split(None, 1)[0] in KEYWORDS
-
-
 def _outside(p: int, lineno: int, n: int, where: str) -> InstanceSyntaxError:
     return InstanceSyntaxError(
         lineno, f"point {p} outside {where} (points 0..{n - 1})")
+
+
+def _scan(lines: list[str], i: int) -> tuple[list[int], int]:
+    """The body rows from line index i on (the indices of the lines that are
+    not blank, a comment or a keyword line) and the index of the next
+    keyword line, len(lines) at the end of the file."""
+    rows = []
+    n = len(lines)
+    while i < n:
+        line = lines[i]
+        if line and line[0] != "#":
+            if line.split(None, 1)[0] in KEYWORDS:
+                break
+            rows.append(i)
+        i += 1
+    return rows, i
+
+
+def _read_space(out, head, lineno, lines, rows, nxt) -> int:
+    name = head[1]
+    # the points and opens lines are keyword lines, so each one is the
+    # first line of its scan unless a stray row comes before it
+    first = rows[0] if rows else nxt
+    parts = lines[first].split() if first < len(lines) else []
+    if len(parts) != 2 or parts[0] != "points":
+        raise InstanceSyntaxError(first + 1, "expected: points <n>")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise InstanceSyntaxError(first + 1, "expected: points <n>") from None
+    if count < 0:
+        raise InstanceSyntaxError(first + 1, f"negative point count {count}")
+    rows, nxt = _scan(lines, first + 1)
+    first = rows[0] if rows else nxt
+    if first == len(lines) or lines[first] != "opens":
+        raise InstanceSyntaxError(first + 1, "expected: opens")
+    rows, nxt = _scan(lines, first + 1)
+    opens = [_parse_set_line(lines[r], r + 1, count, f"space {name}")
+             for r in rows]
+    try:
+        out.spaces[name] = FiniteSpace(count, opens)
+    except (FibertopError, ValueError) as exc:
+        raise InstanceValidationError(f"space {name}", str(exc), lineno) from exc
+    return nxt
+
+
+def _read_map(out, head, lineno, lines, rows, nxt) -> int:
+    name, xname, yname = head[1], head[2], head[4]
+    if xname not in out.spaces or yname not in out.spaces:
+        raise InstanceValidationError(f"map {name}", "unknown space", lineno)
+    dom, cod = out.spaces[xname], out.spaces[yname]
+    table = [None] * dom.n
+    for r in rows:
+        parts = lines[r].split()
+        if len(parts) != 3 or parts[1] != "->":
+            raise InstanceSyntaxError(r + 1, "expected: <i> -> <j>")
+        try:
+            src, dst = int(parts[0]), int(parts[2])
+        except ValueError:
+            raise InstanceSyntaxError(r + 1, "expected integers") from None
+        if not 0 <= src < dom.n:
+            raise _outside(src, r + 1, dom.n, f"space {xname}")
+        if not 0 <= dst < cod.n:
+            raise _outside(dst, r + 1, cod.n, f"space {yname}")
+        if table[src] is not None:
+            raise InstanceSyntaxError(r + 1, f"point {src} mapped twice")
+        table[src] = dst
+    if None in table:
+        raise InstanceValidationError(
+            f"map {name}", f"no image for point {table.index(None)}", lineno)
+    try:
+        out.maps[name] = FiberedMap(dom, cod, table)
+    except (FibertopError, ValueError) as exc:
+        raise InstanceValidationError(f"map {name}", str(exc), lineno) from exc
+    out.map_names[name] = (xname, yname)
+    return nxt
+
+
+def _space_of(out, head, lineno) -> FiniteSpace:
+    """The space that a set or func header names."""
+    if head[3] not in out.spaces:
+        raise InstanceValidationError(f"{head[0]} {head[1]}", "unknown space",
+                                      lineno)
+    return out.spaces[head[3]]
+
+
+def _read_set(out, head, lineno, lines, rows, nxt) -> int:
+    space = _space_of(out, head, lineno)
+    mask = 0
+    for r in rows:
+        mask |= _parse_set_line(lines[r], r + 1, space.n, f"space {head[3]}")
+    out.sets[head[1]] = (head[3], mask)
+    return nxt
+
+
+def _read_func(out, head, lineno, lines, rows, nxt) -> int:
+    space = _space_of(out, head, lineno)
+    values: dict[int, Fraction] = {}
+    for r in rows:
+        parts = lines[r].split(":")
+        if len(parts) != 2:
+            raise InstanceSyntaxError(r + 1, "expected: <i>: <p/q>")
+        try:
+            pt = int(parts[0])
+            value = Fraction(parts[1].strip())
+        except (ValueError, ZeroDivisionError):
+            raise InstanceSyntaxError(r + 1, "bad rational") from None
+        if not 0 <= pt < space.n:
+            raise _outside(pt, r + 1, space.n, f"space {head[3]}")
+        if pt in values:
+            raise InstanceSyntaxError(r + 1, f"point {pt} given twice")
+        values[pt] = value
+    table = tuple(values.get(x) for x in range(space.n))
+    out.funcs[head[1]] = (head[3], RationalFunction(space, table,
+                                                     mask_of(values)))
+    return nxt
+
+
+def _read_family(out, head, lineno, lines, rows, nxt) -> int:
+    """The family's (O:, blocks:) pairs are its first rows; the first row
+    that starts no pair is where the next header must be."""
+    name, mname = head[1], head[3]
+    if mname not in out.maps:
+        raise InstanceValidationError(f"family {name}", "unknown map", lineno)
+    try:
+        ypt = int(head[5])
+    except ValueError:
+        raise InstanceSyntaxError(lineno, "bad base point") from None
+    fmap = out.maps[mname]
+    dom, cod = out.map_names[mname]
+    if not 0 <= ypt < fmap.codomain.n:
+        raise _outside(ypt, lineno, fmap.codomain.n, f"space {cod}")
+    levels = []
+    k = 0
+    while k < len(rows) and lines[rows[k]].startswith("O:"):
+        r = rows[k]
+        nbhd = _parse_set_line(lines[r][2:], r + 1, fmap.codomain.n,
+                               f"space {cod}")
+        r = rows[k + 1] if k + 1 < len(rows) else nxt
+        if r == len(lines) or not lines[r].startswith("blocks:"):
+            raise InstanceSyntaxError(r + 1, "expected: blocks:")
+        blocks = tuple(_parse_set_line(part, r + 1, fmap.domain.n, f"space {dom}")
+                       for part in lines[r][len("blocks:"):].split("|"))
+        levels.append(Level(nbhd, blocks))
+        k += 2
+    try:
+        fam = validate_consistent_family(
+            ConsistentBinaryFamily(fmap, ypt, tuple(levels)))
+    except FibertopError as exc:
+        raise InstanceValidationError(f"family {name}", str(exc), lineno) from exc
+    out.families[name] = (mname, fam)
+    return rows[k] if k < len(rows) else nxt
+
+
+# each reader takes the instance so far, the header's tokens and line
+# number, the lines, the body rows and the next keyword line's index, and
+# returns the index at which the next block must start
+READERS = {"space": _read_space, "map": _read_map, "set": _read_set,
+           "func": _read_func, "family": _read_family}
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -81,197 +239,22 @@ def parse_instance(text: str) -> InstanceFile:
     # stripped once; line i + 1 of the file is lines[i]
     lines = [ln.strip() for ln in text.splitlines()]
     i = 0
-    n = len(lines)
-
-    def skip_blank(idx: int) -> int:
-        while idx < n and (not lines[idx] or lines[idx].startswith("#")):
-            idx += 1
-        return idx
-
-    while i < n:
-        line = lines[i]
-        lineno = i + 1
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        head = line.split()
-        kw = head[0]
-        if kw == "space":
-            if len(head) != 2:
-                raise InstanceSyntaxError(lineno, "expected: space <name>")
-            name = head[1]
-            i = skip_blank(i + 1)
-            parts = lines[i].split() if i < n else []
-            if len(parts) != 2 or parts[0] != "points":
-                raise InstanceSyntaxError(i + 1, "expected: points <n>")
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise InstanceSyntaxError(i + 1, "expected: points <n>") from None
-            if count < 0:
-                raise InstanceSyntaxError(i + 1, f"negative point count {count}")
-            i = skip_blank(i + 1)
-            if i >= n or lines[i] != "opens":
-                raise InstanceSyntaxError(i + 1, "expected: opens")
-            i += 1
-            opens = []
-            while i < n:
-                stripped = lines[i]
-                if not stripped or stripped.startswith("#"):
-                    i += 1
-                    continue
-                if _opens_block(stripped):
-                    break
-                opens.append(_parse_set_line(stripped, i + 1, count,
-                                             f"space {name}"))
-                i += 1
-            try:
-                out.spaces[name] = FiniteSpace(count, opens)
-            except (FibertopError, ValueError) as exc:
-                raise InstanceValidationError(f"space {name}", str(exc),
-                                              lineno) from exc
-        elif kw == "map":
-            if len(head) != 5 or head[3] != "->":
-                raise InstanceSyntaxError(lineno, "expected: map <name> <X> -> <Y>")
-            name, xname, yname = head[1], head[2], head[4]
-            if xname not in out.spaces or yname not in out.spaces:
-                raise InstanceValidationError(f"map {name}", "unknown space", lineno)
-            dom, cod = out.spaces[xname], out.spaces[yname]
-            table = [None] * dom.n
-            i += 1
-            while i < n:
-                stripped = lines[i]
-                if not stripped or stripped.startswith("#"):
-                    i += 1
-                    continue
-                if _opens_block(stripped):
-                    break
-                parts = stripped.split()
-                if len(parts) != 3 or parts[1] != "->":
-                    raise InstanceSyntaxError(i + 1, "expected: <i> -> <j>")
-                try:
-                    src, dst = int(parts[0]), int(parts[2])
-                except ValueError:
-                    raise InstanceSyntaxError(i + 1, "expected integers") from None
-                if not 0 <= src < dom.n:
-                    raise _outside(src, i + 1, dom.n, f"space {xname}")
-                if not 0 <= dst < cod.n:
-                    raise _outside(dst, i + 1, cod.n, f"space {yname}")
-                if table[src] is not None:
-                    raise InstanceSyntaxError(i + 1, f"point {src} mapped twice")
-                table[src] = dst
-                i += 1
-            if None in table:
-                missing = table.index(None)
-                raise InstanceValidationError(f"map {name}",
-                                              f"no image for point {missing}",
-                                              lineno)
-            try:
-                out.maps[name] = FiberedMap(dom, cod, table)
-            except (FibertopError, ValueError) as exc:
-                raise InstanceValidationError(f"map {name}", str(exc),
-                                              lineno) from exc
-            out.map_names[name] = (xname, yname)
-        elif kw == "set":
-            if len(head) != 4 or head[2] != "in":
-                raise InstanceSyntaxError(lineno, "expected: set <name> in <space>")
-            name, sname = head[1], head[3]
-            if sname not in out.spaces:
-                raise InstanceValidationError(f"set {name}", "unknown space", lineno)
-            space = out.spaces[sname]
-            mask = 0
-            i += 1
-            while i < n:
-                stripped = lines[i]
-                if not stripped or stripped.startswith("#"):
-                    i += 1
-                    continue
-                if _opens_block(stripped):
-                    break
-                mask |= _parse_set_line(stripped, i + 1, space.n, f"space {sname}")
-                i += 1
-            out.sets[name] = (sname, mask)
-        elif kw == "func":
-            if len(head) != 4 or head[2] != "on":
-                raise InstanceSyntaxError(lineno, "expected: func <name> on <space>")
-            name, sname = head[1], head[3]
-            if sname not in out.spaces:
-                raise InstanceValidationError(f"func {name}", "unknown space", lineno)
-            space = out.spaces[sname]
-            values: dict[int, Fraction] = {}
-            i += 1
-            while i < n:
-                stripped = lines[i]
-                if not stripped or stripped.startswith("#"):
-                    i += 1
-                    continue
-                if _opens_block(stripped):
-                    break
-                parts = stripped.split(":")
-                if len(parts) != 2:
-                    raise InstanceSyntaxError(i + 1, "expected: <i>: <p/q>")
-                try:
-                    pt = int(parts[0])
-                    value = Fraction(parts[1].strip())
-                except (ValueError, ZeroDivisionError):
-                    raise InstanceSyntaxError(i + 1, "bad rational") from None
-                if not 0 <= pt < space.n:
-                    raise _outside(pt, i + 1, space.n, f"space {sname}")
-                if pt in values:
-                    raise InstanceSyntaxError(i + 1, f"point {pt} given twice")
-                values[pt] = value
-                i += 1
-            carrier = mask_of(values)
-            table = tuple(values.get(x) for x in range(space.n))
-            out.funcs[name] = (sname, RationalFunction(space, table, carrier))
-        elif kw == "family":
-            if len(head) != 6 or head[2] != "map" or head[4] != "y":
-                raise InstanceSyntaxError(
-                    lineno, "expected: family <name> map <map> y <point>")
-            name, mname = head[1], head[3]
-            if mname not in out.maps:
-                raise InstanceValidationError(f"family {name}", "unknown map", lineno)
-            try:
-                ypt = int(head[5])
-            except ValueError:
-                raise InstanceSyntaxError(lineno, "bad base point") from None
-            fmap = out.maps[mname]
-            dom, cod = out.map_names[mname]
-            if not 0 <= ypt < fmap.codomain.n:
-                raise _outside(ypt, lineno, fmap.codomain.n, f"space {cod}")
-            levels = []
-            i += 1
-            while i < n:
-                stripped = lines[i]
-                if not stripped or stripped.startswith("#"):
-                    i += 1
-                    continue
-                if not stripped.startswith("O:"):
-                    break
-                nbhd = _parse_set_line(stripped[2:], i + 1, fmap.codomain.n,
-                                       f"space {cod}")
-                i += 1
-                i = skip_blank(i)
-                if i >= n or not lines[i].startswith("blocks:"):
-                    raise InstanceSyntaxError(i + 1, "expected: blocks:")
-                body = lines[i][len("blocks:"):]
-                blocks = tuple(_parse_set_line(part, i + 1, fmap.domain.n,
-                                               f"space {dom}")
-                               for part in body.split("|"))
-                levels.append(Level(nbhd, blocks))
-                i += 1
-            try:
-                fam = validate_consistent_family(
-                    ConsistentBinaryFamily(fmap, ypt, tuple(levels)))
-            except FibertopError as exc:
-                raise InstanceValidationError(f"family {name}", str(exc),
-                                              lineno) from exc
-            out.families[name] = (mname, fam)
-        elif kw in ("points", "opens"):
-            raise InstanceSyntaxError(lineno, f"{kw} outside a space block")
-        else:
-            raise InstanceSyntaxError(lineno, f"unknown keyword {kw!r}")
-    return out
+    while True:
+        rows, i = _scan(lines, i)
+        if rows:
+            raise InstanceSyntaxError(
+                rows[0] + 1, f"unknown keyword {lines[rows[0]].split()[0]!r}")
+        if i == len(lines):
+            return out
+        head = lines[i].split()
+        shape = HEADERS.get(head[0])
+        if shape is None:
+            raise InstanceSyntaxError(i + 1, f"{head[0]} outside a space block")
+        if len(head) != len(shape) or any(
+                s != h for s, h in zip(shape, head) if s[0] != "<"):
+            raise InstanceSyntaxError(i + 1, "expected: " + " ".join(shape))
+        rows, nxt = _scan(lines, i + 1)
+        i = READERS[head[0]](out, head, i + 1, lines, rows, nxt)
 
 
 def _fmt_set(mask: int) -> str:

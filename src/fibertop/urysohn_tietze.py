@@ -101,6 +101,7 @@ def build_separator(f: FiberedMap, f_side: int, t_side: int, y: int,
     makes it the minimal neighborhood of y), where the truncated limit has
     oscillation at most 1/(2^depth - 1) < 1/2.
     """
+    f.check_point(y)
     if depth < 2:
         raise ValueError("a separator needs depth >= 2")
     family = build_binary_partitions(f, f_side, t_side, y, depth, within=within)
@@ -133,6 +134,7 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
     then the component-constant spread (zero elsewhere) realizes it without
     increasing the norm.
     """
+    f.check_point(y)
     space = f.domain
     region = f._nbhd_pre[y]
     values = [Fraction(0)] * space.n
@@ -199,6 +201,7 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     values fix the carrier, being None exactly off it.  Errors are not
     stored: each failing call runs and raises afresh.
     """
+    f.check_point(y)
     space, cod = f.domain, f.codomain
     if within is None:
         within = cod.full
@@ -416,6 +419,7 @@ def sigma_separator_family(f: FiberedMap, f_side: int, t_list, y: int,
     pinning on F and each T_l, and the strict upper-set interior/closure
     conditions per piece.
     """
+    f.check_point(y)
     if depth < 2:
         raise ValueError("the sigma family needs depth >= 2")
     space = f.domain

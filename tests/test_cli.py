@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fibertop import census, cli
 from fibertop.cli import main
-from fibertop.config import MAX_DEPTH, RunConfig
 
 DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
 
@@ -287,6 +286,22 @@ class TestBuild:
         assert captured.out == ""
         assert f"--y {y}" in captured.err and "2 points" in captured.err
 
+    @pytest.mark.parametrize("kind, given, missing", [
+        ("partitions", ["--T", "T"], "F"),
+        ("partitions", ["--F", "F"], "T"),
+        ("separator", ["--T", "T"], "F"),
+        ("separator", ["--F", "F"], "T"),
+        ("sigma-family", ["--T", "T"], "F"),
+        ("sigma-family", ["--F", "F"], "T"),
+        ("functional-witness", [], "F"),
+        ("extend", [], "phi"),
+    ])
+    def test_missing_flag_is_named(self, kind, given, missing, capsys):
+        assert main(["build", kind, DEMO, *given, "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: build {kind} needs --{missing}\n"
+
     def test_functional_witness_failure_exits_1(self, capsys):
         code = main(["--json", "build", "functional-witness", DEMO,
                      "--F", "F", "--y", "0"])
@@ -331,10 +346,34 @@ class TestDepthBound:
         assert captured.out == ""
         assert "between 1 and 16" in captured.err and depth in captured.err
 
-    def test_bound_is_inclusive(self):
-        assert RunConfig(depth=MAX_DEPTH).depth == 16
-        with pytest.raises(ValueError):
-            RunConfig(depth=MAX_DEPTH + 1)
+    def test_bound_is_inclusive(self, d2_file, capsys):
+        assert main(["--depth", "16", "check", "normal", d2_file]) == 0
+        assert main(["--depth", "17", "check", "normal", d2_file]) == 2
+        assert capsys.readouterr().err.endswith("got 17\n")
+
+
+class TestFlagOrder:
+    """With several bad flags, main names the first in a fixed order:
+    --tol, FIBERTOP_MAX_POINTS (only without --max-points), --depth,
+    --max-points."""
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--tol", "0", "--depth", "0", "--max-points", "0"], "x",
+         "--tol 0 must be positive"),
+        (["--depth", "0"], "x",
+         "FIBERTOP_MAX_POINTS must be a positive integer, got 'x'"),
+        (["--depth", "0", "--max-points", "0"], "x",
+         "depth must be between 1 and 16, got 0"),
+        (["--max-points", "0"], "x",
+         "the point cap (--max-points) must be a positive integer, got 0"),
+    ])
+    def test_first_bad_flag_is_named(self, d2_file, capsys, monkeypatch, argv,
+                                     env, message):
+        monkeypatch.setenv("FIBERTOP_MAX_POINTS", env)
+        assert main([*argv, "check", "normal", d2_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestInstanceErrors:
@@ -564,6 +603,25 @@ class TestCensus:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--total", "-1"], "--total -1 must be at least 2: no instance has "
+                            "fewer than two points"),
+        (["--total", "0"], "--total 0 must be at least 2: no instance has "
+                           "fewer than two points"),
+        (["--total", "1"], "--total 1 must be at least 2: no instance has "
+                           "fewer than two points"),
+        (["--total", "4", "--sample", "3"],
+         "--total cannot be combined with --sample")])
+    def test_total_is_checked(self, capsys, argv, message):
+        assert main(["census", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_total_two(self, capsys):
+        assert main(["census", "--total", "2"]) == 0
+        assert capsys.readouterr().err.startswith("# instances=1 ")
+
     @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "3", "--total", "5"]])
     def test_counts_are_the_true_classes_of_the_lines(self, capsys, argv):
         assert main(["census", *argv]) == 0
@@ -588,6 +646,23 @@ class TestHarness:
         code = main(["harness", "--total", "3", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") > 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--total", "0"], "--total 0 must be at least 2: no instance has "
+                           "fewer than two points"),
+        (["--total", "-3"], "--total -3 must be at least 2: no instance has "
+                            "fewer than two points"),
+        (["--budget", "-1"], "--budget -1 must not be negative")])
+    def test_sizes_are_checked(self, capsys, argv, message):
+        assert main(["harness", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_zero_budget_runs_no_extension(self, capsys):
+        assert main(["--json", "harness", "--total", "3", "--budget", "0"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["params"]["extender_budget"] == 0
 
     def test_deterministic_output(self, capsys):
         assert main(["--json", "harness", "--total", "3"]) == 0

@@ -293,3 +293,72 @@ def test_serialize_family_shape():
     fam = build_binary_partitions(f, 0b01, 0b10, 0, 1)
     text = serialize_family(fam)
     assert text.splitlines() == ["O: 0", "blocks: 0 1", "O: 0", "blocks: 0 | 1"]
+
+
+# the identity of the Sierpinski space on lines 1-9
+SIERPINSKI_MAP = "space X\npoints 2\nopens\n-\n0\n0 1\nmap f X -> X\n0 -> 0\n1 -> 1\n"
+POINT = "space X\npoints 1\nopens\n-\n0\n"
+
+
+class TestErrorPaths:
+    """One minimal bad file per error path of the parser: the type, the
+    line and the whole message are pinned."""
+
+    @pytest.mark.parametrize("text, kind, line, message", [
+        ("foo\n", InstanceSyntaxError, 1, "line 1: unknown keyword 'foo'"),
+        ("points 2\n", InstanceSyntaxError, 1,
+         "line 1: points outside a space block"),
+        (POINT + "opens\n", InstanceSyntaxError, 6,
+         "line 6: opens outside a space block"),
+        ("space X\npoints 1\n", InstanceSyntaxError, 3, "line 3: expected: opens"),
+        ("space X\npoints 1\n0\nopens\n", InstanceSyntaxError, 3,
+         "line 3: expected: opens"),
+        ("space X\n\nmap f X -> X\n", InstanceSyntaxError, 3,
+         "line 3: expected: points <n>"),
+        # an O: row at the end of the file
+        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\n", InstanceSyntaxError,
+         12, "line 12: expected: blocks:"),
+        # a keyword line right after O:
+        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\n# c\nset A in X\n",
+         InstanceSyntaxError, 13, "line 13: expected: blocks:"),
+        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nO: 0 1\n",
+         InstanceSyntaxError, 12, "line 12: expected: blocks:"),
+        (POINT + "map f X -> X\n0 0\n", InstanceSyntaxError, 7,
+         "line 7: expected: <i> -> <j>"),
+        (POINT + "map f X -> X\na -> 0\n", InstanceSyntaxError, 7,
+         "line 7: expected integers"),
+        (SIERPINSKI_MAP.replace("1 -> 1\n", "") + "set A in X\n0\n",
+         InstanceValidationError, 7, "map f (line 7): no image for point 1"),
+        (SIERPINSKI_MAP + "family a map f y z\nO: 0 1\nblocks: 0 1\n",
+         InstanceSyntaxError, 10, "line 10: bad base point"),
+        (SIERPINSKI_MAP + "family a map g y 0\n", InstanceValidationError, 10,
+         "family a (line 10): unknown map"),
+        (POINT + "set A in X\nz\n", InstanceSyntaxError, 7,
+         "line 7: bad point list 'z'"),
+        (POINT + "func g on X\n0 1/2\n", InstanceSyntaxError, 7,
+         "line 7: expected: <i>: <p/q>"),
+        (POINT + "func g on Y\n0: 1/2\n", InstanceValidationError, 6,
+         "func g (line 6): unknown space"),
+        ("space\n", InstanceSyntaxError, 1, "line 1: expected: space <name>"),
+        (POINT + "map f X\n", InstanceSyntaxError, 6,
+         "line 6: expected: map <name> <X> -> <Y>"),
+        ("set A X\n", InstanceSyntaxError, 1,
+         "line 1: expected: set <name> in <space>"),
+        ("func g in X\n", InstanceSyntaxError, 1,
+         "line 1: expected: func <name> on <space>"),
+        ("family a map f y\n", InstanceSyntaxError, 1,
+         "line 1: expected: family <name> map <map> y <point>"),
+        # a stray row after a valid family is the next header
+        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nblocks: 0 1\n0 1\n",
+         InstanceSyntaxError, 13, "line 13: unknown keyword '0'"),
+        # ... and is reported only after the family is validated
+        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nblocks: 0\n0 1\n",
+         InstanceValidationError, 10,
+         "family a (line 10): level 0 must be the whole codomain with one block"),
+    ])
+    def test_error_names_its_line(self, text, kind, line, message):
+        with pytest.raises((InstanceSyntaxError, InstanceValidationError)) as err:
+            parse_instance(text)
+        assert type(err.value) is kind
+        assert err.value.line == line
+        assert str(err.value) == message

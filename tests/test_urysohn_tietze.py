@@ -15,7 +15,12 @@ from fibertop.errors import (
     PreconditionNotFContinuous,
     SearchFailed,
 )
-from fibertop.normality import is_normal, is_sigma_normal
+from fibertop.normality import (
+    build_binary_partitions,
+    build_binary_partitions_sigma,
+    is_normal,
+    is_sigma_normal,
+)
 from fibertop.oscillation import (
     RationalFunction,
     is_f_continuous_at,
@@ -24,6 +29,7 @@ from fibertop.oscillation import (
 )
 from fibertop.spaces import (
     FiberedMap,
+    chain,
     constant_map,
     discrete,
     identity_map,
@@ -48,6 +54,34 @@ def two_valued(space, f_side, t_side):
                  (Fraction(0) if f_side >> x & 1 else None)
                  for x in range(space.n))
     return RationalFunction(space, vals, f_side | t_side)
+
+
+class TestCodomainPoint:
+    """Every entry point that takes y rejects a y outside the codomain
+    first, whatever else is wrong with its arguments."""
+
+    @staticmethod
+    def _calls(f):
+        phit = RationalFunction.on_carrier(f.domain, 0b100, lambda x: Fraction(3, 4))
+        return {
+            "partitions": lambda y: build_binary_partitions(f, 0b100, 0, y, 0),
+            "partitions_sigma": lambda y: build_binary_partitions_sigma(
+                f, 0b100, [], y, 0),
+            "separator": lambda y: build_separator(f, 0b100, 0, y, 1),
+            "sigma_separators": lambda y: sigma_separator_family(f, 0b100, [], y, 1),
+            "tietze": lambda y: tietze_extend(f, 0b100, phit, y, within=0),
+            "exact": lambda y: exact_extension_exists(f, phit, y),
+        }
+
+    @pytest.mark.parametrize("y", [2, -1])
+    @pytest.mark.parametrize("name", ["partitions", "partitions_sigma",
+                                      "separator", "sigma_separators",
+                                      "tietze", "exact"])
+    def test_y_outside_codomain(self, name, y):
+        f = FiberedMap(chain(3), sierpinski(), [0, 0, 1])
+        with pytest.raises(ValueError) as err:
+            self._calls(f)[name](y)
+        assert str(err.value) == f"y = {y} is not a codomain point (points 0..1)"
 
 
 class TestSeparator:
