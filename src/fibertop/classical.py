@@ -35,12 +35,9 @@ def urysohn_function(space: FiniteSpace, f_side: int, t_side: int
     A continuous function on a finite space is constant on each
     minimal-neighborhood component, so existence is a component check.
     """
-    out = 0
-    for comp in space.nbhd_classes(space.full):
-        if comp & t_side:
-            if comp & f_side:
-                return None
-            out |= comp
+    out = space.saturation(space.full, t_side)
+    if out & f_side:
+        return None
     return RationalFunction.indicator(space, out)
 
 

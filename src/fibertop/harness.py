@@ -44,6 +44,7 @@ from .normality import (
 from .oscillation import norm, osc_on_set
 from .spaces import FiberedMap, bits, constant_map
 from .urysohn_tietze import (
+    _sup_difference,
     boundary_function,
     build_separator,
     exact_extension_exists,
@@ -62,12 +63,10 @@ def functional_co_sigma(f: FiberedMap) -> bool:
         rel_opens = space.rel_opens(pre_o)
         for y in bits(o_mask):
             w = f._nbhd_pre[y]
-            comps = space.nbhd_classes(w)
             for u in rel_opens:
-                target = u & w
-                for comp in comps:
-                    if comp & target and comp & ~target:
-                        return False
+                # some component of w straddles u & w
+                if space.saturation(w, u) & ~u:
+                    return False
     return True
 
 
@@ -181,16 +180,16 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                      for t in rel_closed]
         for y in bits(o_mask):
             w = f._nbhd_pre[y]
-            comps = space.nbhd_classes(w)
             for i, a in enumerate(rel_closed):
+                sat_a = None  # the components of w that meet a, once d_ok
                 for b in rel_closed[i:]:
                     if a & b:
                         continue
                     if d_ok:
-                        for comp in comps:
-                            if comp & a and comp & b:
-                                d_ok = False
-                                break
+                        if sat_a is None:
+                            sat_a = space.saturation(w, a)
+                        if sat_a & b:
+                            d_ok = False
                     if b_ok or c_ok:
                         built, bounds, c_pass = _build_entry(cache, f, a, b, y, depth)
                         if not built:
@@ -214,15 +213,14 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                             _extension_run(f, a, b, y, o_mask, tolerance, a_dec,
                                            anomalies))
             for t, pieces in zip(rel_closed, pieces_of):
+                cl_t = None  # closure in w of the components meeting t
                 for fm in rel_closed:
                     if t & fm:
                         continue
                     if cs_ok:
-                        hull_comps = 0
-                        for comp in comps:
-                            if comp & t:
-                                hull_comps |= comp
-                        if space.rel_closure(w, hull_comps) & fm:
+                        if cl_t is None:
+                            cl_t = space.rel_closure(w, space.saturation(w, t))
+                        if cl_t & fm:
                             cs_ok = False
                     if bs_ok:
                         for piece in pieces:
@@ -284,11 +282,7 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     trace = phit.carrier & f._nbhd_pre[y]
     exact = res.residual_bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)
-    sup = Fraction(0)
-    for x in bits(trace):
-        d = abs(phit.values[x] - res.phi.values[x])
-        if d > sup:
-            sup = d
+    sup = _sup_difference(phit, res.phi, trace)
     run.update({
         "ok": True,
         "iterations": res.iterations,

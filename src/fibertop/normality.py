@@ -712,7 +712,15 @@ def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
 
 
 def _open_submaps_f_sigma(f: FiberedMap):
-    for u in f.domain.opens:
+    """The least open u whose submapping is not F_sigma, with its first
+    failing y, or None; only the minimal neighbourhoods are scanned.
+
+    An open u fails at y iff some x in u & P has cl{x} & P outside u,
+    P = f^{-1}(U_y).  Then U_x, inside u, fails at the same y, and its
+    mask is at most u's, so the least failing open is some U_x
+    (``test_deciders_match_literal_scans_on_census6`` checks this against
+    the scan over every open)."""
+    for u in sorted(set(f.domain._min_nbhd)):
         y = _f_sigma_failure(f, u)
         if y is not None:
             return (u, y)

@@ -278,6 +278,15 @@ class FiniteSpace:
         """
         return self.memoised(_nbhd_classes, region)
 
+    def saturation(self, region: int, mask: int) -> int:
+        """The union of the components in ``nbhd_classes(region)`` that
+        meet mask: the least union of components covering mask & region."""
+        out = 0
+        for comp in self.memoised(_nbhd_classes, region):
+            if comp & mask:
+                out |= comp
+        return out
+
     # -------------------------------------------------------- constructions
 
     def subspace(self, carrier: int) -> "Subspace":

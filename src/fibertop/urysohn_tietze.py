@@ -153,20 +153,6 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
     return ExactExtension(True, phi, None)
 
 
-def _separator_mask(space: FiniteSpace, region: int, p_side: int,
-                    q_side: int) -> int | None:
-    """The 1-set of the exactly f-continuous {0, 1} separator of P and Q
-    over region: the union of the minimal-neighborhood components of
-    region that meet Q, or None when one of them meets P too."""
-    out = 0
-    for comp in space.nbhd_classes(region):
-        if comp & q_side:
-            if comp & p_side:
-                return None
-            out |= comp
-    return out
-
-
 # ------------------------------------------------------------ the extension
 
 
@@ -264,8 +250,9 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
         q_side = space.rel_closure(pre, high)
         if p_side & q_side:
             raise CheckFailed("level closures overlap despite the osc bound")
-        out = _separator_mask(space, pre, p_side, q_side)
-        if out is None:
+        # the exact {0, 1} separator: 1 on the components meeting q_side
+        out = space.saturation(pre, q_side)
+        if out & p_side:
             raise SearchFailed(n, "exact separator")
         psi = [mu if out >> x & 1 else -mu for x in range(space.n)]
         if max(map(abs, psi)) > mu:

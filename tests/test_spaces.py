@@ -327,6 +327,21 @@ class TestLookupTables:
                     + [space.full, 1 << 29, 1 << 12 | 1 << 11])
 
 
+class TestSaturation:
+    def test_union_of_meeting_classes_on_census4(self):
+        for n in range(1, 5):
+            for space in canonical_spaces(n):
+                for region in range(space.full + 1):
+                    classes = space.nbhd_classes(region)
+                    for mask in range(space.full + 1):
+                        literal = 0
+                        for comp in classes:
+                            if comp & mask:
+                                literal |= comp
+                        assert space.saturation(region, mask) == literal, \
+                            (space.opens, region, mask)
+
+
 class TestSubspace:
     def test_single_point(self, S):
         sub = S.subspace(0b10)
