@@ -49,11 +49,8 @@ from .spaces import (
     FiniteSpace,
     Submapping,
     Subspace,
-    closure,
-    interior,
     is_f_sigma_submapping,
     is_f_sigma_subset,
-    minimal_open_neighborhood,
     restrict_map,
     validate_topology,
 )

@@ -10,8 +10,11 @@ level acceptance ground.
 Side A of each theorem and the whole classification come from the public
 deciders in ``normality``; the hereditary entries run those same deciders
 on carrier masks.  The other sides are computed here on their own routes:
-from the partition families built for each closed pair (cached per
-instance), and from the minimal-neighborhood components.
+from the partition families built for each closed pair, and from the
+minimal-neighborhood components.  The pair scans behind them, and the
+verdicts of the component sides, are memoised per domain space on
+(f^{-1}(O), f^{-1}(U_y)); each instance then looks up each family's
+verdicts once per (F, T, y), in the same order as the scans list the pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .normality import (
     is_sigma_prenormal,
 )
 from .oscillation import norm, osc_on_set
-from .spaces import FiberedMap, bits, constant_map
+from .spaces import FiberedMap, FiniteSpace, bits, constant_map
 from .urysohn_tietze import (
     _sup_difference,
     boundary_function,
@@ -60,14 +63,15 @@ def functional_co_sigma(f: FiberedMap) -> bool:
     space = f.domain
     for o_mask in f.codomain.opens:
         pre_o = f.preimage(o_mask)
-        rel_opens = space.rel_opens(pre_o)
         for y in bits(o_mask):
-            w = f._nbhd_pre[y]
-            for u in rel_opens:
-                # some component of w straddles u & w
-                if space.saturation(w, u) & ~u:
-                    return False
+            if not space.memoised(_no_straddle, pre_o, f._nbhd_pre[y]):
+                return False
     return True
+
+
+def _no_straddle(space: FiniteSpace, pre_o: int, w: int) -> bool:
+    """No component of w straddles u & w, for any u open in pre_o."""
+    return not any(space.saturation(w, u) & ~u for u in space.rel_opens(pre_o))
 
 
 # ------------------------------------------------------------ classification
@@ -139,6 +143,50 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
 # --------------------------------------------------------- theorem sweeps
 
 
+def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
+    """The pair scans of both theorems for one (O, y), which depend only on
+    the domain, pre_o = f^{-1}(O) and w = f^{-1}(U_y):
+
+    - side D of thm3: no component of w meets both sets of a pair;
+    - side C of thm4: the closure in w of the components meeting t misses
+      every fm disjoint from t;
+    - the disjoint pairs (F, T) of sets closed in pre_o, each pair once
+      with F first in sorted order, in scan order;
+    - the (F, piece) pairs of the sigma scan, each piece the closure in
+      pre_o of a point of a T disjoint from F, in scan order with only the
+      first of each repeat kept: a repeat has the outcome of its first.
+    """
+    rel_closed = space.rel_closed_sets(pre_o)
+    d_ok = cs_ok = True
+    pairs = []
+    for i, a in enumerate(rel_closed):
+        sat_a = None  # the components of w that meet a, once d_ok
+        for b in rel_closed[i:]:
+            if a & b:
+                continue
+            pairs.append((a, b))
+            if d_ok:
+                if sat_a is None:
+                    sat_a = space.saturation(w, a)
+                if sat_a & b:
+                    d_ok = False
+    sigma_pairs = {}
+    for t in rel_closed:
+        pieces = [space.rel_closure(pre_o, 1 << x) for x in bits(t)]
+        cl_t = None  # closure in w of the components meeting t, once cs_ok
+        for fm in rel_closed:
+            if t & fm:
+                continue
+            if cs_ok:
+                if cl_t is None:
+                    cl_t = space.rel_closure(w, space.saturation(w, t))
+                if cl_t & fm:
+                    cs_ok = False
+            for piece in pieces:
+                sigma_pairs.setdefault((fm, piece))
+    return d_ok, cs_ok, tuple(pairs), tuple(sigma_pairs)
+
+
 def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
                  depth: int):
     """(built, stepwise bounds, condition C) of the family for (F, T, y)."""
@@ -175,21 +223,13 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         if o_mask == 0:
             continue
         pre_o = f.preimage(o_mask)
-        rel_closed = space.rel_closed_sets(pre_o)
-        pieces_of = [[space.rel_closure(pre_o, 1 << x) for x in bits(t)]
-                     for t in rel_closed]
         for y in bits(o_mask):
-            w = f._nbhd_pre[y]
-            for i, a in enumerate(rel_closed):
-                sat_a = None  # the components of w that meet a, once d_ok
-                for b in rel_closed[i:]:
-                    if a & b:
-                        continue
-                    if d_ok:
-                        if sat_a is None:
-                            sat_a = space.saturation(w, a)
-                        if sat_a & b:
-                            d_ok = False
+            d_side, c_side, pairs, sigma_pairs = space.memoised(
+                _pair_scan, pre_o, f._nbhd_pre[y])
+            d_ok = d_ok and d_side
+            cs_ok = cs_ok and c_side
+            if b_ok or c_ok or budget > 0:
+                for a, b in pairs:
                     if b_ok or c_ok:
                         built, bounds, c_pass = _build_entry(cache, f, a, b, y, depth)
                         if not built:
@@ -212,26 +252,15 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                         ext_runs.append(
                             _extension_run(f, a, b, y, o_mask, tolerance, a_dec,
                                            anomalies))
-            for t, pieces in zip(rel_closed, pieces_of):
-                cl_t = None  # closure in w of the components meeting t
-                for fm in rel_closed:
-                    if t & fm:
-                        continue
-                    if cs_ok:
-                        if cl_t is None:
-                            cl_t = space.rel_closure(w, space.saturation(w, t))
-                        if cl_t & fm:
-                            cs_ok = False
-                    if bs_ok:
-                        for piece in pieces:
-                            built, _, _ = _build_entry(cache, f, fm, piece, y, depth)
-                            if not built:
-                                if a_sigma:
-                                    anomalies.append(
-                                        f"sigma builder failed at O={o_mask}"
-                                        f" F={fm} piece={piece} y={y}")
-                                bs_ok = False
-                                break
+            if bs_ok:
+                for fm, piece in sigma_pairs:
+                    if not _build_entry(cache, f, fm, piece, y, depth)[0]:
+                        if a_sigma:
+                            anomalies.append(
+                                f"sigma builder failed at O={o_mask}"
+                                f" F={fm} piece={piece} y={y}")
+                        bs_ok = False
+                        break
     families = sum(1 for v in cache.values() if v[0])
     cls = classify(f)
     record = {

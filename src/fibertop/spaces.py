@@ -441,18 +441,6 @@ class Subspace:
         return mask_of(index[p] for p in bits(mask) if p in index)
 
 
-def closure(space: FiniteSpace, mask: int) -> int:
-    return space.closure(mask)
-
-
-def interior(space: FiniteSpace, mask: int) -> int:
-    return space.interior(mask)
-
-
-def minimal_open_neighborhood(space: FiniteSpace, x: int) -> int:
-    return space.min_nbhd(x)
-
-
 class FiberedMap:
     """A continuous map between finite spaces, table[x] = image of x.
 

@@ -67,6 +67,7 @@ from fibertop.spaces import (
     sierpinski,
 )
 from fibertop.urysohn_tietze import verify_condition_C
+from harness_reference import theorem_record_reference
 from levels_reference import build_levels_reference
 
 
@@ -597,6 +598,39 @@ class TestCarrierRelativeDeciders:
         for space in canonical_spaces(4):
             for region in range(space.full + 1):
                 assert space.nbhd_classes(region) == _bfs_classes(space, region)
+
+
+class TestPairScanMemo:
+    """theorem_record reads its pair scans and functional_co_sigma its
+    verdicts from per-space memos keyed on (f^{-1}(O), f^{-1}(U_y)); the
+    records equal those of the unmemoised pre-memo loop, whether each memo
+    starts empty or holds the entries of every map on its space."""
+
+    @staticmethod
+    def _check(instances) -> list:
+        cold = []
+        for inst in instances:
+            inst.f.domain._memo = None
+            cold.append(theorem_record(inst))
+        warm = [theorem_record(inst) for inst in instances]
+        reference = [theorem_record_reference(inst) for inst in instances]
+        assert cold == reference
+        assert warm == reference
+        return reference
+
+    def test_census5(self):
+        records = self._check(list(census_instances(5)))
+        assert len(records) == 551
+        # the scans' verdicts and early exits are reached both ways
+        assert sum(not r["thm3"]["D"] for r in records) == 24
+        assert sum(not r["thm4"]["B"] for r in records) == 24
+        assert sum(not r["classes"]["functional_co_sigma"] for r in records) == 183
+
+    @pytest.mark.parametrize("seed", [3, 16])
+    def test_sampled_labelled_maps(self, seed):
+        records = self._check(sampled_instances(5, 80, seed=seed))
+        assert any(not r["thm3"]["A"] for r in records)
+        assert any(r["thm3"]["A"] for r in records)
 
 
 class TestHarnessRecords:
