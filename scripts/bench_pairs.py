@@ -26,6 +26,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -103,7 +104,9 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-seed", type=int, default=1)
     parser.add_argument("--claim", default=None,
                         help="WORKLOAD:METRIC:GAIN, e.g. sweep6:item_p50_ms:0.10")
-    parser.add_argument("--work", default=None)
+    parser.add_argument("--work", default=None,
+                        help="keep the copies here (default: a temporary "
+                             "directory, removed at the end)")
     args = parser.parse_args(argv)
 
     with open("BENCHMARK.json", encoding="utf-8") as handle:
@@ -185,7 +188,9 @@ def main(argv=None) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {path} (work copies in {work})", file=sys.stderr)
+    if args.work is None:
+        shutil.rmtree(work)
+    print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

@@ -603,8 +603,8 @@ class TestCarrierRelativeDeciders:
 class TestPairScanMemo:
     """theorem_record reads its pair scans and functional_co_sigma its
     verdicts from per-space memos keyed on (f^{-1}(O), f^{-1}(U_y)); the
-    records equal those of the unmemoised pre-memo loop, whether each memo
-    starts empty or holds the entries of every map on its space."""
+    records equal those of the unmemoised loop in harness_reference, whether
+    each memo starts empty or holds the entries of every map on its space."""
 
     @staticmethod
     def _check(instances) -> list:
