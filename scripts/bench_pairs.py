@@ -1,15 +1,15 @@
 """Interleaved parent/change pairs of the fibertop benchmark.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --label NAME \\
-        [--workloads sweep6,canon6,cli12] [--seeds 101-110] [--seconds 20] \\
-        [--traced-seed 1] [--claim sweep6:item_p50_ms:0.10] [--work DIR]
+        [--seeds 101-110] [--claim sweep6:item_p50_ms:0.10] [--work DIR]
 
 Run it from the root of a fibertop git checkout.  It extracts `git archive`
 copies of both revisions into --work (a temporary directory by default),
-then, for each seed and each workload, runs `python3 bench/run.py
---workload W --seed S --trace 0 --seconds T` once in each copy, back to
-back, alternating which side goes first.  After the pairs it makes one
-traced run (`--trace 1`, every workload) per side.  The result goes to
+then, for each seed and each workload that BENCHMARK.json lists, runs
+`python3 bench/run.py --workload W --seed S --trace 0` once in each copy,
+back to back, alternating which side goes first; bench/run.py's default
+sets the run length.  After the pairs it makes one traced run per side
+(`--trace 1`, which traces every workload) on seed TRACED_SEED.  The result goes to
 BENCH_<label>.json: per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and whether the change's
 median stays within the bound BENCHMARK.json fixes.  A claim
@@ -34,6 +34,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+TRACED_SEED = 1
 _DIGEST = re.compile(r"^  (\w+) output digest (\w+)$", re.M)
 
 
@@ -98,10 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workloads", default="sweep6,canon6,cli12")
     parser.add_argument("--seeds", default="101-110")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced-seed", type=int, default=1)
     parser.add_argument("--claim", default=None,
                         help="WORKLOAD:METRIC:GAIN, e.g. sweep6:item_p50_ms:0.10")
     parser.add_argument("--work", default=None,
@@ -110,8 +108,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open("BENCHMARK.json", encoding="utf-8") as handle:
-        spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
-    workloads = args.workloads.split(",")
+        declared = json.load(handle)
+    spec = {m["name"]: m for m in declared["end_to_end"]}
+    workloads = [w["name"] for w in declared["workloads"]]
     seeds = seed_list(args.seeds)
     work = args.work or tempfile.mkdtemp(prefix="bench_pairs_")
     roots = {side: os.path.join(work, side) for side in SIDES}
@@ -124,15 +123,14 @@ def main(argv=None) -> int:
             runs[w]["first"].append(order[0])
             for side in order:
                 res = bench(roots[side], ["--workload", w, "--seed", str(seed),
-                                          "--trace", "0", "--seconds",
-                                          str(args.seconds)])
+                                          "--trace", "0"])
                 runs[w][side].append(res)
                 print(f"seed {seed} {w} {side}: exit {res['exit']}, "
                       + ", ".join(f"{k} {v['value']:.4g}"
                                   for k, v in res["metrics"].items()),
                       file=sys.stderr, flush=True)
     traced = {side: bench(roots[side], ["--workload", workloads[0], "--seed",
-                                        str(args.traced_seed), "--trace", "1"])
+                                        str(TRACED_SEED), "--trace", "1"])
               for side in SIDES}
 
     report = {
@@ -140,9 +138,8 @@ def main(argv=None) -> int:
         "parent": args.parent, "change": args.change, "trees": trees,
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
-        "command": f"python3 bench/run.py --workload W --seed S --trace 0 "
-                   f"--seconds {args.seconds:g}, in a git archive copy of each "
-                   f"side; seeds {args.seeds}",
+        "command": f"python3 bench/run.py --workload W --seed S --trace 0, "
+                   f"in a git archive copy of each side; seeds {args.seeds}",
         "method": "interleaved pairs, alternating which side runs first; each "
                   "run's metric is bench/run.py's median over its passes; "
                   "quartiles by statistics.quantiles(method='inclusive'); "
@@ -152,8 +149,8 @@ def main(argv=None) -> int:
         "workloads": {},
         "traced": {
             "command": f"python3 bench/run.py --workload {workloads[0]} --seed "
-                       f"{args.traced_seed} --trace 1, one run per side after "
-                       f"the pairs",
+                       f"{TRACED_SEED} --trace 1 (traces every workload), one "
+                       f"run per side after the pairs",
             "runs": {side: {"exit": r["exit"], "failed": r["failed"],
                             "digests": r["digests"],
                             "layers": {k: v["value"] for k, v in r["metrics"].items()}}

@@ -11,9 +11,9 @@ Side A of each theorem and the whole classification come from the public
 deciders in ``normality``; the hereditary entries run those same deciders
 on carrier masks.  The other sides are computed here on their own routes:
 from the partition families built for each closed pair, and from the
-minimal-neighborhood components.  The pair scans behind them, and the
-verdicts of the component sides, are memoised per domain space on
-(f^{-1}(O), f^{-1}(U_y)); each instance then looks up each family's
+minimal-neighborhood components.  Both are memoised per domain space:
+the pairs to scan on f^{-1}(O), and the verdicts of the component sides
+on (f^{-1}(O), f^{-1}(U_y)).  Each instance then looks up each family's
 verdicts once per (F, T, y), in the same order as the scans list the pairs.
 """
 
@@ -143,13 +143,10 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
 # --------------------------------------------------------- theorem sweeps
 
 
-def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
-    """The pair scans of both theorems for one (O, y), which depend only on
-    the domain, pre_o = f^{-1}(O) and w = f^{-1}(U_y):
+def _closed_pairs(space: FiniteSpace, pre_o: int) -> tuple:
+    """The pairs theorem_record replays for every y in O, which depend only
+    on the domain and pre_o = f^{-1}(O):
 
-    - side D of thm3: no component of w meets both sets of a pair;
-    - side C of thm4: the closure in w of the components meeting t misses
-      every fm disjoint from t;
     - the disjoint pairs (F, T) of sets closed in pre_o, each pair once
       with F first in sorted order, in scan order;
     - the (F, piece) pairs of the sigma scan, each piece the closure in
@@ -157,34 +154,36 @@ def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
       first of each repeat kept: a repeat has the outcome of its first.
     """
     rel_closed = space.rel_closed_sets(pre_o)
-    d_ok = cs_ok = True
-    pairs = []
-    for i, a in enumerate(rel_closed):
-        sat_a = None  # the components of w that meet a, once d_ok
-        for b in rel_closed[i:]:
-            if a & b:
-                continue
-            pairs.append((a, b))
-            if d_ok:
-                if sat_a is None:
-                    sat_a = space.saturation(w, a)
-                if sat_a & b:
-                    d_ok = False
+    pairs = tuple((a, b) for i, a in enumerate(rel_closed)
+                  for b in rel_closed[i:] if not a & b)
     sigma_pairs = {}
     for t in rel_closed:
         pieces = [space.rel_closure(pre_o, 1 << x) for x in bits(t)]
-        cl_t = None  # closure in w of the components meeting t, once cs_ok
         for fm in rel_closed:
-            if t & fm:
-                continue
-            if cs_ok:
-                if cl_t is None:
-                    cl_t = space.rel_closure(w, space.saturation(w, t))
-                if cl_t & fm:
-                    cs_ok = False
-            for piece in pieces:
-                sigma_pairs.setdefault((fm, piece))
-    return d_ok, cs_ok, tuple(pairs), tuple(sigma_pairs)
+            if not t & fm:
+                for piece in pieces:
+                    sigma_pairs.setdefault((fm, piece))
+    return pairs, tuple(sigma_pairs)
+
+
+def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
+    """The verdicts of both theorems' pair scans for one (O, y), which
+    depend only on the domain, pre_o = f^{-1}(O) and w = f^{-1}(U_y):
+
+    - side D of thm3: no component of w meets both sets of a pair;
+    - side C of thm4: the closure in w of the components meeting t misses
+      every fm closed in pre_o and disjoint from t.
+    """
+    pairs, _ = space.memoised(_closed_pairs, pre_o)
+    d_ok = not any(space.saturation(w, a) & b for a, b in pairs)
+    rel_closed = space.rel_closed_sets(pre_o)
+    cs_ok = True
+    for t in rel_closed:
+        cl_t = space.rel_closure(w, space.saturation(w, t))
+        if any(cl_t & fm for fm in rel_closed if not t & fm):
+            cs_ok = False
+            break
+    return d_ok, cs_ok
 
 
 def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
@@ -223,9 +222,9 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         if o_mask == 0:
             continue
         pre_o = f.preimage(o_mask)
+        pairs, sigma_pairs = space.memoised(_closed_pairs, pre_o)
         for y in bits(o_mask):
-            d_side, c_side, pairs, sigma_pairs = space.memoised(
-                _pair_scan, pre_o, f._nbhd_pre[y])
+            d_side, c_side = space.memoised(_pair_scan, pre_o, f._nbhd_pre[y])
             d_ok = d_ok and d_side
             cs_ok = cs_ok and c_side
             if b_ok or c_ok or budget > 0:

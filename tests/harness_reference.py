@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from fibertop.census import Instance
-from fibertop.errors import SearchFailed
-from fibertop.harness import _extension_run, classify, digest, hierarchy_violations
-from fibertop.normality import build_levels, is_normal, is_sigma_normal
+from fibertop.harness import (_build_entry, _extension_run, classify, digest,
+                              hierarchy_violations)
+from fibertop.normality import is_normal, is_sigma_normal
 from fibertop.spaces import FiberedMap, bits
 
 
@@ -31,21 +31,6 @@ def functional_co_sigma_reference(f: FiberedMap) -> bool:
                 if space.saturation(w, u) & ~u:
                     return False
     return True
-
-
-def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
-                 depth: int):
-    key = (f_side, t_side, y)
-    hit = cache.get(key)
-    if hit is None:
-        try:
-            levels = build_levels(f, f_side, t_side, y, depth)
-        except SearchFailed:
-            hit = (False, False, False)
-        else:
-            hit = (True, levels.stepwise_ok, levels.condition_c_ok)
-        cache[key] = hit
-    return hit
 
 
 def theorem_record_reference(inst: Instance, depth: int = 6,

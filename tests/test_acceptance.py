@@ -236,9 +236,11 @@ def test_sweep_digest_is_the_benchmark_gate(reports):
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # level walks (72 of them failed), successful extension runs, the
     # pointwise verdicts of the deciders, the neighbourhood classes of
-    # each region, the pair scans of theorem_record and the verdicts of
+    # each region, the pairs theorem_record scans for each f^-1(O) and
+    # their verdicts for each (f^-1(O), f^-1(U_y)), and the verdicts of
     # functional_co_sigma, over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
         "_separation_ok": 5934, "_components_indiscrete": 1727,
-        "_nbhd_classes": 402, "_pair_scan": 658, "_no_straddle": 602}
+        "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
+        "_no_straddle": 602}
