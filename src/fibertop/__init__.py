@@ -44,16 +44,7 @@ from .normality import (
     perfect_witnesses,
     small_urysohn_search,
 )
-from .spaces import (
-    FiberedMap,
-    FiniteSpace,
-    Submapping,
-    Subspace,
-    is_f_sigma_submapping,
-    is_f_sigma_subset,
-    restrict_map,
-    validate_topology,
-)
+from .spaces import FiberedMap, FiniteSpace
 from .urysohn_tietze import (
     build_separator,
     exact_extension_exists,

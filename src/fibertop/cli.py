@@ -111,14 +111,15 @@ def _load(path: str):
         return parse_instance(handle.read())
 
 
-def _pick_map(inst, name):
+def _pick_map(inst, name) -> str:
+    """The name of the map to use: --map, or the file's only map."""
     if name:
         if name not in inst.maps:
             raise FibertopError(f"no map named {name!r} in the file")
-        return inst.maps[name]
+        return name
     if len(inst.maps) != 1:
         raise FibertopError("the file must contain exactly one map, or use --map")
-    return next(iter(inst.maps.values()))
+    return next(iter(inst.maps))
 
 
 def _cap(total: int, args) -> None:
@@ -128,7 +129,7 @@ def _cap(total: int, args) -> None:
 
 def cmd_check(args) -> int:
     inst = _load(args.file)
-    f = _pick_map(inst, args.map)
+    f = inst.maps[_pick_map(inst, args.map)]
     _cap(f.domain.n + f.codomain.n, args)
     holds, witnesses, ce = CHECKS[args.property](f)
     cert = {"class": args.property, "holds": holds, "witnesses": witnesses}
@@ -144,13 +145,16 @@ def cmd_check(args) -> int:
     return 0 if holds else 1
 
 
-def _named_set(inst, name, space):
-    if name not in inst.sets:
-        raise FibertopError(f"no set named {name!r}")
-    _, mask = inst.sets[name]
-    if mask & ~space.full:
-        raise FibertopError(f"set {name!r} does not live on the map domain")
-    return mask
+def _on_domain(kind: str, table, name, domain: str):
+    """The set or func of that name, which must be declared on the map's
+    domain: a mask or table of another space would be read as the domain's."""
+    if name not in table:
+        raise FibertopError(f"no {kind} named {name!r}")
+    space, value = table[name]
+    if space != domain:
+        raise FibertopError(f"{kind} {name!r} is declared on space {space}, "
+                            f"not on the map's domain {domain}")
+    return value
 
 
 def cmd_build(args) -> int:
@@ -158,7 +162,8 @@ def cmd_build(args) -> int:
         if getattr(args, flag) is None:
             raise FibertopError(f"build {args.kind} needs --{flag}")
     inst = _load(args.file)
-    f = _pick_map(inst, args.map)
+    name = _pick_map(inst, args.map)
+    f, domain = inst.maps[name], inst.map_names[name][0]
     _cap(f.domain.n + f.codomain.n, args)
     y = args.y
     if not 0 <= y < f.codomain.n:
@@ -167,16 +172,17 @@ def cmd_build(args) -> int:
     code = 0
     out: dict = {"kind": args.kind, "y": y}
     if args.kind in ("partitions", "separator", "sigma-family"):
-        f_side = _named_set(inst, args.F, f.domain)
+        f_side = _on_domain("set", inst.sets, args.F, domain)
         if args.kind == "sigma-family":
-            pieces = [_named_set(inst, nm, f.domain) for nm in args.T.split(",")]
+            pieces = [_on_domain("set", inst.sets, nm, domain)
+                      for nm in args.T.split(",")]
             fams = build_binary_partitions_sigma(f, f_side, pieces, y, args.depth)
             res = sigma_separator_family(f, f_side, pieces, y, args.depth)
             out["families"] = [serialize_family(fam) for fam in fams]
             out["Oy"] = _points(res.nbhd)
             out["osc_bounds"] = [str(o) for o in res.osc_values]
         else:
-            t_side = _named_set(inst, args.T, f.domain)
+            t_side = _on_domain("set", inst.sets, args.T, domain)
             fam = build_binary_partitions(f, f_side, t_side, y, args.depth)
             out["family"] = serialize_family(fam)
             if args.kind == "separator":
@@ -190,9 +196,7 @@ def cmd_build(args) -> int:
                 out["error_bound"] = str(sep.limit.error_bound)
                 out["checks"] = dict(zip(rep._fields[:5], rep[:5]))
     elif args.kind == "extend":
-        if args.phi not in inst.funcs:
-            raise FibertopError(f"no func named {args.phi!r}")
-        _, phit = inst.funcs[args.phi]
+        phit = _on_domain("func", inst.funcs, args.phi, domain)
         res = tietze_extend(f, phit.carrier, phit, y, tolerance=args.tol)
         rep = verify_condition_D(f, phit.carrier, phit, res.phi, y)
         out["phi"] = [str(v) for v in res.phi.values]
@@ -204,7 +208,7 @@ def cmd_build(args) -> int:
         out["checks"] = {"agreement": rep.agreement_ok, "norm": rep.norm_ok,
                          "eps": rep.eps_ok}
     elif args.kind == "functional-witness":
-        u = _named_set(inst, args.F, f.domain)
+        u = _on_domain("set", inst.sets, args.F, domain)
         rep = is_f_functionally_open(f, u)
         out["holds"] = rep.holds
         if rep.holds:

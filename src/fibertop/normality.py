@@ -218,49 +218,20 @@ def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
 
 
 @dataclass(frozen=True)
-class SigmaSeparationCertificate:
-    y: int
-    nbhd: int
-    pieces: tuple[int, ...]       # the T_l traces
-    v_list: tuple[int, ...]       # subspace-opens, one per piece
-
-
-@dataclass(frozen=True)
 class SigmaReport:
     holds: bool
     counterexample: tuple | None
 
 
-def _sigma_separated_at(space: FiniteSpace, pre: int, t: int, fm: int):
-    """Neighborhoods V_l of the canonical pieces of T with closures off F."""
-    pieces = []
-    v_list = []
+def _sigma_separated_at(space: FiniteSpace, pre: int, t: int, fm: int) -> bool:
+    """Do the canonical pieces of T in P (its singleton closures) have
+    neighborhoods V_l with closures off F?  The hull of a piece is its least
+    neighborhood, so it is the only one tried."""
     for x in bits(t & pre):
-        piece = space.rel_closure(pre, 1 << x)
-        v = space.rel_hull(pre, piece)
+        v = space.rel_hull(pre, space.rel_closure(pre, 1 << x))
         if space.rel_closure(pre, v) & fm:
-            return None
-        pieces.append(piece)
-        v_list.append(v)
-    return tuple(pieces), tuple(v_list)
-
-
-def sigma_separation_certificates(f: FiberedMap, t_mask: int, f_mask: int
-                                  ) -> tuple[SigmaSeparationCertificate, ...] | None:
-    """Per-point witnesses that the F_sigma set T separates from F, or None.
-
-    Uses the canonical decomposition of T into singleton closures; the
-    union of the V closures misses F inside each minimal preimage.
-    """
-    certs = []
-    for y, pre in enumerate(f._nbhd_pre):
-        nbhd = f.codomain.min_nbhd(y)
-        hit = _sigma_separated_at(f.domain, pre, t_mask, f_mask)
-        if hit is None:
-            return None
-        pieces, v_list = hit
-        certs.append(SigmaSeparationCertificate(y, nbhd, pieces, v_list))
-    return tuple(certs)
+            return False
+    return True
 
 
 def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
@@ -281,7 +252,7 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
             if t & fm:
                 continue
             for y, pre in enumerate(f._nbhd_pre):
-                if _sigma_separated_at(space, pre, t, fm) is None:
+                if not _sigma_separated_at(space, pre, t, fm):
                     return SigmaReport(False, (t, fm, y))
     raise AssertionError("pointwise and literal sigma-prenormality disagree")
 
@@ -304,7 +275,7 @@ def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
         for fm in rel_closed:
             if t & fm:
                 continue
-            if _sigma_separated_at(space, pre, t, fm) is None:
+            if not _sigma_separated_at(space, pre, t, fm):
                 return SigmaReport(False, (nbhd, t, fm, y))
     raise AssertionError("pointwise and literal sigma-normality disagree")
 
@@ -699,11 +670,11 @@ def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
     F_sigma, or None: the first y where the closure of some point of
     carrier & P, relative to P = f^{-1}(U_y), leaves the carrier.
 
-    This is the verdict-only route, on masks, for the deciders' carrier
-    loops.  The public decider is ``spaces.is_f_sigma_submapping``, which
-    also gives the witnesses; this returns its ``failure_y``, as
+    This is the library's one locally-F_sigma test, for the co-perfect
+    deciders and the carrier loop of ``is_sigma_normal_on_f_sigma_submaps``.
     ``test_f_sigma_failure_matches_submapping_report`` (in
-    tests/test_pointwise_deciders.py) checks on every carrier of census 4."""
+    tests/test_pointwise_deciders.py) holds it to the witness-giving
+    ``is_f_sigma_submapping`` of tests/subspace_reference.py."""
     closure = f.domain.closure
     for y, pre in enumerate(f._nbhd_pre):
         if closure(carrier & pre) & pre & ~carrier:

@@ -126,28 +126,6 @@ def osc_at_point(phi: RationalFunction, x: int) -> Fraction:
     return best
 
 
-def osc_at_point_exhaustive(phi: RationalFunction, x: int) -> Fraction:
-    """Definitional oscillation: inf over all neighborhoods of the sup.
-
-    Used as the independent oracle against the minimal-neighborhood shortcut.
-    """
-    vx = phi.value(x)
-    best = None
-    for o in phi.space.opens:
-        if not (o >> x & 1):
-            continue
-        sup = ZERO
-        for z in bits(o & phi.carrier):
-            d = abs(vx - phi.values[z])
-            if d > sup:
-                sup = d
-        if best is None or sup < best:
-            best = sup
-    if best is None:
-        raise ValueError(f"no neighborhood contains {x}")
-    return best
-
-
 def osc_on_set(phi: RationalFunction, mask: int) -> Fraction:
     """Sup of pointwise oscillations over the set; zero on the empty set."""
     if mask & ~phi.carrier:

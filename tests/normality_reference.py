@@ -21,7 +21,8 @@ from fibertop.normality import (
     SigmaReport,
 )
 from fibertop.oscillation import RationalFunction
-from fibertop.spaces import FiberedMap, Submapping, bits, is_f_sigma_submapping
+from fibertop.spaces import FiberedMap, bits
+from subspace_reference import Submapping, is_f_sigma_submapping
 
 
 def separated_at(f: FiberedMap, a: int, b: int) -> int | None:

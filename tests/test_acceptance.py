@@ -25,8 +25,9 @@ from fibertop.harness import (
     summarize,
     theorem_record,
 )
-from fibertop.oscillation import osc_at_point, osc_at_point_exhaustive
+from fibertop.oscillation import osc_at_point
 from fibertop.partitions import interiors_cover_check, validate_regular_partition
+from oscillation_reference import osc_at_point_exhaustive
 
 SEED = 0
 CENSUS_TOTAL = 6

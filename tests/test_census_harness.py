@@ -57,18 +57,17 @@ from fibertop.partitions import assemble_limit, stepwise_violation
 from fibertop.spaces import (
     FiniteSpace,
     FiberedMap,
-    Submapping,
     bits,
     chain,
     constant_map,
     discrete,
     identity_map,
-    is_f_sigma_submapping,
     sierpinski,
 )
 from fibertop.urysohn_tietze import verify_condition_C
 from harness_reference import theorem_record_reference
 from levels_reference import build_levels_reference
+from subspace_reference import Submapping, is_f_sigma_submapping, subspace
 
 
 KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
@@ -103,10 +102,9 @@ class TestEnumeration:
         assert len(set(forms)) == len(forms)
 
     def test_generated_spaces_validate(self):
-        from fibertop.spaces import validate_topology
         for nbhds in minimal_nbhd_assignments(3):
             space = space_from_min_nbhds(nbhds)
-            validate_topology(space.n, space.opens)
+            FiniteSpace(space.n, space.opens)
 
     def test_enumerated_maps_are_continuous(self):
         for x_space in canonical_spaces(3):
@@ -504,7 +502,7 @@ def _is_f_sigma_literally(f: FiberedMap, carrier: int) -> bool:
     """Over each minimal preimage, the carrier trace is a union of closed
     sets of the re-indexed preimage subspace."""
     for y in range(f.codomain.n):
-        view = f.domain.subspace(f.preimage(f.codomain.min_nbhd(y)))
+        view = subspace(f.domain, f.preimage(f.codomain.min_nbhd(y)))
         trace = view.from_parent(carrier)
         covered = 0
         for o in view.space.opens:

@@ -331,6 +331,46 @@ class TestBuild:
             [p for p in range(6) if m >> p & 1] for m in range(32)]
 
 
+# demo.top with a set on its codomain S and a func on a fourth space D4;
+# both masks fit the domain C3, so only the declared space tells them apart
+OFF_DOMAIN = Path(DEMO).read_text() + """
+set G in S
+0
+
+space D4
+points 4
+opens
+-
+0 1 2 3
+
+func g on D4
+2: 1/2
+"""
+
+
+class TestDeclaredSpace:
+    @pytest.mark.parametrize("kind, names", [
+        ("functional-witness", ["--F", "G"]),
+        ("partitions", ["--F", "G", "--T", "T"]),
+        ("partitions", ["--F", "F", "--T", "G"]),
+        ("separator", ["--F", "G", "--T", "T"]),
+        ("separator", ["--F", "F", "--T", "G"]),
+        ("sigma-family", ["--F", "G", "--T", "T"]),
+        ("sigma-family", ["--F", "F", "--T", "T,G"]),
+        ("extend", ["--phi", "g"]),
+    ])
+    def test_set_or_func_off_the_domain_rejected(self, tmp_path, capsys, kind,
+                                                 names):
+        path = tmp_path / "off.top"
+        path.write_text(OFF_DOMAIN)
+        assert main(["build", kind, str(path), *names, "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        what = ("func 'g' is declared on space D4" if kind == "extend"
+                else "set 'G' is declared on space S")
+        assert captured.out == ""
+        assert captured.err == f"error: {what}, not on the map's domain C3\n"
+
+
 class TestDepthBound:
     @pytest.mark.parametrize("depth", ["17", "40", "0"])
     def test_depth_outside_bound_rejected(self, const_d2_file, depth, capsys,

@@ -23,13 +23,13 @@ from fibertop.normality import (
     is_sigma_normal,
     is_sigma_prenormal,
     perfect_witnesses,
-    sigma_separation_certificates,
     small_urysohn_search,
     verify_perfect_witness,
 )
 from fibertop.classical import space_normal
 from fibertop.oscillation import RationalFunction, osc_on_set, weighted_sum
-from fibertop.spaces import bits, constant_map, identity_map, point, restrict_map
+from fibertop.spaces import bits, constant_map, identity_map, point
+from subspace_reference import is_f_sigma_subset, restrict_map
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -197,21 +197,6 @@ class TestSigma:
                  if is_normal(inst.f).holds and not is_sigma_normal(inst.f).holds]
         assert found == []
 
-    def test_certificates_cover_pieces(self, D3, V_poset):
-        f = constant_map(D3)
-        certs = sigma_separation_certificates(f, 0b110, 0b001)
-        assert certs is not None
-        for cert in certs:
-            space, pre = f.domain, f.preimage(cert.nbhd)
-            union_cl = 0
-            for piece, v in zip(cert.pieces, cert.v_list):
-                assert piece & pre & ~v == 0
-                assert space.rel_is_open(pre, v)
-                union_cl |= space.rel_closure(pre, v)
-            assert union_cl & 0b001 == 0
-        assert sigma_separation_certificates(
-            constant_map(V_poset), 0b001, 0b010) is None
-
 
 class TestMonotoneShrinking:
     """The one-lemma justification for minimal-first searches: every
@@ -244,7 +229,6 @@ class TestMonotoneShrinking:
                         assert results[cod.min_nbhd(y)] == any(results.values())
 
     def test_f_sigma_condition_shrinks(self):
-        from fibertop.spaces import is_f_sigma_subset
         for inst in census_instances(5):
             f = inst.f
             space, cod = f.domain, f.codomain

@@ -13,7 +13,6 @@ from fibertop.oscillation import (
     is_f_equicontinuous_at,
     norm,
     osc_at_point,
-    osc_at_point_exhaustive,
     osc_linear_bound_check,
     osc_on_set,
     sublevel_disjointness,
@@ -22,6 +21,7 @@ from fibertop.oscillation import (
 from fibertop.spaces import FiberedMap, constant_map, identity_map, point
 
 from conftest import random_function, spaces_with_function
+from oscillation_reference import osc_at_point_exhaustive
 
 
 def indicator1(space):

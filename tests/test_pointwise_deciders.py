@@ -3,21 +3,17 @@ is known.  These tests hold them to the literal scans kept in
 ``normality_reference``: the same verdict, the same counterexample and the
 same perfect-normality witnesses, on whole censuses and on random maps."""
 
+import random
+
 from hypothesis import given, seed, settings
 
 import normality_reference as ref
 from conftest import fibered_maps
 from fibertop import normality
-from fibertop.census import census_instances
+from fibertop.census import census_instances, sampled_instances, space_from_min_nbhds
 from fibertop.normality import perfect_witnesses
-from fibertop.spaces import (
-    FiberedMap,
-    Submapping,
-    bits,
-    chain,
-    is_f_sigma_submapping,
-    sierpinski,
-)
+from fibertop.spaces import FiberedMap, bits, chain, sierpinski
+from subspace_reference import Submapping, is_f_sigma_submapping
 
 DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
             "is_sigma_normal", "is_perfectly_normal",
@@ -61,12 +57,107 @@ def test_perfect_witnesses_match_literal_scan():
 
 
 def test_f_sigma_failure_matches_submapping_report():
-    for inst in census_instances(4):
+    # the canonical maps of census 4, then labelled ones with up to 5
+    # points a side, as in the pair-scan memo tests
+    instances = [*census_instances(4), *sampled_instances(5, 80, seed=3),
+                 *sampled_instances(5, 80, seed=16)]
+    for inst in instances:
         f = inst.f
         for carrier in range(f.domain.full + 1):
             rep = is_f_sigma_submapping(Submapping(f, carrier))
             assert normality._f_sigma_failure(f, carrier) == rep.failure_y, \
                 (inst.uid, carrier)
+
+
+def _random_poset(n: int, rng: random.Random, related) -> list[int]:
+    """Minimal neighbourhoods of a seeded T0 space on 0..n-1: U_i holds i
+    and, closed under transitivity, each j < i with related(i, j) and a
+    coin toss of probability 1/3."""
+    nbhds = []
+    for i in range(n):
+        u = 1 << i
+        for j in range(i):
+            if rng.random() < 1 / 3 and related(i, j):
+                u |= nbhds[j]
+        nbhds.append(u)
+    return nbhds
+
+
+def _seeded_maps(count: int, total: int, seed: int) -> list[FiberedMap]:
+    """Seeded continuous maps with ``total`` points in all.  The table is
+    drawn first; a domain point j may then join U_i only when f(j) lies in
+    U_f(i), and those links stay so under transitivity, so every map is
+    continuous."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nx = rng.randint(total // 2, total - 2)
+        ys = _random_poset(total - nx, rng, lambda i, j: True)
+        table = [rng.randrange(total - nx) for _ in range(nx)]
+        xs = _random_poset(nx, rng,
+                           lambda i, j: ys[table[i]] >> table[j] & 1)
+        out.append(FiberedMap(space_from_min_nbhds(xs),
+                              space_from_min_nbhds(ys), table))
+    return out
+
+
+def _hereditary_closed_forms(f) -> tuple[int | None, int | None]:
+    """The least carriers on which normality and perfect normality of the
+    submapping fail, or None, in closed form.
+
+    Normal.  Write P = f^{-1}(U_y).  By ``_separation_ok``'s relative plain
+    test, a carrier C fails at y iff some x, z, w in P & C have w in
+    U_x & U_z (so z is in cl(U_x & P & C)) and cl{x} & cl{z} & P & C empty
+    (so no point of cl{x} & P & C has z in its minimal neighbourhood).
+    Then w is neither x nor z: w = x puts z in cl{x}, and w = z puts x in
+    cl{z}.  The carrier {x, z, w}, inside C, fails at the same y, since its
+    trace of cl{x} & cl{z} lies in the empty one.  A subset's mask is never
+    larger, so the least failing carrier is the least such triple; no
+    closure under enlarging the carrier is needed.
+
+    Perfect.  ``_components_indiscrete`` fails on P & C iff some x, z in it
+    have z in U_x ^ cl{x}.  Then z is not x, and the pair {x, z}, inside C,
+    fails at the same y.  So the least failing carrier is the least such
+    pair, and with C the whole domain, hereditarily perfect is perfect.
+    """
+    nbhd, cl = f.domain._min_nbhd, f.domain._cl_point
+    normal = perfect = None
+    for pre in f._nbhd_pre:
+        for x in bits(pre):
+            odd = pre & (nbhd[x] ^ cl[x])
+            if odd:
+                pair = 1 << x | odd & -odd
+                if perfect is None or pair < perfect:
+                    perfect = pair
+            # z > x with neither in the other's closure (z is not in U_x)
+            for z in bits(pre & ~(nbhd[x] | cl[x] | (2 << x) - 1)):
+                ws = pre & nbhd[x] & nbhd[z] & ~(cl[x] & cl[z])
+                if ws:
+                    triple = 1 << x | 1 << z | ws & -ws
+                    if normal is None or triple < normal:
+                        normal = triple
+    return normal, perfect
+
+
+def test_hereditary_deciders_match_closed_forms():
+    """The carrier loops of the two hereditary deciders report the least
+    triple and the least pair of ``_hereditary_closed_forms``, on census 6
+    and on seeded maps at the 12-point cap."""
+    def failures(maps) -> list[int]:
+        count = [0, 0]
+        for f in maps:
+            normal, perfect = _hereditary_closed_forms(f)
+            assert normality.is_hereditarily_normal(f) \
+                .offending_carrier == normal
+            assert normality.is_hereditarily_perfectly_normal(f) \
+                .offending_carrier == perfect
+            assert normality.is_perfectly_normal(f).holds == (perfect is None)
+            count[0] += normal is not None
+            count[1] += perfect is not None
+        return count
+
+    assert failures(inst.f for inst in census_instances(6)) == [433, 1952]
+    assert failures(_seeded_maps(30, 12, seed=7)) == [11, 29]
 
 
 class TestVerdictMemo:
