@@ -8,8 +8,10 @@ any disagreement.  Zero recorded mismatches over a census is the artifact
 level acceptance ground.
 
 Side A of each theorem and the whole classification come from the public
-deciders in ``normality``; the hereditary entries run those same deciders
-on carrier masks.  The other sides are computed here on their own routes:
+deciders in ``normality``: the two hereditary entries from their closed
+forms on each f^{-1}(U_y), and the inheritance entry from the carrier loop
+of ``is_sigma_normal_on_f_sigma_submaps``.  The other sides are computed
+here on their own routes:
 from the partition families built for each closed pair, and from the
 minimal-neighborhood components.  Both are memoised per domain space:
 the pairs to scan on f^{-1}(O), and the verdicts of the component sides
@@ -118,6 +120,9 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
         c["hereditarily_normal"])
     imp("sigma_normal->normal", c["sigma_normal"], c["normal"])
     imp("normal->prenormal", c["normal"], c["prenormal"])
+    # both entries read normality._least_failing_pair, and its proof makes
+    # them equal on every finite map: a consistency check between two
+    # reads of one pair test, not an independent route
     if c["perfectly_normal"] != c["hereditarily_perfectly_normal"]:
         bad.append("perfect_normality_not_hereditary")
     if c["functional_co_sigma"] != c["co_sigma_perfectly_normal"]:

@@ -20,7 +20,9 @@ of (relatively) closed sets reduces to one over pairs of points of the
 preimage P of a minimal neighborhood (see ``_separation_ok``).  The
 deciders answer on those point tables and run the literal scan over closed
 sets only once a failure is known, so each counterexample is the first one
-in the literal order.
+in the literal order.  The hereditary deciders try no carrier: the least
+failing carrier is the least failing pair or triple of points of some P
+(see ``_least_failing_pair`` and ``_least_failing_triple``).
 """
 
 from __future__ import annotations
@@ -72,15 +74,24 @@ def _separation_ok(space: FiniteSpace, pre: int, sigma: bool,
     return True
 
 
-def _components_indiscrete(space: FiniteSpace, region: int) -> bool:
-    """Does every minimal-neighborhood component K of region lie inside U_x
-    for each of its points x?  Equivalently, U_x and cl{x} have the same
-    trace on region for every x in it (then that trace is x's component)."""
+def _least_failing_pair(space: FiniteSpace, pre: int) -> int:
+    """The least mask {x, z} inside the preimage P of a minimal
+    neighborhood with z in U_x ^ cl{x}, or 0 when there is none.
+
+    A region Q passes the perfect test (every minimal-neighborhood
+    component K of Q lies inside U_x for each x in K) iff U_x and cl{x}
+    have the same trace on Q for every x in Q.  If they do, "z in U_x" is
+    an equivalence on Q (z in U_x & Q = cl{x} & Q puts x in U_z), and its
+    classes U_x & Q are the components, each inside U_x.  Conversely, if
+    the component K of x lies inside U_z for every z in K, then U_x & Q
+    and cl{x} & Q (z in cl{x} iff x in U_z) are both K.  So Q fails iff it
+    holds some x, z with z in U_x ^ cl{x}; z is not x, which lies in both.
+    The relation is symmetric, since z in U_x ^ cl{x} iff x in
+    cl{z} ^ U_z, so the least such pair is the least {x, z} over x in P
+    with z the least point of P & (U_x ^ cl{x})."""
     nbhd, cl = space._min_nbhd, space._cl_point
-    for x in bits(region):
-        if (nbhd[x] ^ cl[x]) & region:
-            return False
-    return True
+    return min((1 << x | odd & -odd for x in bits(pre)
+                if (odd := pre & (nbhd[x] ^ cl[x]))), default=0)
 
 
 def _first_failing_y(f: FiberedMap, carrier: int, ok, *flags) -> int | None:
@@ -179,7 +190,7 @@ class NormalReport:
     counterexample: tuple[int, int, int, int] | None  # (O, A, B, y)
 
 
-def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
+def is_normal(f: FiberedMap) -> NormalReport:
     """Prenormality of every restriction over an open of the codomain.
 
     Collapsed form: traces of relatively closed sets over any open O are
@@ -188,22 +199,16 @@ def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
     each minimal neighborhood.  The counterexample is reported in the
     literal (O, pair, y) shape with O the minimal neighborhood.
 
-    With a carrier mask the submapping on it is decided instead: every
-    preimage is cut down to the carrier, and closures and hulls relative to
-    the cut-down preimage are those of the carrier subspace.
-
     Decided pointwise; the literal pair scan runs only at the first failing
     y, where it finds the first failing pair.
     """
     space = f.domain
-    if carrier is None:
-        carrier = space.full
     # plain, relative closures
-    y = _first_failing_y(f, carrier, _separation_ok, False, True)
+    y = _first_failing_y(f, space.full, _separation_ok, False, True)
     if y is None:
         return NormalReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y] & carrier
+    pre = f._nbhd_pre[y]
     rel_closed = space.rel_closed_sets(pre)
     hulls = [space.rel_hull(pre, a) for a in rel_closed]
     for i, a in enumerate(rel_closed):
@@ -257,19 +262,17 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     raise AssertionError("pointwise and literal sigma-prenormality disagree")
 
 
-def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
-    """Sigma-prenormality of every restriction, collapsed like is_normal
-    (and relative to a carrier mask in the same way), and decided like it:
-    pointwise, with the literal scan only at the first failing y."""
+def is_sigma_normal(f: FiberedMap) -> SigmaReport:
+    """Sigma-prenormality of every restriction, collapsed like is_normal,
+    and decided like it: pointwise, with the literal scan only at the
+    first failing y."""
     space = f.domain
-    if carrier is None:
-        carrier = space.full
     # sigma, relative closures
-    y = _first_failing_y(f, carrier, _separation_ok, True, True)
+    y = _first_failing_y(f, space.full, _separation_ok, True, True)
     if y is None:
         return SigmaReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y] & carrier
+    pre = f._nbhd_pre[y]
     rel_closed = space.rel_closed_sets(pre)
     for t in rel_closed:
         for fm in rel_closed:
@@ -549,32 +552,25 @@ def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
     return ok
 
 
-def _components(f: FiberedMap, carrier: int) -> list[tuple[int, ...]]:
-    space = f.domain
-    return [space.nbhd_classes(pre & carrier) for pre in f._nbhd_pre]
+def _components(f: FiberedMap) -> list[tuple[int, ...]]:
+    return [f.domain.nbhd_classes(pre) for pre in f._nbhd_pre]
 
 
-def is_perfectly_normal(f: FiberedMap, carrier: int | None = None
-                        ) -> PerfectNormalityReport:
+def is_perfectly_normal(f: FiberedMap) -> PerfectNormalityReport:
     """Every open set is locally the union of the 1-sets of an equicontinuous
     family vanishing off it.
 
     Finite collapse: such a family exists at y iff the open set meets the
     minimal-neighborhood components of f^{-1}(min_nbhd(y)) only in whole
     components; every open does so iff each component lies inside U_x for
-    all of its points x, which is decided pointwise.  With a carrier mask
-    the submapping on it is decided: the components are those of the
-    preimage cut down to the carrier.  On failure the literal scan over
-    (open, y) reports the first straddled component; ``perfect_witnesses``
-    gives the witnesses.
+    all of its points x, which ``_least_failing_pair`` decides pointwise.
+    On failure the literal scan over (open, y) reports the first straddled
+    component; ``perfect_witnesses`` gives the witnesses.
     """
-    space = f.domain
-    if carrier is None:
-        carrier = space.full
-    if _first_failing_y(f, carrier, _components_indiscrete) is None:
+    if _least_failing_carrier(f, _least_failing_pair).holds:
         return PerfectNormalityReport(True, None)
-    classes = _components(f, carrier)
-    for open_mask in space.opens:
+    classes = _components(f)
+    for open_mask in f.domain.opens:
         for y, comps in enumerate(classes):
             for comp in comps:
                 if comp & open_mask and comp & ~open_mask:
@@ -582,15 +578,13 @@ def is_perfectly_normal(f: FiberedMap, carrier: int | None = None
     raise AssertionError("pointwise and literal perfect normality disagree")
 
 
-def perfect_witnesses(f: FiberedMap, carrier: int | None = None):
+def perfect_witnesses(f: FiberedMap):
     """The component-indicator families, one per (open, y) in the order of
     ``space.opens`` and then of the codomain, each re-verified by the
     independent predicate before it is yielded; stops at the first (open,
     y) whose open straddles a component, where no family exists."""
     space, cod = f.domain, f.codomain
-    if carrier is None:
-        carrier = space.full
-    classes = _components(f, carrier)
+    classes = _components(f)
     for open_mask in space.opens:
         for y, comps in enumerate(classes):
             members = []
@@ -599,11 +593,9 @@ def perfect_witnesses(f: FiberedMap, carrier: int | None = None):
                     if comp & ~open_mask:
                         return
                     members.append(comp)
-            family = tuple(
-                RationalFunction.on_carrier(space, carrier,
-                                            lambda x, c=comp: c >> x & 1)
-                for comp in members
-            ) or (RationalFunction.constant(space, 0, carrier),)
+            family = tuple(RationalFunction.indicator(space, comp)
+                           for comp in members
+                           ) or (RationalFunction.constant(space, 0),)
             w = PerfectWitness(open_mask, y, cod.min_nbhd(y), family)
             if not verify_perfect_witness(f, w):
                 raise AssertionError("perfect witness failed re-verification")
@@ -723,30 +715,68 @@ class HereditaryReport:
     offending_carrier: int | None
 
 
-def _first_failing_carrier(f: FiberedMap, decide) -> HereditaryReport:
-    for carrier in range(f.domain.full + 1):
-        if not decide(carrier):
-            return HereditaryReport(False, carrier)
-    return HereditaryReport(True, None)
+def _least_failing_triple(space: FiniteSpace, pre: int) -> int:
+    """The least mask {x, z, w} inside the preimage P of a minimal
+    neighborhood with z not in U_x, x not in U_z and w in U_x & U_z, or 0
+    when there is none (see ``is_hereditarily_normal``).  The conditions
+    are symmetric in x and z, so each pair is taken once, with the least
+    w."""
+    nbhd, cl = space._min_nbhd, space._cl_point
+    # z > x with neither in the other's closure, and the least w
+    return min((1 << x | 1 << z | ws & -ws for x in bits(pre)
+                for z in bits(pre & ~(nbhd[x] | cl[x] | (2 << x) - 1))
+                if (ws := pre & nbhd[x] & nbhd[z])), default=0)
+
+
+def _least_failing_carrier(f: FiberedMap, walk) -> HereditaryReport:
+    """The least carrier whose submapping fails at some y, where ``walk``
+    gives the least failing carrier inside each P = f^{-1}(U_y) (0 for
+    none); memoised per domain space on P."""
+    memoised = f.domain.memoised
+    least = min((m for pre in f._nbhd_pre if (m := memoised(walk, pre))),
+                default=None)
+    return HereditaryReport(least is None, least)
 
 
 def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
-    """Normality of the submapping on every carrier (pointwise)."""
-    return _first_failing_carrier(
-        f, lambda c: _first_failing_y(f, c, _separation_ok, False,
-                                      True) is None)
+    """Normality of the submapping on every carrier.
+
+    By ``_separation_ok``'s relative plain test, the submapping on a
+    carrier C fails at y iff some x, z, w in P & C, P = f^{-1}(U_y), have
+    w in U_x & U_z (so z is in cl(U_x & P & C)) and cl{x} & cl{z} & P & C
+    empty (so no point of cl{x} & P & C has z in its minimal
+    neighborhood).  Then w is neither x nor z: w = x puts z in cl{x}, and
+    w = z puts x in cl{z}.  The carrier {x, z, w}, inside C, fails at the
+    same y, since its trace of cl{x} & cl{z} lies in the empty one.  A
+    triple with w in U_x & U_z fails on its own mask iff z is not in U_x
+    and x is not in U_z: those say that x is not in cl{z} and z is not in
+    cl{x}, and w is not in cl{x} either, since x in U_w, inside U_z, would
+    put x in U_z.  A subset's mask is never larger, so the offending carrier is
+    the least triple of ``_least_failing_triple`` over every P.  No
+    closure under enlarging the carrier is needed (and none holds: a
+    larger carrier can meet cl{x} & cl{z})."""
+    return _least_failing_carrier(f, _least_failing_triple)
 
 
 def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
-    """Perfect normality of the submapping on every carrier (pointwise)."""
-    return _first_failing_carrier(
-        f, lambda c: _first_failing_y(f, c, _components_indiscrete) is None)
+    """Perfect normality of the submapping on every carrier.
+
+    By ``_least_failing_pair``, the submapping on C fails at y iff some
+    x, z in P & C have z in U_x ^ cl{x}; then the pair {x, z}, inside C,
+    fails at the same y.  So failure is closed under enlarging the carrier,
+    the offending carrier is the least pair of ``_least_failing_pair`` over
+    every P, and with C the whole domain, hereditarily perfectly normal is
+    perfectly normal for every finite map."""
+    return _least_failing_carrier(f, _least_failing_pair)
 
 
 def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     """Sigma-normality of the submapping on every carrier that makes it an
-    F_sigma submapping (pointwise)."""
-    return _first_failing_carrier(
-        f, lambda c: (_f_sigma_failure(f, c) is not None
-                      or _first_failing_y(f, c, _separation_ok, True,
-                                          True) is None))
+    F_sigma submapping (pointwise).  No closed form is known, so every
+    carrier is tried in mask order."""
+    for carrier in range(f.domain.full + 1):
+        if (_f_sigma_failure(f, carrier) is None
+                and _first_failing_y(f, carrier, _separation_ok, True,
+                                     True) is not None):
+            return HereditaryReport(False, carrier)
+    return HereditaryReport(True, None)

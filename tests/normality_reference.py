@@ -1,11 +1,21 @@
-"""Reference oracles for the normality deciders: the literal quantifier
-scans over pairs of (relatively) closed sets, with nothing decided
-pointwise and nothing shared with ``fibertop.normality`` beyond the space
-primitives and the report and witness containers.
+"""Reference oracles for the normality deciders.
+
+The literal quantifier scans over pairs of (relatively) closed sets decide
+nothing pointwise and share nothing with ``fibertop.normality`` beyond the
+space primitives and the report and witness containers.  They take an
+optional carrier mask, which decides the submapping on it, and the literal
+hereditary deciders try every carrier in mask order.
+
+The pointwise carrier loops (``pointwise_hereditarily_normal`` and
+``pointwise_hereditarily_perfectly_normal``) are the hereditary deciders'
+former route: every carrier in mask order, each decided by the pointwise
+test on the preimages cut down to it (``normality._separation_ok``, and
+``components_indiscrete`` here).  They are as exact as the literal scans
+and fast enough for census 6 and the 12-point cap, where the scans are not.
 
 They are kept only for the differential tests, which require every public
 decider to give the same verdict and the same counterexample as these
-scans, and ``perfect_witnesses`` to yield the same witnesses in the same
+oracles, and ``perfect_witnesses`` to yield the same witnesses in the same
 order.
 """
 
@@ -19,6 +29,7 @@ from fibertop.normality import (
     PerfectWitness,
     PrenormalReport,
     SigmaReport,
+    _separation_ok,
 )
 from fibertop.oscillation import RationalFunction
 from fibertop.spaces import FiberedMap, bits
@@ -181,3 +192,26 @@ def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     return _first_failing_carrier(
         f, lambda c: (not is_f_sigma_submapping(Submapping(f, c)).holds
                       or is_sigma_normal(f, c).holds))
+
+
+def components_indiscrete(space, region: int) -> bool:
+    """Does every minimal-neighborhood component K of region lie inside U_x
+    for each of its points x?  Equivalently, U_x and cl{x} have the same
+    trace on region for every x in it (then that trace is x's component)."""
+    nbhd, cl = space._min_nbhd, space._cl_point
+    for x in bits(region):
+        if (nbhd[x] ^ cl[x]) & region:
+            return False
+    return True
+
+
+def pointwise_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
+    return _first_failing_carrier(
+        f, lambda c: all(_separation_ok(f.domain, pre & c, False, True)
+                         for pre in f._nbhd_pre))
+
+
+def pointwise_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
+    return _first_failing_carrier(
+        f, lambda c: all(components_indiscrete(f.domain, pre & c)
+                         for pre in f._nbhd_pre))

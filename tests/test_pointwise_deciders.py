@@ -18,7 +18,6 @@ from subspace_reference import Submapping, is_f_sigma_submapping
 DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
             "is_sigma_normal", "is_perfectly_normal",
             "is_co_perfectly_normal", "is_co_sigma_perfectly_normal")
-CARRIER_DECIDERS = ("is_normal", "is_sigma_normal", "is_perfectly_normal")
 HEREDITARY = ("is_hereditarily_normal", "is_hereditarily_perfectly_normal",
               "is_sigma_normal_on_f_sigma_submaps")
 
@@ -33,13 +32,9 @@ def test_deciders_match_literal_scans_on_census6():
     assert [b for b in bad if b[1]] == []
 
 
-def test_carrier_and_hereditary_deciders_match_on_census5():
+def test_hereditary_deciders_match_literal_scans_on_census5():
     for inst in census_instances(5):
         f = inst.f
-        for carrier in range(f.domain.full + 1):
-            for name in CARRIER_DECIDERS:
-                assert getattr(normality, name)(f, carrier) == \
-                    getattr(ref, name)(f, carrier), (name, inst.uid, carrier)
         for name in HEREDITARY:
             assert getattr(normality, name)(f) == getattr(ref, name)(f), \
                 (name, inst.uid)
@@ -49,11 +44,6 @@ def test_perfect_witnesses_match_literal_scan():
     for inst in census_instances(5):
         f = inst.f
         assert tuple(perfect_witnesses(f)) == ref.perfect_scan(f)[1], inst.uid
-    for inst in census_instances(4):
-        f = inst.f
-        for carrier in range(f.domain.full + 1):
-            assert tuple(perfect_witnesses(f, carrier)) == \
-                ref.perfect_scan(f, carrier)[1], (inst.uid, carrier)
 
 
 def test_f_sigma_failure_matches_submapping_report():
@@ -101,63 +91,45 @@ def _seeded_maps(count: int, total: int, seed: int) -> list[FiberedMap]:
     return out
 
 
-def _hereditary_closed_forms(f) -> tuple[int | None, int | None]:
-    """The least carriers on which normality and perfect normality of the
-    submapping fail, or None, in closed form.
-
-    Normal.  Write P = f^{-1}(U_y).  By ``_separation_ok``'s relative plain
-    test, a carrier C fails at y iff some x, z, w in P & C have w in
-    U_x & U_z (so z is in cl(U_x & P & C)) and cl{x} & cl{z} & P & C empty
-    (so no point of cl{x} & P & C has z in its minimal neighbourhood).
-    Then w is neither x nor z: w = x puts z in cl{x}, and w = z puts x in
-    cl{z}.  The carrier {x, z, w}, inside C, fails at the same y, since its
-    trace of cl{x} & cl{z} lies in the empty one.  A subset's mask is never
-    larger, so the least failing carrier is the least such triple; no
-    closure under enlarging the carrier is needed.
-
-    Perfect.  ``_components_indiscrete`` fails on P & C iff some x, z in it
-    have z in U_x ^ cl{x}.  Then z is not x, and the pair {x, z}, inside C,
-    fails at the same y.  So the least failing carrier is the least such
-    pair, and with C the whole domain, hereditarily perfect is perfect.
-    """
-    nbhd, cl = f.domain._min_nbhd, f.domain._cl_point
-    normal = perfect = None
-    for pre in f._nbhd_pre:
-        for x in bits(pre):
-            odd = pre & (nbhd[x] ^ cl[x])
-            if odd:
-                pair = 1 << x | odd & -odd
-                if perfect is None or pair < perfect:
-                    perfect = pair
-            # z > x with neither in the other's closure (z is not in U_x)
-            for z in bits(pre & ~(nbhd[x] | cl[x] | (2 << x) - 1)):
-                ws = pre & nbhd[x] & nbhd[z] & ~(cl[x] & cl[z])
-                if ws:
-                    triple = 1 << x | 1 << z | ws & -ws
-                    if normal is None or triple < normal:
-                        normal = triple
-    return normal, perfect
-
-
-def test_hereditary_deciders_match_closed_forms():
-    """The carrier loops of the two hereditary deciders report the least
-    triple and the least pair of ``_hereditary_closed_forms``, on census 6
-    and on seeded maps at the 12-point cap."""
+def test_hereditary_closed_forms_match_carrier_loops():
+    """The closed forms of the two hereditary deciders report the same
+    offending carriers as the pointwise carrier loops they replaced, on
+    census 6 and on seeded maps at the 12-point cap."""
     def failures(maps) -> list[int]:
         count = [0, 0]
         for f in maps:
-            normal, perfect = _hereditary_closed_forms(f)
-            assert normality.is_hereditarily_normal(f) \
-                .offending_carrier == normal
-            assert normality.is_hereditarily_perfectly_normal(f) \
-                .offending_carrier == perfect
-            assert normality.is_perfectly_normal(f).holds == (perfect is None)
-            count[0] += normal is not None
-            count[1] += perfect is not None
+            normal = normality.is_hereditarily_normal(f)
+            perfect = normality.is_hereditarily_perfectly_normal(f)
+            assert normal == ref.pointwise_hereditarily_normal(f)
+            assert perfect == ref.pointwise_hereditarily_perfectly_normal(f)
+            assert normality.is_perfectly_normal(f).holds == perfect.holds
+            count[0] += not normal.holds
+            count[1] += not perfect.holds
         return count
 
     assert failures(inst.f for inst in census_instances(6)) == [433, 1952]
     assert failures(_seeded_maps(30, 12, seed=7)) == [11, 29]
+    assert failures(_seeded_maps(30, 12, seed=8)) == [17, 28]
+    assert failures(_seeded_maps(30, 12, seed=9)) == [12, 27]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(fibered_maps(max_points=4))
+def test_hereditary_closed_forms_on_labelled_maps(f):
+    # census maps are canonically labelled, and the least offending
+    # carrier depends on the labelling
+    oracles = {
+        normality.is_hereditarily_normal: (
+            ref.is_hereditarily_normal, ref.pointwise_hereditarily_normal),
+        normality.is_hereditarily_perfectly_normal: (
+            ref.is_hereditarily_perfectly_normal,
+            ref.pointwise_hereditarily_perfectly_normal),
+    }
+    for decider, (literal, loop) in oracles.items():
+        got = decider(f).offending_carrier
+        assert got == literal(f).offending_carrier == \
+            loop(f).offending_carrier, decider.__name__
 
 
 class TestVerdictMemo:
@@ -188,9 +160,10 @@ class TestVerdictMemo:
                     for sigma in (False, True) for relative in (False, True)}
         assert len(expected) == 8 and space._memo == expected
         assert not normality.is_perfectly_normal(f).holds
-        comps = {k: v for k, v in space._memo.items()
-                 if k[0] is normality._components_indiscrete}
-        assert comps == {(normality._components_indiscrete, 0b011): False}
+        # the least pair {0, 1} fails on both preimages, 0b011 and 0b111
+        pair = normality._least_failing_pair
+        pairs = {k: v for k, v in space._memo.items() if k[0] is pair}
+        assert pairs == {(pair, 0b011): 0b011, (pair, 0b111): 0b011}
 
 
 def _sandwich_meets(space, pre: int, t: int, fm: int) -> bool:
