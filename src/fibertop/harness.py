@@ -8,10 +8,9 @@ any disagreement.  Zero recorded mismatches over a census is the artifact
 level acceptance ground.
 
 Side A of each theorem and the whole classification come from the public
-deciders in ``normality``: the two hereditary entries from their closed
-forms on each f^{-1}(U_y), and the inheritance entry from the carrier loop
-of ``is_sigma_normal_on_f_sigma_submaps``.  The other sides are computed
-here on their own routes:
+deciders in ``normality``: the two hereditary entries and the inheritance
+entry from their closed forms on each f^{-1}(U_y).  The other sides are
+computed here on their own routes:
 from the partition families built for each closed pair, and from the
 minimal-neighborhood components.  Both are memoised per domain space:
 the pairs to scan on f^{-1}(O), and the verdicts of the component sides
@@ -127,6 +126,10 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
         bad.append("perfect_normality_not_hereditary")
     if c["functional_co_sigma"] != c["co_sigma_perfectly_normal"]:
         bad.append("functional_characterization_mismatch")
+    # the entry reads the relative sigma test of normality._separation_ok
+    # that sigma_normal read, and the proof in
+    # is_sigma_normal_on_f_sigma_submaps's docstring makes it hold on every
+    # finite map: again two reads of one test, not an independent route
     if not c["sigma_inherited_by_f_sigma_submaps"]:
         bad.append("sigma_not_inherited_by_f_sigma_submaps")
     if c["constant_map"]:

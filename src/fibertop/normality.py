@@ -21,8 +21,9 @@ preimage P of a minimal neighborhood (see ``_separation_ok``).  The
 deciders answer on those point tables and run the literal scan over closed
 sets only once a failure is known, so each counterexample is the first one
 in the literal order.  The hereditary deciders try no carrier: the least
-failing carrier is the least failing pair or triple of points of some P
-(see ``_least_failing_pair`` and ``_least_failing_triple``).
+failing carrier is the least failing pair or triple of points of some P,
+or the least failing point closure (see ``_least_failing_pair``,
+``_least_failing_triple`` and ``_least_failing_closure``).
 """
 
 from __future__ import annotations
@@ -94,13 +95,13 @@ def _least_failing_pair(space: FiniteSpace, pre: int) -> int:
                 if (odd := pre & (nbhd[x] ^ cl[x]))), default=0)
 
 
-def _first_failing_y(f: FiberedMap, carrier: int, ok, *flags) -> int | None:
-    """The first codomain point y with ``not ok(domain, f^{-1}(U_y) &
-    carrier, *flags)``, or None.  The verdict depends only on the domain
-    and its key, so it is memoised per domain space."""
+def _first_failing_y(f: FiberedMap, sigma: bool, relative: bool) -> int | None:
+    """The first codomain point y with ``not _separation_ok(domain,
+    f^{-1}(U_y), sigma, relative)``, or None.  The verdict depends only on
+    the domain and its key, so it is memoised per domain space."""
     memoised = f.domain.memoised
     for y, pre in enumerate(f._nbhd_pre):
-        if not memoised(ok, pre & carrier, *flags):
+        if not memoised(_separation_ok, pre, sigma, relative):
             return y
     return None
 
@@ -170,8 +171,7 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
     failing pair and its first failing y.
     """
     # plain, global closures
-    if _first_failing_y(f, f.domain.full, _separation_ok, False,
-                        False) is None:
+    if _first_failing_y(f, False, False) is None:
         return PrenormalReport(True, None)
     closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
@@ -204,7 +204,7 @@ def is_normal(f: FiberedMap) -> NormalReport:
     """
     space = f.domain
     # plain, relative closures
-    y = _first_failing_y(f, space.full, _separation_ok, False, True)
+    y = _first_failing_y(f, False, True)
     if y is None:
         return NormalReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
@@ -249,7 +249,7 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
     """
     space = f.domain
     # sigma, global closures
-    if _first_failing_y(f, space.full, _separation_ok, True, False) is None:
+    if _first_failing_y(f, True, False) is None:
         return SigmaReport(True, None)
     closed = space.rel_closed_sets(space.full)
     for t in closed:
@@ -268,7 +268,7 @@ def is_sigma_normal(f: FiberedMap) -> SigmaReport:
     first failing y."""
     space = f.domain
     # sigma, relative closures
-    y = _first_failing_y(f, space.full, _separation_ok, True, True)
+    y = _first_failing_y(f, True, True)
     if y is None:
         return SigmaReport(True, None)
     nbhd = f.codomain.min_nbhd(y)
@@ -663,10 +663,13 @@ def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
     carrier & P, relative to P = f^{-1}(U_y), leaves the carrier.
 
     This is the library's one locally-F_sigma test, for the co-perfect
-    deciders and the carrier loop of ``is_sigma_normal_on_f_sigma_submaps``.
+    deciders; on a continuous map it passes exactly on the closed carriers
+    (Lemma 1 of ``is_sigma_normal_on_f_sigma_submaps``), which is why that
+    decider never calls it.
     ``test_f_sigma_failure_matches_submapping_report`` (in
     tests/test_pointwise_deciders.py) holds it to the witness-giving
-    ``is_f_sigma_submapping`` of tests/subspace_reference.py."""
+    ``is_f_sigma_submapping`` of tests/subspace_reference.py and to
+    Lemma 1."""
     closure = f.domain.closure
     for y, pre in enumerate(f._nbhd_pre):
         if closure(carrier & pre) & pre & ~carrier:
@@ -730,12 +733,25 @@ def _least_failing_triple(space: FiniteSpace, pre: int) -> int:
 
 def _least_failing_carrier(f: FiberedMap, walk) -> HereditaryReport:
     """The least carrier whose submapping fails at some y, where ``walk``
-    gives the least failing carrier inside each P = f^{-1}(U_y) (0 for
-    none); memoised per domain space on P."""
+    gives the least carrier whose submapping fails at P = f^{-1}(U_y) (0
+    for none); memoised per domain space on P."""
     memoised = f.domain.memoised
     least = min((m for pre in f._nbhd_pre if (m := memoised(walk, pre))),
                 default=None)
     return HereditaryReport(least is None, least)
+
+
+def _least_failing_closure(space: FiniteSpace, pre: int) -> int:
+    """The least point closure cl{v}, v in the preimage P of a minimal
+    neighborhood, whose trace cl{v} & P fails ``_separation_ok``'s relative
+    sigma test, or 0 when there is none, which is when P itself passes (see
+    ``is_sigma_normal_on_f_sigma_submaps``).  P's own verdict is the entry
+    ``is_sigma_normal`` stores."""
+    if space.memoised(_separation_ok, pre, True, True):
+        return 0
+    cl = space._cl_point
+    return min(cl[v] for v in bits(pre)
+               if not _separation_ok(space, cl[v] & pre, True, True))
 
 
 def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
@@ -772,11 +788,25 @@ def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
 
 def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
     """Sigma-normality of the submapping on every carrier that makes it an
-    F_sigma submapping (pointwise).  No closed form is known, so every
-    carrier is tried in mask order."""
-    for carrier in range(f.domain.full + 1):
-        if (_f_sigma_failure(f, carrier) is None
-                and _first_failing_y(f, carrier, _separation_ok, True,
-                                     True) is not None):
-            return HereditaryReport(False, carrier)
-    return HereditaryReport(True, None)
+    F_sigma submapping.
+
+    Lemma 1: the F_sigma carriers are the closed sets.  A closed C has
+    cl(C & P) & P inside C for every P = f^{-1}(U_y), which is
+    ``_f_sigma_failure``'s test.  Conversely, let C pass that test, s be in
+    C and t in cl{s}.  By continuity f(t) is in cl{f(s)}, so s and t both
+    lie in P = f^{-1}(U_f(t)), and t, in cl(C & P) & P, is in C.  So C
+    holds cl{s} for each of its points s.
+
+    Lemma 2: the least failing closed carrier is a point closure.  Let C be
+    closed and Q = C & P; then cl{q} & Q = cl{q} & P for every q in Q.  By
+    ``_separation_ok``'s relative sigma test, Q fails iff some x, v, z in Q
+    and u in cl{x} & cl{v} & Q have z in cl{v} and cl{x} & cl{z} & Q
+    empty.  Then (u, v, z) fails on cl{v} & P: that set lies inside Q, as
+    cl{v} lies inside C, and cl{u} lies inside cl{x}.  A failure on
+    cl{v} & P is also one on P, since cl{u} lies inside cl{v}.  The closed
+    carrier cl{v} is inside C, so its mask is at most C's, and the offending
+    carrier is the least one of ``_least_failing_closure`` over every P.
+    With C the whole domain, P fails iff some cl{v} & P does, so ``holds``
+    equals ``is_sigma_normal(f).holds``: the paper's theorem that
+    sigma-normality passes to every F_sigma submapping, for finite maps."""
+    return _least_failing_carrier(f, _least_failing_closure)

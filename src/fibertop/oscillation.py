@@ -45,11 +45,8 @@ class RationalFunction:
         return RationalFunction(space, vals, space.full)
 
     @staticmethod
-    def constant(space: FiniteSpace, value, carrier: int | None = None) -> "RationalFunction":
-        carrier = space.full if carrier is None else carrier
-        v = Fraction(value)
-        vals = tuple(v if carrier >> x & 1 else None for x in range(space.n))
-        return RationalFunction(space, vals, carrier)
+    def constant(space: FiniteSpace, value) -> "RationalFunction":
+        return RationalFunction.total(space, [value] * space.n)
 
     @staticmethod
     def indicator(space: FiniteSpace, mask: int) -> "RationalFunction":

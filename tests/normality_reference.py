@@ -6,12 +6,15 @@ space primitives and the report and witness containers.  They take an
 optional carrier mask, which decides the submapping on it, and the literal
 hereditary deciders try every carrier in mask order.
 
-The pointwise carrier loops (``pointwise_hereditarily_normal`` and
-``pointwise_hereditarily_perfectly_normal``) are the hereditary deciders'
-former route: every carrier in mask order, each decided by the pointwise
-test on the preimages cut down to it (``normality._separation_ok``, and
-``components_indiscrete`` here).  They are as exact as the literal scans
-and fast enough for census 6 and the 12-point cap, where the scans are not.
+The pointwise carrier loops (``pointwise_hereditarily_normal``,
+``pointwise_hereditarily_perfectly_normal`` and
+``pointwise_sigma_normal_on_f_sigma_submaps``) are the hereditary
+deciders' former route: every carrier in mask order, each decided by the
+pointwise test on the preimages cut down to it (``normality._separation_ok``,
+and ``components_indiscrete`` here), the last one only on the carriers that
+pass ``normality._f_sigma_failure``.  They are as exact as the literal
+scans and fast enough for census 6 and the 12-point cap, where the scans
+are not.
 
 They are kept only for the differential tests, which require every public
 decider to give the same verdict and the same counterexample as these
@@ -29,6 +32,7 @@ from fibertop.normality import (
     PerfectWitness,
     PrenormalReport,
     SigmaReport,
+    _f_sigma_failure,
     _separation_ok,
 )
 from fibertop.oscillation import RationalFunction
@@ -139,7 +143,7 @@ def perfect_scan(f: FiberedMap, carrier: int | None = None
                 RationalFunction.on_carrier(space, carrier,
                                             lambda x, c=comp: c >> x & 1)
                 for comp in members
-            ) or (RationalFunction.constant(space, 0, carrier),)
+            ) or (RationalFunction.on_carrier(space, carrier, lambda x: 0),)
             witnesses.append(PerfectWitness(open_mask, y, cod.min_nbhd(y), family))
     return PerfectNormalityReport(True, None), tuple(witnesses)
 
@@ -215,3 +219,10 @@ def pointwise_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
     return _first_failing_carrier(
         f, lambda c: all(components_indiscrete(f.domain, pre & c)
                          for pre in f._nbhd_pre))
+
+
+def pointwise_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
+    return _first_failing_carrier(
+        f, lambda c: (_f_sigma_failure(f, c) is not None
+                      or all(_separation_ok(f.domain, pre & c, True, True)
+                             for pre in f._nbhd_pre)))

@@ -1,10 +1,10 @@
 """Reference oracles on re-indexed subspaces and submappings.
 
 The library names every submapping by a carrier mask of its domain: the
-offending carriers of the hereditary deciders, the carrier loop of
-``is_sigma_normal_on_f_sigma_submaps`` and ``normality._f_sigma_failure``;
-the carrier-mask oracles of ``normality_reference`` (``is_normal(f,
-carrier)`` and its siblings) decide the submapping on one.  This module
+offending carriers of the hereditary deciders and
+``normality._f_sigma_failure``; the carrier-mask oracles of
+``normality_reference`` (``is_normal(f, carrier)`` and its siblings, and
+its pointwise carrier loops) decide the submapping on one.  This module
 keeps the other
 representation, for the tests only: the subspace on a carrier rebuilt as a
 space of its own on points 0..k-1, the restriction of a map over an open

@@ -237,13 +237,15 @@ def test_sweep_digest_is_the_benchmark_gate(reports):
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # level walks (72 of them failed), successful extension runs, the
     # pointwise verdicts of the deciders and the least failing pair and
-    # triple of each f^-1(U_y), the neighbourhood classes of
+    # triple of each f^-1(U_y), the least failing point closure of each
+    # f^-1(U_y) of a sigma-normal map (classify asks for inheritance only
+    # there), the neighbourhood classes of
     # each region, the pairs theorem_record scans for each f^-1(O) and
     # their verdicts for each (f^-1(O), f^-1(U_y)), and the verdicts of
     # functional_co_sigma, over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
-        "_separation_ok": 2325, "_least_failing_pair": 402,
-        "_least_failing_triple": 402,
+        "_separation_ok": 1608, "_least_failing_pair": 402,
+        "_least_failing_triple": 402, "_least_failing_closure": 285,
         "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
         "_no_straddle": 602}

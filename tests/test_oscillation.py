@@ -40,7 +40,7 @@ class TestNorm:
         assert norm(indicator1(S)) == 1
 
     def test_empty_carrier(self, S):
-        assert norm(RationalFunction.constant(S, 7, carrier=0)) == 0
+        assert norm(RationalFunction.on_carrier(S, 0, lambda x: 7)) == 0
 
 
 class TestOscillation:

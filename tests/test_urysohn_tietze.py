@@ -167,7 +167,7 @@ class TestExactExtension:
 class TestTietze:
     def test_zero_boundary_short_circuits(self, D2):
         f = constant_map(D2)
-        phit = RationalFunction.constant(D2, 0, carrier=0b01)
+        phit = RationalFunction.on_carrier(D2, 0b01, lambda x: 0)
         res = tietze_extend(f, 0b01, phit, 0)
         assert res.iterations == 0 and set(res.phi.values) == {Fraction(0)}
         assert res.residuals == (Fraction(0),)
