@@ -64,15 +64,6 @@ class NotContinuous(FibertopError):
 # ------------------------------------------------------------- oscillation
 
 
-class PreconditionGap(FibertopError):
-    """b - a does not exceed the oscillation, so the sublevel lemma is void."""
-
-    def __init__(self, gap, osc):
-        self.gap = gap
-        self.osc = osc
-        super().__init__(f"b - a = {gap} is not greater than oscillation {osc}")
-
-
 class MemberNotFContinuous(FibertopError):
     def __init__(self, index: int, y: int):
         self.index = index

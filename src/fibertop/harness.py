@@ -48,7 +48,6 @@ from .normality import (
 from .oscillation import norm, osc_on_set
 from .spaces import FiberedMap, FiniteSpace, bits, constant_map
 from .urysohn_tietze import (
-    _sup_difference,
     boundary_function,
     build_separator,
     exact_extension_exists,
@@ -60,7 +59,18 @@ from .urysohn_tietze import (
 def functional_co_sigma(f: FiberedMap) -> bool:
     """Right-hand side of the functional characterization of the
     co-sigma-perfect class, checked literally over every restriction and
-    every relatively open set."""
+    every relatively open set.
+
+    On every finite map it equals perfect normality.  ``_no_straddle(pre_o,
+    w)`` fails iff some minimal-neighbourhood component K of
+    w = P_y = f^{-1}(U_y) meets a set u open in pre_o and leaves it.  If K
+    meets u at x, then U_x & pre_o lies inside u, and K lies inside w,
+    inside pre_o (y is in O), so K leaves u only if K is not inside U_x.
+    Conversely, if K is not inside U_x for some x in K, take O = U_y and
+    u = U_x & P_y.  So the check holds iff every component of every P_y
+    lies inside U_x for each of its points x, which is the perfect test of
+    ``normality._least_failing_pair``.  The route stays literal, as the
+    harness's own side of that equality."""
     space = f.domain
     for o_mask in f.codomain.opens:
         pre_o = f.preimage(o_mask)
@@ -311,14 +321,19 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         if expect_ok:
             anomalies.append(f"extension failed on normal map: {exc}")
         return run
-    # residual i+1 is at most 2/3 of residual i, cross-multiplied
-    chain_ok = all(3 * r1.numerator * r0.denominator
-                   <= 2 * r0.numerator * r1.denominator
-                   for r0, r1 in zip(res.residuals, res.residuals[1:]))
+    # The checks read the result's integers, each value a numerator over
+    # scale * 3^k after k steps.  Residual k+1 is at most 2/3 of residual k.
+    chain_ok = all(m1 <= 2 * m0 for m0, m1 in zip(res.mus, res.mus[1:]))
     trace = phit.carrier & f._nbhd_pre[y]
-    exact = res.residual_bound == 0
+    exact = res.bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)
-    sup = _sup_difference(phit, res.phi, trace)
+    # |phit(x) - phi(x)| <= residual_bound at each x of the trace,
+    # cross-multiplied by den and phit(x)'s denominator
+    den = res.scale * 3 ** res.iterations
+    covers_ok = all(
+        abs(v.numerator * den - res.totals[x] * v.denominator)
+        <= res.bound * v.denominator
+        for x in bits(trace) for v in (phit.values[x],))
     run.update({
         "ok": True,
         "iterations": res.iterations,
@@ -326,9 +341,9 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         "geometric_chain_exact": chain_ok,
         "norm_contract": res.norm_ok,
         "exact_agreement": exact and agree_ok,
-        "residual_covers_sup": sup <= res.residual_bound,
+        "residual_covers_sup": covers_ok,
     })
-    if not (chain_ok and res.norm_ok and agree_ok and sup <= res.residual_bound):
+    if not (chain_ok and res.norm_ok and agree_ok and covers_ok):
         anomalies.append(f"extension contract violated at O={o_mask} y={y}")
     return run
 

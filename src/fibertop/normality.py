@@ -694,6 +694,22 @@ def _open_submaps_f_sigma(f: FiberedMap):
 
 
 def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+    """Normality plus: every open submapping is F_sigma.
+
+    On every finite map this is perfect normality.  Let P = f^{-1}(U_y).
+    Every open submapping is F_sigma at y iff cl{x} & P lies inside U_x
+    for each x in P (``_open_submaps_f_sigma``).  Then, for z in U_x & P,
+    x is in cl{z} & P, which lies inside U_z, so z is in cl{x}: U_x and
+    cl{x} have the same trace on P, which is the perfect test of
+    ``_least_failing_pair``.  The converse is immediate.  Those traces are
+    then the classes of an equivalence on P, each open and closed in P.
+    So every set closed in P is a union of classes and so is its hull in
+    P: disjoint closed sets have disjoint hulls, and P passes the normal
+    test.  The normality conjunct therefore adds nothing, and the same
+    holds for ``is_co_sigma_perfectly_normal``, sigma-normality being
+    normality (``_separation_ok``).  tests/test_acceptance.py compares
+    the classes on census 6.
+    """
     base = is_normal(f)
     if not base.holds:
         return CoPerfectReport(False, False, base.counterexample)
@@ -702,6 +718,8 @@ def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
 
 
 def is_co_sigma_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+    """Sigma-normality plus: every open submapping is F_sigma; perfect
+    normality again (see ``is_co_perfectly_normal``)."""
     base = is_sigma_normal(f)
     if not base.holds:
         return CoPerfectReport(False, False, base.counterexample)

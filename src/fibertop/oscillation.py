@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import CheckFailed, MemberNotFContinuous, PreconditionGap
+from .errors import CheckFailed, MemberNotFContinuous
 from .spaces import FiberedMap, FiniteSpace, bits
 
 ZERO = Fraction(0)
@@ -72,11 +72,6 @@ class RationalFunction:
                      for x in range(self.space.n))
         return RationalFunction(self.space, vals, carrier)
 
-    def affine(self, slope, shift) -> "RationalFunction":
-        a, b = Fraction(slope), Fraction(shift)
-        vals = tuple(a * v + b if v is not None else None for v in self.values)
-        return RationalFunction(self.space, vals, self.carrier)
-
     def clamp(self, lo, hi) -> "RationalFunction":
         lo, hi = Fraction(lo), Fraction(hi)
         vals = tuple(min(hi, max(lo, v)) if v is not None else None
@@ -133,54 +128,6 @@ def osc_on_set(phi: RationalFunction, mask: int) -> Fraction:
         if o > best:
             best = o
     return best
-
-
-class LinearBoundReport(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    ok: bool
-
-
-def osc_linear_bound_check(alpha, phi: RationalFunction, beta,
-                           psi: RationalFunction, mask: int) -> LinearBoundReport:
-    """osc of alpha*phi + beta*psi against the triangle-type bound."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if phi.space is not psi.space and phi.space != psi.space:
-        raise ValueError("functions live on different spaces")
-    carrier = phi.carrier & psi.carrier
-    combo = RationalFunction.on_carrier(
-        phi.space, carrier, lambda x: alpha * phi.values[x] + beta * psi.values[x])
-    lhs = osc_on_set(combo, mask & carrier)
-    rhs = abs(alpha) * osc_on_set(phi.restrict(carrier), mask & carrier) \
-        + abs(beta) * osc_on_set(psi.restrict(carrier), mask & carrier)
-    return LinearBoundReport(lhs, rhs, lhs <= rhs)
-
-
-class SublevelReport(NamedTuple):
-    low: int
-    high: int
-    low_misses_cl_high: bool
-    cl_low_misses_high: bool
-
-
-def sublevel_disjointness(phi: RationalFunction, a, b) -> SublevelReport:
-    """Disjointness of {phi <= a} from the closure of {phi >= b} and dually.
-
-    Requires b - a to exceed the oscillation over the whole carrier; the two
-    disjointness facts then always hold and are asserted.
-    """
-    a, b = Fraction(a), Fraction(b)
-    osc = osc_on_set(phi, phi.carrier)
-    if not b - a > osc:
-        raise PreconditionGap(b - a, osc)
-    space, carrier = phi.space, phi.carrier
-    low = phi.preimage(lambda v: v <= a)
-    high = phi.preimage(lambda v: v >= b)
-    r1 = not low & space.rel_closure(carrier, high)
-    r2 = not space.rel_closure(carrier, low) & high
-    if not (r1 and r2):
-        raise CheckFailed("sublevel disjointness")
-    return SublevelReport(low, high, r1, r2)
 
 
 class FContinuityResult(NamedTuple):

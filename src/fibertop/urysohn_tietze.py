@@ -156,15 +156,60 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
 # ------------------------------------------------------------ the extension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionResult:
-    phi: RationalFunction
+    """The integers of one extension walk; the ``Fraction`` views are built
+    only when read.
+
+    After n = ``iterations`` steps every value is a numerator over
+    scale * 3^n: ``totals`` holds phi's, one per point, and ``bound`` the
+    residual bound's, which is mu_n, or 0 when the zero function is
+    returned without a step because the carrier trace is empty or the
+    data is zero.  Residual mu_k is ``mus[k]`` over scale * 3^k, and
+    step k subtracted psi_k, which is mu_k/3 on ``separators[k]`` and
+    -mu_k/3 off it.  ``space`` is the domain the values live on; every
+    other field is an int, a bool or a tuple of ints, so the memo of a
+    space holds no ``Fraction``.
+    """
+
+    space: FiniteSpace
+    scale: int
+    totals: tuple[int, ...]
+    mus: tuple[int, ...]
+    separators: tuple[int, ...]
+    bound: int
     agreement_set: int
     norm_ok: bool
-    residuals: tuple[Fraction, ...]
-    iterations: int
-    residual_bound: Fraction
-    psis: tuple[RationalFunction, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.separators)
+
+    @property
+    def phi(self) -> RationalFunction:
+        den = self.scale * 3 ** self.iterations
+        return RationalFunction(self.space,
+                                tuple(Fraction(t, den) for t in self.totals),
+                                self.space.full)
+
+    @property
+    def residuals(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(m, self.scale * 3 ** k)
+                     for k, m in enumerate(self.mus))
+
+    @property
+    def residual_bound(self) -> Fraction:
+        return Fraction(self.bound, self.scale * 3 ** self.iterations)
+
+    @property
+    def psis(self) -> tuple[RationalFunction, ...]:
+        space, out = self.space, []
+        for k, (m, sep) in enumerate(zip(self.mus, self.separators)):
+            plus = Fraction(m, self.scale * 3 ** (k + 1))
+            out.append(RationalFunction(
+                space, tuple(plus if sep >> x & 1 else -plus
+                             for x in range(space.n)), space.full))
+        return tuple(out)
 
 
 def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
@@ -174,20 +219,27 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     """Extend a function given on a closed carrier by separator subtraction.
 
     The carrier must be relatively closed over ``within`` (the whole
-    codomain when omitted).  Each step separates the +/- mu/3 level
-    closures with an exactly f-continuous-at-y two-valued function,
-    subtracts the rescaled copy, and certifies mu_{n+1} <= (2/3) mu_n.  The
-    loop stops at an exact residual of zero or once the geometric bound
-    drops below the tolerance; an explicit max_iter that cuts the loop
-    earlier raises MaxIterReached.
+    codomain when omitted), and the tolerance must be positive.  Each step
+    separates the +/- mu/3 level closures with an exactly
+    f-continuous-at-y two-valued function, subtracts the rescaled copy, and
+    certifies mu_{n+1} <= (2/3) mu_n.  The loop stops at an exact residual
+    of zero or once the geometric bound drops below the tolerance; an
+    explicit max_iter that cuts the loop earlier raises MaxIterReached.
 
     Past the checks of each call, the run depends only on the domain and on
     (P = f^{-1}(min_nbhd(y)), phit.values, tolerance, max_iter), so
     successful results are memoised per domain space on that key.  The
     values fix the carrier, being None exactly off it.  Errors are not
-    stored: each failing call runs and raises afresh.
+    stored: each failing call runs and raises afresh.  The result keeps
+    the walk's integers, and its ``phi``, ``residuals``,
+    ``residual_bound`` and ``psis`` are built from them on each read.
     """
     f.check_point(y)
+    tolerance = Fraction(tolerance)
+    if tolerance <= 0:
+        # the geometric bound never reaches it: only an exact zero
+        # residual would stop the loop
+        raise ValueError(f"the tolerance must be positive, not {tolerance}")
     space, cod = f.domain, f.codomain
     if within is None:
         within = cod.full
@@ -202,29 +254,29 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
         raise PreconditionNotFContinuous(
             f"osc {res.osc} over the carrier trace of the minimal neighborhood")
     return space.memoised(_extension_walk, f._nbhd_pre[y],
-                          phit.values, Fraction(tolerance), max_iter)
+                          phit.values, tolerance, max_iter)
 
 
 def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
                     max_iter: int | None) -> ExtensionResult:
     """The separator-subtraction iteration over P = ``pre`` for boundary
-    ``values`` (None off the carrier); raises on the first failed check."""
+    ``values`` (None off the carrier) and a positive tolerance; raises on
+    the first failed check.  It runs, and returns, integers only."""
     given = tuple(x for x, v in enumerate(values) if v is not None)
     carrier = mask_of(given) & pre
     # Every value is kept as an integer numerator over one denominator,
     # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
-    # integral.  Fractions are built only for the result.
+    # integral.
     scale = lcm(*(values[x].denominator for x in given))
     data = [0] * space.n
     for x in given:
         v = values[x]
         data[x] = v.numerator * (scale // v.denominator)
     m0 = max((abs(data[x]) for x in given), default=0)
-    mu0 = Fraction(m0, scale)
     if carrier == 0 or m0 == 0:
         # the zero function agrees with phit on the whole carrier trace
-        zero = RationalFunction.constant(space, 0)
-        return ExtensionResult(zero, carrier, True, (mu0,), 0, Fraction(0), ())
+        return ExtensionResult(space, scale, (0,) * space.n, (m0,), (), 0,
+                               carrier, True)
 
     # the geometric bound mu0 (2/3)^n, cross-multiplied with the tolerance
     geo_lhs, geo_rhs = m0 * tol.denominator, scale * tol.numerator
@@ -233,7 +285,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
     total = [0] * space.n
     mu = m0
     residuals = [m0]
-    steps = []  # (mu numerator, separator mask) of every iteration
+    separators = []
     n = 0
     while mu and geo_lhs > geo_rhs:
         if max_iter is not None and n >= max_iter:
@@ -257,7 +309,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
         psi = [mu if out >> x & 1 else -mu for x in range(space.n)]
         if max(map(abs, psi)) > mu:
             raise CheckFailed("psi norm above mu/3")
-        steps.append((mu, out))
+        separators.append(out)
         total = [3 * t + p for t, p in zip(total, psi)]
         cur = [c - psi[x] for x, c in zip(points, cur)]
         nxt = max(map(abs, cur))
@@ -284,19 +336,8 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
         raise CheckFailed("zero residual without exact agreement")
     if sup > mu:
         raise CheckFailed("reported residual below the actual difference")
-    den = scale * lift
-    phi = RationalFunction(
-        space, tuple(Fraction(t, den) for t in total), space.full)
-    psis = []
-    for k, (m, out) in enumerate(steps):
-        plus = Fraction(m, scale * 3 ** (k + 1))
-        psis.append(RationalFunction(
-            space, tuple(plus if out >> x & 1 else -plus for x in range(space.n)),
-            space.full))
-    return ExtensionResult(
-        phi, agree, norm_ok,
-        tuple(Fraction(m, scale * 3 ** k) for k, m in enumerate(residuals)),
-        n, Fraction(mu, den), tuple(psis))
+    return ExtensionResult(space, scale, tuple(total), tuple(residuals),
+                           tuple(separators), mu, agree, norm_ok)
 
 
 def _sup_difference(a: RationalFunction, b: RationalFunction, mask: int) -> Fraction:

@@ -6,6 +6,7 @@ its digest and by the count of the memo entries it stores; criterion 9
 reruns everything and compares the canonical JSON byte for byte.
 """
 
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -27,6 +28,7 @@ from fibertop.harness import (
 )
 from fibertop.oscillation import osc_at_point
 from fibertop.partitions import interiors_cover_check, validate_regular_partition
+from fibertop.urysohn_tietze import _extension_walk
 from oscillation_reference import osc_at_point_exhaustive
 
 SEED = 0
@@ -106,6 +108,14 @@ def memo_entries() -> Counter:
                    for key in space._memo or ())
 
 
+def extension_memo() -> list:
+    """(space, value) of every _extension_walk entry in the memos of the
+    sweep's domain spaces."""
+    return [(space, value) for space in _census_domains()
+            for key, value in (space._memo or {}).items()
+            if key[0] is _extension_walk]
+
+
 def run_sampled_hierarchy(seed: int) -> dict:
     bad = []
     for inst in sampled_instances(5, 200, seed=seed):
@@ -139,6 +149,7 @@ def reports():
         timer[name] = time.monotonic() - t0
         if name == "sweep":
             out["memo_entries"] = memo_entries()
+            out["extension_memo"] = extension_memo()
     out["elapsed"] = timer
     return out
 
@@ -249,3 +260,32 @@ def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
         "_least_failing_triple": 402, "_least_failing_closure": 285,
         "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
         "_no_straddle": 602}
+
+
+def _ints_only(value) -> bool:
+    return type(value) in (int, bool) or (
+        type(value) is tuple and all(map(_ints_only, value)))
+
+
+def test_extension_memo_holds_integers_only(reports):
+    # every stored extension keeps the walk's integers and a reference to
+    # its own domain, and no Fraction or RationalFunction
+    entries = reports["extension_memo"]
+    assert len(entries) == reports["memo_entries"]["_extension_walk"]
+    for space, value in entries:
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        assert fields.pop("space") is space
+        assert all(map(_ints_only, fields.values())), fields
+
+
+def test_perfect_type_classes_coincide(reports):
+    # co-perfect = co-sigma-perfect = perfect and functional co-sigma =
+    # perfect on every finite map: the proofs are in the docstrings of
+    # normality.is_co_perfectly_normal and harness.functional_co_sigma
+    records = reports["sweep"]["records"]
+    perfect = sum(r["classes"]["perfectly_normal"] for r in records)
+    assert (len(records), perfect) == (4319, 2367)
+    for r in records:
+        c = r["classes"]
+        assert (c["functional_co_sigma"] == c["co_perfectly_normal"]
+                == c["co_sigma_perfectly_normal"] == c["perfectly_normal"]), r["id"]

@@ -2,13 +2,14 @@
 ``Fraction`` arithmetic, one indicator ``RationalFunction`` per step.
 
 It is kept only for the differential tests, which require the integer
-iteration in ``fibertop.urysohn_tietze`` to reproduce every field of its
-``ExtensionResult`` and every exception it raises.
+iteration in ``fibertop.urysohn_tietze`` to reproduce every public field
+of its ``ExtensionResult`` and every exception it raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from fibertop.errors import (
     CheckFailed,
@@ -19,7 +20,20 @@ from fibertop.errors import (
 )
 from fibertop.oscillation import RationalFunction, is_f_continuous_at, norm
 from fibertop.spaces import FiberedMap, bits
-from fibertop.urysohn_tietze import ExtensionResult, _sup_difference
+from fibertop.urysohn_tietze import _sup_difference
+from oscillation_reference import affine
+
+
+class ReferenceExtension(NamedTuple):
+    """The public fields of ``ExtensionResult``, as ``Fraction`` values."""
+
+    phi: RationalFunction
+    agreement_set: int
+    norm_ok: bool
+    residuals: tuple[Fraction, ...]
+    iterations: int
+    residual_bound: Fraction
+    psis: tuple[RationalFunction, ...]
 
 
 def exact_separator_reference(f: FiberedMap, p_side: int, q_side: int,
@@ -38,7 +52,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
                             phit: RationalFunction, y: int,
                             max_iter: int | None = None,
                             tolerance: Fraction = Fraction(1, 1024),
-                            within: int | None = None) -> ExtensionResult:
+                            within: int | None = None) -> ReferenceExtension:
     space, cod = f.domain, f.codomain
     if within is None:
         within = cod.full
@@ -59,8 +73,8 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
     carrier = f_carrier & pre
     if carrier == 0 or mu0 == 0:
         agree = _agreement(phit, zero, carrier)
-        return ExtensionResult(zero, agree, True, (mu0,), 0,
-                               _sup_difference(phit, zero, carrier), ())
+        return ReferenceExtension(zero, agree, True, (mu0,), 0,
+                                  _sup_difference(phit, zero, carrier), ())
 
     third = Fraction(1, 3)
     cur = phit.restrict(carrier) if carrier != f_carrier else phit
@@ -88,7 +102,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
         xi = exact_separator_reference(f, p_side, q_side, y)
         if xi is None:
             raise SearchFailed(n, "exact separator")
-        psi = xi.affine(2 * thresh, -thresh)
+        psi = affine(xi, 2 * thresh, -thresh)
         if norm(psi) > thresh:
             raise CheckFailed("psi norm above mu/3")
         psis.append(psi)
@@ -111,8 +125,8 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
     sup = _sup_difference(phit, phi, carrier)
     if sup > mu:
         raise CheckFailed("reported residual below the actual difference")
-    return ExtensionResult(phi, agree, norm_ok, tuple(residuals), n, mu,
-                           tuple(psis))
+    return ReferenceExtension(phi, agree, norm_ok, tuple(residuals), n, mu,
+                              tuple(psis))
 
 
 def _agreement(a: RationalFunction, b: RationalFunction, mask: int) -> int:
