@@ -22,8 +22,6 @@ from .partitions import (
     Level,
     RegularKPartition,
     assemble_limit,
-    interiors_cover_check,
-    stepwise_function,
     validate_consistent_family,
     validate_regular_partition,
 )
@@ -33,7 +31,6 @@ from .normality import (
     build_binary_partitions_sigma,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
-    is_f_functionally_closed,
     is_f_functionally_open,
     is_hereditarily_normal,
     is_normal,
@@ -42,13 +39,11 @@ from .normality import (
     is_sigma_normal,
     is_sigma_prenormal,
     perfect_witnesses,
-    small_urysohn_search,
 )
 from .spaces import FiberedMap, FiniteSpace
 from .urysohn_tietze import (
     build_separator,
     exact_extension_exists,
-    separation_from_extension,
     sigma_separator_family,
     tietze_extend,
     verify_condition_C,

@@ -204,7 +204,7 @@ def cmd_build(args) -> int:
         out["iterations"] = res.iterations
         out["residual_bound"] = str(res.residual_bound)
         out["agreement"] = _points(res.agreement_set)
-        out["norm_ok"] = res.norm_ok
+        out["norm_ok"] = rep.norm_ok
         out["checks"] = {"agreement": rep.agreement_ok, "norm": rep.norm_ok,
                          "eps": rep.eps_ok}
     elif args.kind == "functional-witness":

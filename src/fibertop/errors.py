@@ -98,10 +98,6 @@ class Condition2Violated(PartitionError):
         super().__init__(f"prefix through {p} meets closure of blocks >= {p + 2}")
 
 
-class InvalidPartition(PartitionError):
-    pass
-
-
 class FamilyError(FibertopError):
     pass
 
@@ -153,10 +149,6 @@ class SearchFailed(FibertopError):
         self.l = l
         extra = "" if l is None else f" (component {l})"
         super().__init__(f"no witness at level {level}, step {step}{extra}")
-
-
-class NotFound(FibertopError):
-    pass
 
 
 class CheckFailed(FibertopError):

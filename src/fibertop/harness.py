@@ -24,13 +24,8 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .census import Instance, canonical_spaces, census_instances
-from .classical import (
-    space_normal,
-    tietze_function,
-    urysohn_function,
-    vedenisov_perfectly_normal,
-)
+from .census import Instance, census_instances
+from .classical import space_normal, vedenisov_perfectly_normal
 from .errors import FibertopError, SearchFailed
 from .normality import (
     build_levels,
@@ -45,15 +40,8 @@ from .normality import (
     is_sigma_normal_on_f_sigma_submaps,
     is_sigma_prenormal,
 )
-from .oscillation import norm, osc_on_set
-from .spaces import FiberedMap, FiniteSpace, bits, constant_map
-from .urysohn_tietze import (
-    boundary_function,
-    build_separator,
-    exact_extension_exists,
-    tietze_extend,
-    verify_condition_D,
-)
+from .spaces import FiberedMap, FiniteSpace, bits
+from .urysohn_tietze import boundary_function, tietze_extend
 
 
 def functional_co_sigma(f: FiberedMap) -> bool:
@@ -324,6 +312,8 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     # The checks read the result's integers, each value a numerator over
     # scale * 3^k after k steps.  Residual k+1 is at most 2/3 of residual k.
     chain_ok = all(m1 <= 2 * m0 for m0, m1 in zip(res.mus, res.mus[1:]))
+    # |phi| <= |phit|, whose numerator over scale is mu_0
+    norm_ok = max(map(abs, res.totals)) <= res.mus[0] * 3 ** res.iterations
     trace = phit.carrier & f._nbhd_pre[y]
     exact = res.bound == 0
     agree_ok = not exact or not (trace & ~res.agreement_set)
@@ -339,11 +329,11 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         "iterations": res.iterations,
         "residual": str(res.residual_bound),
         "geometric_chain_exact": chain_ok,
-        "norm_contract": res.norm_ok,
+        "norm_contract": norm_ok,
         "exact_agreement": exact and agree_ok,
         "residual_covers_sup": covers_ok,
     })
-    if not (chain_ok and res.norm_ok and agree_ok and covers_ok):
+    if not (chain_ok and norm_ok and agree_ok and covers_ok):
         anomalies.append(f"extension contract violated at O={o_mask} y={y}")
     return run
 
@@ -432,68 +422,8 @@ def _is_dict_list(obj) -> bool:
     return isinstance(obj, list) and bool(obj) and isinstance(obj[0], dict)
 
 
-def report_json(report: dict) -> str:
-    return "".join(_json_pieces(report))
-
-
 def digest(obj) -> str:
     h = hashlib.sha256()
     for piece in _json_pieces(obj):
         h.update(piece.encode())
     return h.hexdigest()
-
-
-# ------------------------------------------- constant-map degeneration check
-
-
-def constant_map_degeneration(n_max: int = 5, depth: int = 4) -> dict:
-    """Cross-oracle run: on constant maps the separator and extension
-    machinery must agree with the classical space-level constructions."""
-    checked = 0
-    separator_disagreements = []
-    tietze_disagreements = []
-    contract_failures = []
-    for n in range(1, n_max + 1):
-        for si, space in enumerate(canonical_spaces(n)):
-            if not space_normal(space):
-                continue
-            f = constant_map(space)
-            closed = sorted(space.full ^ o for o in space.opens)
-            for i, a in enumerate(closed):
-                for b in closed[i + 1:]:
-                    if a & b or not (a and b):
-                        continue
-                    checked += 1
-                    sid = f"n{n}.{si:03d} F={a} T={b}"
-                    classical = urysohn_function(space, a, b)
-                    try:
-                        sep = build_separator(f, a, b, 0, depth)
-                        ours = True
-                        zeros = sep.phi.preimage(lambda v: v == 0)
-                        ones = sep.phi.preimage(lambda v: v == 1)
-                        if a & ~zeros or b & ~ones:
-                            contract_failures.append(sid + " values")
-                        if osc_on_set(sep.phi, space.full) > sep.limit.error_bound:
-                            contract_failures.append(sid + " osc")
-                    except FibertopError:
-                        ours = False
-                    if ours != (classical is not None):
-                        separator_disagreements.append(sid)
-                    # extension: two-valued boundary data on the closed union
-                    phit = boundary_function(space, a, b)
-                    ext = exact_extension_exists(f, phit, 0)
-                    cla = tietze_function(space, phit)
-                    if ext.exists != (cla is not None):
-                        tietze_disagreements.append(sid)
-                    if ext.exists:
-                        rep = verify_condition_D(f, phit.carrier, phit, ext.phi, 0)
-                        if not rep.all_ok:
-                            contract_failures.append(sid + " contract")
-                        if cla is not None and norm(cla) > norm(phit):
-                            contract_failures.append(sid + " classical norm")
-    return {
-        "pairs_checked": checked,
-        "separator_disagreements": separator_disagreements,
-        "tietze_disagreements": tietze_disagreements,
-        "contract_failures": contract_failures,
-    }

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NotFound, NotOpen, SearchFailed, points_text
+from .errors import NotOpen, SearchFailed
 from .oscillation import RationalFunction, is_f_equicontinuous_at
 from .partitions import (
     ConsistentBinaryFamily,
@@ -281,38 +281,6 @@ def is_sigma_normal(f: FiberedMap) -> SigmaReport:
             if not _sigma_separated_at(space, pre, t, fm):
                 return SigmaReport(False, (nbhd, t, fm, y))
     raise AssertionError("pointwise and literal sigma-normality disagree")
-
-
-def small_urysohn_search(f: FiberedMap, open_mask: int, t_list, u: int,
-                         y: int) -> tuple[int, tuple[int, ...]]:
-    """Sandwich neighborhoods T_l inside V_l inside cl V_l inside U.
-
-    Works over the preimage of the minimal neighborhood of y inside O;
-    raises NotFound when no neighborhood choice can work, which refutes
-    sigma-normality through this instance.
-    """
-    space = f.domain
-    if not f.codomain.is_open(open_mask) or not open_mask >> y & 1:
-        raise NotOpen(open_mask)
-    base = f.preimage(open_mask)
-    if not space.rel_is_open(base, u):
-        raise NotOpen(u)
-    union = 0
-    for t in t_list:
-        if not space.rel_is_closed(base, t):
-            raise ValueError(f"piece {points_text(t)} is not relatively closed")
-        union |= t
-    if union & ~u:
-        raise ValueError("the pieces must lie inside their neighborhood U")
-    nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y]
-    v_list = []
-    for t in t_list:
-        v = space.rel_hull(pre, t & pre)
-        if space.rel_closure(pre, v) & ~(u & pre):
-            raise NotFound(f"piece {points_text(t)} admits no closed sandwich")
-        v_list.append(v)
-    return nbhd, tuple(v_list)
 
 
 # ------------------------------------------------------- partition builders
@@ -602,7 +570,7 @@ def perfect_witnesses(f: FiberedMap):
             yield w
 
 
-# ------------------------------------------------ functionally open / closed
+# ------------------------------------------------------- functionally open
 
 
 @dataclass(frozen=True)
@@ -631,20 +599,6 @@ def is_f_functionally_open(f: FiberedMap, u: int) -> FunctionalReport:
         phi = RationalFunction.indicator(space, u & region)
         witnesses.append(FunctionalWitness(y, nbhd, phi))
     return FunctionalReport(True, tuple(witnesses), None)
-
-
-def is_f_functionally_closed(f: FiberedMap, closed_mask: int) -> FunctionalReport:
-    """Dual of the open case via the complement, with the same witnesses."""
-    space = f.domain
-    rep = is_f_functionally_open(f, space.full ^ closed_mask)
-    if not rep.holds:
-        return rep
-    for w in rep.witnesses:
-        region = f.preimage(w.nbhd)
-        zero = w.phi.preimage(lambda v: v == 0) & region
-        if zero != closed_mask & region:
-            raise AssertionError("functional duality broke")
-    return rep
 
 
 # ------------------------------------------------------- co-perfect variants

@@ -72,24 +72,12 @@ class RationalFunction:
                      for x in range(self.space.n))
         return RationalFunction(self.space, vals, carrier)
 
-    def clamp(self, lo, hi) -> "RationalFunction":
-        lo, hi = Fraction(lo), Fraction(hi)
-        vals = tuple(min(hi, max(lo, v)) if v is not None else None
-                     for v in self.values)
-        return RationalFunction(self.space, vals, self.carrier)
-
     def preimage(self, predicate: Callable[[Fraction], bool]) -> int:
         out = 0
         for x in bits(self.carrier):
             if predicate(self.values[x]):
                 out |= 1 << x
         return out
-
-    def sub(self, other: "RationalFunction") -> "RationalFunction":
-        carrier = self.carrier & other.carrier
-        vals = tuple(self.values[x] - other.values[x] if carrier >> x & 1 else None
-                     for x in range(self.space.n))
-        return RationalFunction(self.space, vals, carrier)
 
     def agrees_with(self, other: "RationalFunction", mask: int) -> bool:
         mask &= self.carrier & other.carrier

@@ -21,7 +21,6 @@ from .errors import (
     Condition2Violated,
     DepthExceeded,
     HypothesisFailed,
-    InvalidPartition,
     LevelNotRegular,
     NeighborhoodNotNested,
     NotCovering,
@@ -82,21 +81,6 @@ def validate_regular_partition(space: FiniteSpace, carrier: int,
             if prefixes[p] & suffix_cl[p + 2]:
                 raise Condition2Violated(p)
     return RegularKPartition(space, carrier, blocks)
-
-
-def interiors_cover_check(part: RegularKPartition) -> bool:
-    """Do the relative interiors of adjacent block pairs cover the carrier?
-
-    Always true for a valid regular k-partition with k >= 3; exposed as a
-    checkable statement so property tests can confirm it exhaustively.
-    """
-    if part.k < 3:
-        raise InvalidPartition("covering statement needs k >= 3")
-    space, carrier = part.space, part.carrier
-    cover = 0
-    for m in range(part.k - 1):
-        cover |= space.rel_interior(carrier, part.blocks[m] | part.blocks[m + 1])
-    return cover == carrier
 
 
 class Level(NamedTuple):
@@ -198,43 +182,17 @@ def stepwise_violation(space: FiniteSpace, carriers, tables
     return increment
 
 
-def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunction:
-    """The level-n step function: k/(2^n - 1) on block k, 0 off the blocks.
-
-    Level 0 is structural only; its function is identically zero.  The
-    oscillation bound 1/(2^n - 1) over the level carrier is asserted.
-    """
-    if n > family.depth:
-        raise DepthExceeded(f"level {n} exceeds family depth {family.depth}")
-    space = family.f.domain
-    if n == 0:
-        return RationalFunction.constant(space, 0)
-    idx = block_numerators(space.n, family.levels[n].blocks)
-    if not _within_one_step(idx, _links(space, family.carrier(n))):
-        raise CheckFailed(f"stepwise oscillation bound at level {n}")
-    denom = (1 << n) - 1
-    return RationalFunction.total(space, [Fraction(k, denom) for k in idx])
-
-
 @dataclass(frozen=True)
 class ApproximateLimitFunction:
     """Depth-N truncation of the limit function with a certified error bound.
 
     phi carries the exact paper value at points that leave the neighborhood
     chain before the last level and the depth-N value on the residual core.
-    When the level data goes stationary (same neighborhood, every block
-    splitting with one empty child) and each core point keeps a constant
-    child side, the true limit is the geometric extrapolation recorded in
-    exact_phi; for builder output the stationary step recurs by determinism,
-    which is what licenses the extrapolation.
     """
 
     family: ConsistentBinaryFamily
     phi: RationalFunction
     error_bound: Fraction
-    stabilized: bool
-    stabilization_depth: int | None
-    exact_phi: RationalFunction | None
 
 
 def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
@@ -262,32 +220,4 @@ def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
         values.append(Fraction(tables[n][x], (1 << n) - 1 or 1))
     phi = RationalFunction(space, tuple(values), space.full)
     error = Fraction(1, (1 << depth) - 1)
-
-    def step_stationary(n: int) -> bool:
-        if family.levels[n + 1].nbhd != family.levels[n].nbhd:
-            return False
-        nxt = family.levels[n + 1].blocks
-        return all(not (nxt[2 * k] and nxt[2 * k + 1])
-                   for k in range(1 << n))
-
-    stab_depth = None
-    for s in range(depth - 1, -1, -1):
-        if step_stationary(s):
-            stab_depth = s
-        else:
-            break
-    stabilized = stab_depth is not None
-    exact_phi = None
-    if stabilized:
-        # the limit continues each core point's constant child side
-        exact_vals = list(values)
-        for x in bits(carriers[depth]):
-            sides = {tables[n + 1][x] - 2 * tables[n][x]
-                     for n in range(stab_depth, depth)}
-            if len(sides) > 1:
-                break
-            exact_vals[x] = Fraction(tables[depth][x] + sides.pop(), 1 << depth)
-        else:
-            exact_phi = RationalFunction(space, tuple(exact_vals), space.full)
-    return ApproximateLimitFunction(family, phi, error, stabilized,
-                                    stab_depth, exact_phi)
+    return ApproximateLimitFunction(family, phi, error)

@@ -261,29 +261,6 @@ def _fmt_set(mask: int) -> str:
     return " ".join(str(p) for p in bits(mask)) if mask else "-"
 
 
-def serialize_instance(inst: InstanceFile) -> str:
-    chunks = []
-    for name, space in inst.spaces.items():
-        chunks.append(f"space {name}")
-        chunks.append(f"points {space.n}")
-        chunks.append("opens")
-        chunks.extend(_fmt_set(o) for o in space.opens)
-    for name, fmap in inst.maps.items():
-        xname, yname = inst.map_names[name]
-        chunks.append(f"map {name} {xname} -> {yname}")
-        chunks.extend(f"{i} -> {v}" for i, v in enumerate(fmap.table))
-    for name, (sname, mask) in inst.sets.items():
-        chunks.append(f"set {name} in {sname}")
-        chunks.append(_fmt_set(mask))
-    for name, (sname, func) in inst.funcs.items():
-        chunks.append(f"func {name} on {sname}")
-        chunks.extend(f"{x}: {func.values[x]}" for x in bits(func.carrier))
-    for name, (mname, fam) in inst.families.items():
-        chunks.append(f"family {name} map {mname} y {fam.y}")
-        chunks.append(serialize_family(fam))
-    return "\n".join(chunks) + "\n"
-
-
 def serialize_family(fam: ConsistentBinaryFamily) -> str:
     lines = []
     for level in fam.levels:

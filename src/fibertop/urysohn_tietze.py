@@ -21,13 +21,11 @@ from typing import NamedTuple
 from .errors import (
     CheckFailed,
     MaxIterReached,
-    NotFound,
     NotOpen,
     PreconditionNotFContinuous,
     SearchFailed,
-    points_text,
 )
-from .normality import SeparationCertificate, build_binary_partitions
+from .normality import build_binary_partitions
 from .oscillation import (
     RationalFunction,
     is_f_continuous_at,
@@ -38,7 +36,6 @@ from .partitions import ApproximateLimitFunction, assemble_limit
 from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, mask_of
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 # ------------------------------------------------------------- condition (C)
@@ -168,8 +165,9 @@ class ExtensionResult:
     data is zero.  Residual mu_k is ``mus[k]`` over scale * 3^k, and
     step k subtracted psi_k, which is mu_k/3 on ``separators[k]`` and
     -mu_k/3 off it.  ``space`` is the domain the values live on; every
-    other field is an int, a bool or a tuple of ints, so the memo of a
-    space holds no ``Fraction``.
+    other field is an int or a tuple of ints, so the memo of a space holds
+    no ``Fraction``.  A walk that breaks the norm contract, |phi| <= |phit|,
+    raises, so no field records it.
     """
 
     space: FiniteSpace
@@ -179,7 +177,6 @@ class ExtensionResult:
     separators: tuple[int, ...]
     bound: int
     agreement_set: int
-    norm_ok: bool
 
     @property
     def iterations(self) -> int:
@@ -276,7 +273,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
     if carrier == 0 or m0 == 0:
         # the zero function agrees with phit on the whole carrier trace
         return ExtensionResult(space, scale, (0,) * space.n, (m0,), (), 0,
-                               carrier, True)
+                               carrier)
 
     # the geometric bound mu0 (2/3)^n, cross-multiplied with the tolerance
     geo_lhs, geo_rhs = m0 * tol.denominator, scale * tol.numerator
@@ -321,8 +318,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
         geo_rhs *= 3
         n += 1
     lift = 3 ** n
-    norm_ok = max(map(abs, total)) <= m0 * lift
-    if not norm_ok:
+    if max(map(abs, total)) > m0 * lift:
         raise CheckFailed("norm of the extension above the boundary norm")
     agree = 0
     sup = 0
@@ -337,7 +333,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
     if sup > mu:
         raise CheckFailed("reported residual below the actual difference")
     return ExtensionResult(space, scale, tuple(total), tuple(residuals),
-                           tuple(separators), mu, agree, norm_ok)
+                           tuple(separators), mu, agree)
 
 
 def _sup_difference(a: RationalFunction, b: RationalFunction, mask: int) -> Fraction:
@@ -396,36 +392,6 @@ def boundary_function(space: FiniteSpace, f_side: int, t_side: int) -> RationalF
     T, given on F union T."""
     return RationalFunction.on_carrier(space, f_side | t_side,
                                        lambda x: t_side >> x & 1)
-
-
-def separation_from_extension(f: FiberedMap, f_side: int, t_side: int,
-                              y: int) -> SeparationCertificate:
-    """Run the extension direction of the proof to get a separation witness.
-
-    The two-valued boundary function on F union T extends exactly; the
-    quarter-level interiors of the extension then separate the traces over
-    the minimal neighborhood.
-    """
-    space = f.domain
-    phit = boundary_function(space, f_side, t_side)
-    ext = exact_extension_exists(f, phit, y)
-    if not ext.exists:
-        raise NotFound(f"no exact extension; component {points_text(ext.conflict)} "
-                       f"meets both sides")
-    phi = ext.phi.clamp(0, 1)
-    rep = verify_condition_D(f, phit.carrier, phit, phi, y)
-    if not rep.all_ok:
-        raise CheckFailed("exact extension failed the (D) contract")
-    nbhd = f.codomain.min_nbhd(y)
-    pre = f.preimage(nbhd)
-    if osc_on_set(phi, pre) >= QUARTER:
-        raise CheckFailed("oscillation bound for the separation step")
-    low = space.rel_interior(pre, phi.preimage(lambda v: v <= QUARTER) & pre)
-    high = space.rel_interior(pre, phi.preimage(lambda v: v >= 3 * QUARTER) & pre)
-    cert = SeparationCertificate(y, nbhd, high, low, t_side & pre, f_side & pre)
-    if not cert.valid_for(f, t_side, f_side):
-        raise CheckFailed("separation certificate invalid")
-    return cert
 
 
 # ------------------------------------------------------ sigma separator route

@@ -1,22 +1,36 @@
-"""Reference oracle for ``fibertop.harness.theorem_record``: the pair loop
-that scans every (O, y) afresh, with no pair scan memoised, and the
-literal ``functional_co_sigma`` that scans every relatively open set of
-every (O, y).
+"""Reference oracles for ``fibertop.harness``.
 
-They are kept only for the differential tests, which require the memoised
-pair scans to give the same record, byte for byte, whether the memos of
-the domain spaces are warm or empty.
+- ``theorem_record_reference``: the pair loop that scans every (O, y)
+  afresh, with no pair scan memoised, and ``functional_co_sigma_reference``,
+  the literal check that scans every relatively open set of every (O, y).
+  The differential tests require the memoised pair scans to give the same
+  record, byte for byte, whether the memos of the domain spaces are warm
+  or empty.
+- ``constant_map_degeneration``: the cross-oracle run of acceptance
+  criterion 8.  On constant maps the separator and extension machinery
+  must agree with the classical space-level constructions
+  ``urysohn_function`` and ``tietze_function``, which are phrased on one
+  space with no reference to the fiberwise code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fibertop.census import Instance
+from fibertop.census import Instance, canonical_spaces
+from fibertop.classical import space_normal
+from fibertop.errors import FibertopError
 from fibertop.harness import (_build_entry, _extension_run, classify, digest,
                               hierarchy_violations)
 from fibertop.normality import is_normal, is_sigma_normal
-from fibertop.spaces import FiberedMap, bits
+from fibertop.oscillation import RationalFunction, norm, osc_on_set
+from fibertop.spaces import FiberedMap, FiniteSpace, bits, constant_map
+from fibertop.urysohn_tietze import (
+    boundary_function,
+    build_separator,
+    exact_extension_exists,
+    verify_condition_D,
+)
 
 
 def functional_co_sigma_reference(f: FiberedMap) -> bool:
@@ -128,3 +142,86 @@ def theorem_record_reference(inst: Instance, depth: int = 6,
     record["mismatches"] = mism
     record["digest"] = digest(record)
     return record
+
+
+def urysohn_function(space: FiniteSpace, f_side: int, t_side: int
+                     ) -> RationalFunction | None:
+    """A continuous [0,1] function, 0 on F and 1 on T, when one exists.
+
+    A continuous function on a finite space is constant on each
+    minimal-neighborhood component, so existence is a component check.
+    """
+    out = space.saturation(space.full, t_side)
+    if out & f_side:
+        return None
+    return RationalFunction.indicator(space, out)
+
+
+def tietze_function(space: FiniteSpace, phit: RationalFunction
+                    ) -> RationalFunction | None:
+    """Exact continuous extension of a continuous function on a closed set."""
+    values = [Fraction(0)] * space.n
+    for comp in space.nbhd_classes(space.full):
+        val = None
+        for x in bits(comp & phit.carrier):
+            if val is None:
+                val = phit.values[x]
+            elif phit.values[x] != val:
+                return None
+        if val is not None:
+            for x in bits(comp):
+                values[x] = val
+    return RationalFunction(space, tuple(values), space.full)
+
+
+def constant_map_degeneration(n_max: int = 5, depth: int = 4) -> dict:
+    """Cross-oracle run: on constant maps the separator and extension
+    machinery must agree with the classical space-level constructions."""
+    checked = 0
+    separator_disagreements = []
+    tietze_disagreements = []
+    contract_failures = []
+    for n in range(1, n_max + 1):
+        for si, space in enumerate(canonical_spaces(n)):
+            if not space_normal(space):
+                continue
+            f = constant_map(space)
+            closed = sorted(space.full ^ o for o in space.opens)
+            for i, a in enumerate(closed):
+                for b in closed[i + 1:]:
+                    if a & b or not (a and b):
+                        continue
+                    checked += 1
+                    sid = f"n{n}.{si:03d} F={a} T={b}"
+                    classical = urysohn_function(space, a, b)
+                    try:
+                        sep = build_separator(f, a, b, 0, depth)
+                        ours = True
+                        zeros = sep.phi.preimage(lambda v: v == 0)
+                        ones = sep.phi.preimage(lambda v: v == 1)
+                        if a & ~zeros or b & ~ones:
+                            contract_failures.append(sid + " values")
+                        if osc_on_set(sep.phi, space.full) > sep.limit.error_bound:
+                            contract_failures.append(sid + " osc")
+                    except FibertopError:
+                        ours = False
+                    if ours != (classical is not None):
+                        separator_disagreements.append(sid)
+                    # extension: two-valued boundary data on the closed union
+                    phit = boundary_function(space, a, b)
+                    ext = exact_extension_exists(f, phit, 0)
+                    cla = tietze_function(space, phit)
+                    if ext.exists != (cla is not None):
+                        tietze_disagreements.append(sid)
+                    if ext.exists:
+                        rep = verify_condition_D(f, phit.carrier, phit, ext.phi, 0)
+                        if not rep.all_ok:
+                            contract_failures.append(sid + " contract")
+                        if cla is not None and norm(cla) > norm(phit):
+                            contract_failures.append(sid + " classical norm")
+    return {
+        "pairs_checked": checked,
+        "separator_disagreements": separator_disagreements,
+        "tietze_disagreements": tietze_disagreements,
+        "contract_failures": contract_failures,
+    }

@@ -1,15 +1,33 @@
-"""Reference oracle for ``build_levels``: the full-block level walk, with
-every level kept as its tuple of block masks and nothing memoised.
+"""Reference oracles for the partition families.
 
-It is kept only for the differential tests, which require the memoised
-integer index of ``fibertop.normality.build_levels`` to expand to these
-blocks on every call, and to fail at the same level and step.
+- ``build_levels_reference``: the full-block level walk, with every level
+  kept as its tuple of block masks and nothing memoised.  The differential
+  tests require the memoised integer index of
+  ``fibertop.normality.build_levels`` to expand to these blocks on every
+  call, and to fail at the same level and step.
+- ``stepwise_function``: one level's step function k/(2^n - 1) as
+  ``Fraction`` values, with its oscillation bound checked on its own.
+- ``interiors_cover_check``: the covering statement of a regular
+  k-partition, k >= 3, which the tests confirm exhaustively.
+- ``limit_extrapolation``: the exact limit of a family whose level data
+  goes stationary, beyond the truncation ``assemble_limit`` returns.
 """
 
 from __future__ import annotations
 
-from fibertop.errors import SearchFailed
-from fibertop.spaces import FiberedMap
+from fractions import Fraction
+
+from fibertop.errors import CheckFailed, DepthExceeded, SearchFailed
+from fibertop.oscillation import RationalFunction
+from fibertop.partitions import (
+    ConsistentBinaryFamily,
+    RegularKPartition,
+    _links,
+    _within_one_step,
+    assemble_limit,
+    block_numerators,
+)
+from fibertop.spaces import FiberedMap, bits
 
 
 def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
@@ -43,3 +61,79 @@ def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
             prefix |= blocks[k]
         levels.append((nbhd, tuple(children)))
     return levels
+
+
+def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunction:
+    """The level-n step function: k/(2^n - 1) on block k, 0 off the blocks.
+
+    Level 0 is structural only; its function is identically zero.  The
+    oscillation bound 1/(2^n - 1) over the level carrier is asserted.
+    """
+    if n > family.depth:
+        raise DepthExceeded(f"level {n} exceeds family depth {family.depth}")
+    space = family.f.domain
+    if n == 0:
+        return RationalFunction.constant(space, 0)
+    idx = block_numerators(space.n, family.levels[n].blocks)
+    if not _within_one_step(idx, _links(space, family.carrier(n))):
+        raise CheckFailed(f"stepwise oscillation bound at level {n}")
+    denom = (1 << n) - 1
+    return RationalFunction.total(space, [Fraction(k, denom) for k in idx])
+
+
+def interiors_cover_check(part: RegularKPartition) -> bool:
+    """Do the relative interiors of adjacent block pairs cover the carrier?
+
+    Always true for a valid regular k-partition with k >= 3.
+    """
+    if part.k < 3:
+        raise ValueError("covering statement needs k >= 3")
+    space, carrier = part.space, part.carrier
+    cover = 0
+    for m in range(part.k - 1):
+        cover |= space.rel_interior(carrier, part.blocks[m] | part.blocks[m + 1])
+    return cover == carrier
+
+
+def limit_extrapolation(family: ConsistentBinaryFamily
+                        ) -> tuple[int | None, RationalFunction | None]:
+    """(stabilization depth, exact limit) of a family's truncated limit.
+
+    The level data goes stationary from the depth s on when every later
+    step keeps the neighborhood and splits each block with one empty
+    child; s is the least such depth, None when the last step already
+    moves.  When each core point (one still on the deepest carrier) then
+    keeps a constant child side, the true limit continues that side
+    geometrically, and the exact limit is returned; for builder output the
+    stationary step recurs by determinism, which is what licenses the
+    extrapolation.  Otherwise the second entry is None.
+    """
+    depth = family.depth
+    space = family.f.domain
+    carriers = [family.carrier(n) for n in range(depth + 1)]
+    tables = [[0] * space.n] + [block_numerators(space.n, level.blocks)
+                                for level in family.levels[1:]]
+
+    def step_stationary(n: int) -> bool:
+        if family.levels[n + 1].nbhd != family.levels[n].nbhd:
+            return False
+        nxt = family.levels[n + 1].blocks
+        return all(not (nxt[2 * k] and nxt[2 * k + 1])
+                   for k in range(1 << n))
+
+    stab_depth = None
+    for s in range(depth - 1, -1, -1):
+        if step_stationary(s):
+            stab_depth = s
+        else:
+            break
+    if stab_depth is None:
+        return None, None
+    exact_vals = list(assemble_limit(family).phi.values)
+    for x in bits(carriers[depth]):
+        sides = {tables[n + 1][x] - 2 * tables[n][x]
+                 for n in range(stab_depth, depth)}
+        if len(sides) > 1:
+            return stab_depth, None
+        exact_vals[x] = Fraction(tables[depth][x] + sides.pop(), 1 << depth)
+    return stab_depth, RationalFunction(space, tuple(exact_vals), space.full)

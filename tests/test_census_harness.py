@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -17,21 +18,15 @@ from fibertop.census import (
     sampled_instances,
     space_from_min_nbhds,
 )
-from fibertop.classical import (
-    space_normal,
-    tietze_function,
-    urysohn_function,
-    vedenisov_perfectly_normal,
-)
+from fibertop.classical import space_normal, vedenisov_perfectly_normal
 from fibertop.errors import SearchFailed
 from fibertop import harness
 from fibertop.harness import (
+    _json_pieces,
     classify,
-    constant_map_degeneration,
     digest,
     functional_co_sigma,
     hierarchy_violations,
-    report_json,
     run_theorem_sweep,
     summarize,
     theorem_record,
@@ -65,7 +60,12 @@ from fibertop.spaces import (
 )
 from fibertop.urysohn_tietze import verify_condition_C
 import normality_reference as ref
-from harness_reference import theorem_record_reference
+from harness_reference import (
+    constant_map_degeneration,
+    theorem_record_reference,
+    tietze_function,
+    urysohn_function,
+)
 from levels_reference import build_levels_reference
 from subspace_reference import Submapping, is_f_sigma_submapping, subspace
 
@@ -659,7 +659,7 @@ class TestHarnessRecords:
         recs2 = [theorem_record(inst, depth=4, extender_budget=1)
                  for inst in census_instances(3)]
         rep2 = summarize(recs2, {"max_total": 3})
-        assert report_json(rep1) == report_json(rep2)
+        assert "".join(_json_pieces(rep1)) == "".join(_json_pieces(rep2))
         assert digest(rep1) == digest(rep2)
 
     def test_miner_reports_none(self):
@@ -667,6 +667,25 @@ class TestHarnessRecords:
                 for inst in census_instances(4)]
         rep = summarize(recs, {})
         assert rep["normal_not_sigma_normal"] == []
+
+    def test_norm_contract_read_from_the_integers(self, D3, monkeypatch):
+        # a result with |phi| above |phit| at point 2, off the boundary's
+        # trace, breaks the norm contract and no other
+        f = constant_map(D3)
+        real = harness.tietze_extend
+
+        def inflated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            big = res.mus[0] * 3 ** res.iterations + 1
+            return dataclasses.replace(res, totals=res.totals[:2] + (big,))
+
+        monkeypatch.setattr(harness, "tietze_extend", inflated)
+        anomalies = []
+        run = harness._extension_run(f, 0b001, 0b010, 0, f.codomain.full,
+                                     Fraction(1, 1024), True, anomalies)
+        assert run["ok"] and run["norm_contract"] is False
+        assert run["geometric_chain_exact"] and run["residual_covers_sup"]
+        assert anomalies == ["extension contract violated at O=1 y=0"]
 
     def test_sampled_sweep_clean(self):
         for inst in sampled_instances(4, 40, seed=11):
@@ -679,13 +698,13 @@ def _dumps(obj) -> str:
 
 
 class TestStreamedDigest:
-    """digest and report_json stream the canonical text in pieces; the
+    """digest and _json_pieces stream the canonical text in pieces; the
     bytes are those of one json.dumps call."""
 
     @staticmethod
     def _same(obj) -> None:
         text = _dumps(obj)
-        assert report_json(obj) == text
+        assert "".join(_json_pieces(obj)) == text
         assert digest(obj) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_census5_report_and_records(self):

@@ -5,8 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
+from fibertop import normality
 from fibertop.census import canonical_spaces, census_instances
-from fibertop.errors import NotFound, NotOpen, SearchFailed
+from fibertop.errors import NotOpen, SearchFailed
 from fibertop.normality import (
     are_f_separated,
     build_binary_partitions,
@@ -14,7 +15,6 @@ from fibertop.normality import (
     check_lemma_conditions,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
-    is_f_functionally_closed,
     is_f_functionally_open,
     is_hereditarily_normal,
     is_normal,
@@ -23,7 +23,6 @@ from fibertop.normality import (
     is_sigma_normal,
     is_sigma_prenormal,
     perfect_witnesses,
-    small_urysohn_search,
     verify_perfect_witness,
 )
 from fibertop.classical import space_normal
@@ -245,27 +244,37 @@ class TestMonotoneShrinking:
 
 
 class TestSmallUrysohn:
+    """The Urysohn sandwich T_l ⊂ V_l ⊂ cl V_l ⊂ U at one y, as the deciders
+    (``_sigma_separated_at``) and the sigma builder run it."""
+
     def test_clopen_piece(self, D2):
         f = constant_map(D2)
-        nbhd, v_list = small_urysohn_search(f, f.codomain.full, [0b10], 0b10, 0)
-        assert nbhd == f.codomain.full and v_list == (0b10,)
+        assert normality._sigma_separated_at(D2, f._nbhd_pre[0], 0b10, 0b01)
+        (fam,) = build_binary_partitions_sigma(f, 0b01, [0b10], 0, 3)
+        for level in fam.levels[1:]:
+            assert level.nbhd == f.codomain.full
+            assert level.blocks[-1] == 0b10
 
     def test_empty_piece(self, D2):
         f = constant_map(D2)
-        _, v_list = small_urysohn_search(f, f.codomain.full, [0], D2.full, 0)
-        assert v_list == (0,)
+        assert normality._sigma_separated_at(D2, f._nbhd_pre[0], 0, D2.full)
+        (fam,) = build_binary_partitions_sigma(f, D2.full, [0], 0, 3)
+        check_lemma_conditions(fam, D2.full, 0)
 
     def test_non_open_neighborhood_rejected(self, C3):
         f = identity_map(C3)
         with pytest.raises(NotOpen):
-            small_urysohn_search(f, C3.full, [0b100], 0b110, 0)
+            build_binary_partitions_sigma(f, 0, [0b100], 1, 2, within=0b110)
 
     def test_not_found_on_non_normal(self, V_poset):
         f = constant_map(V_poset)
         # {a} inside the open {a, top}: the closure of any neighborhood of
         # {a} spills over to b's side
-        with pytest.raises(NotFound):
-            small_urysohn_search(f, f.codomain.full, [0b001], 0b101, 0)
+        assert not normality._sigma_separated_at(
+            V_poset, f._nbhd_pre[0], 0b001, 0b010)
+        with pytest.raises(SearchFailed) as exc:
+            build_binary_partitions_sigma(f, 0b010, [0b001], 0, 2)
+        assert exc.value.l == 0
 
 
 class TestBuilders:
@@ -395,11 +404,20 @@ class TestFunctionallyOpenClosed:
         assert is_f_functionally_open(f, S.full).holds
 
     def test_duality(self):
+        # the closed complement of U is the zero set of each witness on
+        # f^{-1}(U_y), so U is functionally open iff its complement is
+        # functionally closed, with the same witnesses
+        checked = 0
         for inst in census_instances(4):
             f = inst.f
             for u in f.domain.opens:
-                assert is_f_functionally_open(f, u).holds == \
-                    is_f_functionally_closed(f, f.domain.full ^ u).holds
+                rep = is_f_functionally_open(f, u)
+                for w in rep.witnesses if rep.holds else ():
+                    region = f.preimage(w.nbhd)
+                    zero = w.phi.preimage(lambda v: v == 0) & region
+                    assert zero == (f.domain.full ^ u) & region
+                    checked += 1
+        assert checked > 300
 
     def test_weighted_sum_witness_on_perfect_map(self, D3):
         f = constant_map(D3)

@@ -10,13 +10,40 @@ from fibertop.census import continuous_tables
 from fibertop.errors import InstanceSyntaxError, InstanceValidationError, SearchFailed
 from fibertop.normality import build_binary_partitions
 from fibertop.oscillation import RationalFunction
-from fibertop.spaces import FiberedMap, constant_map, discrete
+from fibertop.spaces import FiberedMap, bits, constant_map, discrete
 from fibertop.textfmt import (
     InstanceFile,
+    _fmt_set,
     parse_instance,
     serialize_family,
-    serialize_instance,
 )
+
+
+def serialize_instance(inst: InstanceFile) -> str:
+    """The instance file text of a parsed instance, block by block in the
+    order spaces, maps, sets, funcs, families; parsing it gives the
+    instance back."""
+    chunks = []
+    for name, space in inst.spaces.items():
+        chunks.append(f"space {name}")
+        chunks.append(f"points {space.n}")
+        chunks.append("opens")
+        chunks.extend(_fmt_set(o) for o in space.opens)
+    for name, fmap in inst.maps.items():
+        xname, yname = inst.map_names[name]
+        chunks.append(f"map {name} {xname} -> {yname}")
+        chunks.extend(f"{i} -> {v}" for i, v in enumerate(fmap.table))
+    for name, (sname, mask) in inst.sets.items():
+        chunks.append(f"set {name} in {sname}")
+        chunks.append(_fmt_set(mask))
+    for name, (sname, func) in inst.funcs.items():
+        chunks.append(f"func {name} on {sname}")
+        chunks.extend(f"{x}: {func.values[x]}" for x in bits(func.carrier))
+    for name, (mname, fam) in inst.families.items():
+        chunks.append(f"family {name} map {mname} y {fam.y}")
+        chunks.append(serialize_family(fam))
+    return "\n".join(chunks) + "\n"
+
 
 SIERPINSKI_ID = """\
 # Sierpinski space with its identity map

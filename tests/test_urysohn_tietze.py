@@ -5,14 +5,17 @@ from itertools import combinations
 
 import pytest
 from oscillation_reference import affine
-from tietze_reference import exact_separator_reference, tietze_extend_reference
+from tietze_reference import (
+    exact_separator_reference,
+    separation_from_extension,
+    tietze_extend_reference,
+)
 
 from fibertop import harness
 from fibertop.census import canonical_spaces, census_instances
 from fibertop.errors import (
     FibertopError,
     MaxIterReached,
-    NotFound,
     PreconditionNotFContinuous,
     SearchFailed,
 )
@@ -41,7 +44,6 @@ from fibertop.urysohn_tietze import (
     _extension_walk,
     build_separator,
     exact_extension_exists,
-    separation_from_extension,
     sigma_separator_family,
     tietze_extend,
     verify_condition_C,
@@ -177,7 +179,7 @@ class TestTietze:
         f = constant_map(D3)
         phit = RationalFunction.total(D3, [Fraction(1, 2), Fraction(-1, 3), 0])
         res = tietze_extend(f, D3.full, phit, 0)
-        assert res.norm_ok
+        assert norm(res.phi) <= norm(phit)
         assert res.residuals[-1] <= Fraction(2, 3) ** res.iterations * norm(phit)
 
     def test_single_point_geometric_residuals(self, D2):
@@ -246,7 +248,7 @@ class TestTietze:
 
 # the public fields of an extension result, which the reference's result
 # has too
-PUBLIC_FIELDS = ("phi", "agreement_set", "norm_ok", "residuals", "iterations",
+PUBLIC_FIELDS = ("phi", "agreement_set", "residuals", "iterations",
                  "residual_bound", "psis")
 
 
@@ -300,6 +302,8 @@ class TestTietzeAgainstReference:
                                    y, max_iter=max_iter)
                     assert new == old
                     seen[new[0]] += 1
+                    if new[0] is ExtensionResult:
+                        assert norm(new[1][0]) <= norm(phit)
         assert seen[ExtensionResult] > 100
         assert seen[MaxIterReached] > 10
         assert seen[PreconditionNotFContinuous] > 10
@@ -325,6 +329,7 @@ class TestTietzeAgainstReference:
             new = tietze_extend(f, 0b101, phit, 0, tolerance=tol)
             assert _public(new) == _public(tietze_extend_reference(
                 f, 0b101, phit, 0, tolerance=tol))
+            assert norm(new.phi) <= norm(phit)
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +382,8 @@ class TestExtendMemo:
             assert tietze_extend(f, *args, **kwargs) == out
             assert (_outcome(tietze_extend_reference, f, *args, **kwargs)
                     == (ExtensionResult, _public(out)))
+            _, phit, _ = args
+            assert norm(out.phi) <= norm(phit)
 
     def test_equal_spaces_keep_separate_memos(self):
         one, two = discrete(2), discrete(2)
@@ -499,7 +506,7 @@ class TestSeparationFromExtension:
 
     def test_not_found_on_tangled_pair(self, V_poset):
         f = constant_map(V_poset)
-        with pytest.raises(NotFound):
+        with pytest.raises(ValueError, match="no exact extension"):
             separation_from_extension(f, 0b001, 0b010, 0)
 
     def test_census_validity(self):

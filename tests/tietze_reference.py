@@ -1,9 +1,14 @@
-"""Reference oracle for ``tietze_extend``: the same iteration in plain
-``Fraction`` arithmetic, one indicator ``RationalFunction`` per step.
+"""Reference oracles for ``fibertop.urysohn_tietze``.
 
-It is kept only for the differential tests, which require the integer
-iteration in ``fibertop.urysohn_tietze`` to reproduce every public field
-of its ``ExtensionResult`` and every exception it raises.
+- ``tietze_extend_reference``: the same iteration as ``tietze_extend`` in
+  plain ``Fraction`` arithmetic, one indicator ``RationalFunction`` per
+  step.  The differential tests require the integer iteration to
+  reproduce every public field of its ``ExtensionResult`` and every
+  exception it raises.
+- ``separation_from_extension``: the extension direction of the paper's
+  proof, "extension implies separation", run on the exact extension of
+  the two-valued boundary data; the tests check its certificates with
+  ``SeparationCertificate.valid_for``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,25 @@ from fibertop.errors import (
     NotOpen,
     PreconditionNotFContinuous,
     SearchFailed,
+    points_text,
 )
-from fibertop.oscillation import RationalFunction, is_f_continuous_at, norm
+from fibertop.normality import SeparationCertificate
+from fibertop.oscillation import (
+    RationalFunction,
+    is_f_continuous_at,
+    norm,
+    osc_on_set,
+)
 from fibertop.spaces import FiberedMap, bits
-from fibertop.urysohn_tietze import _sup_difference
+from fibertop.urysohn_tietze import (
+    _sup_difference,
+    boundary_function,
+    exact_extension_exists,
+    verify_condition_D,
+)
 from oscillation_reference import affine
+
+QUARTER = Fraction(1, 4)
 
 
 class ReferenceExtension(NamedTuple):
@@ -29,7 +48,6 @@ class ReferenceExtension(NamedTuple):
 
     phi: RationalFunction
     agreement_set: int
-    norm_ok: bool
     residuals: tuple[Fraction, ...]
     iterations: int
     residual_bound: Fraction
@@ -73,7 +91,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
     carrier = f_carrier & pre
     if carrier == 0 or mu0 == 0:
         agree = _agreement(phit, zero, carrier)
-        return ReferenceExtension(zero, agree, True, (mu0,), 0,
+        return ReferenceExtension(zero, agree, (mu0,), 0,
                                   _sup_difference(phit, zero, carrier), ())
 
     third = Fraction(1, 3)
@@ -116,8 +134,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
         cur = nxt
         n += 1
     phi = RationalFunction(space, tuple(total), space.full)
-    norm_ok = norm(phi) <= mu0
-    if not norm_ok:
+    if norm(phi) > mu0:
         raise CheckFailed("norm of the extension above the boundary norm")
     agree = _agreement(phit, phi, carrier)
     if mu == 0 and (carrier & ~agree):
@@ -125,7 +142,7 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
     sup = _sup_difference(phit, phi, carrier)
     if sup > mu:
         raise CheckFailed("reported residual below the actual difference")
-    return ReferenceExtension(phi, agree, norm_ok, tuple(residuals), n, mu,
+    return ReferenceExtension(phi, agree, tuple(residuals), n, mu,
                               tuple(psis))
 
 
@@ -136,3 +153,42 @@ def _agreement(a: RationalFunction, b: RationalFunction, mask: int) -> int:
             out |= 1 << x
     return out
 
+
+
+def clamp(phi: RationalFunction, lo, hi) -> RationalFunction:
+    """phi with each value cut to [lo, hi], on the same carrier."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    vals = tuple(min(hi, max(lo, v)) if v is not None else None
+                 for v in phi.values)
+    return RationalFunction(phi.space, vals, phi.carrier)
+
+
+def separation_from_extension(f: FiberedMap, f_side: int, t_side: int,
+                              y: int) -> SeparationCertificate:
+    """Run the extension direction of the proof to get a separation witness.
+
+    The two-valued boundary function on F union T extends exactly; the
+    quarter-level interiors of the extension then separate the traces over
+    the minimal neighborhood.  Raises ValueError when no exact extension
+    exists.
+    """
+    space = f.domain
+    phit = boundary_function(space, f_side, t_side)
+    ext = exact_extension_exists(f, phit, y)
+    if not ext.exists:
+        raise ValueError(f"no exact extension; component "
+                         f"{points_text(ext.conflict)} meets both sides")
+    phi = clamp(ext.phi, 0, 1)
+    rep = verify_condition_D(f, phit.carrier, phit, phi, y)
+    if not rep.all_ok:
+        raise CheckFailed("exact extension failed the (D) contract")
+    nbhd = f.codomain.min_nbhd(y)
+    pre = f.preimage(nbhd)
+    if osc_on_set(phi, pre) >= QUARTER:
+        raise CheckFailed("oscillation bound for the separation step")
+    low = space.rel_interior(pre, phi.preimage(lambda v: v <= QUARTER) & pre)
+    high = space.rel_interior(pre, phi.preimage(lambda v: v >= 3 * QUARTER) & pre)
+    cert = SeparationCertificate(y, nbhd, high, low, t_side & pre, f_side & pre)
+    if not cert.valid_for(f, t_side, f_side):
+        raise CheckFailed("separation certificate invalid")
+    return cert
