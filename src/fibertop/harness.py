@@ -236,7 +236,10 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
             if b_ok or c_ok or budget > 0:
                 for a, b in pairs:
                     if b_ok or c_ok:
-                        built, bounds, c_pass = _build_entry(cache, f, a, b, y, depth)
+                        # a repeat of (F, T, y) is read without a call
+                        built, bounds, c_pass = (
+                            cache.get((a, b, y))
+                            or _build_entry(cache, f, a, b, y, depth))
                         if not built:
                             if a_dec:
                                 anomalies.append(
@@ -259,7 +262,9 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                                            anomalies))
             if bs_ok:
                 for fm, piece in sigma_pairs:
-                    if not _build_entry(cache, f, fm, piece, y, depth)[0]:
+                    entry = (cache.get((fm, piece, y))
+                             or _build_entry(cache, f, fm, piece, y, depth))
+                    if not entry[0]:
                         if a_sigma:
                             anomalies.append(
                                 f"sigma builder failed at O={o_mask}"
@@ -291,7 +296,9 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     if cls["normal"] != a_dec or cls["sigma_normal"] != a_sigma:
         mism.append("classify_vs_sweep")
     record["mismatches"] = mism
-    record["digest"] = digest(record)
+    # the same bytes as digest(record), which streams them in pieces only
+    # so that a whole sweep report is never held at once
+    record["digest"] = hashlib.sha256(_ENCODE(record).encode()).hexdigest()
     return record
 
 

@@ -362,13 +362,12 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int,
     neighborhood and the carrier come from each call, and every failing
     call raises a fresh SearchFailed.
     """
-    nbhd = f.codomain.min_nbhd(y)
     carrier = f._nbhd_pre[y]
     facts, failed = f.domain.memoised(_level_walk, carrier, f_side & carrier,
                                       t_side & carrier, depth)
     if failed is not None:
         raise SearchFailed(*failed)
-    return LevelIndex(nbhd, carrier, depth, *facts)
+    return LevelIndex(f.codomain._min_nbhd[y], carrier, depth, *facts)
 
 
 def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,

@@ -17,6 +17,7 @@ from .errors import CheckFailed, MemberNotFContinuous
 from .spaces import FiberedMap, FiniteSpace, bits
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,14 @@ class RationalFunction:
     @staticmethod
     def on_carrier(space: FiniteSpace, carrier: int,
                    assign: Callable[[int], object]) -> "RationalFunction":
-        vals = tuple(Fraction(assign(x)) if carrier >> x & 1 else None
-                     for x in range(space.n))
-        return RationalFunction(space, vals, carrier)
+        """``assign(x)`` at each x of the carrier, None off it.  A value
+        that is already a ``Fraction`` is kept as it is, so callers can
+        share constant values; any other is converted."""
+        vals = [None] * space.n
+        for x in bits(carrier & space.full):
+            v = assign(x)
+            vals[x] = v if isinstance(v, Fraction) else Fraction(v)
+        return RationalFunction(space, tuple(vals), carrier)
 
     def value(self, x: int) -> Fraction:
         v = self.values[x]

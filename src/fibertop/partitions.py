@@ -40,10 +40,6 @@ class RegularKPartition:
     carrier: int
     blocks: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
 
 def validate_regular_partition(space: FiniteSpace, carrier: int,
                                blocks) -> RegularKPartition:

@@ -189,15 +189,17 @@ class FiniteSpace:
     def memoised(self, walk, *key):
         """``walk(self, *key)``, computed once per space object and stored
         under (walk, *key).  The walk must depend only on this space and
-        its key, and must not return None.  A walk that raises stores
-        nothing, so the next call runs it again."""
+        its key.  A walk that raises stores nothing, so the next call runs
+        it again."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
         full_key = (walk, *key)
-        hit = memo.get(full_key)
-        if hit is None:
-            hit = memo[full_key] = walk(self, *key)
+        try:
+            return memo[full_key]
+        except KeyError:
+            pass
+        hit = memo[full_key] = walk(self, *key)
         return hit
 
     # ----------------------------------------------------------- basic ops
@@ -452,9 +454,11 @@ class FiberedMap:
                              f"0..{self.codomain.n - 1})")
 
     def preimage(self, mask: int) -> int:
-        out = 0
-        for y in bits(mask):
-            out |= self._fiber[y]
+        fiber, out = self._fiber, 0
+        while mask:
+            low = mask & -mask
+            out |= fiber[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def image(self, mask: int) -> int:

@@ -27,6 +27,8 @@ from .errors import (
 )
 from .normality import build_binary_partitions
 from .oscillation import (
+    ONE,
+    ZERO,
     RationalFunction,
     is_f_continuous_at,
     norm,
@@ -223,16 +225,21 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     of zero or once the geometric bound drops below the tolerance; an
     explicit max_iter that cuts the loop earlier raises MaxIterReached.
 
-    Past the checks of each call, the run depends only on the domain and on
+    Every call checks y, the tolerance, ``within`` and the carrier.  Past
+    those checks the run depends only on the domain and on
     (P = f^{-1}(min_nbhd(y)), phit.values, tolerance, max_iter), so
-    successful results are memoised per domain space on that key.  The
-    values fix the carrier, being None exactly off it.  Errors are not
-    stored: each failing call runs and raises afresh.  The result keeps
-    the walk's integers, and its ``phi``, ``residuals``,
-    ``residual_bound`` and ``psis`` are built from them on each read.
+    successful results are memoised per domain space on that key, the
+    tolerance keyed as its numerator and denominator.  The values fix the
+    carrier, being None exactly off it.  The remaining check, that phit
+    is f-continuous at y, depends only on the key too, so the walk makes
+    it first, on its integers.  Errors are not stored: each failing call
+    runs and raises afresh.  The result keeps the walk's integers, and
+    its ``phi``, ``residuals``, ``residual_bound`` and ``psis`` are built
+    from them on each read.
     """
     f.check_point(y)
-    tolerance = Fraction(tolerance)
+    if not isinstance(tolerance, Fraction):
+        tolerance = Fraction(tolerance)
     if tolerance <= 0:
         # the geometric bound never reaches it: only an exact zero
         # residual would stop the loop
@@ -246,21 +253,25 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
         raise ValueError("phit must be given exactly on the carrier")
     if not space.rel_is_closed(f.preimage(within), f_carrier):
         raise ValueError("the carrier must be relatively closed over the context open")
-    res = is_f_continuous_at(f, phit, y)
-    if not res.holds:
-        raise PreconditionNotFContinuous(
-            f"osc {res.osc} over the carrier trace of the minimal neighborhood")
-    return space.memoised(_extension_walk, f._nbhd_pre[y],
-                          phit.values, tolerance, max_iter)
+    return space.memoised(_extension_walk, f._nbhd_pre[y], phit.values,
+                          tolerance.numerator, tolerance.denominator, max_iter)
 
 
-def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
-                    max_iter: int | None) -> ExtensionResult:
+def _extension_walk(space: FiniteSpace, pre: int, values, tol_num: int,
+                    tol_den: int, max_iter: int | None) -> ExtensionResult:
     """The separator-subtraction iteration over P = ``pre`` for boundary
-    ``values`` (None off the carrier) and a positive tolerance; raises on
-    the first failed check.  It runs, and returns, integers only."""
+    ``values`` (None off the carrier) and the positive tolerance
+    tol_num / tol_den; raises on the first failed check.  It runs, and
+    returns, integers only.
+
+    It first checks that phit is f-continuous at y, which depends only on
+    P and the values: every x of the carrier trace must have the value of
+    each z in U_x & carrier.  P is open, so U_x lies in P, and the
+    largest |phit(x) - phit(z)| is the oscillation that
+    ``is_f_continuous_at`` reports."""
     given = tuple(x for x, v in enumerate(values) if v is not None)
-    carrier = mask_of(given) & pre
+    given_mask = mask_of(given)
+    carrier = given_mask & pre
     # Every value is kept as an integer numerator over one denominator,
     # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
     # integral.
@@ -269,6 +280,13 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
     for x in given:
         v = values[x]
         data[x] = v.numerator * (scale // v.denominator)
+    points = bits_tuple(carrier)
+    osc = max((abs(data[x] - data[z]) for x in points
+               for z in bits(space._min_nbhd[x] & given_mask)), default=0)
+    if osc:
+        raise PreconditionNotFContinuous(
+            f"osc {Fraction(osc, scale)} over the carrier trace of the"
+            " minimal neighborhood")
     m0 = max((abs(data[x]) for x in given), default=0)
     if carrier == 0 or m0 == 0:
         # the zero function agrees with phit on the whole carrier trace
@@ -276,8 +294,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol: Fraction,
                                carrier)
 
     # the geometric bound mu0 (2/3)^n, cross-multiplied with the tolerance
-    geo_lhs, geo_rhs = m0 * tol.denominator, scale * tol.numerator
-    points = bits_tuple(carrier)
+    geo_lhs, geo_rhs = m0 * tol_den, scale * tol_num
     cur = [data[x] for x in points]
     total = [0] * space.n
     mu = m0
@@ -389,9 +406,10 @@ def verify_condition_D(f: FiberedMap, f_carrier: int, phit: RationalFunction,
 
 def boundary_function(space: FiniteSpace, f_side: int, t_side: int) -> RationalFunction:
     """The two-valued boundary data of the extension route: 0 on F and 1 on
-    T, given on F union T."""
+    T, given on F union T.  Every value is one of the shared constants
+    ``ZERO`` and ``ONE``, so no run builds a ``Fraction``."""
     return RationalFunction.on_carrier(space, f_side | t_side,
-                                       lambda x: t_side >> x & 1)
+                                       lambda x: ONE if t_side >> x & 1 else ZERO)
 
 
 # ------------------------------------------------------ sigma separator route

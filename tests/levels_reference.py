@@ -86,11 +86,12 @@ def interiors_cover_check(part: RegularKPartition) -> bool:
 
     Always true for a valid regular k-partition with k >= 3.
     """
-    if part.k < 3:
+    k = len(part.blocks)
+    if k < 3:
         raise ValueError("covering statement needs k >= 3")
     space, carrier = part.space, part.carrier
     cover = 0
-    for m in range(part.k - 1):
+    for m in range(k - 1):
         cover |= space.rel_interior(carrier, part.blocks[m] | part.blocks[m + 1])
     return cover == carrier
 

@@ -25,7 +25,7 @@ from fibertop.harness import (
     summarize,
     theorem_record,
 )
-from fibertop.oscillation import osc_at_point
+from fibertop.oscillation import ONE, ZERO, osc_at_point
 from fibertop.partitions import validate_regular_partition
 from fibertop.urysohn_tietze import _extension_walk
 from harness_reference import constant_map_degeneration
@@ -117,6 +117,13 @@ def extension_memo() -> list:
             if key[0] is _extension_walk]
 
 
+def extension_keys() -> list:
+    """The key of every _extension_walk entry in the memos of the sweep's
+    domain spaces."""
+    return [key for space in _census_domains()
+            for key in space._memo or () if key[0] is _extension_walk]
+
+
 def run_sampled_hierarchy(seed: int) -> dict:
     bad = []
     for inst in sampled_instances(5, 200, seed=seed):
@@ -151,6 +158,7 @@ def reports():
         if name == "sweep":
             out["memo_entries"] = memo_entries()
             out["extension_memo"] = extension_memo()
+            out["extension_keys"] = extension_keys()
     out["elapsed"] = timer
     return out
 
@@ -278,6 +286,17 @@ def test_extension_memo_holds_integers_only(reports):
         fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         assert fields.pop("space") is space
         assert all(map(_ints_only, fields.values())), fields
+
+
+def test_extension_keys_share_the_boundary_constants(reports):
+    # the sweep's boundary data is 0 on F and 1 on T: every key value is
+    # one of the two shared constants, so no key holds a Fraction of its
+    # own, and the tolerance is keyed as two ints
+    keys = reports["extension_keys"]
+    assert len(keys) == reports["memo_entries"]["_extension_walk"]
+    for _, _, values, tol_num, tol_den, _ in keys:
+        assert all(v is None or v is ZERO or v is ONE for v in values)
+        assert (type(tol_num), type(tol_den)) == (int, int)
 
 
 def test_perfect_type_classes_coincide(reports):

@@ -6,11 +6,15 @@ be named in ``REASONED`` with the reason it stays.  Test-only routes
 belong in the ``tests/*_reference.py`` oracles instead.  README's section
 "Public names with no caller in the package" gives the same list.
 
-The scan is by name: a definition counts as called when its name appears
-as a ``Name`` or an ``Attribute`` in src (``__init__.py``, which only
-re-exports, excepted), in ``bench/`` or in ``scripts/``, or as the
-attribute of a ``"module:attr"`` string in ``bench/tracing.py``, whose
-traced passes look layers up that way.  Dunder methods are skipped.
+The scan is by name, and only reads count: a module-level function or
+class counts as called when its name is loaded, as a ``Name`` or an
+``Attribute``, in src (``__init__.py``, which only re-exports, excepted),
+in ``bench/`` or in ``scripts/``; a method or property counts only when
+it is loaded as an ``Attribute`` there.  So an assignment such as
+``self.k = k`` or a local variable of the same name does not hide a dead
+definition.  The attribute of a ``"module:attr"`` string in
+``bench/tracing.py``, whose traced passes look layers up that way, counts
+too.  Dunder methods are skipped.
 """
 
 import ast
@@ -33,6 +37,7 @@ REASONED = {
     "spaces.FiniteSpace.is_closed": "part of the public space API",
     "spaces.FiniteSpace.interior": "part of the public space API",
     "spaces.FiberedMap.image": "part of the public map API",
+    "spaces.FiberedMap.fiber": "part of the public map API",
     "oscillation.RationalFunction.restrict": "part of the public function API",
     "urysohn_tietze.ExtensionResult.psis":
         "the paper's psi_k, the function each extension step subtracts",
@@ -44,9 +49,10 @@ REASONED = {
 }
 
 
-def _definitions() -> dict[str, str]:
-    """Qualified name ("module.Class.method") -> bare name, for every
-    function, class and method in src except the dunders."""
+def _definitions() -> dict[str, tuple[str, bool]]:
+    """Qualified name ("module.Class.method") -> (bare name, whether it is
+    defined in a class body), for every function, class and method in src
+    except the dunders."""
     out = {}
 
     def visit(node, module: str, prefix: str) -> None:
@@ -56,7 +62,8 @@ def _definitions() -> dict[str, str]:
                 qual = prefix + child.name
                 if not (child.name.startswith("__")
                         and child.name.endswith("__")):
-                    out[f"{module}.{qual}"] = child.name
+                    out[f"{module}.{qual}"] = (
+                        child.name, isinstance(node, ast.ClassDef))
                 visit(child, module, qual + ".")
             else:
                 visit(child, module, prefix)
@@ -66,28 +73,42 @@ def _definitions() -> dict[str, str]:
     return out
 
 
-def _called_names() -> set[str]:
+def _loaded_names() -> tuple[set[str], set[str]]:
+    """The names loaded as a ``Name`` and those loaded as an
+    ``Attribute``."""
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "bench").glob("*.py"))
     files += sorted((ROOT / "scripts").glob("*.py"))
-    names = set()
+    names, attrs = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
     tracing = (ROOT / "bench" / "tracing.py").read_text()
     for target in re.findall(r'"fibertop\.\w+:([\w.]+)"', tracing):
-        names.add(target.rsplit(".", 1)[-1])
-    return names
+        attrs.add(target.rsplit(".", 1)[-1])
+    return names, attrs
+
+
+def _uncalled() -> set[str]:
+    names, attrs = _loaded_names()
+    return {qual for qual, (name, in_class) in _definitions().items()
+            if name not in attrs and (in_class or name not in names)}
 
 
 def test_uncalled_definitions_are_the_reasoned_ones():
-    called = _called_names()
-    uncalled = {qual for qual, name in _definitions().items()
-                if name not in called}
-    assert uncalled == set(REASONED)
+    assert _uncalled() == set(REASONED)
+
+
+def test_stores_do_not_count_as_calls():
+    # errors.CoherenceViolated stores self.k, and cli.build_parser has a
+    # local sub: neither is a read of a method named k or sub
+    names, attrs = _loaded_names()
+    assert "k" not in attrs and "sub" not in attrs
 
 
 def test_readme_lists_the_reasoned_names():

@@ -46,7 +46,7 @@ def all_ordered_partitions(space, k):
 class TestRegularPartition:
     def test_sierpinski_two_blocks(self, S):
         part = validate_regular_partition(S, S.full, (0b10, 0b01))
-        assert part.k == 2
+        assert len(part.blocks) == 2
 
     def test_chain_condition2_violation(self, C3):
         with pytest.raises(Condition2Violated) as err:

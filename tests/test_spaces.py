@@ -247,8 +247,10 @@ class TestMemoised:
             raise ValueError(f"walk {k} failed")
 
         for _ in range(2):
-            with pytest.raises(ValueError, match="walk 5 failed"):
+            with pytest.raises(ValueError, match="walk 5 failed") as info:
                 space.memoised(failing, 5)
+            # the missed lookup does not chain onto the walk's error
+            assert info.value.__context__ is None
         assert attempts == [5, 5] and not space._memo
 
 
@@ -383,6 +385,18 @@ class TestFiberedMap:
         f = FiberedMap(D3, S, [0, 0, 1])
         assert f.preimage(0b01) == 0b011
         assert f.fiber(1) == 0b100
+
+    def test_image_on_census4(self):
+        instances = list(census_instances(4))
+        assert len(instances) == 75
+        for inst in instances:
+            f = inst.f
+            for a in range(f.domain.full + 1):
+                image = f.image(a)
+                assert image == mask_of(f.table[x] for x in bits(a))
+                assert not a & ~f.preimage(image)
+            for b in f.codomain.opens:
+                assert not f.image(f.preimage(b)) & ~b
 
     @settings(max_examples=50, deadline=None)
     @given(spaces(max_points=4), spaces(max_points=4),

@@ -466,6 +466,29 @@ class TestExtendMemo:
             tietze_extend(f, 0b11, phit, 0, within=0b01)
         assert _extensions(S) == 1
 
+    def test_f_continuity_checked_in_the_walk(self, S):
+        # U_1 = {0, 1} holds point 0, so the two values give osc 5/6 at 1
+        f = identity_map(S)
+        phit = RationalFunction(S, (Fraction(1, 3), Fraction(-1, 2)), 0b11)
+        osc = is_f_continuous_at(f, phit, 1).osc
+        assert osc == Fraction(5, 6)
+        for _ in range(2):
+            with pytest.raises(PreconditionNotFContinuous) as info:
+                tietze_extend(f, 0b11, phit, 1)
+            assert str(info.value) == (
+                f"osc {osc} over the carrier trace of the minimal neighborhood")
+            assert not _extensions(S)
+
+    def test_carrier_check_precedes_f_continuity(self):
+        # {0, 1} is not closed in the 3-point chain, and phit jumps on it
+        space = chain(3)
+        f = identity_map(space)
+        phit = RationalFunction(space, (Fraction(0), Fraction(1), None), 0b011)
+        assert not is_f_continuous_at(f, phit, 2).holds
+        with pytest.raises(ValueError, match="relatively closed"):
+            tietze_extend(f, 0b011, phit, 2)
+        assert not _extensions(space)
+
 
 class TestConditionD:
     def test_exact_extension_passes(self, S):
