@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 from .census import Instance, census_instances
 from .classical import space_normal, vedenisov_perfectly_normal
@@ -331,10 +332,14 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         abs(v.numerator * den - res.totals[x] * v.denominator)
         <= res.bound * v.denominator
         for x in bits(trace) for v in (phit.values[x],))
+    # str(res.residual_bound), without building the Fraction
+    g = gcd(res.bound, den)
+    residual = (str(res.bound // g) if g == den
+                else f"{res.bound // g}/{den // g}")
     run.update({
         "ok": True,
         "iterations": res.iterations,
-        "residual": str(res.residual_bound),
+        "residual": residual,
         "geometric_chain_exact": chain_ok,
         "norm_contract": norm_ok,
         "exact_agreement": exact and agree_ok,

@@ -37,8 +37,8 @@ from .partitions import (
     ConsistentBinaryFamily,
     Level,
     _links,
+    _within_one_step,
     block_numerators,
-    stepwise_violation,
     validate_consistent_family,
 )
 from .spaces import FiberedMap, FiniteSpace, bits
@@ -372,35 +372,69 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int,
 
 def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
                 depth: int):
-    """One canonical sandwich per block per level: ((index, stepwise bounds,
-    condition C), None), or (None, (level, step)) at the first sandwich
-    that fails."""
+    """The canonical sandwiches of every level, run over its non-empty
+    blocks only: ((index, stepwise bounds, condition C), None), or
+    (None, (level, step)) at the first sandwich that fails.
+
+    Level n has 2^n blocks B_k, which partition the carrier W.  Sandwich
+    k takes lowers_k, the closure in W of the blocks after k (with T's
+    trace added for k = 2^n - 1), and V_k = hull(lowers_k) & W.  It fails
+    when cl(V_k) meets avoid_k: F's trace for k = 0, the blocks before k
+    otherwise.  Else it splits B_k into its children 2k, off V_k, and
+    2k + 1, on it.  The walk keeps only the non-empty blocks, as sorted
+    (k, mask) pairs, and runs only their sandwiches: at most |W| a level
+    instead of 2^n.  An empty block has empty children, and once every
+    sandwich of the levels before n has passed, the sandwich of an empty
+    block of level n passes too, so the index and a failure's (level,
+    step) are those of the 2^n-block walk:
+
+    - Each U_x & W lies in the blocks next to x's own.  Level 1 has two
+      blocks.  Into level n + 1, take x in B_k and z in U_x.  If z is in
+      B_(k+1), then x in cl{z} lies in lowers_k, so in V_k, and z is not
+      in V_(k+1), or cl(V_(k+1)) would meet B_k: so x goes to 2k + 1 and
+      z to 2k + 2.  If z is in B_(k-1), then z is in V_(k-1), which holds
+      hull(B_k), and x is not in V_k, or z in U_x would be in V_k and
+      cl(V_k) would meet B_(k-1): so x goes to 2k and z to 2k - 1.
+    - F's trace stays in block 0, as V_0 misses it, and T's in the last
+      block, as lowers holds it there.
+    - So take an empty block j.  If j = 0, F's trace is empty.  If j is
+      the last, T's trace is empty and so is lowers_j.  Otherwise, by the
+      first point, a closure or a hull in W of blocks after j reaches at
+      most one block lower, so not below j + 1, as B_j is empty.  Applied
+      three times, lowers_j, V_j and cl(V_j) & W lie after j, and
+      cl(V_j) misses the blocks before j.
+
+    The stepwise bounds of the family are ``stepwise_violation(...) is
+    None`` on the tables index >> (depth - n), and that reduces to the
+    oscillation of the deepest level.  Into level n >= 2 a point of
+    level-(n-1) block k sits in block 2k + c, c in {0, 1}, and with
+    d = 2^(n-1) - 1 the increment |(2k + c)d - k(2d + 1)| = |cd - k| is at
+    most d, since 0 <= k <= d; into level 1 it is the block, 0 or 1.  And
+    |a - b| <= 1 gives |(a >> s) - (b >> s)| <= 1, so the oscillation
+    bound of the deepest level gives every level's.  By the first point
+    above it always holds; the walk still checks it.
+    """
     closure, hull = space.closure, space.hull
-    blocks = (space.full,)
+    blocks = [(0, carrier)]   # level 0's one block, traced on W
     for n in range(depth):
-        k_count = 1 << n
-        suffix_cl = 0
-        lowers = [0] * k_count
-        for k in range(k_count - 1, -1, -1):
-            lowers[k] = suffix_cl
-            suffix_cl = (suffix_cl | closure(blocks[k] & carrier)) & carrier
-        lowers[k_count - 1] |= tt
-        prefix = 0
+        last = (1 << n) - 1
+        prefix = 0   # the union of the blocks before k
         children = []
-        for k in range(k_count):
-            avoid = ft if k == 0 else prefix & carrier
-            v = hull(lowers[k]) & carrier
-            if closure(v) & avoid:
+        for k, block in blocks:
+            lowers = closure(carrier & ~prefix & ~block) & carrier
+            if k == last:
+                lowers |= tt
+            v = hull(lowers) & carrier
+            if closure(v) & (ft if k == 0 else prefix):
                 return None, (n + 1, f"sandwich {k}")
-            block = blocks[k] & carrier
-            children.append(block & ~v)
-            children.append(block & v)
-            prefix |= blocks[k]
-        blocks = tuple(children)
+            if block & ~v:
+                children.append((2 * k, block & ~v))
+            if block & v:
+                children.append((2 * k + 1, block & v))
+            prefix |= block
+        blocks = children
     index = block_numerators(space.n, blocks)
-    tables = [[k >> (depth - n) for k in index] for n in range(depth + 1)]
-    carriers = [space.full] + [carrier] * depth
-    return (tuple(index), stepwise_violation(space, carriers, tables) is None,
+    return (tuple(index), _within_one_step(index, _links(space, carrier)),
             _condition_c_ok(space, carrier, ft, tt, index, depth)), None
 
 

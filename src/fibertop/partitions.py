@@ -130,10 +130,13 @@ def validate_consistent_family(family: ConsistentBinaryFamily) -> ConsistentBina
 
 
 def block_numerators(n_points: int, blocks) -> list[int]:
-    """Each point's block index, 0 off the blocks: its step numerator."""
+    """Each point's block index, 0 off the blocks: its step numerator.
+
+    ``blocks`` holds (k, mask) pairs, such as ``enumerate`` of a level's
+    blocks; the empty ones may be left out."""
     idx = [0] * n_points
-    for k in range(1, len(blocks)):
-        for x in bits(blocks[k]):
+    for k, block in blocks:
+        for x in bits(block):
             idx[x] = k
     return idx
 
@@ -201,8 +204,9 @@ def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
         raise DepthExceeded("assembly needs depth >= 1")
     space = family.f.domain
     carriers = [family.carrier(n) for n in range(depth + 1)]
-    tables = [[0] * space.n] + [block_numerators(space.n, level.blocks)
-                                for level in family.levels[1:]]
+    tables = [[0] * space.n] + [
+        block_numerators(space.n, enumerate(level.blocks))
+        for level in family.levels[1:]]
     failed = stepwise_violation(space, carriers, tables)
     if failed and failed[0] == "osc":
         raise CheckFailed(f"stepwise oscillation bound at level {failed[1]}")

@@ -96,3 +96,35 @@ def fibered_maps(draw, max_points=4):
 def random_function(space: FiniteSpace, rng: random.Random) -> RationalFunction:
     vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(space.n)]
     return RationalFunction.total(space, vals)
+
+
+def _random_poset(n: int, rng: random.Random, related) -> list[int]:
+    """Minimal neighbourhoods of a seeded T0 space on 0..n-1: U_i holds i
+    and, closed under transitivity, each j < i with related(i, j) and a
+    coin toss of probability 1/3."""
+    nbhds = []
+    for i in range(n):
+        u = 1 << i
+        for j in range(i):
+            if rng.random() < 1 / 3 and related(i, j):
+                u |= nbhds[j]
+        nbhds.append(u)
+    return nbhds
+
+
+def seeded_maps(count: int, total: int, seed: int) -> list[FiberedMap]:
+    """Seeded continuous maps with ``total`` points in all.  The table is
+    drawn first; a domain point j may then join U_i only when f(j) lies in
+    U_f(i), and those links stay so under transitivity, so every map is
+    continuous."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nx = rng.randint(total // 2, total - 2)
+        ys = _random_poset(total - nx, rng, lambda i, j: True)
+        table = [rng.randrange(total - nx) for _ in range(nx)]
+        xs = _random_poset(nx, rng,
+                           lambda i, j: ys[table[i]] >> table[j] & 1)
+        out.append(FiberedMap(space_from_min_nbhds(xs),
+                              space_from_min_nbhds(ys), table))
+    return out

@@ -1,10 +1,13 @@
 """Reference oracles for the partition families.
 
-- ``build_levels_reference``: the full-block level walk, with every level
-  kept as its tuple of block masks and nothing memoised.  The differential
-  tests require the memoised integer index of
-  ``fibertop.normality.build_levels`` to expand to these blocks on every
-  call, and to fail at the same level and step.
+- ``build_levels_reference``: the 2^n-block level walk, with every level
+  kept as its tuple of block masks, one sandwich per block, and nothing
+  memoised.  It is the independent oracle of the walk in
+  ``fibertop.normality._level_walk``, which runs only the sandwiches of
+  the non-empty blocks.  The
+  differential tests require that walk's integer index, memoised or run
+  afresh, to expand to these blocks, its two verdicts to match those read
+  off these blocks, and a failure to come at the same level and step.
 - ``stepwise_function``: one level's step function k/(2^n - 1) as
   ``Fraction`` values, with its oscillation bound checked on its own.
 - ``interiors_cover_check``: the covering statement of a regular
@@ -74,7 +77,7 @@ def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunctio
     space = family.f.domain
     if n == 0:
         return RationalFunction.constant(space, 0)
-    idx = block_numerators(space.n, family.levels[n].blocks)
+    idx = block_numerators(space.n, enumerate(family.levels[n].blocks))
     if not _within_one_step(idx, _links(space, family.carrier(n))):
         raise CheckFailed(f"stepwise oscillation bound at level {n}")
     denom = (1 << n) - 1
@@ -112,8 +115,9 @@ def limit_extrapolation(family: ConsistentBinaryFamily
     depth = family.depth
     space = family.f.domain
     carriers = [family.carrier(n) for n in range(depth + 1)]
-    tables = [[0] * space.n] + [block_numerators(space.n, level.blocks)
-                                for level in family.levels[1:]]
+    tables = [[0] * space.n] + [
+        block_numerators(space.n, enumerate(level.blocks))
+        for level in family.levels[1:]]
 
     def step_stationary(n: int) -> bool:
         if family.levels[n + 1].nbhd != family.levels[n].nbhd:

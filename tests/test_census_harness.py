@@ -33,6 +33,7 @@ from fibertop.harness import (
 )
 from fibertop import normality
 from fibertop.normality import (
+    LevelIndex,
     _condition_c_ok,
     build_levels,
     build_binary_partitions,
@@ -47,7 +48,11 @@ from fibertop.normality import (
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
-from fibertop.partitions import assemble_limit, stepwise_violation
+from fibertop.partitions import (
+    assemble_limit,
+    block_numerators,
+    stepwise_violation,
+)
 from fibertop.spaces import (
     FiniteSpace,
     FiberedMap,
@@ -60,6 +65,7 @@ from fibertop.spaces import (
 )
 from fibertop.urysohn_tietze import verify_condition_C
 import normality_reference as ref
+from conftest import seeded_maps
 from harness_reference import (
     constant_map_degeneration,
     theorem_record_reference,
@@ -333,6 +339,101 @@ class TestFastPathsAgainstPublic:
                                     space, w, bad)
                                 verdicts[ok] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def _walk(f: FiberedMap, a: int, b: int, y: int, depth: int):
+    """The level walk run afresh, outside the memo: the expanded levels
+    and both verdicts, or the failure, in the shape of ``_oracle``."""
+    w = f._nbhd_pre[y]
+    facts, failed = normality._level_walk(f.domain, w, a & w, b & w, depth)
+    if failed is not None:
+        return ("failed", *failed, None)
+    levels = LevelIndex(f.codomain._min_nbhd[y], w, depth, *facts)
+    return _expand(f, levels), levels.stepwise_ok, levels.condition_c_ok
+
+
+def _oracle(f: FiberedMap, a: int, b: int, y: int, depth: int):
+    """The 2^n-block walk, with both verdicts read off its blocks: the
+    stepwise bounds in rationals and condition (C) on its deepest level."""
+    levels = _reference(f, a, b, y, depth)
+    if levels[0] == "failed":
+        return levels
+    w = f._nbhd_pre[y]
+    index = block_numerators(f.domain.n, enumerate(levels[-1][1]))
+    return (levels, _stepwise_bounds_fraction(f, levels),
+            _condition_c_ok(f.domain, w, a & w, b & w, index, depth))
+
+
+def _disjoint_pairs(space: FiniteSpace, w: int):
+    """Every disjoint pair of sets relatively closed in w."""
+    closed = space.rel_closed_sets(w)
+    return [(a, b) for a in closed for b in closed if not a & b]
+
+
+class TestLevelWalk:
+    """The walk over non-empty blocks against the 2^n-block oracle."""
+
+    def test_every_carrier_of_census4_spaces(self):
+        outcomes = Counter()
+        for n in range(1, 5):
+            for space in canonical_spaces(n):
+                for w in space.opens:
+                    # the open point 0 of the Sierpinski space pulls back to w
+                    f = FiberedMap(space, sierpinski(),
+                                   [0 if w >> x & 1 else 1
+                                    for x in range(n)])
+                    for a, b in _disjoint_pairs(space, w):
+                        for depth in (1, 2, 3, 5, 8):
+                            out = _walk(f, a, b, 0, depth)
+                            assert out == _oracle(f, a, b, 0, depth)
+                            outcomes[out[0] == "failed" or out[1:]] += 1
+        assert set(outcomes) == {True, (True, True), (True, False)}
+
+    def test_seeded_twelve_point_maps(self):
+        outcomes = Counter()
+        for f in seeded_maps(10, 12, seed=7):
+            for y in range(f.codomain.n):
+                w = f._nbhd_pre[y]
+                outcomes["empty carrier"] += not w
+                for a, b in _disjoint_pairs(f.domain, w):
+                    out = _walk(f, a, b, y, 6)
+                    assert out == _oracle(f, a, b, y, 6)
+                    outcomes[out[0] == "failed" or out[1:]] += 1
+        # depth 6 gives every family that is built condition (C)
+        assert outcomes["empty carrier"] and outcomes[True]
+        assert outcomes[True, True] and not outcomes[True, False]
+
+    def test_depth_16(self, V_poset):
+        # U_0 pulls back to nothing, U_1 to the open point 2, and U_2 to
+        # the whole V, whose two closed points no sandwich separates
+        f = FiberedMap(V_poset, chain(3), (2, 2, 1))
+        outcomes = Counter()
+        for y in range(3):
+            for a, b in _disjoint_pairs(V_poset, f._nbhd_pre[y]):
+                out = _walk(f, a, b, y, 16)
+                assert out == _oracle(f, a, b, y, 16)
+                outcomes[y, out[0] == "failed"] += 1
+        assert outcomes[0, False] and outcomes[1, False]
+        assert outcomes[2, False] and outcomes[2, True]
+
+    def test_sandwiches_per_level_are_bounded(self, monkeypatch):
+        # one sandwich, so one hull call, per non-empty block: at most |W|
+        # a level on a 12-point carrier W, where the 2^n-block walk made
+        # 2^16 - 1 of them
+        space = FiniteSpace(12, [o | p << 6 for o in chain(6).opens
+                                 for p in discrete(6).opens])
+        calls = Counter()
+        hull = FiniteSpace.hull
+
+        def counted(self, mask):
+            calls["hull"] += 1
+            return hull(self, mask)
+
+        monkeypatch.setattr(FiniteSpace, "hull", counted)
+        facts, failed = normality._level_walk(
+            space, space.full, 0b000001_100000, 0b100010_000000, 16)
+        assert failed is None and facts[1] and facts[2]
+        assert 0 < calls["hull"] <= 16 * space.n
 
 
 class TestLevelMemo:
@@ -686,6 +787,25 @@ class TestHarnessRecords:
         assert run["ok"] and run["norm_contract"] is False
         assert run["geometric_chain_exact"] and run["residual_covers_sup"]
         assert anomalies == ["extension contract violated at O=1 y=0"]
+
+    def test_residual_text_is_the_fractions(self, monkeypatch):
+        # each run's "residual" is written from the result's integers and
+        # must read as str(residual_bound), whole numbers included
+        results = []
+        real = harness.tietze_extend
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "tietze_extend", recording)
+        texts = []
+        for inst in census_instances(4):
+            texts += [run["residual"]
+                      for run in theorem_record(inst)["extension_runs"]
+                      if run["ok"]]
+        assert texts == [str(res.residual_bound) for res in results]
+        assert "0" in texts and any("/" in t for t in texts)
 
     def test_sampled_sweep_clean(self):
         for inst in sampled_instances(4, 40, seed=11):

@@ -3,14 +3,12 @@ is known.  These tests hold them to the literal scans kept in
 ``normality_reference``: the same verdict, the same counterexample and the
 same perfect-normality witnesses, on whole censuses and on random maps."""
 
-import random
-
 from hypothesis import given, seed, settings
 
 import normality_reference as ref
-from conftest import fibered_maps
+from conftest import fibered_maps, seeded_maps
 from fibertop import normality
-from fibertop.census import census_instances, sampled_instances, space_from_min_nbhds
+from fibertop.census import census_instances, sampled_instances
 from fibertop.normality import perfect_witnesses
 from fibertop.spaces import FiberedMap, bits, chain, sierpinski
 from subspace_reference import Submapping, is_f_sigma_submapping
@@ -79,38 +77,6 @@ def test_closed_carrier_failures_reach_a_point_closure():
     assert checked > 0
 
 
-def _random_poset(n: int, rng: random.Random, related) -> list[int]:
-    """Minimal neighbourhoods of a seeded T0 space on 0..n-1: U_i holds i
-    and, closed under transitivity, each j < i with related(i, j) and a
-    coin toss of probability 1/3."""
-    nbhds = []
-    for i in range(n):
-        u = 1 << i
-        for j in range(i):
-            if rng.random() < 1 / 3 and related(i, j):
-                u |= nbhds[j]
-        nbhds.append(u)
-    return nbhds
-
-
-def _seeded_maps(count: int, total: int, seed: int) -> list[FiberedMap]:
-    """Seeded continuous maps with ``total`` points in all.  The table is
-    drawn first; a domain point j may then join U_i only when f(j) lies in
-    U_f(i), and those links stay so under transitivity, so every map is
-    continuous."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        nx = rng.randint(total // 2, total - 2)
-        ys = _random_poset(total - nx, rng, lambda i, j: True)
-        table = [rng.randrange(total - nx) for _ in range(nx)]
-        xs = _random_poset(nx, rng,
-                           lambda i, j: ys[table[i]] >> table[j] & 1)
-        out.append(FiberedMap(space_from_min_nbhds(xs),
-                              space_from_min_nbhds(ys), table))
-    return out
-
-
 def test_hereditary_closed_forms_match_carrier_loops():
     """The closed forms of the three hereditary deciders report the same
     offending carriers as the pointwise carrier loops they replaced, on
@@ -132,9 +98,9 @@ def test_hereditary_closed_forms_match_carrier_loops():
         return count
 
     assert failures(inst.f for inst in census_instances(6)) == [433, 1952, 398]
-    assert failures(_seeded_maps(30, 12, seed=7)) == [11, 29, 9]
-    assert failures(_seeded_maps(30, 12, seed=8)) == [17, 28, 15]
-    assert failures(_seeded_maps(30, 12, seed=9)) == [12, 27, 11]
+    assert failures(seeded_maps(30, 12, seed=7)) == [11, 29, 9]
+    assert failures(seeded_maps(30, 12, seed=8)) == [17, 28, 15]
+    assert failures(seeded_maps(30, 12, seed=9)) == [12, 27, 11]
 
 
 @seed(20261019)
