@@ -383,10 +383,10 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
     otherwise.  Else it splits B_k into its children 2k, off V_k, and
     2k + 1, on it.  The walk keeps only the non-empty blocks, as sorted
     (k, mask) pairs, and runs only their sandwiches: at most |W| a level
-    instead of 2^n.  An empty block has empty children, and once every
-    sandwich of the levels before n has passed, the sandwich of an empty
-    block of level n passes too, so the index and a failure's (level,
-    step) are those of the 2^n-block walk:
+    for a non-empty W, instead of 2^n.  An empty block has empty
+    children, and once every sandwich of the levels before n has passed,
+    the sandwich of an empty block of level n passes too, so the index
+    and a failure's (level, step) are those of the 2^n-block walk:
 
     - Each U_x & W lies in the blocks next to x's own.  Level 1 has two
       blocks.  Into level n + 1, take x in B_k and z in U_x.  If z is in
@@ -421,6 +421,7 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
         prefix = 0   # the union of the blocks before k
         children = []
         for k, block in blocks:
+            # the blocks after k are the rest of W
             lowers = closure(carrier & ~prefix & ~block) & carrier
             if k == last:
                 lowers |= tt

@@ -373,7 +373,7 @@ def _disjoint_pairs(space: FiniteSpace, w: int):
 class TestLevelWalk:
     """The walk over non-empty blocks against the 2^n-block oracle."""
 
-    def test_every_carrier_of_census4_spaces(self):
+    def test_every_carrier_of_spaces_to_4_points(self):
         outcomes = Counter()
         for n in range(1, 5):
             for space in canonical_spaces(n):
