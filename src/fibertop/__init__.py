@@ -28,7 +28,6 @@ from .partitions import (
 from .normality import (
     are_f_separated,
     build_binary_partitions,
-    build_binary_partitions_sigma,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
     is_f_functionally_open,

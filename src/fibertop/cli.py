@@ -27,7 +27,6 @@ from .harness import (
 )
 from .normality import (
     build_binary_partitions,
-    build_binary_partitions_sigma,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
     is_f_functionally_open,
@@ -176,9 +175,9 @@ def cmd_build(args) -> int:
         if args.kind == "sigma-family":
             pieces = [_on_domain("set", inst.sets, nm, domain)
                       for nm in args.T.split(",")]
-            fams = build_binary_partitions_sigma(f, f_side, pieces, y, args.depth)
             res = sigma_separator_family(f, f_side, pieces, y, args.depth)
-            out["families"] = [serialize_family(fam) for fam in fams]
+            out["families"] = [serialize_family(lim.family)
+                               for lim in res.limits]
             out["Oy"] = _points(res.nbhd)
             out["osc_bounds"] = [str(o) for o in res.osc_values]
         else:

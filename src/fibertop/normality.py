@@ -37,7 +37,6 @@ from .partitions import (
     ConsistentBinaryFamily,
     Level,
     _links,
-    _within_one_step,
     block_numerators,
     validate_consistent_family,
 )
@@ -413,6 +412,28 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
     |a - b| <= 1 gives |(a >> s) - (b >> s)| <= 1, so the oscillation
     bound of the deepest level gives every level's.  By the first point
     above it always holds; the walk still checks it.
+
+    The chain lemma: at every level n >= 1 a non-empty block B_k with
+    k >= 1 lies inside its own V_k, so its left child B_2k is empty and
+    every index is 0 or 2^j - 1.  Take r = 2p + 1 at level n.  The blocks
+    after r are the children of the blocks after p, so as a point set they
+    are the blocks after p one level up, and r is the last block iff p is.
+    So lowers_r = lowers_p and V_r = V_p, which holds B_r, the right child
+    of B_p.  An even r = 2p >= 2 is the left child of B_p with p >= 1,
+    empty by the lemma one level up.
+
+    So the left child's test may read ``block & v`` too: the index and a
+    failure stay the same.  For k >= 1 that only adds the empty block 2k,
+    whose sandwich passes and which has no children, and so it does for
+    k = 0 when B_0 lies in V_0.  It drops B_0 when B_0 misses V_0.  At
+    level 0 that needs an empty T trace, and every index is 0 either way.
+    At a level n >= 1, V_0 holds lowers_0, so the rest R of W, and misses
+    B_0, so R = V_0 = cl(V_0) & W is open and closed in W.  Then B_0 stays
+    whole at index 0, its sandwich passes at every later level, as R misses
+    F's trace, and no lowers_k, V_k or cl(V_k) & W of a later block meets
+    B_0.  The changed walk counts B_0 after k instead of before it, which
+    adds B_0 to lowers_k, V_k and cl(V_k) & W and takes it out of avoid_k:
+    every sandwich passes or fails, and splits B_k, as before.
     """
     closure, hull = space.closure, space.hull
     blocks = [(0, carrier)]   # level 0's one block, traced on W
@@ -435,20 +456,21 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
             prefix |= block
         blocks = children
     index = block_numerators(space.n, blocks)
-    return (tuple(index), _within_one_step(index, _links(space, carrier)),
-            _condition_c_ok(space, carrier, ft, tt, index, depth)), None
+    worst = max((abs(index[x] - index[z]) for x, z in _links(space, carrier)),
+                default=0)
+    return (tuple(index), worst <= 1,
+            _condition_c_ok(space, carrier, ft, tt, index, depth, worst)), None
 
 
 def _condition_c_ok(space: FiniteSpace, carrier: int, ft: int, tt: int,
-                    idx, depth: int) -> bool:
+                    idx, depth: int, worst: int) -> bool:
     """Condition (C) for the truncated limit of a flat-chain family on the
     open carrier W, whose deepest (level ``depth``) block of x is idx[x],
     for F and T traces ft and tt: the limit equals the deepest step
     function on W and vanishes elsewhere, so the checks reduce to integer
-    comparisons on idx."""
+    comparisons on idx.  ``worst`` is the largest |idx[x] - idx[z]| over x
+    in W and z in U_x, so the oscillation is worst / (2^depth - 1)."""
     top = (1 << depth) - 1
-    worst = max((abs(idx[x] - idx[z]) for x, z in _links(space, carrier)),
-                default=0)
     if not 2 * worst < top:
         return False
     zero = one = upper = 0
@@ -491,30 +513,6 @@ def check_lemma_conditions(family: ConsistentBinaryFamily, f_side: int,
             head |= b
         if space.rel_closure(carrier, head) & t_side:
             raise SearchFailed(n, "condition (b), T side")
-
-
-def build_binary_partitions_sigma(f: FiberedMap, f_side: int, t_list, y: int,
-                                  depth: int, within: int | None = None
-                                  ) -> tuple[ConsistentBinaryFamily, ...]:
-    """One family per F_sigma piece, sharing the neighborhood chain.
-
-    With the flat minimal chain the shared-neighborhood intersection is
-    trivial, so each component runs the plain construction against its own
-    piece; the common chain is asserted afterwards.
-    """
-    f.check_point(y)
-    families = []
-    for l, t_piece in enumerate(t_list):
-        try:
-            families.append(build_binary_partitions(f, f_side, t_piece, y,
-                                                    depth, within=within))
-        except SearchFailed as exc:
-            raise SearchFailed(exc.level, exc.step, l) from exc
-    for fam in families[1:]:
-        for n in range(depth + 1):
-            if fam.levels[n].nbhd != families[0].levels[n].nbhd:
-                raise SearchFailed(n, "shared chain broken")
-    return tuple(families)
 
 
 # --------------------------------------------------- perfect normality family

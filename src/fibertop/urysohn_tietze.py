@@ -425,42 +425,35 @@ class SigmaSeparatorResult:
 def sigma_separator_family(f: FiberedMap, f_side: int, t_list, y: int,
                            depth: int, within: int | None = None
                            ) -> SigmaSeparatorResult:
-    """Per-piece separators sharing one neighborhood, equicontinuous there.
+    """Per-piece separators sharing one neighborhood, equicontinuous there:
+    the library's one sigma construction.  Each piece's family is
+    ``limits[l].family``.
 
-    Asserts the characterization conditions: shared osc < 1/2, value
-    pinning on F and each T_l, and the strict upper-set interior/closure
-    conditions per piece.
+    The neighborhood is the minimal one of y for every piece by
+    construction: every level n >= 1 of a ``LevelIndex`` lies over it, and
+    ``build_separator`` reports level 2's.  ``build_separator`` has checked
+    condition (C) on each piece: osc < 1/2 on that neighborhood, which is
+    ``osc_values``, the value pinning on F and T_l, and F off the closure
+    of the upper set {phi >= 1/2}, which holds the strict one.  What is
+    left is the sigma condition that T_l lies in the interior of its
+    strict upper set {phi > 1/2}.  A failing piece's ``SearchFailed`` is
+    re-raised with the index l of the piece.
     """
     f.check_point(y)
     if depth < 2:
         raise ValueError("the sigma family needs depth >= 2")
     space = f.domain
+    nbhd = f.codomain.min_nbhd(y)
+    pre = f._nbhd_pre[y]
     results = []
-    nbhd = None
     for l, t_piece in enumerate(t_list):
         try:
             sep = build_separator(f, f_side, t_piece, y, depth, within=within)
         except SearchFailed as exc:
             raise SearchFailed(exc.level, exc.step, l) from exc
-        if nbhd is None:
-            nbhd = sep.nbhd
-        elif sep.nbhd != nbhd:
-            raise CheckFailed("separators disagree on the shared neighborhood")
-        results.append(sep)
-    if nbhd is None:
-        nbhd = f.codomain.min_nbhd(y)
-    pre = f.preimage(nbhd)
-    oscs = []
-    for l, (sep, t_piece) in enumerate(zip(results, t_list)):
-        phi = sep.phi
-        o = osc_on_set(phi, pre)
-        oscs.append(o)
-        if not o < HALF:
-            raise CheckFailed(f"shared oscillation bound, piece {l}")
-        upper = phi.preimage(lambda v: HALF < v <= 1) & pre
+        upper = sep.phi.preimage(lambda v: HALF < v <= 1) & pre
         if t_piece & pre & ~space.rel_interior(pre, upper):
             raise CheckFailed(f"piece {l} not interior to its upper set")
-        if space.rel_closure(pre, upper) & f_side:
-            raise CheckFailed(f"upper set closure of piece {l} meets F")
+        results.append(sep)
     return SigmaSeparatorResult(nbhd, tuple(r.limit for r in results),
-                                tuple(oscs))
+                                tuple(r.checks.osc_value for r in results))

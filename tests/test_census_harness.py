@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -37,7 +38,6 @@ from fibertop.normality import (
     _condition_c_ok,
     build_levels,
     build_binary_partitions,
-    build_binary_partitions_sigma,
     is_co_sigma_perfectly_normal,
     is_hereditarily_normal,
     is_hereditarily_perfectly_normal,
@@ -63,7 +63,7 @@ from fibertop.spaces import (
     identity_map,
     sierpinski,
 )
-from fibertop.urysohn_tietze import verify_condition_C
+from fibertop.urysohn_tietze import sigma_separator_family, verify_condition_C
 import normality_reference as ref
 from conftest import seeded_maps
 from harness_reference import (
@@ -216,7 +216,13 @@ def _fresh_checks(f: FiberedMap, levels, f_side: int, t_side: int,
              for n in range(1, depth + 1)]
     return (_bounds_ok(space, w, lists),
             _condition_c_ok(space, w, f_side & w, t_side & w, levels.index,
-                            depth))
+                            depth, _spread(space, w, levels.index)))
+
+
+def _spread(space: FiniteSpace, w: int, idx) -> int:
+    """The largest |idx[x] - idx[z]| over x in w and z in U_x."""
+    return max((abs(idx[x] - idx[z]) for x in bits(w)
+                for z in bits(space.min_nbhd(x))), default=0)
 
 
 def _bounds_ok(space: FiniteSpace, w: int, lists) -> bool:
@@ -361,7 +367,8 @@ def _oracle(f: FiberedMap, a: int, b: int, y: int, depth: int):
     w = f._nbhd_pre[y]
     index = block_numerators(f.domain.n, enumerate(levels[-1][1]))
     return (levels, _stepwise_bounds_fraction(f, levels),
-            _condition_c_ok(f.domain, w, a & w, b & w, index, depth))
+            _condition_c_ok(f.domain, w, a & w, b & w, index, depth,
+                            _spread(f.domain, w, index)))
 
 
 def _disjoint_pairs(space: FiniteSpace, w: int):
@@ -402,6 +409,39 @@ class TestLevelWalk:
         # depth 6 gives every family that is built condition (C)
         assert outcomes["empty carrier"] and outcomes[True]
         assert outcomes[True, True] and not outcomes[True, False]
+
+    def test_chain_lemma(self):
+        # a non-empty block k >= 1 of level n >= 1 has an empty left child
+        # in the 2^n-block oracle, and every index the walk builds is 0 or
+        # 2^j - 1 (the chain lemma of ``_level_walk``)
+        chain_indices = {0} | {(1 << j) - 1 for j in range(1, 7)}
+        maps = [inst.f for inst in census_instances(5)]
+        maps += seeded_maps(10, 12, seed=7)
+        seen = set()
+        counts = Counter()
+        for f in maps:
+            space = f.domain
+            for y in range(f.codomain.n):
+                w = f._nbhd_pre[y]
+                for a, b in _disjoint_pairs(space, w):
+                    if (space, w, a, b) in seen:
+                        continue
+                    seen.add((space, w, a, b))
+                    for depth in (1, 2, 3, 6):
+                        facts, _ = normality._level_walk(space, w, a, b, depth)
+                        if facts is not None:
+                            assert set(facts[0]) <= chain_indices
+                            counts[max(facts[0]) > 1] += 1
+                    levels = _reference(f, a, b, y, 3)
+                    if levels[0] == "failed":
+                        continue
+                    for (_, blocks), (_, children) in zip(levels[1:],
+                                                          levels[2:]):
+                        for k in range(1, len(blocks)):
+                            counts["parent"] += bool(blocks[k])
+                            assert not children[2 * k]
+        # the walks reach indices past 1, and non-empty blocks k >= 1
+        assert counts[True] and counts[False] and counts["parent"]
 
     def test_depth_16(self, V_poset):
         # U_0 pulls back to nothing, U_1 to the open point 2, and U_2 to
@@ -484,10 +524,10 @@ class TestLevelMemo:
             build_levels(f, 0b001, 0b010, 0, 3)
         assert (first.value.level, first.value.l) == (1, None)
         with pytest.raises(SearchFailed) as sigma:
-            build_binary_partitions_sigma(f, 0b001, [0, 0b010], 0, 3)
+            sigma_separator_family(f, 0b001, [0, 0b010], 0, 3)
         assert (sigma.value.level, sigma.value.step, sigma.value.l) == (
             1, "sandwich 0", 1)
-        # the plain builder's failure names no piece; the sigma builder
+        # the plain builder's failure names no piece; the sigma family
         # re-raises it with the index of the piece
         assert (sigma.value.__cause__.level, sigma.value.__cause__.l) == (
             1, None)
@@ -733,6 +773,11 @@ class TestPairScanMemo:
         assert any(r["thm3"]["A"] for r in records)
 
 
+def _labelled(f: FiberedMap) -> tuple:
+    """The labelled map, whatever the order its opens are listed in."""
+    return (frozenset(f.domain.opens), frozenset(f.codomain.opens), f.table)
+
+
 class TestHarnessRecords:
     def test_no_mismatches_small_census(self):
         for inst in census_instances(4):
@@ -752,6 +797,25 @@ class TestHarnessRecords:
         assert not cls["co_perfectly_normal"]
         assert cls["hereditarily_normal"]
         assert hierarchy_violations(cls, False) == []
+
+    def test_classify_is_invariant_under_relabelling(self):
+        # g(px[x]) = py[f(x)] on the relabelled spaces is homeomorphic to f;
+        # its spaces are fresh objects, so no memo entry of f's is read
+        rng = random.Random(26)
+        relabelled = 0
+        for inst in census_instances(5):
+            f = inst.f
+            px = rng.sample(range(f.domain.n), f.domain.n)
+            py = rng.sample(range(f.codomain.n), f.codomain.n)
+            table = [0] * f.domain.n
+            for x, y in enumerate(f.table):
+                table[px[x]] = py[y]
+            g = FiberedMap(f.domain.relabel(px), f.codomain.relabel(py), table)
+            assert classify(g) == classify(f), inst.uid
+            relabelled += _labelled(g) != _labelled(f)
+        # 451 of the 551 maps change as labelled maps; the rest were
+        # relabelled by automorphisms or live on one-point spaces
+        assert relabelled > 400
 
     def test_summarize_and_digest_stable(self):
         recs = [theorem_record(inst, depth=4, extender_budget=1)

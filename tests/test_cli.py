@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from fibertop import census, cli
+from fibertop import census, cli, normality
 from fibertop.cli import main
 
 DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
@@ -130,6 +130,51 @@ EXTEND_GOLDEN = {
     "y": 0,
 }
 
+# a Sierpinski space plus an isolated point 2, over the Sierpinski space
+SIGMA_TWO_PIECES = """\
+space X
+points 3
+opens
+-
+0
+2
+0 1
+0 2
+0 1 2
+space S
+points 2
+opens
+-
+0
+0 1
+map f X -> S
+0 -> 0
+1 -> 1
+2 -> 0
+set F in X
+2
+set T1 in X
+1
+set T2 in X
+0 1
+"""
+
+# `--json --depth 3 build sigma-family --F F --T T1,T2` stdout, by --y
+SIGMA_GOLDEN = {
+    0: r'{"Oy": [0], "families": ["O: 0 1\nblocks: 0 1 2\nO: 0\nblocks: '
+       r'0 2 | -\nO: 0\nblocks: 0 2 | - | - | -\nO: 0\nblocks: 0 2 | - | - '
+       r'| - | - | - | - | -", "O: 0 1\nblocks: 0 1 2\nO: 0\nblocks: 2 | 0'
+       r'\nO: 0\nblocks: 2 | - | - | 0\nO: 0\nblocks: 2 | - | - | - | - | '
+       r'- | - | 0"], "kind": "sigma-family", "osc_bounds": ["0", "0"], '
+       r'"y": 0}',
+    1: r'{"Oy": [0, 1], "families": ["O: 0 1\nblocks: 0 1 2\nO: 0 1\n'
+       r'blocks: 2 | 0 1\nO: 0 1\nblocks: 2 | - | - | 0 1\nO: 0 1\nblocks: '
+       r'2 | - | - | - | - | - | - | 0 1", "O: 0 1\nblocks: 0 1 2\nO: 0 1\n'
+       r'blocks: 2 | 0 1\nO: 0 1\nblocks: 2 | - | - | 0 1\nO: 0 1\nblocks: '
+       r'2 | - | - | - | - | - | - | 0 1"], "kind": "sigma-family", '
+       r'"osc_bounds": ["0", "0"], "y": 1}',
+}
+
 
 BIG = "space B\npoints 20\nopens\n-\n" + \
     "\n".join(" ".join(str(i) for i in range(k + 1)) for k in range(20)) + \
@@ -147,6 +192,13 @@ def d2_file(tmp_path):
 def const_d2_file(tmp_path):
     path = tmp_path / "const_D2.top"
     path.write_text(CONST_D2)
+    return str(path)
+
+
+@pytest.fixture
+def sigma_file(tmp_path):
+    path = tmp_path / "sigma.top"
+    path.write_text(SIGMA_TWO_PIECES)
     return str(path)
 
 
@@ -272,6 +324,39 @@ class TestBuild:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["families"]) == 1
+
+    @pytest.mark.parametrize("y, golden", SIGMA_GOLDEN.items())
+    def test_sigma_family_bytes(self, sigma_file, capsys, y, golden):
+        code = main(["--json", "--depth", "3", "build", "sigma-family",
+                     sigma_file, "--F", "F", "--T", "T1,T2", "--y", str(y)])
+        assert code == 0
+        assert capsys.readouterr().out == golden + "\n"
+
+    def test_sigma_family_builds_each_piece_once(self, sigma_file, capsys,
+                                                  monkeypatch):
+        calls = []
+        original = normality.build_levels
+
+        def counted(*args):
+            calls.append(args[3:])
+            return original(*args)
+
+        monkeypatch.setattr(normality, "build_levels", counted)
+        assert main(["--depth", "3", "build", "sigma-family", sigma_file,
+                     "--F", "F", "--T", "T1,T2,T1", "--y", "0"]) == 0
+        assert calls == [(0, 3)] * 3
+
+    def test_sigma_family_depth_comes_before_set_errors(self, sigma_file,
+                                                        capsys):
+        # F and T1 overlap, but the depth is named first
+        assert main(["--depth", "1", "build", "sigma-family", sigma_file,
+                     "--F", "T1", "--T", "T1,T2", "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the sigma family needs depth >= 2\n"
+        assert main(["--depth", "2", "build", "sigma-family", sigma_file,
+                     "--F", "T1", "--T", "T1,T2", "--y", "0"]) == 2
+        assert capsys.readouterr().err == "error: F and T must be disjoint\n"
 
 
     @pytest.mark.parametrize("y", ["99", "-1"])

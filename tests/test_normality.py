@@ -11,7 +11,6 @@ from fibertop.errors import NotOpen, SearchFailed
 from fibertop.normality import (
     are_f_separated,
     build_binary_partitions,
-    build_binary_partitions_sigma,
     check_lemma_conditions,
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
@@ -28,6 +27,7 @@ from fibertop.normality import (
 from fibertop.classical import space_normal
 from fibertop.oscillation import RationalFunction, osc_on_set, weighted_sum
 from fibertop.spaces import bits, constant_map, identity_map, point
+from fibertop.urysohn_tietze import sigma_separator_family
 from subspace_reference import is_f_sigma_subset, restrict_map
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -245,26 +245,26 @@ class TestMonotoneShrinking:
 
 class TestSmallUrysohn:
     """The Urysohn sandwich T_l ⊂ V_l ⊂ cl V_l ⊂ U at one y, as the deciders
-    (``_sigma_separated_at``) and the sigma builder run it."""
+    (``_sigma_separated_at``) and the sigma family's builder run it."""
 
     def test_clopen_piece(self, D2):
         f = constant_map(D2)
         assert normality._sigma_separated_at(D2, f._nbhd_pre[0], 0b10, 0b01)
-        (fam,) = build_binary_partitions_sigma(f, 0b01, [0b10], 0, 3)
-        for level in fam.levels[1:]:
+        (lim,) = sigma_separator_family(f, 0b01, [0b10], 0, 3).limits
+        for level in lim.family.levels[1:]:
             assert level.nbhd == f.codomain.full
             assert level.blocks[-1] == 0b10
 
     def test_empty_piece(self, D2):
         f = constant_map(D2)
         assert normality._sigma_separated_at(D2, f._nbhd_pre[0], 0, D2.full)
-        (fam,) = build_binary_partitions_sigma(f, D2.full, [0], 0, 3)
-        check_lemma_conditions(fam, D2.full, 0)
+        (lim,) = sigma_separator_family(f, D2.full, [0], 0, 3).limits
+        check_lemma_conditions(lim.family, D2.full, 0)
 
     def test_non_open_neighborhood_rejected(self, C3):
         f = identity_map(C3)
         with pytest.raises(NotOpen):
-            build_binary_partitions_sigma(f, 0, [0b100], 1, 2, within=0b110)
+            sigma_separator_family(f, 0, [0b100], 1, 2, within=0b110)
 
     def test_not_found_on_non_normal(self, V_poset):
         f = constant_map(V_poset)
@@ -273,8 +273,10 @@ class TestSmallUrysohn:
         assert not normality._sigma_separated_at(
             V_poset, f._nbhd_pre[0], 0b001, 0b010)
         with pytest.raises(SearchFailed) as exc:
-            build_binary_partitions_sigma(f, 0b010, [0b001], 0, 2)
+            sigma_separator_family(f, 0b010, [0b001], 0, 2)
         assert exc.value.l == 0
+        # re-raised from the plain builder's failure, which names no piece
+        assert exc.value.__cause__.l is None
 
 
 class TestBuilders:
@@ -325,14 +327,16 @@ class TestBuilders:
 
     def test_sigma_builder_shares_chain(self, D3):
         f = constant_map(D3)
-        fams = build_binary_partitions_sigma(f, 0b001, [0b010, 0b100], 0, 3)
+        res = sigma_separator_family(f, 0b001, [0b010, 0b100], 0, 3)
+        fams = [lim.family for lim in res.limits]
         assert len(fams) == 2
         for n in range(4):
             assert fams[0].levels[n].nbhd == fams[1].levels[n].nbhd
+        assert fams[0].levels[2].nbhd == res.nbhd == f.codomain.min_nbhd(0)
 
     def test_sigma_builder_single_piece_reduces(self, D2):
         f = constant_map(D2)
-        single = build_binary_partitions_sigma(f, 0b01, [0b10], 0, 3)[0]
+        single = sigma_separator_family(f, 0b01, [0b10], 0, 3).limits[0].family
         plain = build_binary_partitions(f, 0b01, 0b10, 0, 3)
         assert single.levels == plain.levels
 

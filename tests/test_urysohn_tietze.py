@@ -21,7 +21,6 @@ from fibertop.errors import (
 )
 from fibertop.normality import (
     build_binary_partitions,
-    build_binary_partitions_sigma,
     is_normal,
     is_sigma_normal,
 )
@@ -67,8 +66,9 @@ class TestCodomainPoint:
         phit = RationalFunction.on_carrier(f.domain, 0b100, lambda x: Fraction(3, 4))
         return {
             "partitions": lambda y: build_binary_partitions(f, 0b100, 0, y, 0),
-            "partitions_sigma": lambda y: build_binary_partitions_sigma(
-                f, 0b100, [], y, 0),
+            # a valid depth and an overlapping piece: y is checked first
+            "sigma_pieces": lambda y: sigma_separator_family(
+                f, 0b100, [0b100], y, 2),
             "separator": lambda y: build_separator(f, 0b100, 0, y, 1),
             "sigma_separators": lambda y: sigma_separator_family(f, 0b100, [], y, 1),
             "tietze": lambda y: tietze_extend(f, 0b100, phit, y, within=0),
@@ -76,7 +76,7 @@ class TestCodomainPoint:
         }
 
     @pytest.mark.parametrize("y", [2, -1])
-    @pytest.mark.parametrize("name", ["partitions", "partitions_sigma",
+    @pytest.mark.parametrize("name", ["partitions", "sigma_pieces",
                                       "separator", "sigma_separators",
                                       "tietze", "exact"])
     def test_y_outside_codomain(self, name, y):
