@@ -68,12 +68,9 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def space_from_min_nbhds(nbhds) -> FiniteSpace:
-    """The topology generated by a minimal-neighborhood assignment: the
-    unions of every subset of the neighborhoods, 2^n of them with repeats."""
-    opens = [0]
-    for u in nbhds:
-        opens += [o | u for o in opens]
-    return FiniteSpace(len(nbhds), opens, _trusted=True)
+    """The topology generated by a minimal-neighborhood assignment: its
+    opens are the unions of the neighborhoods, and nbhds[x] is U_x."""
+    return FiniteSpace._from_min_nbhds(nbhds)
 
 
 def all_spaces(n: int):

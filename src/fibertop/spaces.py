@@ -58,6 +58,29 @@ def _union_tables(images) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
+def _unions(nbhds) -> set[int]:
+    """Every union of the masks in nbhds, the empty one included: one set
+    comprehension per mask that is not already such a union (the set is
+    closed under union after each step)."""
+    unions = {0}
+    for u in nbhds:
+        if u not in unions:
+            unions |= {o | u for o in unions}
+    return unions
+
+
+def _is_preorder(table) -> bool:
+    """Whether each table[x] holds x and the table nests: z in table[x]
+    puts table[z] inside table[x]."""
+    for x, u in enumerate(table):
+        if not u >> x & 1:
+            return False
+        for z in bits(u):
+            if table[z] & ~u:
+                return False
+    return True
+
+
 def _nbhd_classes(space: "FiniteSpace", region: int) -> tuple[int, ...]:
     # z in min_nbhd(x) iff x in cl{z}, so the symmetrized links of x
     # are (min_nbhd(x) | cl{x}) & region
@@ -83,7 +106,8 @@ class FiniteSpace:
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
         self.full = full = (1 << n) - 1
-        family = sorted(set(int(o) for o in opens))
+        fam_set = set(map(int, opens))
+        family = sorted(fam_set)
         if family and (family[0] < 0 or family[-1] > full):
             for o in family:
                 if o & ~full:
@@ -103,38 +127,62 @@ class FiniteSpace:
                 if covered == full:
                     break
         if not _trusted:
-            self._validate(family, min_nbhd)
+            self._validate(family, fam_set, min_nbhd)
+        self._fill(family, fam_set, min_nbhd)
+
+    @classmethod
+    def _from_min_nbhds(cls, nbhds) -> "FiniteSpace":
+        """The space whose minimal neighborhoods are nbhds, which must be a
+        preorder table (see _is_preorder): its opens are the unions of the
+        U_x, and U_x is the table's entry."""
+        space = cls.__new__(cls)
+        space.n = len(nbhds)
+        space.full = (1 << space.n) - 1
+        unions = _unions(nbhds)
+        space._fill(sorted(unions), unions, nbhds)
+        return space
+
+    def _fill(self, family, fam_set, min_nbhd) -> None:
         self.opens = tuple(family)
-        self._opens_set = frozenset(family)
+        self._opens_set = frozenset(fam_set)
         self._min_nbhd = tuple(min_nbhd)
         # z is in cl{x} iff x lies in every open around z, i.e. x in min_nbhd(z)
-        cl_point = [0] * n
-        for z in range(n):
-            for x in bits(min_nbhd[z]):
+        cl_point = [0] * self.n
+        for z, u in enumerate(min_nbhd):
+            for x in bits(u):
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
         self._closure_tables = self._hull_tables = None  # built on first use
         self._memo = None  # see memoised, on first use
         self._canon = None
 
-    def _validate(self, family, least) -> None:
+    def _validate(self, family, fam_set, least) -> None:
         """Raise unless family is a topology; least[x] is the numerically
-        least open containing x.
+        least open containing x, or 0 if no open holds x.
 
-        A family is a topology iff it is exactly the unions of the least[x]
-        and these nest: y in least[x] puts least[y] inside least[x].  Then
-        every open holds the least[y] of each of its points y, so least[y]
-        is the intersection of the opens around y, and the intersection of
-        two opens is the union of the least[y] of its points.
+        A family is a topology iff each least[x] holds x, the least[x] nest
+        (y in least[x] puts least[y] inside least[x]), and the family is
+        exactly their unions.  Then every open holds the least[y] of each
+        of its points y, so least[y] is the intersection of the opens
+        around y, and the intersection of two opens is the union of the
+        least[y] of its points.  Conversely, in a topology least[x] is the
+        minimal neighborhood of x and every open is the union of the
+        minimal neighborhoods of its points.  (A family that misses a
+        point x has least[x] = 0, and may still be the unions of its
+        least[x]; hence the first condition.)
 
-        The first error is the one an intersection-first check gives: on
-        any failure the witness search over the intersections of the opens
-        around each point runs first.  It raises whenever some open misses
-        the least[y] of one of its points, since the intersection around y
-        is then a proper subset of least[y] and so not open; otherwise the
-        intersections are the least[x] and the union error stands.
+        Only a rejected family runs the checks below, which name its
+        error: the one an intersection-first check gives.  On any failure
+        they run the witness search over the intersections of the opens
+        around each point first.  It raises whenever some open misses the
+        least[y] of one of its points, since the intersection around y is
+        then a proper subset of least[y] and so not open; otherwise the
+        intersections are the least[x] and the union error stands.  The
+        checks together are the three conditions above, so one of them
+        raises.
         """
-        fam_set = set(family)
+        if _is_preorder(least) and _unions(least) == fam_set:
+            return
         if 0 not in fam_set:
             raise MissingEmptyOrFull("family must contain the empty set")
         covered = 0
@@ -441,7 +489,12 @@ class FiberedMap:
                 for y in bits(codomain._cl_point[z]):
                     nbhd_pre[y] |= pre
         self._nbhd_pre = tuple(nbhd_pre)
-        if not _trusted:
+        # every open of Y is the union of the U_y of its points, and
+        # preimages commute with unions, so f is continuous iff each
+        # f^-1(U_y) is open; only a failure walks the opens, to name the
+        # first one whose preimage is not open
+        if not _trusted and not all(map(domain._opens_set.__contains__,
+                                        nbhd_pre)):
             for o in codomain.opens:
                 pre = self.preimage(o)
                 if not domain.is_open(pre):

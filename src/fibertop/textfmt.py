@@ -27,6 +27,7 @@ Families list one (O:, blocks:) pair per level, blocks separated by '|'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import FibertopError, InstanceSyntaxError, InstanceValidationError
@@ -38,8 +39,12 @@ from .spaces import FiberedMap, FiniteSpace, bits, mask_of
 HEADERS = {shape.split()[0]: shape.split() for shape in (
     "space <name>", "map <name> <X> -> <Y>", "set <name> in <space>",
     "func <name> on <space>", "family <name> map <map> y <point>")}
-# the first tokens of the lines that end a block body
+# the first tokens of the lines that end a block body; none starts with
+# one of BODY_STARTS
 KEYWORDS = {*HEADERS, "points", "opens"}
+BODY_STARTS = frozenset("0123456789-")
+# opens rows are read through a table of the names of points below this
+TABLE_POINTS = 64
 
 
 @dataclass
@@ -69,6 +74,14 @@ def _parse_set_line(body: str, lineno: int, n: int, where: str) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _point_bits(n: int) -> dict[str, int]:
+    """The bit of each point of an n-point space, by its decimal name: of
+    the tokens int() reads as a point, the one str() gives; other
+    spellings are left to _parse_set_line."""
+    return {str(p): 1 << p for p in range(n)}
+
+
 def _outside(p: int, lineno: int, n: int, where: str) -> InstanceSyntaxError:
     return InstanceSyntaxError(
         lineno, f"point {p} outside {where} (points 0..{n - 1})")
@@ -83,7 +96,7 @@ def _scan(lines: list[str], i: int) -> tuple[list[int], int]:
     while i < n:
         line = lines[i]
         if line and line[0] != "#":
-            if line.split(None, 1)[0] in KEYWORDS:
+            if line[0] not in BODY_STARTS and line.split(None, 1)[0] in KEYWORDS:
                 break
             rows.append(i)
         i += 1
@@ -109,8 +122,16 @@ def _read_space(out, head, lineno, lines, rows, nxt) -> int:
     if first == len(lines) or lines[first] != "opens":
         raise InstanceSyntaxError(first + 1, "expected: opens")
     rows, nxt = _scan(lines, first + 1)
-    opens = [_parse_set_line(lines[r], r + 1, count, f"space {name}")
-             for r in rows]
+    bit = _point_bits(min(count, TABLE_POINTS))
+    opens = []
+    for r in rows:
+        mask = 0
+        try:
+            for tok in lines[r].split():
+                mask |= bit[tok]
+        except KeyError:
+            mask = _parse_set_line(lines[r], r + 1, count, f"space {name}")
+        opens.append(mask)
     try:
         out.spaces[name] = FiniteSpace(count, opens)
     except (FibertopError, ValueError) as exc:

@@ -433,27 +433,26 @@ def sigma_separator_family(f: FiberedMap, f_side: int, t_list, y: int,
     construction: every level n >= 1 of a ``LevelIndex`` lies over it, and
     ``build_separator`` reports level 2's.  ``build_separator`` has checked
     condition (C) on each piece: osc < 1/2 on that neighborhood, which is
-    ``osc_values``, the value pinning on F and T_l, and F off the closure
-    of the upper set {phi >= 1/2}, which holds the strict one.  What is
-    left is the sigma condition that T_l lies in the interior of its
-    strict upper set {phi > 1/2}.  A failing piece's ``SearchFailed`` is
-    re-raised with the index l of the piece.
+    ``osc_values``, the value pinning on F and T_l, F off the closure of
+    the upper set {phi >= 1/2}, which holds the strict one, and T_l in the
+    interior of {phi >= 1/2}.  That last set is the strict upper set
+    {phi > 1/2} that the sigma condition asks T_l to lie inside, because
+    phi never takes the value 1/2: at each point it is k/(2^n - 1) for the
+    deepest level n whose carrier holds the point (an integer at n = 0),
+    so its denominator is odd.  On f^-1(U_y), which every level's carrier
+    holds, n is the depth.  So no check is left.  A failing piece's
+    ``SearchFailed`` is re-raised with the index l of the piece.
     """
     f.check_point(y)
     if depth < 2:
         raise ValueError("the sigma family needs depth >= 2")
-    space = f.domain
     nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y]
     results = []
     for l, t_piece in enumerate(t_list):
         try:
-            sep = build_separator(f, f_side, t_piece, y, depth, within=within)
+            results.append(build_separator(f, f_side, t_piece, y, depth,
+                                           within=within))
         except SearchFailed as exc:
             raise SearchFailed(exc.level, exc.step, l) from exc
-        upper = sep.phi.preimage(lambda v: HALF < v <= 1) & pre
-        if t_piece & pre & ~space.rel_interior(pre, upper):
-            raise CheckFailed(f"piece {l} not interior to its upper set")
-        results.append(sep)
     return SigmaSeparatorResult(nbhd, tuple(r.limit for r in results),
                                 tuple(r.checks.osc_value for r in results))

@@ -49,6 +49,8 @@ def test_every_decider_has_a_place(tracing):
 @pytest.mark.parametrize("args", [
     ["--workload", "sweep6", "--smoke", "--trace", "1"],
     ["--workload", "cli12", "--smoke"],
+    ["--workload", "canon6", "--smoke"],
+    ["--workload", "cli12", "--smoke", "--trace", "1"],
 ])
 def test_smoke_pass_meets_its_pins(args, tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

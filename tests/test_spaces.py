@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibertop.census import canonical_spaces, census_instances
+from fibertop.census import (
+    canonical_spaces,
+    census_instances,
+    minimal_nbhd_assignments,
+    space_from_min_nbhds,
+)
 from fibertop.errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
@@ -31,7 +36,7 @@ from fibertop.spaces import (
 )
 from fibertop.textfmt import parse_instance
 
-from conftest import spaces
+from conftest import make_space, spaces
 from subspace_reference import (
     Submapping,
     is_f_sigma_submapping,
@@ -213,6 +218,123 @@ class TestAgainstIntersectionFirst:
                         for x in bits(o):
                             meets[x] &= o
                     assert list(view._min_nbhd) == meets
+
+
+def _accepted(n, family):
+    space = FiniteSpace(n, family)
+    return space.opens, list(space._min_nbhd)
+
+
+def _accepted_intersection_first(n, family):
+    return (tuple(sorted(set(family))),
+            _validate_intersection_first(n, family))
+
+
+class TestAcceptanceThroughMinimalNeighborhoods:
+    """A family is accepted when each U_x holds x, the U_x nest, and their
+    unions are the family; only a rejected family runs the checks that name
+    its error.  Differential against the intersection-first check on seeded
+    labelled topologies and their one-step mutations."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_seeded_topologies_and_mutations(self, n):
+        rng = random.Random(2700 + n)
+        full = (1 << n) - 1
+        outcomes = set()
+        for _ in range(100):
+            space = make_space(n, [rng.randrange(1 << n) for _ in range(n)])
+            fam = set(space.opens)
+            x = rng.randrange(n)
+            families = [fam, {o & ~(1 << x) for o in fam}]  # x left uncovered
+            families += [fam - {o} for o in rng.sample(sorted(fam), min(4, len(fam)))]
+            others = [m for m in range(full + 1) if m not in fam]
+            families += [fam | {m} for m in rng.sample(others, min(4, len(others)))]
+            for family in families:
+                want = _outcome(_accepted_intersection_first, n, family)
+                assert _outcome(_accepted, n, family) == want, family
+                outcomes.add(want[0] if isinstance(want[0], type) else "ok")
+        assert outcomes == {"ok", MissingEmptyOrFull, NotClosedUnderUnion,
+                            NotClosedUnderIntersection}
+
+    def test_spaces_from_their_tables(self):
+        for n in range(1, 5):
+            for nbhds in minimal_nbhd_assignments(n):
+                space = space_from_min_nbhds(nbhds)
+                rebuilt = FiniteSpace(n, space.opens)
+                assert space._min_nbhd == rebuilt._min_nbhd == nbhds
+                assert space._cl_point == rebuilt._cl_point
+                assert space._opens_set == rebuilt._opens_set
+
+
+def _continuity_open_by_open(dom, cod, table):
+    """The continuity check as it was before the minimal-neighborhood one:
+    the preimage of every open of the codomain, in order, must be open."""
+    for o in cod.opens:
+        pre = mask_of(x for x in range(dom.n) if o >> table[x] & 1)
+        if not dom.is_open(pre):
+            raise NotContinuous(o, pre)
+
+
+def _continuity_outcome(check, dom, cod, table):
+    try:
+        check(dom, cod, table)
+    except NotContinuous as exc:
+        return str(exc)
+    return None
+
+
+def _seeded_maps_between(nx: int, ny: int, count: int, rng) -> list[FiberedMap]:
+    """Seeded continuous maps from nx to ny labelled points: the table is
+    drawn first, then domain links that f carries into the codomain's."""
+    out = []
+    for _ in range(count):
+        ys = make_space(ny, [rng.randrange(1 << ny) for _ in range(ny)])
+        table = [rng.randrange(ny) for _ in range(nx)]
+        nbhds = []
+        for i in range(nx):
+            u = 1 << i
+            for j in range(nx):
+                if rng.random() < 0.3 and ys.min_nbhd(table[i]) >> table[j] & 1:
+                    u |= 1 << j
+            nbhds.append(u)
+        xs = make_space(nx, nbhds)
+        out.append(FiberedMap(xs, ys, table))
+    return out
+
+
+class TestContinuityThroughMinimalNeighborhoods:
+    """f is accepted when each f^-1(U_y) is open; a rejected map names the
+    first open of the codomain whose preimage is not open, as the
+    open-by-open check did."""
+
+    def test_every_table_between_spaces_of_three_points(self):
+        labelled = [space_from_min_nbhds(nbhds) for n in range(1, 4)
+                    for nbhds in minimal_nbhd_assignments(n)]
+        verdicts = set()
+        for dom in labelled:
+            for cod in labelled:
+                for code in range(cod.n ** dom.n):
+                    table = [code // cod.n ** x % cod.n for x in range(dom.n)]
+                    want = _continuity_outcome(_continuity_open_by_open,
+                                               dom, cod, table)
+                    assert _continuity_outcome(FiberedMap, dom, cod,
+                                               table) == want
+                    verdicts.add(want is None)
+        assert verdicts == {True, False}
+
+    def test_seeded_seven_to_five_maps_with_one_image_changed(self):
+        rng = random.Random(75)
+        rejected = 0
+        for f in _seeded_maps_between(7, 5, 200, rng):
+            table = list(f.table)
+            x = rng.randrange(7)
+            table[x] = rng.choice([v for v in range(5) if v != table[x]])
+            want = _continuity_outcome(_continuity_open_by_open,
+                                       f.domain, f.codomain, table)
+            assert _continuity_outcome(FiberedMap, f.domain, f.codomain,
+                                       table) == want
+            rejected += want is not None
+        assert 0 < rejected < 200
 
 
 class TestMemoised:

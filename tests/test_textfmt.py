@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spaces
+from conftest import seeded_maps, spaces
 from fibertop.census import continuous_tables
 from fibertop.errors import InstanceSyntaxError, InstanceValidationError, SearchFailed
 from fibertop.normality import build_binary_partitions
@@ -389,3 +390,78 @@ class TestErrorPaths:
         assert type(err.value) is kind
         assert err.value.line == line
         assert str(err.value) == message
+
+
+# a 12-point space whose opens are the empty set, one row and every point;
+# the row is line 6
+TWELVE = "space X\npoints 12\nopens\n-\n{row}\n0 1 2 3 4 5 6 7 8 9 10 11\n"
+
+
+class TestOpensSpellings:
+    """Opens rows are read through a table of the points' decimal names;
+    every other spelling falls back to the per-row reader and keeps its
+    mask or its message."""
+
+    @pytest.mark.parametrize("row, mask", [
+        ("01", 0b10), ("+1", 0b10), ("1 1", 0b10), (" 0 ", 0b1), ("-", 0),
+        ("11 0", 1 << 11 | 1), ("0011", 1 << 11), ("\t3   4", 0b11000)])
+    def test_accepted(self, row, mask):
+        space = parse_instance(TWELVE.format(row=row)).spaces["X"]
+        assert space.opens == tuple(sorted({0, mask, (1 << 12) - 1}))
+        # the same row in a set block, which reads rows one at a time
+        text = TWELVE.format(row="5") + f"set A in X\n{row}\n"
+        assert parse_instance(text).sets["A"] == ("X", mask)
+
+    @pytest.mark.parametrize("row, message", [
+        ("- 1", "line 5: bad point list '- 1'"),
+        ("x", "line 5: bad point list 'x'"),
+        ("0 x", "line 5: bad point list '0 x'"),
+        ("1 -", "line 5: bad point list '1 -'"),
+        ("12", "line 5: point 12 outside space X (points 0..11)"),
+        ("3 -1", "line 5: point -1 outside space X (points 0..11)"),
+        ("1.0", "line 5: bad point list '1.0'")])
+    def test_rejected(self, row, message):
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(TWELVE.format(row=row))
+        assert str(err.value) == message
+
+    def test_points_past_the_name_table(self):
+        # a 70-point space: point names above the table's reach still parse
+        full = (1 << 70) - 1
+        text = ("space X\npoints 70\nopens\n-\n69\n"
+                + " ".join(map(str, range(70))) + "\n")
+        assert parse_instance(text).spaces["X"].opens == (0, 1 << 69, full)
+        with pytest.raises(InstanceSyntaxError) as err:
+            parse_instance(text.replace("\n69\n", "\n70\n"))
+        assert str(err.value) == "line 5: point 70 outside space X (points 0..69)"
+
+
+def _seeded_twelve_point_instances(count: int, seed: int):
+    """Seeded instances on 12 points in all: a continuous map, a closed set
+    of its domain, and a partial function on its codomain."""
+    rng = random.Random(seed)
+    for f in seeded_maps(count, 12, seed):
+        inst = InstanceFile()
+        inst.spaces["X"], inst.spaces["Y"] = f.domain, f.codomain
+        inst.maps["f"] = f
+        inst.map_names["f"] = ("X", "Y")
+        inst.sets["F"] = ("X", f.domain.closure(rng.randrange(1 << f.domain.n)))
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(f.codomain.n)]
+        inst.funcs["phi"] = ("Y", RationalFunction.on_carrier(
+            f.codomain, rng.randrange(1 << f.codomain.n), lambda y: vals[y]))
+        yield inst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_twelve_point_files_round_trip(seed, tmp_path):
+    for k, inst in enumerate(_seeded_twelve_point_instances(10, seed)):
+        path = tmp_path / f"i{k}.top"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        parsed = parse_instance(path.read_text(encoding="utf-8"))
+        assert parsed == inst
+        for name, space in inst.spaces.items():
+            again = parsed.spaces[name]
+            assert again._min_nbhd == space._min_nbhd
+            assert again._cl_point == space._cl_point
+        assert parsed.maps["f"]._nbhd_pre == inst.maps["f"]._nbhd_pre

@@ -568,6 +568,32 @@ class TestSigmaSeparatorFamily:
         with pytest.raises(SearchFailed):
             sigma_separator_family(f, 0b001, [0b010], 0, 3)
 
+    @pytest.mark.parametrize("depth", [2, 3, 6])
+    def test_separators_never_take_one_half_on_the_preimage(self, depth):
+        """On f^-1(U_y) every separator value is k/(2^depth - 1), so the
+        strict and the closed upper sets agree there and condition (C)'s
+        interior check is the sigma one (see sigma_separator_family)."""
+        built = 0
+        for inst in census_instances(5):
+            f = inst.f
+            closed = sorted(f.domain.full ^ o for o in f.domain.opens)
+            for fm, t in combinations(closed, 2):
+                if fm & t or not t:
+                    continue
+                for y in range(f.codomain.n):
+                    try:
+                        sep = build_separator(f, fm, t, y, depth)
+                    except FibertopError:
+                        continue
+                    built += 1
+                    pre = f._nbhd_pre[y]
+                    values = [sep.phi.values[x] for x in range(f.domain.n)
+                              if pre >> x & 1]
+                    assert Fraction(1, 2) not in values
+                    assert all(((1 << depth) - 1) % v.denominator == 0
+                               for v in values)
+        assert built > 3000
+
     def test_sigma_normal_census_success(self):
         for inst in census_instances(4):
             f = inst.f
