@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .spaces import FiberedMap, FiniteSpace
+from .spaces import FiberedMap, FiniteSpace, _unions
 
 _LABELED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 _CANONICAL_CACHE: dict[int, tuple[FiniteSpace, ...]] = {}
@@ -70,7 +70,7 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
 def space_from_min_nbhds(nbhds) -> FiniteSpace:
     """The topology generated by a minimal-neighborhood assignment: its
     opens are the unions of the neighborhoods, and nbhds[x] is U_x."""
-    return FiniteSpace._from_min_nbhds(nbhds)
+    return FiniteSpace(len(nbhds), _unions(nbhds), _trusted=True)
 
 
 def all_spaces(n: int):

@@ -58,14 +58,18 @@ def _union_tables(images) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
-def _unions(nbhds) -> set[int]:
+def _unions(nbhds, within=None):
     """Every union of the masks in nbhds, the empty one included: one set
     comprehension per mask that is not already such a union (the set is
-    closed under union after each step)."""
+    closed under union after each step).  Given a set within, None as soon
+    as a union falls outside it; each step at most doubles the set, so the
+    work is then at most 2 * len(within) per mask."""
     unions = {0}
     for u in nbhds:
         if u not in unions:
             unions |= {o | u for o in unions}
+            if within is not None and not unions <= within:
+                return None
     return unions
 
 
@@ -106,8 +110,8 @@ class FiniteSpace:
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
         self.full = full = (1 << n) - 1
-        fam_set = set(map(int, opens))
-        family = sorted(fam_set)
+        self._opens_set = fam_set = frozenset(map(int, opens))
+        self.opens = family = tuple(sorted(fam_set))
         if family and (family[0] < 0 or family[-1] > full):
             for o in family:
                 if o & ~full:
@@ -127,38 +131,21 @@ class FiniteSpace:
                 if covered == full:
                     break
         if not _trusted:
-            self._validate(family, fam_set, min_nbhd)
-        self._fill(family, fam_set, min_nbhd)
-
-    @classmethod
-    def _from_min_nbhds(cls, nbhds) -> "FiniteSpace":
-        """The space whose minimal neighborhoods are nbhds, which must be a
-        preorder table (see _is_preorder): its opens are the unions of the
-        U_x, and U_x is the table's entry."""
-        space = cls.__new__(cls)
-        space.n = len(nbhds)
-        space.full = (1 << space.n) - 1
-        unions = _unions(nbhds)
-        space._fill(sorted(unions), unions, nbhds)
-        return space
-
-    def _fill(self, family, fam_set, min_nbhd) -> None:
-        self.opens = tuple(family)
-        self._opens_set = frozenset(fam_set)
+            self._validate(min_nbhd)
         self._min_nbhd = tuple(min_nbhd)
         # z is in cl{x} iff x lies in every open around z, i.e. x in min_nbhd(z)
-        cl_point = [0] * self.n
-        for z, u in enumerate(min_nbhd):
-            for x in bits(u):
+        cl_point = [0] * n
+        for z in range(n):
+            for x in bits(min_nbhd[z]):
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
         self._closure_tables = self._hull_tables = None  # built on first use
         self._memo = None  # see memoised, on first use
         self._canon = None
 
-    def _validate(self, family, fam_set, least) -> None:
-        """Raise unless family is a topology; least[x] is the numerically
-        least open containing x, or 0 if no open holds x.
+    def _validate(self, least) -> None:
+        """Raise unless the opens are a topology; least[x] is the
+        numerically least open containing x, or 0 if no open holds x.
 
         A family is a topology iff each least[x] holds x, the least[x] nest
         (y in least[x] puts least[y] inside least[x]), and the family is
@@ -179,9 +166,11 @@ class FiniteSpace:
         then a proper subset of least[y] and so not open; otherwise the
         intersections are the least[x] and the union error stands.  The
         checks together are the three conditions above, so one of them
-        raises.
+        raises.  The unions are built only while they stay in the family,
+        so a malformed family costs at most its own size per point.
         """
-        if _is_preorder(least) and _unions(least) == fam_set:
+        family, fam_set = self.opens, self._opens_set
+        if _is_preorder(least) and _unions(least, fam_set) == fam_set:
             return
         if 0 not in fam_set:
             raise MissingEmptyOrFull("family must contain the empty set")

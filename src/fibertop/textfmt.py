@@ -39,10 +39,8 @@ from .spaces import FiberedMap, FiniteSpace, bits, mask_of
 HEADERS = {shape.split()[0]: shape.split() for shape in (
     "space <name>", "map <name> <X> -> <Y>", "set <name> in <space>",
     "func <name> on <space>", "family <name> map <map> y <point>")}
-# the first tokens of the lines that end a block body; none starts with
-# one of BODY_STARTS
+# the first tokens of the lines that end a block body
 KEYWORDS = {*HEADERS, "points", "opens"}
-BODY_STARTS = frozenset("0123456789-")
 # opens rows are read through a table of the names of points below this
 TABLE_POINTS = 64
 
@@ -96,7 +94,7 @@ def _scan(lines: list[str], i: int) -> tuple[list[int], int]:
     while i < n:
         line = lines[i]
         if line and line[0] != "#":
-            if line[0] not in BODY_STARTS and line.split(None, 1)[0] in KEYWORDS:
+            if line.split(None, 1)[0] in KEYWORDS:
                 break
             rows.append(i)
         i += 1

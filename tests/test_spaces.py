@@ -12,6 +12,7 @@ from fibertop.census import (
     space_from_min_nbhds,
 )
 from fibertop.errors import (
+    InstanceValidationError,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -255,6 +256,22 @@ class TestAcceptanceThroughMinimalNeighborhoods:
                 outcomes.add(want[0] if isinstance(want[0], type) else "ok")
         assert outcomes == {"ok", MissingEmptyOrFull, NotClosedUnderUnion,
                             NotClosedUnderIntersection}
+
+    def test_singletons_without_their_unions(self):
+        """The U_x of the empty set, the 40 singletons and the full set
+        nest, but their 2^40 unions are not the family: the union walk
+        stops at the first one outside it."""
+        n = 40
+        text = ("space S\npoints 40\nopens\n-\n"
+                + "".join(f"{x}\n" for x in range(n))
+                + " ".join(map(str, range(n))) + "\n")
+        with pytest.raises(NotClosedUnderUnion,
+                           match=r"^union of opens \{39\} and \{0\} is not open$"):
+            FiniteSpace(n, [0, *(1 << x for x in range(n)), (1 << n) - 1])
+        with pytest.raises(InstanceValidationError) as err:
+            parse_instance(text)
+        assert str(err.value) == ("space S (line 1): union of opens {39} "
+                                  "and {0} is not open")
 
     def test_spaces_from_their_tables(self):
         for n in range(1, 5):
