@@ -146,8 +146,7 @@ def census_instances(max_total: int, max_side: int | None = None):
                 for yi, y_space in enumerate(ys):
                     for mi, tab in enumerate(continuous_tables(x_space, y_space)):
                         uid = f"x{nx}.{xi:03d}-y{ny}.{yi:03d}-m{mi:03d}"
-                        yield Instance(uid, FiberedMap(x_space, y_space, tab,
-                                                       _trusted=True))
+                        yield Instance(uid, FiberedMap(x_space, y_space, tab))
 
 
 def sampled_instances(n_max: int, count: int, seed: int):
@@ -163,7 +162,6 @@ def sampled_instances(n_max: int, count: int, seed: int):
         y_space = space_from_min_nbhds(ys[rng.randrange(len(ys))])
         tables = continuous_tables(x_space, y_space)
         tab = tables[rng.randrange(len(tables))]
-        out.append(Instance(f"s{k:04d}", FiberedMap(x_space, y_space, tab,
-                                                    _trusted=True)))
+        out.append(Instance(f"s{k:04d}", FiberedMap(x_space, y_space, tab)))
     return out
 

@@ -37,7 +37,7 @@ from .normality import (
     is_sigma_normal,
     perfect_witnesses,
 )
-from .oscillation import weighted_sum
+from .oscillation import RationalFunction, weighted_sum
 from .spaces import bits
 from .textfmt import parse_instance, serialize_family
 from .urysohn_tietze import build_separator, sigma_separator_family, tietze_extend, verify_condition_C, verify_condition_D
@@ -211,15 +211,15 @@ def cmd_build(args) -> int:
         rep = is_f_functionally_open(f, u)
         out["holds"] = rep.holds
         if rep.holds:
-            witness = rep.witnesses[y]
-            fam = next((w.family for w in perfect_witnesses(f)
-                        if w.open_mask == u and w.y == y), None)
-            if fam is not None:
-                weights = [Fraction(1, 1 << (l + 1)) for l in range(len(fam))]
-                total = weighted_sum(f, fam, weights, y)
-                out["phi"] = [str(v) for v in total.phi.values]
-            else:
-                out["phi"] = [str(v) for v in witness.phi.values]
+            # the indicators of the components of f^-1(U_y) that meet U,
+            # none of which leaves U, weighted 1/2, 1/4, ...
+            space = f.domain
+            fam = tuple(RationalFunction.indicator(space, comp)
+                        for comp in space.nbhd_classes(f._nbhd_pre[y])
+                        if comp & u) or (RationalFunction.constant(space, 0),)
+            weights = [Fraction(1, 1 << (l + 1)) for l in range(len(fam))]
+            total = weighted_sum(f, fam, weights, y)
+            out["phi"] = [str(v) for v in total.phi.values]
         else:
             code = 1
             out["counterexample"] = {"y": rep.counterexample[0],

@@ -98,24 +98,20 @@ class Condition2Violated(PartitionError):
         super().__init__(f"prefix through {p} meets closure of blocks >= {p + 2}")
 
 
-class FamilyError(FibertopError):
-    pass
-
-
-class NeighborhoodNotNested(FamilyError):
+class NeighborhoodNotNested(FibertopError):
     def __init__(self, level: int):
         self.level = level
         super().__init__(f"neighborhood at level {level} is not inside level {level - 1}")
 
 
-class CoherenceViolated(FamilyError):
+class CoherenceViolated(FibertopError):
     def __init__(self, level: int, k: int):
         self.level = level
         self.k = k
         super().__init__(f"children of block {k} at level {level} do not recover it")
 
 
-class LevelNotRegular(FamilyError):
+class LevelNotRegular(FibertopError):
     def __init__(self, level: int, detail: Exception):
         self.level = level
         self.detail = detail
@@ -162,12 +158,6 @@ class CheckFailed(FibertopError):
 
 class PreconditionNotFContinuous(FibertopError):
     pass
-
-
-class MaxIterReached(FibertopError):
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__(f"iteration cap hit with residual {residual}")
 
 
 # --------------------------------------------------------------------- cli

@@ -556,6 +556,12 @@ def _components(f: FiberedMap) -> list[tuple[int, ...]]:
     return [f.domain.nbhd_classes(pre) for pre in f._nbhd_pre]
 
 
+def _least_opens(space: FiniteSpace) -> list[int]:
+    """The distinct minimal neighborhoods U_x, in ascending mask order:
+    where the counterexample scans look for the least failing open."""
+    return sorted(set(space._min_nbhd))
+
+
 def is_perfectly_normal(f: FiberedMap) -> PerfectNormalityReport:
     """Every open set is locally the union of the 1-sets of an equicontinuous
     family vanishing off it.
@@ -564,13 +570,21 @@ def is_perfectly_normal(f: FiberedMap) -> PerfectNormalityReport:
     minimal-neighborhood components of f^{-1}(min_nbhd(y)) only in whole
     components; every open does so iff each component lies inside U_x for
     all of its points x, which ``_least_failing_pair`` decides pointwise.
-    On failure the literal scan over (open, y) reports the first straddled
-    component; ``perfect_witnesses`` gives the witnesses.
+    ``perfect_witnesses`` gives the witnesses.
+
+    On failure the report names the first (open, y, component) of the
+    literal scan over the opens in order, then y, then the components, and
+    only the minimal neighborhoods need scanning: if an open o straddles a
+    component K of f^-1(U_y), K links some k1 in K & o to some k2 in
+    K - o.  k2 is not in U_k1, which lies inside o, so k1 is in U_k2, and
+    U_k1 straddles K too, with a mask at most o's.  So the least failing
+    open is a minimal neighborhood, and the scan over those alone stops at
+    the same (open, y, component).
     """
     if _least_failing_carrier(f, _least_failing_pair).holds:
         return PerfectNormalityReport(True, None)
     classes = _components(f)
-    for open_mask in f.domain.opens:
+    for open_mask in _least_opens(f.domain):
         for y, comps in enumerate(classes):
             for comp in comps:
                 if comp & open_mask and comp & ~open_mask:
@@ -672,11 +686,20 @@ def _open_submaps_f_sigma(f: FiberedMap):
     mask is at most u's, so the least failing open is some U_x
     (``test_deciders_match_literal_scans_on_census6`` checks this against
     the scan over every open)."""
-    for u in sorted(set(f.domain._min_nbhd)):
+    for u in _least_opens(f.domain):
         y = _f_sigma_failure(f, u)
         if y is not None:
             return (u, y)
     return None
+
+
+def _co_perfect(f: FiberedMap, base) -> CoPerfectReport:
+    """The report ``base`` of a normality class of f, plus: every open
+    submapping is F_sigma."""
+    if not base.holds:
+        return CoPerfectReport(False, False, base.counterexample)
+    bad = _open_submaps_f_sigma(f)
+    return CoPerfectReport(bad is None, True, bad)
 
 
 def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
@@ -696,21 +719,13 @@ def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
     normality (``_separation_ok``).  tests/test_acceptance.py compares
     the classes on census 6.
     """
-    base = is_normal(f)
-    if not base.holds:
-        return CoPerfectReport(False, False, base.counterexample)
-    bad = _open_submaps_f_sigma(f)
-    return CoPerfectReport(bad is None, True, bad)
+    return _co_perfect(f, is_normal(f))
 
 
 def is_co_sigma_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
     """Sigma-normality plus: every open submapping is F_sigma; perfect
     normality again (see ``is_co_perfectly_normal``)."""
-    base = is_sigma_normal(f)
-    if not base.holds:
-        return CoPerfectReport(False, False, base.counterexample)
-    bad = _open_submaps_f_sigma(f)
-    return CoPerfectReport(bad is None, True, bad)
+    return _co_perfect(f, is_sigma_normal(f))
 
 
 # ---------------------------------------------------------------- hereditary

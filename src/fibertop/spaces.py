@@ -159,15 +159,17 @@ class FiniteSpace:
         least[x]; hence the first condition.)
 
         Only a rejected family runs the checks below, which name its
-        error: the one an intersection-first check gives.  On any failure
-        they run the witness search over the intersections of the opens
-        around each point first.  It raises whenever some open misses the
-        least[y] of one of its points, since the intersection around y is
-        then a proper subset of least[y] and so not open; otherwise the
-        intersections are the least[x] and the union error stands.  The
-        checks together are the three conditions above, so one of them
-        raises.  The unions are built only while they stay in the family,
-        so a malformed family costs at most its own size per point.
+        error: the one an intersection-first check gives.  Past the
+        empty-set and cover checks, each least[x] holds x, and the witness
+        search over the intersections of the opens around each point runs
+        once.  It raises whenever some open misses the least[y] of one of
+        its points, since the intersection around y is then a proper
+        subset of least[y] and so not open; a least[x] that fails to nest
+        is such an open.  Otherwise the least[x] nest, every open is the
+        union of the least[y] of its points, and so some union of the
+        least[x] is not open: the union search names the first one.  The
+        unions are built only while they stay in the family, so a
+        malformed family costs at most its own size per point.
         """
         family, fam_set = self.opens, self._opens_set
         if _is_preorder(least) and _unions(least, fam_set) == fam_set:
@@ -180,11 +182,7 @@ class FiniteSpace:
         if covered != self.full:
             raise MissingEmptyOrFull(
                 f"no open covers point {(self.full & ~covered).bit_length() - 1}")
-        for u in least:
-            for y in bits(u):
-                if least[y] & ~u:
-                    self._intersection_witness(family, fam_set)
-                    raise AssertionError("intersection witness not found")
+        self._intersection_witness(family, fam_set)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -193,15 +191,10 @@ class FiniteSpace:
                 u = cur | least[x]
                 if u not in seen:
                     if u not in fam_set:
-                        self._intersection_witness(family, fam_set)
                         raise NotClosedUnderUnion(cur, least[x])
                     seen.add(u)
                     frontier.append(u)
-        if len(seen) != len(fam_set):
-            # some open is not a union of least opens, so it misses the
-            # least open of one of its points
-            self._intersection_witness(family, fam_set)
-            raise AssertionError("open set family inconsistent")
+        raise AssertionError("open set family inconsistent")
 
     def _intersection_witness(self, family, fam_set) -> None:
         """Raise NotClosedUnderIntersection for the first point x whose
@@ -457,8 +450,7 @@ class FiberedMap:
 
     __slots__ = ("domain", "codomain", "table", "_fiber", "_nbhd_pre")
 
-    def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, table,
-                 *, _trusted: bool = False):
+    def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, table):
         self.domain = domain
         self.codomain = codomain
         self.table = tuple(int(v) for v in table)
@@ -480,14 +472,15 @@ class FiberedMap:
         self._nbhd_pre = tuple(nbhd_pre)
         # every open of Y is the union of the U_y of its points, and
         # preimages commute with unions, so f is continuous iff each
-        # f^-1(U_y) is open; only a failure walks the opens, to name the
-        # first one whose preimage is not open
-        if not _trusted and not all(map(domain._opens_set.__contains__,
-                                        nbhd_pre)):
-            for o in codomain.opens:
-                pre = self.preimage(o)
-                if not domain.is_open(pre):
-                    raise NotContinuous(o, pre)
+        # f^-1(U_y) is open.  A failure names the first open of Y whose
+        # preimage is not open, which is the least failing U_y: a failing
+        # open o holds some y with f^-1(U_y) not open, and U_y, inside o,
+        # is at most o as a mask
+        opens = domain._opens_set
+        if not all(map(opens.__contains__, nbhd_pre)):
+            raise NotContinuous(*min(
+                (u, pre) for u, pre in zip(codomain._min_nbhd, nbhd_pre)
+                if pre not in opens))
 
     def check_point(self, y: int) -> None:
         """Raise ValueError unless y is a point of the codomain."""
@@ -554,4 +547,4 @@ def constant_map(space: FiniteSpace, target: FiniteSpace | None = None,
 
 
 def identity_map(space: FiniteSpace) -> FiberedMap:
-    return FiberedMap(space, space, range(space.n), _trusted=True)
+    return FiberedMap(space, space, range(space.n))

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .errors import (
     CheckFailed,
-    MaxIterReached,
     NotOpen,
     PreconditionNotFContinuous,
     SearchFailed,
@@ -38,6 +37,8 @@ from .partitions import ApproximateLimitFunction, assemble_limit
 from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, mask_of
 
 HALF = Fraction(1, 2)
+# verify_condition_D sweeps epsilon over 1/2^k for k = 1..EPS_LEVELS
+EPS_LEVELS = 12
 
 
 # ------------------------------------------------------------- condition (C)
@@ -212,8 +213,7 @@ class ExtensionResult:
 
 
 def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
-                  y: int, max_iter: int | None = None,
-                  tolerance: Fraction = Fraction(1, 1024),
+                  y: int, tolerance: Fraction = Fraction(1, 1024),
                   within: int | None = None) -> ExtensionResult:
     """Extend a function given on a closed carrier by separator subtraction.
 
@@ -222,12 +222,11 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     separates the +/- mu/3 level closures with an exactly
     f-continuous-at-y two-valued function, subtracts the rescaled copy, and
     certifies mu_{n+1} <= (2/3) mu_n.  The loop stops at an exact residual
-    of zero or once the geometric bound drops below the tolerance; an
-    explicit max_iter that cuts the loop earlier raises MaxIterReached.
+    of zero or once the geometric bound drops below the tolerance.
 
     Every call checks y, the tolerance, ``within`` and the carrier.  Past
     those checks the run depends only on the domain and on
-    (P = f^{-1}(min_nbhd(y)), phit.values, tolerance, max_iter), so
+    (P = f^{-1}(min_nbhd(y)), phit.values, tolerance), so
     successful results are memoised per domain space on that key, the
     tolerance keyed as its numerator and denominator.  The values fix the
     carrier, being None exactly off it.  The remaining check, that phit
@@ -254,11 +253,11 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     if not space.rel_is_closed(f.preimage(within), f_carrier):
         raise ValueError("the carrier must be relatively closed over the context open")
     return space.memoised(_extension_walk, f._nbhd_pre[y], phit.values,
-                          tolerance.numerator, tolerance.denominator, max_iter)
+                          tolerance.numerator, tolerance.denominator)
 
 
 def _extension_walk(space: FiniteSpace, pre: int, values, tol_num: int,
-                    tol_den: int, max_iter: int | None) -> ExtensionResult:
+                    tol_den: int) -> ExtensionResult:
     """The separator-subtraction iteration over P = ``pre`` for boundary
     ``values`` (None off the carrier) and the positive tolerance
     tol_num / tol_den; raises on the first failed check.  It runs, and
@@ -302,8 +301,6 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol_num: int,
     separators = []
     n = 0
     while mu and geo_lhs > geo_rhs:
-        if max_iter is not None and n >= max_iter:
-            raise MaxIterReached(Fraction(mu, scale * 3 ** n))
         # over scale * 3^(n+1) the thresholds +/- mu/3 are +/- mu
         cur = [3 * c for c in cur]
         low = high = 0
@@ -379,8 +376,7 @@ class ConditionDReport(NamedTuple):
 
 
 def verify_condition_D(f: FiberedMap, f_carrier: int, phit: RationalFunction,
-                       phi: RationalFunction, y: int,
-                       eps_levels: int = 12) -> ConditionDReport:
+                       phi: RationalFunction, y: int) -> ConditionDReport:
     """Check the extension contract independently of how phi was produced.
 
     (a) needs an open G around y with exact agreement on the carrier trace;
@@ -392,7 +388,7 @@ def verify_condition_D(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     trace = f_carrier & f.preimage(nbhd)
     agreement = phit.agrees_with(phi, trace)
     sup = _sup_difference(phit, phi, trace)
-    failures = tuple(k for k in range(1, eps_levels + 1)
+    failures = tuple(k for k in range(1, EPS_LEVELS + 1)
                      if not sup < Fraction(1, 1 << k))
     return ConditionDReport(
         agreement_ok=agreement,

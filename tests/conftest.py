@@ -128,3 +128,17 @@ def seeded_maps(count: int, total: int, seed: int) -> list[FiberedMap]:
         out.append(FiberedMap(space_from_min_nbhds(xs),
                               space_from_min_nbhds(ys), table))
     return out
+
+
+def shuffled(f: FiberedMap, rng: random.Random) -> FiberedMap:
+    """f with the points of its domain and codomain renamed by seeded
+    permutations.  ``seeded_maps`` numbers each U_i below i, so its mask
+    order is its point order; a renamed copy tells the two apart."""
+    dom, cod = f.domain, f.codomain
+    px, py = list(range(dom.n)), list(range(cod.n))
+    rng.shuffle(px)
+    rng.shuffle(py)
+    table = [0] * dom.n
+    for x, v in enumerate(f.table):
+        table[px[x]] = py[v]
+    return FiberedMap(dom.relabel(px), cod.relabel(py), table)

