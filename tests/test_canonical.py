@@ -1,7 +1,11 @@
 """The pruned canonical form and the bounded topology enumeration against
 their oracles in ``canonical_reference``: the brute force over every
 relabeling up to 7 points, and the pruned search without integer segments
-or twin pruning at 8."""
+or twin pruning at 8.
+
+``canonical_form`` reads most forms from ``spaces._FORMS``, filled by
+whichever test ran first, so every oracle comparison also runs the search
+itself, ``FiniteSpace._least_form``, on the same labeling."""
 
 import random
 from itertools import permutations
@@ -15,6 +19,7 @@ from fibertop.census import (
     minimal_nbhd_assignments,
     space_from_min_nbhds,
 )
+from fibertop import spaces as spaces_module
 from fibertop.spaces import FiniteSpace, chain, discrete, indiscrete
 
 from canonical_reference import (
@@ -43,6 +48,7 @@ class TestCanonicalAgainstReference:
                 form = canonical_form_reference(space)
                 for perm in permutations(range(n)):
                     forms[space.relabel(perm).opens] = form
+            assert space._least_form() == forms[space.opens]
             assert space.canonical_form() == forms[space.opens]
         assert len(set(forms.values())) == len(canonical_spaces(n))
 
@@ -51,28 +57,31 @@ class TestCanonicalAgainstReference:
         rng = random.Random(5417)
         for _ in range(150):
             space = space_from_min_nbhds(labelled[rng.randrange(len(labelled))])
-            assert space.canonical_form() == canonical_form_reference(space)
+            form = canonical_form_reference(space)
+            assert space._least_form() == form == space.canonical_form()
 
     def test_seeded_picks_at_seven_points(self):
         rng = random.Random(7211)
         for _ in range(12):
             space = make_space(7, [rng.randrange(1 << 7) for _ in range(7)])
-            assert space.canonical_form() == canonical_form_reference(space)
+            form = canonical_form_reference(space)
+            assert space._least_form() == form == space.canonical_form()
 
     @pytest.mark.parametrize("make", [discrete, indiscrete, chain])
     @pytest.mark.parametrize("n", [6, 7])
     def test_symmetric_spaces(self, make, n):
         space = make(n)
-        assert space.canonical_form() == canonical_form_reference(space)
+        form = canonical_form_reference(space)
+        assert space._least_form() == form == space.canonical_form()
 
     @pytest.mark.parametrize("make", [discrete, indiscrete, chain])
     def test_symmetric_spaces_at_the_cap(self, make):
         # these opens are already least over the relabelings: the brute
         # force over 8! permutations would only return them unchanged
         space = make(8)
-        assert space.canonical_form() == space.opens
-        perm = [3, 7, 0, 5, 1, 6, 2, 4]
-        assert space.relabel(perm).canonical_form() == space.opens
+        assert space._least_form() == space.opens == space.canonical_form()
+        moved = space.relabel([3, 7, 0, 5, 1, 6, 2, 4])
+        assert moved._least_form() == space.opens == moved.canonical_form()
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -138,8 +147,9 @@ class TestCanonicalAgainstPrunedReference:
         perm = list(range(space.n))
         rng.shuffle(perm)
         form = canonical_form_pruned_reference(space)
-        assert space.canonical_form() == form
-        assert space.relabel(perm).canonical_form() == form
+        moved = space.relabel(perm)
+        assert space._least_form() == form == space.canonical_form()
+        assert moved._least_form() == form == moved.canonical_form()
 
     def test_seeded_spaces_at_eight_points(self):
         rng = random.Random(8191)
@@ -151,6 +161,61 @@ class TestCanonicalAgainstPrunedReference:
         self._check(TWIN_RICH_SUMS[name], random.Random(name))
 
 
+class TestFormCache:
+    """``canonical_form`` searches once per key, the minimal-neighborhood
+    table relabeled into the stable order of (|U_x|, |cl{x}|)."""
+
+    @pytest.mark.parametrize("n, sorted_labelings", [(1, 1), (2, 3), (3, 9),
+                                                     (4, 36), (5, 158)])
+    def test_one_entry_per_sorted_labeling(self, monkeypatch, n, sorted_labelings):
+        monkeypatch.setattr(spaces_module, "_FORMS", {})
+        for nbhds in minimal_nbhd_assignments(n):
+            space_from_min_nbhds(nbhds).canonical_form()
+        assert len(spaces_module._FORMS) == sorted_labelings
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_a_key_is_its_own_key(self, n):
+        keys = set()
+        for nbhds in minimal_nbhd_assignments(n):
+            key = space_from_min_nbhds(nbhds)._sorted_table()
+            keyed = space_from_min_nbhds(key)
+            assert keyed._sorted_table() == key
+            ranks = [(keyed.min_nbhd(x).bit_count(),
+                      keyed.closure_point(x).bit_count()) for x in range(n)]
+            assert ranks == sorted(ranks)
+            keys.add(key)
+        # every labeling whose ranks are sorted is its own key, and so is
+        # one of them
+        assert len(keys) == sum(
+            space_from_min_nbhds(nbhds)._sorted_table() == nbhds
+            for nbhds in minimal_nbhd_assignments(n))
+
+    @pytest.mark.parametrize("n, seed", [(6, 61), (7, 71), (8, 81)])
+    def test_seeded_relabelings_read_the_search_form(self, monkeypatch, n, seed):
+        rng = random.Random(seed)
+        copies = []
+        for _ in range(6):
+            # one seeded link per point keeps the spaces apart; dense
+            # seeds mostly close up to the indiscrete space
+            space = make_space(n, [1 << rng.randrange(n) for _ in range(n)])
+            form = space._least_form()
+            for _ in range(4):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                copies.append((space.relabel(perm), form))
+        for moved, form in copies:
+            monkeypatch.setattr(spaces_module, "_FORMS", {})
+            assert moved._least_form() == form == moved.canonical_form()
+        monkeypatch.setattr(spaces_module, "_FORMS", {})
+        for moved, form in copies:
+            FiniteSpace(n, moved.opens).canonical_form()
+        filled = dict(spaces_module._FORMS)
+        assert len(filled) < len(copies)
+        for moved, form in copies:
+            assert FiniteSpace(n, moved.opens).canonical_form() == form
+        assert spaces_module._FORMS == filled
+
+
 @settings(max_examples=80, deadline=None)
 @given(spaces(), st.randoms(use_true_random=False))
 def test_relabelling_keeps_the_form(space, rng):
@@ -158,12 +223,11 @@ def test_relabelling_keeps_the_form(space, rng):
     perm = list(range(space.n))
     rng.shuffle(perm)
     moved = space.relabel(perm)
-    assert moved.canonical_form() == form
+    assert moved.canonical_form() == form == moved._least_form()
     assert form <= space.opens and form <= moved.opens
     assert FiniteSpace(space.n, form).canonical_form() == form
 
 
-@pytest.mark.tier2
 def test_canonical_classes_at_six_points():
     # OEIS A001930
     assert len(canonical_spaces(6)) == 718

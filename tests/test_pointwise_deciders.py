@@ -94,7 +94,9 @@ def test_closed_carrier_failures_reach_a_point_closure():
 def test_hereditary_closed_forms_match_carrier_loops():
     """The closed forms of the three hereditary deciders report the same
     offending carriers as the pointwise carrier loops they replaced, on
-    census 6 and on seeded maps at the 12-point cap."""
+    census 6 and on seeded maps at the 12-point cap, as drawn and renamed
+    (``seeded_maps`` numbers its points in mask order, and the least
+    offending carrier depends on the labelling; the verdicts do not)."""
     def failures(maps) -> list[int]:
         count = [0, 0, 0]
         for f in maps:
@@ -112,9 +114,12 @@ def test_hereditary_closed_forms_match_carrier_loops():
         return count
 
     assert failures(inst.f for inst in census_instances(6)) == [433, 1952, 398]
-    assert failures(seeded_maps(30, 12, seed=7)) == [11, 29, 9]
-    assert failures(seeded_maps(30, 12, seed=8)) == [17, 28, 15]
-    assert failures(seeded_maps(30, 12, seed=9)) == [12, 27, 11]
+    for maps_seed, pinned in ((7, [11, 29, 9]), (8, [17, 28, 15]),
+                              (9, [12, 27, 11])):
+        maps = seeded_maps(30, 12, seed=maps_seed)
+        assert failures(maps) == pinned
+        rng = random.Random(maps_seed)
+        assert failures([shuffled(f, rng) for f in maps]) == pinned
 
 
 @seed(20261019)

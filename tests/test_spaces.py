@@ -680,3 +680,12 @@ class TestFSigmaSubmapping:
 def test_factories_are_valid():
     for space in [sierpinski(), discrete(3), chain(4), point()]:
         FiniteSpace(space.n, space.opens)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]])
+def test_relabel_rejects_what_is_not_a_permutation(perm):
+    # [0, 0, 1] used to give {∅, {0}, {0 1}} on 3 points with U_2 = 0, and
+    # [0, 1] an IndexError
+    with pytest.raises(ValueError, match=r"perm \[.*\] is not a permutation "
+                                         r"of 0\.\.2"):
+        chain(3).relabel(perm)
