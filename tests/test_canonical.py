@@ -30,6 +30,13 @@ from canonical_reference import (
 from conftest import make_space, spaces
 
 
+def seeded_space(n: int, rng: random.Random) -> FiniteSpace:
+    """A seeded space with one drawn link per point; denser seeds mostly
+    close up to the indiscrete space (11 of 12 at 7 points, 18 of 20 at
+    8 with every mask drawn)."""
+    return make_space(n, [1 << rng.randrange(n) for _ in range(n)])
+
+
 class TestEnumerationAgainstReference:
     @pytest.mark.parametrize("n", range(7))
     def test_same_assignments_in_same_order(self, n):
@@ -63,7 +70,7 @@ class TestCanonicalAgainstReference:
     def test_seeded_picks_at_seven_points(self):
         rng = random.Random(7211)
         for _ in range(12):
-            space = make_space(7, [rng.randrange(1 << 7) for _ in range(7)])
+            space = seeded_space(7, rng)
             form = canonical_form_reference(space)
             assert space._least_form() == form == space.canonical_form()
 
@@ -154,7 +161,7 @@ class TestCanonicalAgainstPrunedReference:
     def test_seeded_spaces_at_eight_points(self):
         rng = random.Random(8191)
         for _ in range(20):
-            self._check(make_space(8, [rng.randrange(1 << 8) for _ in range(8)]), rng)
+            self._check(seeded_space(8, rng), rng)
 
     @pytest.mark.parametrize("name", sorted(TWIN_RICH_SUMS))
     def test_twin_rich_sums(self, name):
@@ -184,8 +191,7 @@ class TestFormCache:
                       keyed.closure_point(x).bit_count()) for x in range(n)]
             assert ranks == sorted(ranks)
             keys.add(key)
-        # every labeling whose ranks are sorted is its own key, and so is
-        # one of them
+        # the keys are exactly the labelings that are their own key
         assert len(keys) == sum(
             space_from_min_nbhds(nbhds)._sorted_table() == nbhds
             for nbhds in minimal_nbhd_assignments(n))
@@ -195,9 +201,7 @@ class TestFormCache:
         rng = random.Random(seed)
         copies = []
         for _ in range(6):
-            # one seeded link per point keeps the spaces apart; dense
-            # seeds mostly close up to the indiscrete space
-            space = make_space(n, [1 << rng.randrange(n) for _ in range(n)])
+            space = seeded_space(n, rng)
             form = space._least_form()
             for _ in range(4):
                 perm = list(range(n))
@@ -207,7 +211,7 @@ class TestFormCache:
             monkeypatch.setattr(spaces_module, "_FORMS", {})
             assert moved._least_form() == form == moved.canonical_form()
         monkeypatch.setattr(spaces_module, "_FORMS", {})
-        for moved, form in copies:
+        for moved, _ in copies:
             FiniteSpace(n, moved.opens).canonical_form()
         filled = dict(spaces_module._FORMS)
         assert len(filled) < len(copies)
