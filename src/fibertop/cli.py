@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .census import census_instances, sampled_instances
-from .errors import CapExceeded, FibertopError
+from .errors import CapExceeded, CheckFailed, FibertopError, HypothesisFailed
 from .harness import (
     classify,
     digest,
@@ -188,7 +188,7 @@ def cmd_build(args) -> int:
                 sep = build_separator(f, f_side, t_side, y, args.depth)
                 rep = verify_condition_C(f, f_side, t_side, y, sep.phi, sep.nbhd)
                 if not rep.all_ok:
-                    raise FibertopError("separator failed re-verification")
+                    raise CheckFailed("separator failed re-verification")
                 out["Oy"] = _points(sep.nbhd)
                 out["phi"] = [str(v) for v in sep.phi.values]
                 out["osc"] = str(rep.osc_value)
@@ -388,13 +388,18 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return COMMANDS[args.command](args)
+    except (CheckFailed, HypothesisFailed) as exc:
+        # raised only on the program's own output: a broken invariant
+        internal = exc
     except (FibertopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        internal = exc
+    traceback.print_exception(internal)
+    print(f"internal error: {type(internal).__name__}: {internal}",
+          file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -620,31 +620,19 @@ def perfect_witnesses(f: FiberedMap):
 
 
 @dataclass(frozen=True)
-class FunctionalWitness:
-    y: int
-    nbhd: int
-    phi: RationalFunction
-
-
-@dataclass(frozen=True)
 class FunctionalReport:
     holds: bool
-    witnesses: tuple[FunctionalWitness, ...]
     counterexample: tuple[int, int] | None  # (y, offending component)
 
 
 def is_f_functionally_open(f: FiberedMap, u: int) -> FunctionalReport:
     """Is U locally cut out as phi^{-1}((0,1]) by f-continuous functions?"""
     space = f.domain
-    witnesses = []
     for y, region in enumerate(f._nbhd_pre):
-        nbhd = f.codomain.min_nbhd(y)
         for comp in space.nbhd_classes(region):
             if comp & u and comp & ~u:
-                return FunctionalReport(False, tuple(witnesses), (y, comp))
-        phi = RationalFunction.indicator(space, u & region)
-        witnesses.append(FunctionalWitness(y, nbhd, phi))
-    return FunctionalReport(True, tuple(witnesses), None)
+                return FunctionalReport(False, (y, comp))
+    return FunctionalReport(True, None)
 
 
 # ------------------------------------------------------- co-perfect variants

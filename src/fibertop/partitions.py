@@ -58,21 +58,24 @@ def validate_regular_partition(space: FiniteSpace, carrier: int,
     if union != carrier:
         raise NotCovering(f"blocks cover {points_text(union)}, carrier is "
                           f"{points_text(carrier)}")
+    # closure commutes with unions: once the earlier prefixes are closed, a
+    # prefix is closed iff it holds the closure of its last block, and the
+    # closure of a suffix is the union of its blocks' closures
     k = len(blocks)
     prefix = 0
     prefixes = []
-    for b in blocks:
+    for p, b in enumerate(blocks):
         prefix |= b
         prefixes.append(prefix)
-    for p in range(k):
-        if space.rel_closure(carrier, prefixes[p]) != prefixes[p]:
+        if b and space.rel_closure(carrier, b) & ~prefix:
             raise PrefixNotClosed(p)
     if k >= 3:
-        suffix = 0
         suffix_cl = [0] * k
+        cl = 0
         for m in range(k - 1, -1, -1):
-            suffix |= blocks[m]
-            suffix_cl[m] = space.rel_closure(carrier, suffix)
+            if blocks[m]:
+                cl |= space.rel_closure(carrier, blocks[m])
+            suffix_cl[m] = cl
         for p in range(k - 2):
             if prefixes[p] & suffix_cl[p + 2]:
                 raise Condition2Violated(p)

@@ -22,11 +22,6 @@ MAX_CANONICAL_POINTS = 8
 # canonical forms by FiniteSpace._sorted_table, filled by canonical_form
 _FORMS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-# closure and hull lookups split a mask into chunks of this many points,
-# one table of 2^CHUNK_BITS unions per chunk
-CHUNK_BITS = 12
-_CHUNK = (1 << CHUNK_BITS) - 1
-
 
 def mask_of(points) -> int:
     m = 0
@@ -45,20 +40,6 @@ def bits(mask: int):
 
 def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
-
-
-def _union_tables(images) -> tuple[list[int], ...]:
-    """Per chunk of CHUNK_BITS points, the union of images[x] over the
-    points x of every submask: t[m] = t[m ^ low] | images[low]."""
-    tables = []
-    for base in range(0, len(images), CHUNK_BITS):
-        chunk = images[base:base + CHUNK_BITS]
-        table = [0] * (1 << len(chunk))
-        for m in range(1, len(table)):
-            low = m & -m
-            table[m] = table[m ^ low] | chunk[low.bit_length() - 1]
-        tables.append(table)
-    return tuple(tables)
 
 
 def _unions(nbhds, within=None):
@@ -108,7 +89,7 @@ class FiniteSpace:
     """A validated topology on points 0..n-1, opens stored as sorted bitmasks."""
 
     __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
-                 "_closure_tables", "_hull_tables", "_canon", "_memo")
+                 "_memo")
 
     def __init__(self, n: int, opens, *, _trusted: bool = False):
         self.n = n
@@ -142,9 +123,7 @@ class FiniteSpace:
             for x in bits(min_nbhd[z]):
                 cl_point[x] |= 1 << z
         self._cl_point = tuple(cl_point)
-        self._closure_tables = self._hull_tables = None  # built on first use
         self._memo = None  # see memoised, on first use
-        self._canon = None
 
     def _validate(self, least) -> None:
         """Raise unless the opens are a topology; least[x] is the
@@ -250,13 +229,12 @@ class FiniteSpace:
         return self._cl_point[x]
 
     def closure(self, mask: int) -> int:
-        tables = self._closure_tables
-        if tables is None:
-            tables = self._closure_tables = _union_tables(self._cl_point)
-        out = 0
-        for table in tables:
-            out |= table[mask & _CHUNK]
-            mask >>= CHUNK_BITS
+        """Union of the point closures cl{x} over the points x of mask."""
+        cl, out = self._cl_point, 0
+        while mask:
+            low = mask & -mask
+            out |= cl[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def interior(self, mask: int) -> int:
@@ -264,13 +242,11 @@ class FiniteSpace:
 
     def hull(self, mask: int) -> int:
         """Smallest open superset (union of minimal neighborhoods)."""
-        tables = self._hull_tables
-        if tables is None:
-            tables = self._hull_tables = _union_tables(self._min_nbhd)
-        out = 0
-        for table in tables:
-            out |= table[mask & _CHUNK]
-            mask >>= CHUNK_BITS
+        nbhd, out = self._min_nbhd, 0
+        while mask:
+            low = mask & -mask
+            out |= nbhd[low.bit_length() - 1]
+            mask ^= low
         return out
 
     # ------------------------------------------------- relative (subspace) ops
@@ -362,15 +338,12 @@ class FiniteSpace:
         key's, so they have the same least form; the invariant only sets
         how often the key repeats.
         """
-        if self._canon is not None:
-            return self._canon
         if self.n > MAX_CANONICAL_POINTS:
             raise ValueError("canonical form capped at 8 points")
         key = self._sorted_table()
         form = _FORMS.get(key)
         if form is None:
             form = _FORMS[key] = self._least_form()
-        self._canon = form
         return form
 
     def _sorted_table(self) -> tuple[int, ...]:

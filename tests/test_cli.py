@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from fibertop import census, cli, normality
 from fibertop.cli import main
+from fibertop.errors import CheckFailed, HypothesisFailed
+from fibertop.urysohn_tietze import ConditionCReport
 
 DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
 
@@ -700,6 +703,38 @@ class TestInternalError:
         assert main(["check", "normal", d2_file]) == 3
         captured = capsys.readouterr()
         assert "internal error" in captured.err and "invariant broke" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("exc", [
+        CheckFailed("separator conditions ['osc_ok']"),
+        HypothesisFailed("step", 3),
+    ])
+    def test_broken_separator_build_exits_3(self, const_d2_file, capsys,
+                                            monkeypatch, exc):
+        # the builders raise these only on their own output, never on the
+        # input file
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_separator", broken)
+        assert main(["build", "separator", const_d2_file,
+                     "--F", "F", "--T", "T", "--y", "0"]) == 3
+        captured = capsys.readouterr()
+        assert f"internal error: {type(exc).__name__}: {exc}" in captured.err
+        assert captured.out == ""
+
+    def test_failed_separator_re_verification_exits_3(self, const_d2_file,
+                                                      capsys, monkeypatch):
+        def failing(*args):
+            return ConditionCReport(False, True, True, True, True,
+                                    Fraction(1, 2))
+
+        monkeypatch.setattr(cli, "verify_condition_C", failing)
+        assert main(["build", "separator", const_d2_file,
+                     "--F", "F", "--T", "T", "--y", "0"]) == 3
+        captured = capsys.readouterr()
+        assert ("internal error: CheckFailed: verification check failed: "
+                "separator failed re-verification") in captured.err
         assert captured.out == ""
 
 

@@ -25,8 +25,15 @@ from fibertop.normality import (
     verify_perfect_witness,
 )
 from fibertop.classical import space_normal
-from fibertop.oscillation import RationalFunction, osc_on_set, weighted_sum
+from fibertop.cli import main
+from fibertop.oscillation import (
+    RationalFunction,
+    is_f_continuous_at,
+    osc_on_set,
+    weighted_sum,
+)
 from fibertop.spaces import bits, constant_map, identity_map, point
+from fibertop.textfmt import _fmt_set
 from fibertop.urysohn_tietze import sigma_separator_family
 from subspace_reference import is_f_sigma_subset, restrict_map
 
@@ -407,19 +414,36 @@ class TestFunctionallyOpenClosed:
         assert is_f_functionally_open(f, 0).holds
         assert is_f_functionally_open(f, S.full).holds
 
-    def test_duality(self):
-        # the closed complement of U is the zero set of each witness on
-        # f^{-1}(U_y), so U is functionally open iff its complement is
-        # functionally closed, with the same witnesses
+    def test_printed_phi_cuts_out_u(self, tmp_path, capsys):
+        # where U is f-functionally open, the phi that build
+        # functional-witness prints for y is positive exactly on U within
+        # f^{-1}(U_y), and f-continuous at y
+        path = tmp_path / "map.top"
         checked = 0
         for inst in census_instances(4):
             f = inst.f
-            for u in f.domain.opens:
-                rep = is_f_functionally_open(f, u)
-                for w in rep.witnesses if rep.holds else ():
-                    region = f.preimage(w.nbhd)
-                    zero = w.phi.preimage(lambda v: v == 0) & region
-                    assert zero == (f.domain.full ^ u) & region
+            dom, cod = f.domain, f.codomain
+            lines = []
+            for name, space in (("X", dom), ("Y", cod)):
+                lines += [f"space {name}", f"points {space.n}", "opens"]
+                lines += [_fmt_set(o) for o in space.opens]
+            lines.append("map f X -> Y")
+            lines += [f"{x} -> {v}" for x, v in enumerate(f.table)]
+            for i, u in enumerate(dom.opens):
+                lines += [f"set U{i} in X", _fmt_set(u)]
+            path.write_text("\n".join(lines) + "\n")
+            for (i, u), y in product(enumerate(dom.opens), range(cod.n)):
+                code = main(["--json", "build", "functional-witness",
+                             str(path), "--F", f"U{i}", "--y", str(y)])
+                out = json.loads(capsys.readouterr().out)
+                assert out["holds"] == is_f_functionally_open(f, u).holds
+                assert code == (0 if out["holds"] else 1)
+                if out["holds"]:
+                    phi = RationalFunction.total(dom, out["phi"])
+                    region = f.preimage(cod.min_nbhd(y))
+                    positive = phi.preimage(lambda v: v > 0) & region
+                    assert positive == u & region, (inst.uid, u, y)
+                    assert is_f_continuous_at(f, phi, y).holds
                     checked += 1
         assert checked > 300
 

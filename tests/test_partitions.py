@@ -26,12 +26,30 @@ from fibertop.partitions import (
     validate_consistent_family,
     validate_regular_partition,
 )
-from fibertop.spaces import constant_map, discrete, identity_map, indiscrete
+from fibertop.spaces import bits, constant_map, discrete, identity_map, indiscrete
 from levels_reference import (
     interiors_cover_check,
     limit_extrapolation,
     stepwise_function,
 )
+
+
+def _literal_failure(space, carrier, blocks):
+    """(PrefixNotClosed, p) for the first p whose prefix union is not
+    closed in the carrier, else (Condition2Violated, p) for the first p
+    whose prefix meets the closure of the union of blocks p + 2 on, else
+    None."""
+    k = len(blocks)
+    unions = [0] * (k + 1)
+    for i, b in enumerate(blocks):
+        unions[i + 1] = unions[i] | b
+    for p in range(k):
+        if space.rel_closure(carrier, unions[p + 1]) != unions[p + 1]:
+            return PrefixNotClosed, p
+    for p in range(k - 2):
+        if unions[p + 1] & space.rel_closure(carrier, carrier & ~unions[p + 2]):
+            return Condition2Violated, p
+    return None
 
 
 def all_ordered_partitions(space, k):
@@ -66,6 +84,29 @@ class TestRegularPartition:
             validate_regular_partition(D2, D2.full, (0b11, 0b01))
         with pytest.raises(NotCovering):
             validate_regular_partition(D2, D2.full, (0b01, 0))
+
+    def test_first_failure_is_the_literal_one(self):
+        # every ordered partition, empty blocks included, of every carrier
+        # of the canonical spaces up to 3 points into up to 5 blocks: the
+        # error and its p are those of the definition, read with whole
+        # prefix and suffix unions
+        for n in range(1, 4):
+            for space in canonical_spaces(n):
+                for carrier in range(space.full + 1):
+                    points = list(bits(carrier))
+                    for k in range(1, 6):
+                        for assign in product(range(k), repeat=len(points)):
+                            blocks = [0] * k
+                            for x, b in zip(points, assign):
+                                blocks[b] |= 1 << x
+                            want = _literal_failure(space, carrier, blocks)
+                            try:
+                                validate_regular_partition(space, carrier,
+                                                           blocks)
+                                got = None
+                            except (PrefixNotClosed, Condition2Violated) as exc:
+                                got = (type(exc), exc.p)
+                            assert got == want, (space.opens, carrier, blocks)
 
 
 class TestInteriorsCover:

@@ -460,9 +460,9 @@ def _per_bit(table, mask: int) -> int:
     return out
 
 
-class TestLookupTables:
-    """closure and hull read lookup tables; they must equal the unions of
-    singleton closures and minimal neighborhoods."""
+class TestPointUnions:
+    """closure and hull of a mask are the unions of the singleton closures
+    and of the minimal neighborhoods of its points."""
 
     def _check(self, space, masks):
         for m in masks:
@@ -480,7 +480,7 @@ class TestLookupTables:
         self._check(space, range(1 << 12))
 
     @pytest.mark.parametrize("make", [chain, indiscrete])
-    def test_masks_spanning_several_tables(self, make):
+    def test_masks_past_twelve_points(self, make):
         space = make(30)  # few opens, so the space itself stays small
         rng = random.Random(5)
         self._check(space, [rng.getrandbits(30) for _ in range(500)]
