@@ -12,7 +12,9 @@ sets the run length.  After the pairs it makes one traced run per side
 (`--trace 1`, which traces every workload) on seed TRACED_SEED.  The result goes to
 BENCH_<label>.json: per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and whether the change's
-median stays within the bound BENCHMARK.json fixes.  A claim
+median stays within the bound BENCHMARK.json fixes; and the traced runs'
+layers and per-workload traced counters, with whether the two sides'
+counters are equal.  A claim
 WORKLOAD:METRIC:GAIN is met when the change wins at least nine tenths of
 the pairs, the medians differ by more than the parent's interquartile
 range, and the change's median is better by at least GAIN.
@@ -36,6 +38,7 @@ import tempfile
 SIDES = ("parent", "change")
 TRACED_SEED = 1
 _DIGEST = re.compile(r"^  (\w+) output digest (\w+)$", re.M)
+_TRACED = re.compile(r"^  (\w+) traced counters (\{.*\})$", re.M)
 
 
 def extract(rev: str, dest: str) -> str:
@@ -49,6 +52,14 @@ def extract(rev: str, dest: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def read_stdout(text: str) -> dict:
+    """The output digest and, in a traced run, the traced counters that
+    bench/run.py prints for each workload."""
+    return {"digests": dict(_DIGEST.findall(text)),
+            "traced_counters": {w: json.loads(counts)
+                                for w, counts in _TRACED.findall(text)}}
+
+
 def bench(root: str, args: list) -> dict:
     """One bench/run.py run in root: its exit code, summary and digests."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -60,7 +71,7 @@ def bench(root: str, args: list) -> dict:
         raise RuntimeError(f"bench/run.py {args} printed nothing:\n{proc.stderr}")
     out = json.loads(lines[-1])
     out["exit"] = proc.returncode
-    out["digests"] = dict(_DIGEST.findall(proc.stdout))
+    out.update(read_stdout(proc.stdout))
     return out
 
 
@@ -153,8 +164,12 @@ def main(argv=None) -> int:
                        f"run per side after the pairs",
             "runs": {side: {"exit": r["exit"], "failed": r["failed"],
                             "digests": r["digests"],
+                            "traced_counters": r["traced_counters"],
                             "layers": {k: v["value"] for k, v in r["metrics"].items()}}
                      for side, r in traced.items()},
+            "traced_counters_equal": bool(traced["parent"]["traced_counters"])
+            and traced["parent"]["traced_counters"]
+            == traced["change"]["traced_counters"],
         },
     }
     for w, by_side in runs.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .spaces import FiberedMap, FiniteSpace, _unions
+from .spaces import MAX_CANONICAL_POINTS, FiberedMap, FiniteSpace
 
 _LABELED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 _CANONICAL_CACHE: dict[int, tuple[FiniteSpace, ...]] = {}
@@ -70,7 +70,7 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
 def space_from_min_nbhds(nbhds) -> FiniteSpace:
     """The topology generated by a minimal-neighborhood assignment: its
     opens are the unions of the neighborhoods, and nbhds[x] is U_x."""
-    return FiniteSpace(len(nbhds), _unions(nbhds), _trusted=True)
+    return FiniteSpace.from_min_nbhds(nbhds)
 
 
 def all_spaces(n: int):
@@ -78,16 +78,25 @@ def all_spaces(n: int):
         yield space_from_min_nbhds(nbhds)
 
 
+def _check_cap(n: int) -> None:
+    """ValueError, before any enumeration, when n-point spaces have no
+    canonical form."""
+    if n > MAX_CANONICAL_POINTS:
+        raise ValueError(f"canonical spaces are capped at "
+                         f"{MAX_CANONICAL_POINTS} points, not {n}")
+
+
 def canonical_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """Homeomorphism representatives, canonically labeled and sorted."""
     cached = _CANONICAL_CACHE.get(n)
     if cached is not None:
         return cached
+    _check_cap(n)
     seen = {}
     for space in all_spaces(n):
         form = space.canonical_form()
         if form not in seen:
-            seen[form] = FiniteSpace(n, form, _trusted=True)
+            seen[form] = FiniteSpace(n, form)
     result = tuple(seen[form] for form in sorted(seen))
     _CANONICAL_CACHE[n] = result
     return result
@@ -137,8 +146,9 @@ def census_instances(max_total: int, max_side: int | None = None):
     """Every continuous map between canonical spaces with |X|+|Y| bounded,
     and with at most max_side points on either side when it is given.  The
     bound only drops instances: the others keep their uids and order."""
-    side = max_total if max_side is None else max_side
-    for nx in range(1, min(max_total - 1, side) + 1):
+    side = min(max_total - 1, max_total if max_side is None else max_side)
+    _check_cap(side)
+    for nx in range(1, side + 1):
         for ny in range(1, min(max_total - nx, side) + 1):
             xs = canonical_spaces(nx)
             ys = canonical_spaces(ny)

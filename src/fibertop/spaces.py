@@ -9,6 +9,8 @@ deciders cheap enough to run over whole censuses of spaces.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
@@ -57,16 +59,64 @@ def _unions(nbhds, within=None):
     return unions
 
 
-def _is_preorder(table) -> bool:
-    """Whether each table[x] holds x and the table nests: z in table[x]
-    puts table[z] inside table[x]."""
+def _point_closures(table, full):
+    """cl{x} per point, from a minimal-neighborhood table on the points of
+    full: z is in cl{x} iff x is in U_z.  None unless the table is a
+    preorder there: each U_x holds x and no point outside full (a negative
+    mask has bits outside it), and z in U_x puts U_z inside U_x.  Given
+    the first two, the last holds iff the U_z over z in U_x join to U_x."""
+    cl = [0] * len(table)
     for x, u in enumerate(table):
+        if u & ~full or not u >> x & 1:
+            return None
+        xbit, rest, join = 1 << x, u, 0
+        while rest:
+            low = rest & -rest
+            z = low.bit_length() - 1
+            join |= table[z]
+            cl[z] |= xbit
+            rest ^= low
+        if join != u:
+            return None
+    return tuple(cl)
+
+
+def _table_error(table) -> ValueError:
+    """The error of a table that _point_closures rejects, naming its first
+    bad point: first any U_x that uses a point outside 0..n-1 or misses
+    x, then the first x whose U_x holds a z with U_z not inside U_x."""
+    n = len(table)
+    for x, u in enumerate(table):
+        if u & ~((1 << n) - 1):
+            return ValueError(f"minimal neighborhood {points_text(u)} of "
+                              f"point {x} uses points outside 0..{n - 1}")
         if not u >> x & 1:
-            return False
+            return ValueError(f"minimal neighborhood {points_text(u)} of "
+                              f"point {x} does not hold {x}")
+    for x, u in enumerate(table):
         for z in bits(u):
             if table[z] & ~u:
-                return False
-    return True
+                return ValueError(
+                    f"minimal neighborhood {points_text(u)} of point {x} "
+                    f"holds {z} but not its minimal neighborhood "
+                    f"{points_text(table[z])}")
+    raise AssertionError("minimal-neighborhood table is a preorder")
+
+
+def _moved_table(table, order) -> tuple[int, ...]:
+    """The minimal-neighborhood table with point order[i] renamed i."""
+    new_bit = [0] * len(table)
+    for i, x in enumerate(order):
+        new_bit[x] = 1 << i
+    out = []
+    for x in order:
+        u, m = table[x], 0
+        while u:
+            low = u & -u
+            m |= new_bit[low.bit_length() - 1]
+            u ^= low
+        out.append(m)
+    return tuple(out)
 
 
 def _nbhd_classes(space: "FiniteSpace", region: int) -> tuple[int, ...]:
@@ -86,16 +136,19 @@ def _nbhd_classes(space: "FiniteSpace", region: int) -> tuple[int, ...]:
 
 
 class FiniteSpace:
-    """A validated topology on points 0..n-1, opens stored as sorted bitmasks."""
+    """A validated topology on points 0..n-1, held as its minimal
+    neighborhoods U_x and point closures cl{x}.  Its opens, ascending
+    bitmasks, are given to FiniteSpace(n, opens) and derived from the U_x
+    on first read in a space built by from_min_nbhds."""
 
-    __slots__ = ("n", "full", "opens", "_opens_set", "_min_nbhd", "_cl_point",
+    __slots__ = ("n", "full", "_opens", "_open_set", "_min_nbhd", "_cl_point",
                  "_memo")
 
-    def __init__(self, n: int, opens, *, _trusted: bool = False):
+    def __init__(self, n: int, opens):
         self.n = n
         self.full = full = (1 << n) - 1
-        self._opens_set = fam_set = frozenset(map(int, opens))
-        self.opens = family = tuple(sorted(fam_set))
+        self._open_set = fam_set = frozenset(map(int, opens))
+        self._opens = family = tuple(sorted(fam_set))
         if family and (family[0] < 0 or family[-1] > full):
             for o in family:
                 if o & ~full:
@@ -109,25 +162,62 @@ class FiniteSpace:
         for o in family:
             new = o & ~covered
             if new:
-                for x in bits(new):
-                    min_nbhd[x] = o
                 covered |= new
+                while new:
+                    low = new & -new
+                    min_nbhd[low.bit_length() - 1] = o
+                    new ^= low
                 if covered == full:
                     break
-        if not _trusted:
-            self._validate(min_nbhd)
-        self._min_nbhd = tuple(min_nbhd)
-        # z is in cl{x} iff x lies in every open around z, i.e. x in min_nbhd(z)
-        cl_point = [0] * n
-        for z in range(n):
-            for x in bits(min_nbhd[z]):
-                cl_point[x] |= 1 << z
-        self._cl_point = tuple(cl_point)
+        self._min_nbhd = min_nbhd = tuple(min_nbhd)
+        self._cl_point = cl = _point_closures(min_nbhd, full)
+        if cl is None or _unions(min_nbhd, fam_set) != fam_set:
+            self._reject(min_nbhd)
         self._memo = None  # see memoised, on first use
 
-    def _validate(self, least) -> None:
-        """Raise unless the opens are a topology; least[x] is the
-        numerically least open containing x, or 0 if no open holds x.
+    @classmethod
+    def from_min_nbhds(cls, nbhds) -> "FiniteSpace":
+        """The space whose minimal neighborhoods are nbhds: U_x = nbhds[x].
+
+        A table is some space's iff it is a preorder (see _point_closures),
+        and then the opens are the unions of the U_x.  They are derived on
+        the first read of opens or _opens_set, which canonical_form on a
+        known key never makes.  ValueError names the first bad point."""
+        table = tuple(map(index, nbhds))
+        n = len(table)
+        full = (1 << n) - 1
+        cl = _point_closures(table, full)
+        if cl is None:
+            raise _table_error(table)
+        space = cls.__new__(cls)
+        space.n, space.full = n, full
+        space._opens = space._open_set = None
+        space._min_nbhd, space._cl_point = table, cl
+        space._memo = None
+        return space
+
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """The opens as ascending masks."""
+        if self._opens is None:
+            self._derive_opens()
+        return self._opens
+
+    @property
+    def _opens_set(self) -> frozenset[int]:
+        """The opens as a set, for membership tests."""
+        if self._open_set is None:
+            self._derive_opens()
+        return self._open_set
+
+    def _derive_opens(self) -> None:
+        # a space built by from_min_nbhds: its opens are the unions of its U_x
+        self._open_set = fam_set = frozenset(_unions(self._min_nbhd))
+        self._opens = tuple(sorted(fam_set))
+
+    def _reject(self, least) -> None:
+        """Raise the error of opens that are not a topology; least[x] is
+        the numerically least open containing x, or 0 if no open holds x.
 
         A family is a topology iff each least[x] holds x, the least[x] nest
         (y in least[x] puts least[y] inside least[x]), and the family is
@@ -140,8 +230,9 @@ class FiniteSpace:
         point x has least[x] = 0, and may still be the unions of its
         least[x]; hence the first condition.)
 
-        Only a rejected family runs the checks below, which name its
-        error: the one an intersection-first check gives.  Past the
+        __init__ tests the three conditions (the first two through
+        _point_closures); only a rejected family comes here, and the checks
+        below name its error: the one an intersection-first check gives.  Past the
         empty-set and cover checks, each least[x] holds x, and the witness
         search over the intersections of the opens around each point runs
         once.  It raises whenever some open misses the least[y] of one of
@@ -153,9 +244,7 @@ class FiniteSpace:
         unions are built only while they stay in the family, so a
         malformed family costs at most its own size per point.
         """
-        family, fam_set = self.opens, self._opens_set
-        if _is_preorder(least) and _unions(least, fam_set) == fam_set:
-            return
+        family, fam_set = self._opens, self._open_set
         if 0 not in fam_set:
             raise MissingEmptyOrFull("family must contain the empty set")
         covered = 0
@@ -303,10 +392,10 @@ class FiniteSpace:
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"perm {list(perm)} is not a permutation of "
                              f"0..{self.n - 1}")
-        out = []
-        for o in self.opens:
-            out.append(mask_of(perm[p] for p in bits(o)))
-        return FiniteSpace(self.n, out, _trusted=True)
+        order = [0] * self.n
+        for x, p in enumerate(perm):
+            order[p] = x
+        return FiniteSpace.from_min_nbhds(_moved_table(self._min_nbhd, order))
 
     def twins(self) -> tuple[int, ...]:
         """Per point v, the mask of its twins: the points w (v included)
@@ -358,19 +447,7 @@ class FiniteSpace:
         nbhd, cl = self._min_nbhd, self._cl_point
         # both sizes are at most MAX_CANONICAL_POINTS < 16
         rank = [u.bit_count() << 4 | c.bit_count() for u, c in zip(nbhd, cl)]
-        order = sorted(range(self.n), key=rank.__getitem__)
-        new_bit = [0] * self.n
-        for i, x in enumerate(order):
-            new_bit[x] = 1 << i
-        table = []
-        for x in order:
-            u, m = nbhd[x], 0
-            while u:
-                low = u & -u
-                m |= new_bit[low.bit_length() - 1]
-                u ^= low
-            table.append(m)
-        return tuple(table)
+        return _moved_table(nbhd, sorted(range(self.n), key=rank.__getitem__))
 
     def _least_form(self) -> tuple[int, ...]:
         """The least form of canonical_form, searched on this labeling.
@@ -541,24 +618,25 @@ class FiberedMap:
 
 
 def discrete(n: int) -> FiniteSpace:
-    return FiniteSpace(n, range(1 << n), _trusted=True)
+    return FiniteSpace.from_min_nbhds([1 << x for x in range(n)])
 
 
 def indiscrete(n: int) -> FiniteSpace:
-    return FiniteSpace(n, [0, (1 << n) - 1], _trusted=True)
+    return FiniteSpace.from_min_nbhds([(1 << n) - 1] * n)
 
 
 def sierpinski() -> FiniteSpace:
-    return FiniteSpace(2, [0, 1, 3], _trusted=True)
+    """Opens {}, {0} and {0 1}."""
+    return FiniteSpace.from_min_nbhds([1, 3])
 
 
 def chain(n: int) -> FiniteSpace:
     """Opens are the prefixes {0..k-1}; the n-point chain."""
-    return FiniteSpace(n, [(1 << k) - 1 for k in range(n + 1)], _trusted=True)
+    return FiniteSpace.from_min_nbhds([(2 << x) - 1 for x in range(n)])
 
 
 def point() -> FiniteSpace:
-    return FiniteSpace(1, [0, 1], _trusted=True)
+    return FiniteSpace.from_min_nbhds([1])
 
 
 def constant_map(space: FiniteSpace, target: FiniteSpace | None = None,

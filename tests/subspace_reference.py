@@ -43,7 +43,7 @@ def subspace(space: FiniteSpace, carrier: int) -> Subspace:
     traces = sorted({o & carrier for o in space.opens})
     sub_opens = [mask_of(index[p] for p in bits(t)) for t in traces]
     return Subspace(parent=space, carrier=carrier,
-                    space=FiniteSpace(len(pts), sub_opens, _trusted=True),
+                    space=FiniteSpace(len(pts), sub_opens),
                     points=pts)
 
 

@@ -133,6 +133,22 @@ class TestEnumeration:
                     brute.append(tuple(tab))
                 assert sorted(tables) == sorted(brute)
 
+    def test_past_the_form_cap_nothing_is_enumerated(self, monkeypatch):
+        # the cap is checked before any labelled topology is enumerated,
+        # and the census checks its largest side before its first instance
+        # a side bound within the cap keeps a larger total legal
+        assert next(census_instances(10, 1)).uid == "x1.000-y1.000-m000"
+        calls = []
+        monkeypatch.setattr(census, "minimal_nbhd_assignments",
+                            lambda n: calls.append(n) or ())
+        with pytest.raises(ValueError, match=r"^canonical spaces are capped "
+                                             r"at 8 points, not 9$"):
+            canonical_spaces(9)
+        for args in [(10,), (10, 9), (12, 9)]:
+            with pytest.raises(ValueError, match="capped at 8 points"):
+                next(census_instances(*args))
+        assert calls == []
+
     def test_census_deterministic(self):
         a = [inst.uid for inst in census_instances(4)]
         b = [inst.uid for inst in census_instances(4)]

@@ -762,6 +762,17 @@ class TestCensus:
         assert uids == [inst.uid for inst in census.census_instances(6)
                         if inst.f.domain.n <= 3 and inst.f.codomain.n <= 3]
 
+    def test_sides_past_the_form_cap_exit_2_at_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(census, "minimal_nbhd_assignments",
+                            lambda n: calls.append(n) or ())
+        assert main(["census", "--n", "9", "--total", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: canonical spaces are capped at 8 "
+                                "points, not 9\n")
+        assert calls == []
+
     def test_side_bound_at_four_points(self):
         # what `census --n 4` enumerates: total 8, no 5-, 6- or 7-point space
         assert sum(1 for _ in census.census_instances(8, 4)) == 87389

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from fibertop.errors import (
 from fibertop.spaces import (
     FiberedMap,
     FiniteSpace,
+    _unions,
     bits,
     bits_tuple,
     chain,
@@ -37,7 +39,7 @@ from fibertop.spaces import (
 )
 from fibertop.textfmt import parse_instance
 
-from conftest import make_space, seeded_maps, shuffled, spaces
+from conftest import _random_poset, make_space, seeded_maps, shuffled, spaces
 from subspace_reference import (
     Submapping,
     is_f_sigma_submapping,
@@ -281,6 +283,85 @@ class TestAcceptanceThroughMinimalNeighborhoods:
                 assert space._min_nbhd == rebuilt._min_nbhd == nbhds
                 assert space._cl_point == rebuilt._cl_point
                 assert space._opens_set == rebuilt._opens_set
+
+
+def _assert_same_space(built, want):
+    """built, a space from its table, is want, a space from its opens, in
+    every field and reading."""
+    assert built.n == want.n and built.full == want.full
+    assert built._min_nbhd == want._min_nbhd
+    assert built._cl_point == want._cl_point
+    if built.n <= 8:
+        # before the opens are read: a search reads them, a known key not
+        assert built.canonical_form() == want.canonical_form()
+    assert built.opens == want.opens
+    assert built._opens_set == want._opens_set
+    assert built == want and hash(built) == hash(want)
+
+
+def _relabel_by_opens(space, perm):
+    """The oracle for relabel: every open renamed point by point."""
+    return FiniteSpace(space.n, [mask_of(perm[p] for p in bits(o))
+                                 for o in space.opens])
+
+
+class TestFromMinNbhds:
+    """FiniteSpace.from_min_nbhds checks a table and keeps it; the opens
+    are the unions of its U_x, built on first read."""
+
+    def test_every_labelled_table_up_to_five_points(self):
+        tables = [t for n in range(1, 6) for t in minimal_nbhd_assignments(n)]
+        assert len(tables) == 7331
+        for table in tables:
+            _assert_same_space(FiniteSpace.from_min_nbhds(table),
+                               FiniteSpace(len(table), _unions(table)))
+
+    def test_seeded_tables_at_twelve_points(self):
+        rng = random.Random(3101)
+        tables = [_random_poset(12, rng, lambda i, j: True) for _ in range(40)]
+        for f in seeded_maps(40, 12, 3102):
+            tables += [f.domain._min_nbhd, f.codomain._min_nbhd]
+        for table in tables:
+            built = FiniteSpace.from_min_nbhds(table)
+            want = FiniteSpace(len(table), _unions(table))
+            if built.n > 8:
+                for space in (built, want):
+                    with pytest.raises(ValueError, match="capped at 8 points"):
+                        space.canonical_form()
+            _assert_same_space(built, want)
+
+    def test_a_known_key_builds_no_opens(self):
+        for table in minimal_nbhd_assignments(4):
+            form = FiniteSpace.from_min_nbhds(table).canonical_form()
+            space = FiniteSpace.from_min_nbhds(table)
+            assert space.canonical_form() == form
+            assert space._opens is None and space._open_set is None
+            assert space.is_open(space.full)
+            assert space._opens == tuple(sorted(_unions(table)))
+
+    @pytest.mark.parametrize("table, message", [
+        ([0b10, 0b10], r"\{1\} of point 0 does not hold 0"),
+        ([0b011, 0b110, 0b100],
+         r"\{0 1\} of point 0 holds 1 but not its minimal neighborhood "
+         r"\{1 2\}"),
+        ([0b01, 0b110], r"\{1 2\} of point 1 uses points outside 0\.\.1"),
+        # U_1 is out of range, and reached from U_0 before it is checked
+        ([0b11, 0b1010], r"\{1 3\} of point 1 uses points outside 0\.\.1"),
+        ([0b01, -1], r"-1 of point 1 uses points outside 0\.\.1"),
+        ([0b11, -2], r"-2 of point 1 uses points outside 0\.\.1"),
+        ([-2, 0b10], r"-2 of point 0 uses points outside 0\.\.1")])
+    def test_bad_tables_name_the_point(self, table, message):
+        with pytest.raises(ValueError, match=f"^minimal neighborhood {message}$"):
+            FiniteSpace.from_min_nbhds(table)
+        with pytest.raises(ValueError, match=message):
+            space_from_min_nbhds(table)
+
+    def test_relabel_moves_the_table(self):
+        for n in range(1, 5):
+            for space in canonical_spaces(n):
+                for perm in permutations(range(n)):
+                    _assert_same_space(space.relabel(perm),
+                                       _relabel_by_opens(space, perm))
 
 
 def _continuity_open_by_open(dom, cod, table):
@@ -678,8 +759,10 @@ class TestFSigmaSubmapping:
 
 
 def test_factories_are_valid():
-    for space in [sierpinski(), discrete(3), chain(4), point()]:
-        FiniteSpace(space.n, space.opens)
+    for space, opens in [(sierpinski(), [0, 1, 3]), (discrete(3), range(8)),
+                         (indiscrete(3), [0, 7]), (chain(4), [0, 1, 3, 7, 15]),
+                         (point(), [0, 1])]:
+        _assert_same_space(space, FiniteSpace(space.n, opens))
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]])
