@@ -11,7 +11,7 @@ finite spaces is equivalent to continuity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spaces import MAX_CANONICAL_POINTS, FiberedMap, FiniteSpace
 
@@ -136,8 +136,7 @@ def continuous_tables(x_space: FiniteSpace, y_space: FiniteSpace
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     uid: str
     f: FiberedMap
 

@@ -28,7 +28,6 @@ or the least failing point closure (see ``_least_failing_pair``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NotOpen, SearchFailed
@@ -107,8 +106,7 @@ def _first_failing_y(f: FiberedMap, sigma: bool, relative: bool) -> int | None:
 # --------------------------------------------------------------- f-separation
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     y: int
     nbhd: int          # open neighborhood of y in the codomain
     u: int             # subspace-open around the A trace
@@ -131,8 +129,7 @@ class SeparationCertificate:
                 and space.rel_is_open(pre, self.v))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     holds: bool
     certificates: tuple[SeparationCertificate, ...]
     failure_y: int | None
@@ -157,8 +154,7 @@ def are_f_separated(f: FiberedMap, a: int, b: int) -> SeparationReport:
     return SeparationReport(True, tuple(certs), None)
 
 
-@dataclass(frozen=True)
-class PrenormalReport:
+class PrenormalReport(NamedTuple):
     holds: bool
     counterexample: tuple[int, int, int] | None  # (A, B, failing y)
 
@@ -183,8 +179,7 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
     raise AssertionError("pointwise and literal prenormality disagree")
 
 
-@dataclass(frozen=True)
-class NormalReport:
+class NormalReport(NamedTuple):
     holds: bool
     counterexample: tuple[int, int, int, int] | None  # (O, A, B, y)
 
@@ -221,8 +216,7 @@ def is_normal(f: FiberedMap) -> NormalReport:
 # ------------------------------------------------------------ sigma variants
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(NamedTuple):
     holds: bool
     counterexample: tuple | None
 
@@ -518,16 +512,14 @@ def check_lemma_conditions(family: ConsistentBinaryFamily, f_side: int,
 # --------------------------------------------------- perfect normality family
 
 
-@dataclass(frozen=True)
-class PerfectWitness:
+class PerfectWitness(NamedTuple):
     open_mask: int
     y: int
     nbhd: int
     family: tuple[RationalFunction, ...]
 
 
-@dataclass(frozen=True)
-class PerfectNormalityReport:
+class PerfectNormalityReport(NamedTuple):
     holds: bool
     counterexample: tuple[int, int, int] | None  # (O, y, offending component)
 
@@ -619,8 +611,7 @@ def perfect_witnesses(f: FiberedMap):
 # ------------------------------------------------------- functionally open
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     holds: bool
     counterexample: tuple[int, int] | None  # (y, offending component)
 
@@ -638,8 +629,7 @@ def is_f_functionally_open(f: FiberedMap, u: int) -> FunctionalReport:
 # ------------------------------------------------------- co-perfect variants
 
 
-@dataclass(frozen=True)
-class CoPerfectReport:
+class CoPerfectReport(NamedTuple):
     holds: bool
     normality_ok: bool
     counterexample: tuple | None  # normality ce or (open carrier, y)
@@ -719,8 +709,7 @@ def is_co_sigma_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
 # ---------------------------------------------------------------- hereditary
 
 
-@dataclass(frozen=True)
-class HereditaryReport:
+class HereditaryReport(NamedTuple):
     holds: bool
     offending_carrier: int | None
 

@@ -9,7 +9,6 @@ quantifier exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -20,25 +19,38 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
-    """Point -> exact rational table, total on its carrier."""
-
+class _RationalTable(NamedTuple):
     space: FiniteSpace
     values: tuple
     carrier: int
 
-    def __post_init__(self):
-        if self.carrier & ~self.space.full:
+
+class RationalFunction(_RationalTable):
+    """Point -> exact rational table, total on its carrier.
+
+    ``__new__`` checks the table.  The NamedTuple ``_make``, which
+    ``_replace`` calls, would skip that check, so ``_make`` goes through
+    ``__new__`` here and every way of building one is checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, space: FiniteSpace, values: tuple, carrier: int):
+        if carrier & ~space.full:
             raise ValueError("carrier outside the space")
-        if len(self.values) != self.space.n:
+        if len(values) != space.n:
             raise ValueError("values table must cover all points")
-        for x in range(self.space.n):
-            on = bool(self.carrier >> x & 1)
-            if on and not isinstance(self.values[x], Fraction):
+        for x in range(space.n):
+            on = bool(carrier >> x & 1)
+            if on and not isinstance(values[x], Fraction):
                 raise ValueError(f"missing rational value at point {x}")
-            if not on and self.values[x] is not None:
+            if not on and values[x] is not None:
                 raise ValueError(f"value outside carrier at point {x}")
+        return super().__new__(cls, space, values, carrier)
+
+    @classmethod
+    def _make(cls, iterable) -> "RationalFunction":
+        return cls(*iterable)
 
     @staticmethod
     def total(space: FiniteSpace, values) -> "RationalFunction":
@@ -143,8 +155,7 @@ def is_f_continuous_at(f: FiberedMap, phi: RationalFunction, y: int) -> FContinu
     return FContinuityResult(o == 0, nbhd, o)
 
 
-@dataclass(frozen=True)
-class EquicontinuityCertificate:
+class EquicontinuityCertificate(NamedTuple):
     y: int
     nbhd: int
     bound: Fraction

@@ -11,7 +11,6 @@ converge to a function continuous along the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,8 +33,7 @@ from .oscillation import RationalFunction
 from .spaces import FiberedMap, FiniteSpace, bits
 
 
-@dataclass(frozen=True)
-class RegularKPartition:
+class RegularKPartition(NamedTuple):
     space: FiniteSpace
     carrier: int
     blocks: tuple[int, ...]
@@ -87,8 +85,7 @@ class Level(NamedTuple):
     blocks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConsistentBinaryFamily:
+class ConsistentBinaryFamily(NamedTuple):
     f: FiberedMap
     y: int
     levels: tuple[Level, ...]
@@ -184,8 +181,7 @@ def stepwise_violation(space: FiniteSpace, carriers, tables
     return increment
 
 
-@dataclass(frozen=True)
-class ApproximateLimitFunction:
+class ApproximateLimitFunction(NamedTuple):
     """Depth-N truncation of the limit function with a certified error bound.
 
     phi carries the exact paper value at points that leave the neighborhood

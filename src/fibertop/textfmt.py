@@ -26,9 +26,9 @@ Families list one (O:, blocks:) pair per level, blocks separated by '|'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import FibertopError, InstanceSyntaxError, InstanceValidationError
 from .oscillation import RationalFunction
@@ -45,14 +45,23 @@ KEYWORDS = {*HEADERS, "points", "opens"}
 TABLE_POINTS = 64
 
 
-@dataclass
-class InstanceFile:
-    spaces: dict[str, FiniteSpace] = field(default_factory=dict)
-    maps: dict[str, FiberedMap] = field(default_factory=dict)
-    map_names: dict[str, tuple[str, str]] = field(default_factory=dict)
-    sets: dict[str, tuple[str, int]] = field(default_factory=dict)
-    funcs: dict[str, tuple[str, RationalFunction]] = field(default_factory=dict)
-    families: dict[str, tuple[str, ConsistentBinaryFamily]] = field(default_factory=dict)
+class _Tables(NamedTuple):
+    spaces: dict[str, FiniteSpace]
+    maps: dict[str, FiberedMap]
+    map_names: dict[str, tuple[str, str]]
+    sets: dict[str, tuple[str, int]]
+    funcs: dict[str, tuple[str, RationalFunction]]
+    families: dict[str, tuple[str, ConsistentBinaryFamily]]
+
+
+class InstanceFile(_Tables):
+    """The objects of one instance file by name, one dict per block kind.
+    ``InstanceFile()`` holds six new empty dicts, which parsing fills."""
+
+    __slots__ = ()
+
+    def __new__(cls, *tables):
+        return super().__new__(cls, *(tables or [{} for _ in cls._fields]))
 
 
 def _parse_set_line(body: str, lineno: int, n: int, where: str) -> int:

@@ -13,7 +13,6 @@ a per-component consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -82,8 +81,7 @@ def verify_condition_C(f: FiberedMap, f_side: int, t_side: int, y: int,
     )
 
 
-@dataclass(frozen=True)
-class SeparatorResult:
+class SeparatorResult(NamedTuple):
     limit: ApproximateLimitFunction
     nbhd: int
     checks: ConditionCReport
@@ -156,8 +154,7 @@ def exact_extension_exists(f: FiberedMap, phit: RationalFunction,
 # ------------------------------------------------------------ the extension
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """The integers of one extension walk; the ``Fraction`` views are built
     only when read.
 
@@ -411,8 +408,7 @@ def boundary_function(space: FiniteSpace, f_side: int, t_side: int) -> RationalF
 # ------------------------------------------------------ sigma separator route
 
 
-@dataclass(frozen=True)
-class SigmaSeparatorResult:
+class SigmaSeparatorResult(NamedTuple):
     nbhd: int
     limits: tuple[ApproximateLimitFunction, ...]
     osc_values: tuple[Fraction, ...]

@@ -6,7 +6,6 @@ its digest and by the count of the memo entries it stores; criterion 9
 reruns everything and compares the canonical JSON byte for byte.
 """
 
-import dataclasses
 import random
 import time
 from collections import Counter
@@ -22,6 +21,7 @@ from fibertop.harness import (
     classify,
     digest,
     hierarchy_violations,
+    run_theorem_sweep,
     summarize,
     theorem_record,
 )
@@ -38,6 +38,8 @@ DEPTH = 6
 EXTENDER_BUDGET = 2
 # the sweep6 gate of the benchmark, which runs the same sweep
 SWEEP_DIGEST = "7ee68c3bf469138ada8007158c6f27ebff2a44d4a532a0f7bd72c3aecb1d1785"
+# the same sweep over |X|+|Y| <= 7, pinned by the opt-in tier2 test
+SWEEP7_DIGEST = "c6238c3207c0f1b019dd3db3759c3446ffc5a8a729db28343534caf94685e4ee"
 
 
 def run_osc_oracle(seed: int) -> dict:
@@ -255,6 +257,17 @@ def test_sweep_digest_is_the_benchmark_gate(reports):
     assert digest(reports["sweep"]) == SWEEP_DIGEST
 
 
+@pytest.mark.tier2
+def test_total_7_sweep_pin():
+    # about 8 s and 180 MB, so it runs only under -m tier2
+    sweep = run_theorem_sweep(7, DEPTH, EXTENDER_BUDGET)
+    assert digest(sweep) == SWEEP7_DIGEST
+    assert sweep["instances"] == 37634
+    for key in ("thm_mismatches", "hierarchy_violations", "anomalies",
+                "extension_contract_failures"):
+        assert sweep[key] == [], key
+
+
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # level walks (72 of them failed), successful extension runs, the
     # pointwise verdicts of the deciders and the least failing pair and
@@ -283,7 +296,7 @@ def test_extension_memo_holds_integers_only(reports):
     entries = reports["extension_memo"]
     assert len(entries) == reports["memo_entries"]["_extension_walk"]
     for space, value in entries:
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        fields = value._asdict()
         assert fields.pop("space") is space
         assert all(map(_ints_only, fields.values())), fields
 

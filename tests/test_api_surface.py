@@ -48,6 +48,8 @@ REASONED = {
     "spaces.FiberedMap.image": "part of the public map API",
     "spaces.FiberedMap.fiber": "part of the public map API",
     "oscillation.RationalFunction.restrict": "part of the public function API",
+    "oscillation.RationalFunction._make":
+        "the NamedTuple hook that _replace calls, routed through the table check",
     "urysohn_tietze.ExtensionResult.psis":
         "the paper's psi_k, the function each extension step subtracts",
     "urysohn_tietze.exact_extension_exists":

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -858,7 +857,7 @@ class TestHarnessRecords:
         def inflated(*args, **kwargs):
             res = real(*args, **kwargs)
             big = res.mus[0] * 3 ** res.iterations + 1
-            return dataclasses.replace(res, totals=res.totals[:2] + (big,))
+            return res._replace(totals=res.totals[:2] + (big,))
 
         monkeypatch.setattr(harness, "tietze_extend", inflated)
         anomalies = []
@@ -886,6 +885,18 @@ class TestHarnessRecords:
                       if run["ok"]]
         assert texts == [str(res.residual_bound) for res in results]
         assert "0" in texts and any("/" in t for t in texts)
+
+    def test_records_do_not_depend_on_the_depth_from_two(self):
+        # from level 2 on a built family's walk repeats one step (the
+        # finite Urysohn collapse of ROADMAP item 16), so every total-5
+        # record is the same at depths 2, 3 and 6; at depth 1 no level-2
+        # check runs, so some walks that level 2 rejects build, and 24
+        # records differ
+        records = {d: run_theorem_sweep(5, depth=d)["records"]
+                   for d in (1, 2, 3, 6)}
+        assert records[2] == records[3] == records[6]
+        moved = [a["id"] for a, b in zip(records[1], records[2]) if a != b]
+        assert len(moved) == 24 and moved[0] == "x3.003-y1.000-m000"
 
     def test_sampled_sweep_clean(self):
         for inst in sampled_instances(4, 40, seed=11):

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,8 @@ from fibertop.cli import main
 from fibertop.errors import CheckFailed, HypothesisFailed
 from fibertop.urysohn_tietze import ConditionCReport
 
-DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "demo.top")
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = str(ROOT / "scripts" / "demo.top")
 
 ID_D2 = """\
 space D2
@@ -859,3 +863,20 @@ class TestHarness:
         assert main(["--json", "harness", "--total", "3"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a `fibertop check` call spends most of its time importing; src keeps
+    # its records as NamedTuples because dataclasses runs generated code per
+    # class and imports inspect, ast, dis and tokenize.  The child compares
+    # its own sys.modules around the import, so a site hook does not count.
+    code = ("import sys; before = set(sys.modules); import fibertop.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fibertop.census import canonical_spaces
 from fibertop.errors import MemberNotFContinuous
 from fibertop.oscillation import (
+    ONE,
     RationalFunction,
     is_f_continuous_at,
     is_f_equicontinuous_at,
@@ -30,6 +31,36 @@ from oscillation_reference import (
 
 def indicator1(space):
     return RationalFunction.indicator(space, 0b10)
+
+
+# the ways to build a RationalFunction from a (space, values, carrier) table
+BUILDS = {
+    "constructor": lambda s, values, carrier: RationalFunction(s, values, carrier),
+    "_make": lambda s, values, carrier: RationalFunction._make((s, values, carrier)),
+    "_replace": lambda s, values, carrier: RationalFunction.constant(s, 0)._replace(
+        space=s, values=values, carrier=carrier),
+}
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("values, carrier, message", [
+        ((ONE, ONE), 0b100, "carrier outside the space"),
+        ((ONE,), 0b01, "values table must cover all points"),
+        ((ONE, None), 0b11, "missing rational value at point 1"),
+        ((ONE, 1), 0b11, "missing rational value at point 1"),
+        ((ONE, ONE), 0b01, "value outside carrier at point 1"),
+    ])
+    def test_every_build_rejects_a_bad_table(self, S, build, values, carrier,
+                                             message):
+        with pytest.raises(ValueError, match=message):
+            BUILDS[build](S, values, carrier)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_every_build_keeps_a_good_table(self, S, build):
+        phi = BUILDS[build](S, (ONE, None), 0b01)
+        assert type(phi) is RationalFunction
+        assert phi == RationalFunction.on_carrier(S, 0b01, lambda x: 1)
 
 
 class TestNorm:
