@@ -15,6 +15,10 @@ from typing import NamedTuple
 
 from .spaces import MAX_CANONICAL_POINTS, FiberedMap, FiniteSpace
 
+# the largest side a census enumerates: it first builds every labelled
+# topology of each side, and 7 points have 9,535,241 of them
+MAX_CENSUS_SIDE = 6
+
 _LABELED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 _CANONICAL_CACHE: dict[int, tuple[FiniteSpace, ...]] = {}
 
@@ -86,6 +90,14 @@ def _check_cap(n: int) -> None:
                          f"{MAX_CANONICAL_POINTS} points, not {n}")
 
 
+def check_side(n: int) -> None:
+    """ValueError, before any enumeration, when a census side is past the
+    labelled enumeration's limit."""
+    if n > MAX_CENSUS_SIDE:
+        raise ValueError(f"the labelled enumeration is capped at "
+                         f"{MAX_CENSUS_SIDE} points a side, not {n}")
+
+
 def canonical_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """Homeomorphism representatives, canonically labeled and sorted."""
     cached = _CANONICAL_CACHE.get(n)
@@ -147,6 +159,7 @@ def census_instances(max_total: int, max_side: int | None = None):
     bound only drops instances: the others keep their uids and order."""
     side = min(max_total - 1, max_total if max_side is None else max_side)
     _check_cap(side)
+    check_side(side)
     for nx in range(1, side + 1):
         for ny in range(1, min(max_total - nx, side) + 1):
             xs = canonical_spaces(nx)
@@ -160,6 +173,7 @@ def census_instances(max_total: int, max_side: int | None = None):
 
 def sampled_instances(n_max: int, count: int, seed: int):
     """Seeded random labeled instances with up to n_max points per side."""
+    check_side(n_max)
     rng = random.Random(seed)
     out = []
     for k in range(count):

@@ -3,6 +3,10 @@
 Exit codes: 0 the property holds / artifact built, 1 it fails (a
 counterexample is emitted), 2 usage or validation error, 3 internal error
 (a broken invariant of the program, never a verdict).
+
+The sweep modules (census, harness, classical) load only in the commands
+that run them, and traceback only on an internal error, so a check or
+build run imports neither.
 """
 
 from __future__ import annotations
@@ -12,19 +16,11 @@ import functools
 import json
 import os
 import sys
-import traceback
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
-from .census import census_instances, sampled_instances
 from .errors import CapExceeded, CheckFailed, FibertopError, HypothesisFailed
-from .harness import (
-    classify,
-    digest,
-    hierarchy_violations,
-    run_theorem_sweep,
-)
 from .normality import (
     build_binary_partitions,
     is_co_perfectly_normal,
@@ -237,12 +233,18 @@ def _check_total(total: int) -> int:
 
 
 def cmd_census(args) -> int:
+    from .census import census_instances, check_side, sampled_instances
+    from .harness import classify, hierarchy_violations
+
     for flag, value in (("--n", args.n), ("--sample", args.sample)):
         if value is not None and value <= 0:
             raise FibertopError(f"{flag} {value} must be positive")
     if args.sample and args.total is not None:
         raise FibertopError("--total cannot be combined with --sample")
     total = 2 * args.n if args.total is None else _check_total(args.total)
+    if args.sample:
+        # its sides bound a sampled census whatever the point cap allows
+        check_side(args.n)
     _cap(total, args)
     instances = (sampled_instances(args.n, args.sample, args.seed) if args.sample
                  else list(census_instances(total, args.n)))
@@ -270,6 +272,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_harness(args) -> int:
+    from .harness import digest, run_theorem_sweep
+
     _check_total(args.total)
     if args.budget < 0:
         raise FibertopError(f"--budget {args.budget} must not be negative")
@@ -396,6 +400,8 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         internal = exc
+    import traceback
+
     traceback.print_exception(internal)
     print(f"internal error: {type(internal).__name__}: {internal}",
           file=sys.stderr)

@@ -148,6 +148,20 @@ class TestEnumeration:
                 next(census_instances(*args))
         assert calls == []
 
+    def test_past_the_labelled_limit_nothing_is_enumerated(self, monkeypatch):
+        # sides of 7 and 8 points are within the cap of forms, but the
+        # census would first build every labelled topology of the side
+        calls = []
+        monkeypatch.setattr(census, "minimal_nbhd_assignments",
+                            lambda n: calls.append(n) or ())
+        for args, side in [((8,), 7), ((9, 8), 8), ((12, 7), 7)]:
+            with pytest.raises(ValueError, match=r"^the labelled enumeration is "
+                                                 rf"capped at 6 points a side, not {side}$"):
+                next(census_instances(*args))
+        with pytest.raises(ValueError, match="capped at 6 points a side, not 7"):
+            sampled_instances(7, 3, seed=0)
+        assert calls == []
+
     def test_census_deterministic(self):
         a = [inst.uid for inst in census_instances(4)]
         b = [inst.uid for inst in census_instances(4)]

@@ -707,6 +707,9 @@ class TestInternalError:
         assert main(["check", "normal", d2_file]) == 3
         captured = capsys.readouterr()
         assert "internal error" in captured.err and "invariant broke" in captured.err
+        # the traceback, whose module loads only on this path, comes first
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert 'raise AssertionError("invariant broke")' in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("exc", [
@@ -775,6 +778,24 @@ class TestCensus:
         assert captured.out == ""
         assert captured.err == ("error: canonical spaces are capped at 8 "
                                 "points, not 9\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--n", "7", "--total", "8"],
+        ["census", "--n", "7", "--sample", "3"],
+        ["harness", "--total", "8"]])
+    def test_sides_past_the_labelled_limit_exit_2_at_once(self, capsys,
+                                                          monkeypatch, argv):
+        # within the 8-point cap of forms, but a 7-point side would first
+        # build all 9,535,241 labelled 7-point tables
+        calls = []
+        monkeypatch.setattr(census, "minimal_nbhd_assignments",
+                            lambda n: calls.append(n) or ())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the labelled enumeration is capped "
+                                "at 6 points a side, not 7\n")
         assert calls == []
 
     def test_side_bound_at_four_points(self):

@@ -5,6 +5,7 @@ same perfect-normality witnesses, on whole censuses and on random maps."""
 
 import random
 
+import pytest
 from hypothesis import given, seed, settings
 
 import normality_reference as ref
@@ -29,6 +30,13 @@ def _disagreements(f) -> list[str]:
 
 def test_deciders_match_literal_scans_on_census6():
     bad = [(inst.uid, _disagreements(inst.f)) for inst in census_instances(6)]
+    assert [b for b in bad if b[1]] == []
+
+
+@pytest.mark.tier2
+def test_deciders_match_literal_scans_on_census7():
+    # the 37,634 maps with |X|+|Y| <= 7; it runs only under -m tier2
+    bad = [(inst.uid, _disagreements(inst.f)) for inst in census_instances(7)]
     assert [b for b in bad if b[1]] == []
 
 
