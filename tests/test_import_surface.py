@@ -106,5 +106,19 @@ def test_star_import_and_readme_quick_start_run():
             "missing = [n for n in fibertop.__all__ if n not in globals()]\n"
             "assert missing == [], missing\n"
             f"{quick_start}")
-    # it prints the separator's values, (0, 1) as Fractions, and all_ok
-    assert _run(code).endswith(" True\n")
+    # what README's comment on its last line says it prints
+    assert _run(code) == "(Fraction(0, 1), Fraction(1, 1)) True\n"
+
+
+def test_import_times_prints_the_start_up_table():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "import_times.py"), "--runs", "1"],
+        capture_output=True, text=True, check=True, timeout=120).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith("median of 1 fresh interpreters, Python ")
+    assert lines[2:4] == ["| import | compiled each time | cached bytecode |",
+                          "|---|---|---|"]
+    rows = [re.fullmatch(r"\| `import ([\w.]+)` \| \d+\.\d ms \| \d+\.\d ms \|",
+                         line) for line in lines[4:]]
+    assert [row and row.group(1) for row in rows] == [
+        "fibertop", "fibertop.census", "fibertop.cli"]
