@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotOpen, SearchFailed
+from .errors import CheckFailed, FibertopError, NotOpen, SearchFailed
 from .oscillation import RationalFunction, is_f_equicontinuous_at
 from .partitions import (
     ConsistentBinaryFamily,
     Level,
     _links,
-    block_numerators,
     validate_consistent_family,
 )
 from .spaces import FiberedMap, FiniteSpace, bits
@@ -297,18 +296,12 @@ class LevelIndex(NamedTuple):
     stepwise_ok: bool
     condition_c_ok: bool
 
-    def level(self, n: int) -> list[int]:
-        """The level-n block of every point, n >= 1."""
-        shift = self.depth - n
-        return [k >> shift for k in self.index]
-
-    def blocks(self, n: int) -> tuple[int, ...]:
-        """The 2^n blocks of level n >= 1 as masks."""
-        out = [0] * (1 << n)
-        level = self.level(n)
-        for x in bits(self.carrier):
-            out[level[x]] |= 1 << x
-        return tuple(out)
+    def level(self, n: int) -> tuple:
+        """The level-n table, n >= 1: the block of every carrier point,
+        None off the carrier."""
+        shift, carrier = self.depth - n, self.carrier
+        return tuple(k >> shift if carrier >> x & 1 else None
+                     for x, k in enumerate(self.index))
 
 
 def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
@@ -321,7 +314,9 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
     neighborhood choices collapse to the minimal neighborhood of y, so the
     chain is flat from level 1 on.  Each level refines the previous blocks
     through one canonical sandwich per block; failure of any sandwich
-    raises SearchFailed, impossible on a normal map.
+    raises SearchFailed, impossible on a normal map.  The family is then
+    re-checked, and a failure of that check is the program's own:
+    CheckFailed.
     """
     f.check_point(y)
     space, cod = f.domain, f.codomain
@@ -335,11 +330,13 @@ def build_binary_partitions(f: FiberedMap, f_side: int, t_side: int, y: int,
     if not space.rel_is_closed(base, f_side) or not space.rel_is_closed(base, t_side):
         raise ValueError("F and T must be relatively closed over the context open")
     built = build_levels(f, f_side, t_side, y, depth)
-    levels = [Level(cod.full, (space.full,))]
-    levels.extend(Level(built.nbhd, built.blocks(n))
-                  for n in range(1, depth + 1))
-    family = validate_consistent_family(
-        ConsistentBinaryFamily(f, y, tuple(levels)))
+    levels = [Level(cod.full, (0,) * space.n)] + [
+        Level(built.nbhd, built.level(n)) for n in range(1, depth + 1)]
+    family = ConsistentBinaryFamily(f, y, tuple(levels))
+    try:
+        validate_consistent_family(family)
+    except FibertopError as exc:
+        raise CheckFailed(f"built family: {exc}") from exc
     check_lemma_conditions(family, f_side, t_side)
     return family
 
@@ -428,6 +425,24 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
     B_0.  The changed walk counts B_0 after k instead of before it, which
     adds B_0 to lowers_k, V_k and cl(V_k) & W and takes it out of avoid_k:
     every sandwich passes or fails, and splits B_k, as before.
+
+    The collapse lemma: let K = hull(T & W) & W.  For depth >= 2 the walk
+    succeeds iff K is closed in W and misses F; then K is
+    ``saturation(W, T)``, and the index is 2^depth - 1 on K and 0 on
+    W \\ K.  Level 0's sandwich has lowers = T's trace and V = K, and fails
+    iff cl(K) meets F's trace; level 1 is B_0 = W \\ K, B_1 = K.  At level
+    1 the last sandwich (k = 1) again has lowers = T's trace and V = K,
+    and fails iff cl(K) meets B_0, that is, iff K is not closed in W.  If
+    K is closed in W, sandwich 0 has lowers = cl(K) & W = K and V = K, so
+    it fails iff K meets F, which is level 0's condition, and it moves no
+    point of B_0.  So level 2 is B_0 = W \\ K, B_3 = K, and every later
+    level repeats that step with the last block in place of 3.  K is then
+    open and closed in W, so a union of components, and holds T's trace;
+    and the hull in W of a point lies in its component, so K is the
+    union of the components that meet T.  When K is not closed in W,
+    level 2 fails at sandwich 1, or first at sandwich 0.  Depth 1 is the
+    exception: it stops after level 0's sandwich, so it succeeds iff
+    cl(K) misses F, with index 1 on K, closed or not.
     """
     closure, hull = space.closure, space.hull
     blocks = [(0, carrier)]   # level 0's one block, traced on W
@@ -449,7 +464,10 @@ def _level_walk(space: FiniteSpace, carrier: int, ft: int, tt: int,
                 children.append((2 * k + 1, block & v))
             prefix |= block
         blocks = children
-    index = block_numerators(space.n, blocks)
+    index = [0] * space.n
+    for k, block in blocks:
+        for x in bits(block):
+            index[x] = k
     worst = max((abs(index[x] - index[z]) for x, z in _links(space, carrier)),
                 default=0)
     return (tuple(index), worst <= 1,
@@ -487,26 +505,22 @@ def _condition_c_ok(space: FiniteSpace, carrier: int, ft: int, tt: int,
 
 def check_lemma_conditions(family: ConsistentBinaryFamily, f_side: int,
                            t_side: int) -> None:
-    """Conditions (a) and (b) on every positive level; SearchFailed-grade bug
-    if violated on builder output."""
+    """Conditions (a) and (b) on every positive level: F in block 0, T in
+    the last block, and neither in the closure of the other blocks.  Run
+    on builder output only, so a violation raises CheckFailed."""
     space = family.f.domain
     for n in range(1, family.depth + 1):
         carrier = family.carrier(n)
-        blocks = family.levels[n].blocks
-        if f_side & carrier & ~blocks[0]:
-            raise SearchFailed(n, "condition (a), F side")
-        if t_side & carrier & ~blocks[-1]:
-            raise SearchFailed(n, "condition (a), T side")
-        rest = 0
-        for b in blocks[1:]:
-            rest |= b
-        if f_side & space.rel_closure(carrier, rest):
-            raise SearchFailed(n, "condition (b), F side")
-        head = 0
-        for b in blocks[:-1]:
-            head |= b
-        if space.rel_closure(carrier, head) & t_side:
-            raise SearchFailed(n, "condition (b), T side")
+        table, top = family.levels[n].table, (1 << n) - 1
+        first = sum(1 << x for x in bits(carrier) if table[x] == 0)
+        last = sum(1 << x for x in bits(carrier) if table[x] == top)
+        rest, head = carrier & ~first, carrier & ~last
+        for which, hit in (("(a), F side", f_side & rest),
+                           ("(a), T side", t_side & head),
+                           ("(b), F side", f_side & space.rel_closure(carrier, rest)),
+                           ("(b), T side", t_side & space.rel_closure(carrier, head))):
+            if hit:
+                raise CheckFailed(f"condition {which}, at level {n}")
 
 
 # --------------------------------------------------- perfect normality family

@@ -41,48 +41,76 @@ class RegularKPartition(NamedTuple):
 
 def validate_regular_partition(space: FiniteSpace, carrier: int,
                                blocks) -> RegularKPartition:
-    """Check both regularity conditions; empty blocks are allowed."""
+    """Check both regularity conditions; empty blocks are allowed.  The
+    blocks become their table, which ``check_links`` scans."""
     blocks = tuple(int(b) for b in blocks)
     if not blocks:
         raise NotCovering("a partition needs at least one block")
-    union = 0
-    for b in blocks:
-        if b & ~carrier:
-            raise NotCovering(f"block {points_text(b)} leaves the carrier "
-                              f"{points_text(carrier)}")
-        if b & union:
-            raise NotDisjoint(f"block {points_text(b)} overlaps an earlier block")
-        union |= b
-    if union != carrier:
-        raise NotCovering(f"blocks cover {points_text(union)}, carrier is "
-                          f"{points_text(carrier)}")
-    # closure commutes with unions: once the earlier prefixes are closed, a
-    # prefix is closed iff it holds the closure of its last block, and the
-    # closure of a suffix is the union of its blocks' closures
-    k = len(blocks)
-    prefix = 0
-    prefixes = []
-    for p, b in enumerate(blocks):
-        prefix |= b
-        prefixes.append(prefix)
-        if b and space.rel_closure(carrier, b) & ~prefix:
-            raise PrefixNotClosed(p)
-    if k >= 3:
-        suffix_cl = [0] * k
-        cl = 0
-        for m in range(k - 1, -1, -1):
-            if blocks[m]:
-                cl |= space.rel_closure(carrier, blocks[m])
-            suffix_cl[m] = cl
-        for p in range(k - 2):
-            if prefixes[p] & suffix_cl[p + 2]:
-                raise Condition2Violated(p)
+    check_links(space, carrier, partition_table(space.n, carrier, blocks))
     return RegularKPartition(space, carrier, blocks)
 
 
+def partition_table(n_points: int, carrier: int, blocks) -> tuple:
+    """The table of blocks that partition the carrier: each point's block
+    index, None off the carrier.  NotCovering or NotDisjoint names the
+    first block that leaves the carrier or meets an earlier block, then
+    NotCovering a carrier the blocks do not cover."""
+    table = [None] * n_points
+    union = 0
+    for k, b in enumerate(blocks):
+        if b & ~carrier:
+            raise _leaves(b, carrier)
+        if b & union:
+            raise NotDisjoint(f"block {points_text(b)} overlaps an earlier block")
+        union |= b
+        for x in bits(b):
+            table[x] = k
+    if union != carrier:
+        raise _uncovered(union, carrier)
+    return tuple(table)
+
+
+def _leaves(block: int, carrier: int) -> NotCovering:
+    return NotCovering(f"block {points_text(block)} leaves the carrier "
+                       f"{points_text(carrier)}")
+
+
+def _uncovered(union: int, carrier: int) -> NotCovering:
+    return NotCovering(f"blocks cover {points_text(union)}, carrier is "
+                       f"{points_text(carrier)}")
+
+
+def check_links(space: FiniteSpace, carrier: int, table) -> None:
+    """Raise the first failing regularity condition of a table t that
+    covers the carrier W, read off the links (x, z) of x in W and z in
+    U_x & W.
+
+    The link lemma: t is regular iff t[x] <= t[z] <= t[x] + 1 on every
+    link.  The prefix through p, {t <= p}, is closed in W iff no point x
+    above p has a z at or below p in U_x, since cl(S) & W is the set of
+    the x in W whose U_x meets S: so the first prefix that is not closed
+    is the least t[z] over the links with t[z] < t[x].  Once every prefix
+    is closed, the prefix through p meets the closure of the blocks from
+    p + 2 on iff some x with t[x] <= p has a z in U_x with t[z] >= p + 2:
+    so the first p of condition 2 is the least t[x] over the links with
+    t[z] >= t[x] + 2."""
+    links = [(table[x], table[z]) for x, z in _links(space, carrier)]
+    below = [j for k, j in links if j < k]
+    if below:
+        raise PrefixNotClosed(min(below))
+    apart = [k for k, j in links if j > k + 1]
+    if apart:
+        raise Condition2Violated(min(apart))
+
+
 class Level(NamedTuple):
-    nbhd: int           # open neighborhood of y, as a mask in the codomain
-    blocks: tuple[int, ...]
+    """One level n of a family: an open neighborhood of y in the codomain,
+    and the index of each point's block, the numerator of the level's
+    step function over 2^n - 1, on its preimage f^-1(nbhd); None off it,
+    as a ``RationalFunction`` is off its carrier."""
+
+    nbhd: int
+    table: tuple
 
 
 class ConsistentBinaryFamily(NamedTuple):
@@ -99,59 +127,51 @@ class ConsistentBinaryFamily(NamedTuple):
 
 
 def validate_consistent_family(family: ConsistentBinaryFamily) -> ConsistentBinaryFamily:
-    """Check nesting, per-level regularity, and the child coherence equation."""
+    """Check nesting, per-level regularity, and the child coherence
+    equation t_n[x] >> 1 == t_(n-1)[x] on each level-n carrier."""
     f, y, levels = family.f, family.y, family.levels
+    space = f.domain
     if not levels:
         raise PartitionError("a family needs at least level 0")
-    if levels[0].nbhd != f.codomain.full or levels[0].blocks != (f.domain.full,):
+    if levels[0] != (f.codomain.full, (0,) * space.n):
         raise PartitionError("level 0 must be the whole codomain with one block")
-    for n, level in enumerate(levels):
-        if len(level.blocks) != 1 << n:
+    for n, (nbhd, table) in enumerate(levels):
+        if len(table) != space.n or any(
+                k is not None and not 0 <= k < 1 << n for k in table):
             raise PartitionError(f"level {n} must have {1 << n} blocks")
-        if not f.codomain.is_open(level.nbhd):
-            raise NotOpen(level.nbhd)
-        if not level.nbhd >> y & 1:
+        if not f.codomain.is_open(nbhd):
+            raise NotOpen(nbhd)
+        if not nbhd >> y & 1:
             raise PartitionError(f"level {n} neighborhood misses y={y}")
-        if n and level.nbhd & ~levels[n - 1].nbhd:
+        if n and nbhd & ~levels[n - 1].nbhd:
             raise NeighborhoodNotNested(n)
-        carrier = f.preimage(level.nbhd)
+        carrier = f.preimage(nbhd)
+        covered = sum(1 << x for x, k in enumerate(table) if k is not None)
         try:
-            validate_regular_partition(f.domain, carrier, level.blocks)
+            if covered & ~carrier:
+                k = min(table[x] for x in bits(covered & ~carrier))
+                raise _leaves(sum(1 << x for x, j in enumerate(table)
+                                  if j == k), carrier)
+            if covered != carrier:
+                raise _uncovered(covered, carrier)
+            check_links(space, carrier, table)
         except PartitionError as exc:
             raise LevelNotRegular(n, exc) from exc
         if n:
-            prev = levels[n - 1]
-            for k in range(1 << (n - 1)):
-                want = prev.blocks[k] & carrier
-                got = level.blocks[2 * k] | level.blocks[2 * k + 1]
-                if want != got:
-                    raise CoherenceViolated(n, k)
+            prev = levels[n - 1].table
+            broken = [min(prev[x], table[x] >> 1) for x in bits(carrier)
+                      if table[x] >> 1 != prev[x]]
+            if broken:
+                raise CoherenceViolated(n, min(broken))
     return family
 
 
-def block_numerators(n_points: int, blocks) -> list[int]:
-    """Each point's block index, 0 off the blocks: its step numerator.
-
-    ``blocks`` holds (k, mask) pairs, such as ``enumerate`` of a level's
-    blocks; the empty ones may be left out."""
-    idx = [0] * n_points
-    for k, block in blocks:
-        for x in bits(block):
-            idx[x] = k
-    return idx
-
-
 def _links(space: FiniteSpace, carrier: int) -> list[tuple[int, int]]:
-    """The pairs (x, z) of a point x of the carrier and a z != x in U_x."""
+    """The pairs (x, z) of a point x of the carrier and a z in
+    U_x & carrier, x itself included: every scan of the links compares
+    t[x] with t[z], which is trivial at z = x."""
     nbhd = space._min_nbhd
-    return [(x, z) for x in bits(carrier) for z in bits(nbhd[x]) if z != x]
-
-
-def _within_one_step(idx, links) -> bool:
-    for x, z in links:
-        if abs(idx[x] - idx[z]) > 1:
-            return False
-    return True
+    return [(x, z) for x in bits(carrier) for z in bits(nbhd[x] & carrier)]
 
 
 def stepwise_violation(space: FiniteSpace, carriers, tables
@@ -162,22 +182,15 @@ def stepwise_violation(space: FiniteSpace, carriers, tables
     its U_x; then ("c", n), |k'/d_{n+1} - k/d_n| > 1/d_{n+1} on
     carriers[n + 1], cross-multiplied.  With d_0 = 0 the level-0 bound is
     |k'| <= 1, the same test with d_0 read as 1."""
-    increment = last = None
+    increment = None
     for n in range(1, len(tables)):
-        carrier = carriers[n]
-        if carrier != last:
-            last = carrier
-            points = tuple(bits(carrier))
-            links = _links(space, carrier)
         lo, hi = tables[n - 1], tables[n]
-        if not _within_one_step(hi, links):
+        if any(abs(hi[x] - hi[z]) > 1 for x, z in _links(space, carriers[n])):
             return "osc", n
-        if increment is None:
-            d_lo, d_hi = (1 << (n - 1)) - 1 or 1, (1 << n) - 1
-            for x in points:
-                if abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo:
-                    increment = "c", n - 1
-                    break
+        d_lo, d_hi = (1 << (n - 1)) - 1 or 1, (1 << n) - 1
+        if increment is None and any(abs(hi[x] * d_lo - lo[x] * d_hi) > d_lo
+                                     for x in bits(carriers[n])):
+            increment = "c", n - 1
     return increment
 
 
@@ -203,9 +216,7 @@ def assemble_limit(family: ConsistentBinaryFamily) -> ApproximateLimitFunction:
         raise DepthExceeded("assembly needs depth >= 1")
     space = family.f.domain
     carriers = [family.carrier(n) for n in range(depth + 1)]
-    tables = [[0] * space.n] + [
-        block_numerators(space.n, enumerate(level.blocks))
-        for level in family.levels[1:]]
+    tables = [level.table for level in family.levels]
     failed = stepwise_violation(space, carriers, tables)
     if failed and failed[0] == "osc":
         raise CheckFailed(f"stepwise oscillation bound at level {failed[1]}")

@@ -26,13 +26,16 @@ Families list one (O:, blocks:) pair per level, blocks separated by '|'.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
+from operator import or_
 from typing import NamedTuple
 
-from .errors import FibertopError, InstanceSyntaxError, InstanceValidationError
+from .errors import (FibertopError, InstanceSyntaxError,
+                     InstanceValidationError, LevelNotRegular, PartitionError)
 from .oscillation import RationalFunction
-from .partitions import ConsistentBinaryFamily, Level, validate_consistent_family
+from .partitions import (ConsistentBinaryFamily, Level, partition_table,
+                         validate_consistent_family)
 from .spaces import FiberedMap, FiniteSpace, bits, mask_of
 
 # the header line of each block; a <placeholder> matches any one token
@@ -220,7 +223,9 @@ def _read_func(out, head, lineno, lines, rows, nxt) -> int:
 
 def _read_family(out, head, lineno, lines, rows, nxt) -> int:
     """The family's (O:, blocks:) pairs are its first rows; the first row
-    that starts no pair is where the next header must be."""
+    that starts no pair is where the next header must be.  Each level's
+    2^n blocks become its table (``_level_table``) once every pair is
+    read, and the family is validated on the tables."""
     name, mname = head[1], head[3]
     if mname not in out.maps:
         raise InstanceValidationError(f"family {name}", "unknown map", lineno)
@@ -243,15 +248,31 @@ def _read_family(out, head, lineno, lines, rows, nxt) -> int:
             raise InstanceSyntaxError(r + 1, "expected: blocks:")
         blocks = tuple(_parse_set_line(part, r + 1, fmap.domain.n, f"space {dom}")
                        for part in lines[r][len("blocks:"):].split("|"))
-        levels.append(Level(nbhd, blocks))
+        levels.append((nbhd, blocks))
         k += 2
     try:
-        fam = validate_consistent_family(
-            ConsistentBinaryFamily(fmap, ypt, tuple(levels)))
+        fam = validate_consistent_family(ConsistentBinaryFamily(
+            fmap, ypt, tuple(Level(nbhd, _level_table(fmap, n, blocks))
+                             for n, (nbhd, blocks) in enumerate(levels))))
     except FibertopError as exc:
         raise InstanceValidationError(f"family {name}", str(exc), lineno) from exc
     out.families[name] = (mname, fam)
     return rows[k] if k < len(rows) else nxt
+
+
+def _level_table(f: FiberedMap, n: int, blocks):
+    """The table of level n from its 2^n block masks, which must be
+    disjoint; validation checks the table against f^-1(O).  Level 0 is the
+    table of zeros when its one block is the domain, and else None, which
+    validation rejects as level 0."""
+    if n == 0:
+        return (0,) * f.domain.n if blocks == (f.domain.full,) else None
+    if len(blocks) != 1 << n:
+        raise PartitionError(f"level {n} must have {1 << n} blocks")
+    try:
+        return partition_table(f.domain.n, reduce(or_, blocks), blocks)
+    except PartitionError as exc:
+        raise LevelNotRegular(n, exc) from exc
 
 
 # each reader takes the instance so far, the header's tokens and line
@@ -290,8 +311,13 @@ def _fmt_set(mask: int) -> str:
 
 
 def serialize_family(fam: ConsistentBinaryFamily) -> str:
+    """One (O:, blocks:) pair per level, with all 2^n blocks of level n;
+    only the non-empty ones are formatted."""
     lines = []
-    for level in fam.levels:
-        lines.append(f"O: {_fmt_set(level.nbhd)}")
-        lines.append("blocks: " + " | ".join(_fmt_set(b) for b in level.blocks))
+    for n, (nbhd, table) in enumerate(fam.levels):
+        blocks = ["-"] * (1 << n)
+        for k in set(table) - {None}:
+            blocks[k] = _fmt_set(sum(1 << x for x, j in enumerate(table) if j == k))
+        lines.append(f"O: {_fmt_set(nbhd)}")
+        lines.append("blocks: " + " | ".join(blocks))
     return "\n".join(lines)

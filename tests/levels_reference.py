@@ -8,6 +8,13 @@
   differential tests require that walk's integer index, memoised or run
   afresh, to expand to these blocks, its two verdicts to match those read
   off these blocks, and a failure to come at the same level and step.
+- ``collapsed_walk``: the closed form of the walk (the collapse lemma of
+  ``_level_walk``).  For depth >= 2 it succeeds iff K = hull(T & W) & W
+  is closed in W and misses F, and then its index is 2^depth - 1 on
+  K = sat(W, T) and 0 elsewhere; at depth 1 it succeeds iff cl(K) misses
+  F, with index 1 on K.
+- ``level_blocks``: a level's table expanded to its 2^n block masks, the
+  shape of ``build_levels_reference``.
 - ``stepwise_function``: one level's step function k/(2^n - 1) as
   ``Fraction`` values, with its oscillation bound checked on its own.
 - ``interiors_cover_check``: the covering statement of a regular
@@ -26,11 +33,9 @@ from fibertop.partitions import (
     ConsistentBinaryFamily,
     RegularKPartition,
     _links,
-    _within_one_step,
     assemble_limit,
-    block_numerators,
 )
-from fibertop.spaces import FiberedMap, bits
+from fibertop.spaces import FiberedMap, FiniteSpace, bits
 
 
 def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
@@ -66,6 +71,33 @@ def build_levels_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
     return levels
 
 
+def collapsed_walk(space: FiniteSpace, w: int, f_side: int, t_side: int,
+                   depth: int) -> tuple[int, ...] | None:
+    """The index of ``_level_walk(space, w, F & w, T & w, depth)`` by the
+    collapse lemma, depth >= 1, or None where the walk fails.  For
+    depth >= 2 the verdict reads K from the hull, and the index reads it
+    from the components of W, which the lemma proves equal on success."""
+    k = space.hull(t_side & w) & w
+    if depth == 1:
+        if space.closure(k) & f_side & w:
+            return None
+        core, top = k, 1
+    else:
+        if space.closure(k) & w != k or k & f_side:
+            return None
+        core, top = space.saturation(w, t_side), (1 << depth) - 1
+    return tuple(top if core >> x & 1 else 0 for x in range(space.n))
+
+
+def level_blocks(table, n: int) -> tuple[int, ...]:
+    """The 2^n block masks of a level-n table (None off the carrier)."""
+    blocks = [0] * (1 << n)
+    for x, k in enumerate(table):
+        if k is not None:
+            blocks[k] |= 1 << x
+    return tuple(blocks)
+
+
 def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunction:
     """The level-n step function: k/(2^n - 1) on block k, 0 off the blocks.
 
@@ -77,8 +109,9 @@ def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunctio
     space = family.f.domain
     if n == 0:
         return RationalFunction.constant(space, 0)
-    idx = block_numerators(space.n, enumerate(family.levels[n].blocks))
-    if not _within_one_step(idx, _links(space, family.carrier(n))):
+    idx = [k or 0 for k in family.levels[n].table]
+    if any(abs(idx[x] - idx[z]) > 1
+           for x, z in _links(space, family.carrier(n))):
         raise CheckFailed(f"stepwise oscillation bound at level {n}")
     denom = (1 << n) - 1
     return RationalFunction.total(space, [Fraction(k, denom) for k in idx])
@@ -115,14 +148,12 @@ def limit_extrapolation(family: ConsistentBinaryFamily
     depth = family.depth
     space = family.f.domain
     carriers = [family.carrier(n) for n in range(depth + 1)]
-    tables = [[0] * space.n] + [
-        block_numerators(space.n, enumerate(level.blocks))
-        for level in family.levels[1:]]
+    tables = [level.table for level in family.levels]
 
     def step_stationary(n: int) -> bool:
         if family.levels[n + 1].nbhd != family.levels[n].nbhd:
             return False
-        nxt = family.levels[n + 1].blocks
+        nxt = level_blocks(tables[n + 1], n + 1)
         return all(not (nxt[2 * k] and nxt[2 * k + 1])
                    for k in range(1 << n))
 

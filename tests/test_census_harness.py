@@ -49,7 +49,7 @@ from fibertop.normality import (
 from fibertop.oscillation import RationalFunction, norm
 from fibertop.partitions import (
     assemble_limit,
-    block_numerators,
+    partition_table,
     stepwise_violation,
 )
 from fibertop.spaces import (
@@ -71,7 +71,7 @@ from harness_reference import (
     tietze_function,
     urysohn_function,
 )
-from levels_reference import build_levels_reference
+from levels_reference import build_levels_reference, collapsed_walk, level_blocks
 from subspace_reference import Submapping, is_f_sigma_submapping, subspace
 
 
@@ -264,7 +264,8 @@ def _bounds_ok(space: FiniteSpace, w: int, lists) -> bool:
 def _expand(f: FiberedMap, levels) -> list:
     """A LevelIndex in the oracle's shape: [(nbhd, blocks), ...] from 0."""
     return [(f.codomain.full, (f.domain.full,))] + [
-        (levels.nbhd, levels.blocks(n)) for n in range(1, levels.depth + 1)]
+        (levels.nbhd, level_blocks(levels.level(n), n))
+        for n in range(1, levels.depth + 1)]
 
 
 def _failure(exc: SearchFailed) -> tuple:
@@ -305,7 +306,8 @@ class TestFastPathsAgainstPublic:
                                 build_binary_partitions(f, a, b, y, depth)
                             continue
                         fam = build_binary_partitions(f, a, b, y, depth)
-                        assert ([(l.nbhd, l.blocks) for l in fam.levels]
+                        assert ([(l.nbhd, level_blocks(l.table, n))
+                                 for n, l in enumerate(fam.levels)]
                                 == _expand(f, levels)
                                 == build_levels_reference(f, a, b, y, depth))
                         lim = assemble_limit(fam)
@@ -355,7 +357,8 @@ class TestFastPathsAgainstPublic:
                 # the increment into it
                 for i in range(1, len(lists)):
                     shifted = list(lists)
-                    shifted[i] = [k + 3 for k in shifted[i]]
+                    shifted[i] = [k if k is None else k + 3
+                                  for k in shifted[i]]
                     assert not _bounds_ok(space, w, shifted)
                     assert not _stepwise_bounds_fraction_on(space, w, shifted)
                 # moving one point by one or two blocks lands on both sides
@@ -387,6 +390,31 @@ def _walk(f: FiberedMap, a: int, b: int, y: int, depth: int):
     return _expand(f, levels), levels.stepwise_ok, levels.condition_c_ok
 
 
+def _collapse_outcomes(maps, depths) -> Counter:
+    """The walk against ``collapsed_walk`` on every distinct (domain,
+    f^-1(U_y), F, T) of the maps with F and T disjoint and relatively
+    closed, in both orders, at each depth: a Counter of (depth, built,
+    built at depth 2) for depth 1 and (depth, built, None) above it."""
+    outcomes = Counter()
+    seen = set()
+    for f in maps:
+        space = f.domain
+        for w in f._nbhd_pre:
+            if (space, w) in seen:
+                continue
+            seen.add((space, w))
+            for a, b in _disjoint_pairs(space, w):
+                for depth in depths:
+                    facts, _ = normality._level_walk(space, w, a, b, depth)
+                    got = facts and facts[0]
+                    assert got == collapsed_walk(space, w, a, b, depth), (
+                        space, w, a, b, depth)
+                    later = (collapsed_walk(space, w, a, b, 2) is not None
+                             if depth == 1 else None)
+                    outcomes[depth, got is not None, later] += 1
+    return outcomes
+
+
 def _oracle(f: FiberedMap, a: int, b: int, y: int, depth: int):
     """The 2^n-block walk, with both verdicts read off its blocks: the
     stepwise bounds in rationals and condition (C) on its deepest level."""
@@ -394,7 +422,7 @@ def _oracle(f: FiberedMap, a: int, b: int, y: int, depth: int):
     if levels[0] == "failed":
         return levels
     w = f._nbhd_pre[y]
-    index = block_numerators(f.domain.n, enumerate(levels[-1][1]))
+    index = partition_table(f.domain.n, w, levels[-1][1])
     return (levels, _stepwise_bounds_fraction(f, levels),
             _condition_c_ok(f.domain, w, a & w, b & w, index, depth,
                             _spread(f.domain, w, index)))
@@ -471,6 +499,23 @@ class TestLevelWalk:
                             assert not children[2 * k]
         # the walks reach indices past 1, and non-empty blocks k >= 1
         assert counts[True] and counts[False] and counts["parent"]
+
+    def test_collapse_lemma(self):
+        # census 5 and seeded 12-point maps, every ordered disjoint pair
+        maps = [inst.f for inst in census_instances(5)]
+        maps += seeded_maps(10, 12, seed=7)
+        outcomes = _collapse_outcomes(maps, (1, 2, 3, 6))
+        # both verdicts at every depth, and the depth-1 exception: triples
+        # that build at depth 1 and fail from depth 2 on
+        assert {(d, ok) for d, ok, _ in outcomes} == {
+            (d, ok) for d in (1, 2, 3, 6) for ok in (True, False)}
+        assert outcomes[1, True, False]
+
+    @pytest.mark.tier2
+    def test_collapse_lemma_on_census6(self):
+        outcomes = _collapse_outcomes(
+            [inst.f for inst in census_instances(6)], (1, 2, 3, 6))
+        assert outcomes[1, True, False] and outcomes[6, False, None]
 
     def test_depth_16(self, V_poset):
         # U_0 pulls back to nothing, U_1 to the open point 2, and U_2 to

@@ -745,6 +745,43 @@ class TestInternalError:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("kind", ["partitions", "separator",
+                                      "sigma-family"])
+    @pytest.mark.parametrize("file, y, index, corrupt, message", [
+        # the identity of the Sierpinski space over y = 1, F = {1}, T empty:
+        # the open point 0 moved to the last block breaks condition 2 of
+        # level 2, whose prefix {1} then meets the closure of block 3
+        ("s_file", 1, (0, 0), lambda index: (63, index[1]),
+         "built family: level 2 partition not regular: prefix through 0 "
+         "meets closure of blocks >= 2"),
+        # F's point in the last block and T's in block 0
+        ("const_d2_file", 0, (0, 63), lambda index: index[::-1],
+         "condition (a), F side, at level 1"),
+        # T's point past the last block of every level, from level 1 on
+        ("const_d2_file", 0, (0, 63), lambda index: (index[0], 64),
+         "built family: level 1 must have 2 blocks"),
+    ])
+    def test_corrupted_built_family_exits_3(self, request, capsys,
+                                            monkeypatch, kind, file, y,
+                                            index, corrupt, message):
+        # the builder re-checks its own family: a failure there is an
+        # internal error, not a usage error
+        real = normality.build_levels
+
+        def corrupted(*args):
+            levels = real(*args)
+            assert levels.index == index
+            return levels._replace(index=corrupt(levels.index))
+
+        monkeypatch.setattr(normality, "build_levels", corrupted)
+        assert main(["build", kind, request.getfixturevalue(file),
+                     "--F", "F", "--T", "T", "--y", str(y)]) == 3
+        captured = capsys.readouterr()
+        assert ("internal error: CheckFailed: verification check failed: "
+                + message) in captured.err
+        assert captured.out == ""
+
+
 class TestCensus:
     def test_n2_no_violations(self, capsys):
         assert main(["census", "--n", "2"]) == 0
@@ -901,3 +938,22 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_deep_builds_smoke():
+    # the separator builds of the cli12 seed-1 files at depth 2; the
+    # digest pins their exit codes and output, and bench/ gains no file
+    # even when the environment allows bytecode
+    bench = sorted((ROOT / "bench").rglob("*"))
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "deep_builds.py"),
+         "--depth", "2"], capture_output=True, text=True, check=True,
+        timeout=120, env=env).stdout
+    builds, seconds, digest = out.splitlines()
+    assert builds == "builds: 45"
+    assert seconds.startswith("seconds: ") and float(seconds[9:]) > 0
+    assert digest == ("sha256: fa25c5452303fb9eac8378049bbf1ba9"
+                      "245ef75b480b904333536f7fdbe1eea0")
+    assert sorted((ROOT / "bench").rglob("*")) == bench

@@ -258,9 +258,9 @@ class TestSmallUrysohn:
         f = constant_map(D2)
         assert normality._sigma_separated_at(D2, f._nbhd_pre[0], 0b10, 0b01)
         (lim,) = sigma_separator_family(f, 0b01, [0b10], 0, 3).limits
-        for level in lim.family.levels[1:]:
+        for n, level in enumerate(lim.family.levels[1:], 1):
             assert level.nbhd == f.codomain.full
-            assert level.blocks[-1] == 0b10
+            assert level.table == (0, (1 << n) - 1)
 
     def test_empty_piece(self, D2):
         f = constant_map(D2)
@@ -291,9 +291,9 @@ class TestBuilders:
         f = constant_map(D2)
         fam = build_binary_partitions(f, 0b01, 0b10, 0, 3)
         for n in range(1, 4):
-            blocks = fam.levels[n].blocks
-            assert 0b01 & ~blocks[0] == 0
-            assert 0b10 & ~blocks[-1] == 0
+            table = fam.levels[n].table
+            assert table[0] == 0
+            assert table[1] == (1 << n) - 1
         check_lemma_conditions(fam, 0b01, 0b10)
 
     def test_empty_sides(self, S):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibertop.errors import (
     CheckFailed,
@@ -18,6 +20,7 @@ from fibertop.errors import (
 )
 from fibertop.census import canonical_spaces
 from fibertop.normality import build_binary_partitions
+from fibertop.partitions import check_links
 from fibertop.oscillation import is_f_continuous_at, osc_on_set
 from fibertop.partitions import (
     ConsistentBinaryFamily,
@@ -27,6 +30,7 @@ from fibertop.partitions import (
     validate_regular_partition,
 )
 from fibertop.spaces import bits, constant_map, discrete, identity_map, indiscrete
+from conftest import spaces
 from levels_reference import (
     interiors_cover_check,
     limit_extrapolation,
@@ -49,6 +53,15 @@ def _literal_failure(space, carrier, blocks):
     for p in range(k - 2):
         if unions[p + 1] & space.rel_closure(carrier, carrier & ~unions[p + 2]):
             return Condition2Violated, p
+    return None
+
+
+def _reading(space, carrier, blocks):
+    """validate_regular_partition's verdict in _literal_failure's shape."""
+    try:
+        validate_regular_partition(space, carrier, blocks)
+    except (PrefixNotClosed, Condition2Violated) as exc:
+        return type(exc), exc.p
     return None
 
 
@@ -89,7 +102,8 @@ class TestRegularPartition:
         # every ordered partition, empty blocks included, of every carrier
         # of the canonical spaces up to 3 points into up to 5 blocks: the
         # error and its p are those of the definition, read with whole
-        # prefix and suffix unions
+        # prefix and suffix unions, both from the masks and from the table
+        # the link scan reads
         for n in range(1, 4):
             for space in canonical_spaces(n):
                 for carrier in range(space.full + 1):
@@ -97,16 +111,33 @@ class TestRegularPartition:
                     for k in range(1, 6):
                         for assign in product(range(k), repeat=len(points)):
                             blocks = [0] * k
+                            table = [None] * n
                             for x, b in zip(points, assign):
                                 blocks[b] |= 1 << x
+                                table[x] = b
                             want = _literal_failure(space, carrier, blocks)
+                            assert _reading(space, carrier, blocks) == want, (
+                                space.opens, carrier, blocks)
                             try:
-                                validate_regular_partition(space, carrier,
-                                                           blocks)
+                                check_links(space, carrier, table)
                                 got = None
                             except (PrefixNotClosed, Condition2Violated) as exc:
                                 got = (type(exc), exc.p)
-                            assert got == want, (space.opens, carrier, blocks)
+                            assert got == want, (space.opens, carrier, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verdict_is_the_literal_one_on_random_tables(self, data):
+        # random spaces up to 6 points, random carriers, open or not, and
+        # random tables of up to 8 blocks, empty blocks included
+        space = data.draw(spaces(max_points=6))
+        carrier = data.draw(st.integers(0, space.full))
+        k = data.draw(st.integers(1, 8))
+        blocks = [0] * k
+        for x in bits(carrier):
+            blocks[data.draw(st.integers(0, k - 1))] |= 1 << x
+        assert _reading(space, carrier, blocks) == _literal_failure(
+            space, carrier, blocks)
 
 
 class TestInteriorsCover:
@@ -137,31 +168,31 @@ class TestInteriorsCover:
 
 class TestConsistentFamily:
     def test_depth_zero(self, S):
-        fam = ConsistentBinaryFamily(identity_map(S), 0, (Level(S.full, (S.full,)),))
+        fam = ConsistentBinaryFamily(identity_map(S), 0, (Level(S.full, (0, 0)),))
         validate_consistent_family(fam)
 
     def test_depth_one_sierpinski(self, S):
         f = identity_map(S)
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(S.full, (S.full,)),
-            Level(0b01, (0, 0b01)),
+            Level(S.full, (0, 0)),
+            Level(0b01, (1, None)),
         ))
         validate_consistent_family(fam)
 
     def test_role_swapped_blocks_still_structurally_valid(self, S):
         f = identity_map(S)
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(S.full, (S.full,)),
-            Level(0b01, (0b01, 0)),
+            Level(S.full, (0, 0)),
+            Level(0b01, (0, None)),
         ))
         validate_consistent_family(fam)
 
     def test_nesting_violation(self, D2):
         f = identity_map(D2)
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(D2.full, (D2.full,)),
-            Level(0b01, (0b01, 0)),
-            Level(0b11, (0b11, 0, 0, 0)),
+            Level(D2.full, (0, 0)),
+            Level(0b01, (0, None)),
+            Level(0b11, (0, 0)),
         ))
         with pytest.raises(NeighborhoodNotNested):
             validate_consistent_family(fam)
@@ -169,18 +200,57 @@ class TestConsistentFamily:
     def test_coherence_violation(self, D2):
         f = identity_map(D2)
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(D2.full, (D2.full,)),
-            Level(D2.full, (0b01, 0b10)),
-            Level(D2.full, (0b10, 0, 0, 0b01)),
+            Level(D2.full, (0, 0)),
+            Level(D2.full, (0, 1)),
+            Level(D2.full, (3, 0)),
         ))
         with pytest.raises(CoherenceViolated):
             validate_consistent_family(fam)
 
+    def test_coherence_names_the_first_block(self):
+        # level 2 moves point 2 from block 1 of level 1 to block 0, and
+        # point 1 from block 0 to block 2: both parents 0 and 1 break
+        f = identity_map(discrete(3))
+        fam = ConsistentBinaryFamily(f, 0, (
+            Level(0b111, (0, 0, 0)),
+            Level(0b111, (0, 0, 1)),
+            Level(0b111, (0, 2, 0))))
+        with pytest.raises(CoherenceViolated) as err:
+            validate_consistent_family(fam)
+        assert (err.value.level, err.value.k) == (2, 0)
+        assert str(err.value) == "children of block 0 at level 2 do not recover it"
+
+    @pytest.mark.parametrize("table, message", [
+        ((0, 0, None), "level 1 partition not regular: blocks cover {0 1}, "
+                       "carrier is {0 1 2}"),
+        ((0, 1, 1), "level 1 partition not regular: prefix union through "
+                    "block 0 is not closed"),
+        ((0, 0, 2), "level 1 must have 2 blocks"),
+        ((0, 0), "level 1 must have 2 blocks"),
+    ])
+    def test_table_faults(self, C3, table, message):
+        # the chain 0 <- 1 <- 2, whose point 0 is open
+        fam = ConsistentBinaryFamily(identity_map(C3), 0, (
+            Level(C3.full, (0, 0, 0)), Level(C3.full, table)))
+        with pytest.raises((PartitionError, LevelNotRegular)) as err:
+            validate_consistent_family(fam)
+        assert str(err.value) == message
+
+    def test_table_off_its_carrier_names_its_block(self, S):
+        # level 1 lives over the open point 0 of the Sierpinski space,
+        # whose preimage under the identity is {0}
+        fam = ConsistentBinaryFamily(identity_map(S), 0, (
+            Level(S.full, (0, 0)), Level(0b01, (1, 1))))
+        with pytest.raises(LevelNotRegular) as err:
+            validate_consistent_family(fam)
+        assert str(err.value) == ("level 1 partition not regular: "
+                                  "block {0 1} leaves the carrier {0}")
+
     def test_irregular_level(self, C3):
         f = identity_map(C3)
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(C3.full, (C3.full,)),
-            Level(C3.full, (0b011, 0b100)),
+            Level(C3.full, (0, 0, 0)),
+            Level(C3.full, (0, 0, 1)),
         ))
         with pytest.raises(LevelNotRegular):
             validate_consistent_family(fam)
@@ -245,8 +315,8 @@ class TestAssembleLimit:
         # and 3: oscillation 1 against the bound 1/3 of hypothesis (b)
         f = constant_map(indiscrete(2))
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(1, (0b11,)), Level(1, (0b01, 0b10)),
-            Level(1, (0b01, 0, 0, 0b10))))
+            Level(1, (0, 0)), Level(1, (0, 1)),
+            Level(1, (0, 3))))
         with pytest.raises(LevelNotRegular):
             validate_consistent_family(fam)
         with pytest.raises(CheckFailed, match="oscillation bound at level 2"):
@@ -258,8 +328,8 @@ class TestAssembleLimit:
         # by 2/3 against the increment bound 1/3 into level 2
         f = constant_map(discrete(2))
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(1, (0b11,)), Level(1, (0b01, 0b10)),
-            Level(1, (0, 0, 0b01, 0b10))))
+            Level(1, (0, 0)), Level(1, (0, 1)),
+            Level(1, (2, 3))))
         with pytest.raises(HypothesisFailed) as err:
             assemble_limit(fam)
         assert (err.value.which, err.value.level) == ("c", 1)
@@ -271,7 +341,7 @@ class TestAssembleLimit:
         # one away from the zero function of level 0
         f = constant_map(discrete(2))
         fam = ConsistentBinaryFamily(f, 0, (
-            Level(1, (0b11,)), Level(1, (0, 0, 0b11, 0))))
+            Level(1, (0, 0)), Level(1, (2, 2))))
         with pytest.raises(HypothesisFailed) as err:
             assemble_limit(fam)
         assert (err.value.which, err.value.level) == ("c", 0)
