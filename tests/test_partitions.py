@@ -20,12 +20,12 @@ from fibertop.errors import (
 )
 from fibertop.census import canonical_spaces
 from fibertop.normality import build_binary_partitions
-from fibertop.partitions import check_links
 from fibertop.oscillation import is_f_continuous_at, osc_on_set
 from fibertop.partitions import (
     ConsistentBinaryFamily,
     Level,
     assemble_limit,
+    check_links,
     validate_consistent_family,
     validate_regular_partition,
 )
