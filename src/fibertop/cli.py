@@ -40,7 +40,7 @@ from .urysohn_tietze import build_separator, sigma_separator_family, tietze_exte
 
 # perfectly-normal lists the first this many witnesses
 WITNESS_LIMIT = 32
-# level n of a partition family has 2^n blocks
+# a printed family lists the 2^n blocks of each level n
 MAX_DEPTH = 16
 # the named sets or function that each build kind reads, in --help order
 BUILD_FLAGS = {"partitions": ("F", "T"), "separator": ("F", "T"),

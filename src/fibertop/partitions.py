@@ -6,7 +6,9 @@ prefix unions are relatively closed and whose blocks two apart have
 disjoint closure interaction.  A consistent binary family stacks regular
 2^n-partitions of shrinking preimages so that each block splits into two
 children one level down; the induced stepwise functions k/(2^n - 1)
-converge to a function continuous along the map.
+converge to a function continuous along the map.  A family keeps each
+level as its table of block indices, the numerators k, and only a
+partition given as block masks is turned into one.
 """
 
 from __future__ import annotations

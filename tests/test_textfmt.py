@@ -316,6 +316,60 @@ def test_round_trip_property(inst):
     assert parsed == inst
 
 
+# the identity of the chain whose open point is 0, with a valid family:
+# level 1 is {1 2} | {0}, level 2 is - | {1 2} | {0} | -
+CHAIN_FAMILY = """\
+space X
+points 3
+opens
+-
+0
+0 1
+0 1 2
+map f X -> X
+0 -> 0
+1 -> 1
+2 -> 2
+family fam map f y 2
+O: 0 1 2
+blocks: 0 1 2
+O: 0 1 2
+blocks: 1 2 | 0
+O: 0 1 2
+blocks: - | 1 2 | 0 | -
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("blocks: 0 1 2\n", "blocks: 0 1\n",
+     "level 0 must be the whole codomain with one block"),
+    ("blocks: 1 2 | 0\n", "blocks: 1 2 | 0 | -\n", "level 1 must have 2 blocks"),
+    ("blocks: 1 2 | 0\n", "blocks: 1 2 | 0 1\n",
+     "level 1 partition not regular: block {0 1} overlaps an earlier block"),
+    ("blocks: 1 2 | 0\n", "blocks: 2 | 0\n",
+     "level 1 partition not regular: blocks cover {0 2}, carrier is {0 1 2}"),
+    ("blocks: 1 2 | 0\n", "blocks: 0 | 1 2\n",
+     "level 1 partition not regular: prefix union through block 0 is not "
+     "closed"),
+    ("blocks: - | 1 2 | 0 | -\n", "blocks: 2 | - | 1 | 0\n",
+     "level 2 partition not regular: prefix through 0 meets closure of "
+     "blocks >= 2"),
+    ("blocks: - | 1 2 | 0 | -\n", "blocks: - | 0 1 2 | - | -\n",
+     "children of block 0 at level 2 do not recover it"),
+    ("O: 0 1 2\nblocks: - |", "O: 1 2\nblocks: - |", "set {1 2} is not open"),
+    ("O: 0 1 2\nblocks: - |", "O: 0 1\nblocks: - |",
+     "level 2 neighborhood misses y=2"),
+])
+def test_single_fault_family_errors(old, new, message):
+    # one edited line of a valid family: the error names that fault, as
+    # when the levels were checked as block masks
+    assert parse_instance(CHAIN_FAMILY).families["fam"][1].depth == 2
+    assert CHAIN_FAMILY.count(old) == 1
+    with pytest.raises(InstanceValidationError) as err:
+        parse_instance(CHAIN_FAMILY.replace(old, new))
+    assert str(err.value) == f"family fam (line 12): {message}"
+
+
 def test_serialize_family_shape():
     f = constant_map(discrete(2))
     fam = build_binary_partitions(f, 0b01, 0b10, 0, 1)
