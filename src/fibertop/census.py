@@ -11,35 +11,74 @@ finite spaces is equivalent to continuity.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
+from struct import Struct
 from typing import NamedTuple
 
 from .spaces import MAX_CANONICAL_POINTS, FiberedMap, FiniteSpace
 
-# the largest side a census enumerates: it first builds every labelled
-# topology of each side, and 7 points have 9,535,241 of them
+# the largest side a census enumerates.  The labelled 7-point tables
+# alone fit (9,535,241 of them, about 12 s and 80 MB), but a census would
+# then build a space from each and take its canonical form
 MAX_CENSUS_SIDE = 6
 
-_LABELED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+class LabelledTables(Sequence):
+    """The minimal-neighbourhood tables of one n, packed n bytes each:
+    U[i] of table k is byte k*n + i.  Every mask fits in a byte, since a
+    table has at most MAX_CANONICAL_POINTS points.  Items are tuples of
+    ints, as a tuple of tables would hold them."""
+
+    __slots__ = ("_n", "_row", "_data", "_len")
+
+    def __init__(self, n: int, data: bytearray):
+        self._n = n
+        self._row = Struct(f"{n}B")
+        self._data = data
+        self._len = len(data) // n if n else 1  # n = 0 has one empty table
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, ...]:
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("table index out of range")
+        return self._row.unpack_from(self._data, k * self._n)
+
+    def __iter__(self):
+        if not self._n:  # iter_unpack refuses a row of zero bytes
+            return iter(((),))
+        return self._row.iter_unpack(self._data)
+
+
+_LABELED_CACHE: dict[int, LabelledTables] = {}
 _CANONICAL_CACHE: dict[int, tuple[FiniteSpace, ...]] = {}
 
 
-def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
+def minimal_nbhd_assignments(n: int) -> LabelledTables:
     """All labeled Alexandrov topologies on n points, as per-point minimal
     neighborhoods (U[i] contains i; j in U[i] forces U[j] inside U[i]).
 
     Point i tries, in ascending order, the masks containing i inside every
     earlier U[j] that contains i, keeping those that contain the U[j] of
-    their earlier points j."""
+    their earlier points j.  ValueError, before any enumeration, past
+    MAX_CANONICAL_POINTS points, where a mask outgrows its byte."""
+    if n > MAX_CANONICAL_POINTS:
+        raise ValueError(f"labelled topologies are stored one byte a point, "
+                         f"so they are capped at {MAX_CANONICAL_POINTS} "
+                         f"points, not {n}")
     cached = _LABELED_CACHE.get(n)
     if cached is not None:
         return cached
     full = (1 << n) - 1
-    out = []
+    out = bytearray()
     assign = [0] * n
 
     def backtrack(i: int):
         if i == n:
-            out.append(tuple(assign))
+            out.extend(assign)
             return
         bit = 1 << i
         room = full
@@ -66,7 +105,7 @@ def minimal_nbhd_assignments(n: int) -> tuple[tuple[int, ...], ...]:
 
     backtrack(0)
     del backtrack  # the nested recursion holds itself in a cycle
-    result = tuple(out)
+    result = LabelledTables(n, out)
     _LABELED_CACHE[n] = result
     return result
 

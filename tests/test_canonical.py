@@ -40,7 +40,11 @@ def seeded_space(n: int, rng: random.Random) -> FiniteSpace:
 class TestEnumerationAgainstReference:
     @pytest.mark.parametrize("n", range(7))
     def test_same_assignments_in_same_order(self, n):
-        assert minimal_nbhd_assignments(n) == minimal_nbhd_assignments_reference(n)
+        # the packed tables are read through iteration and through indexing
+        tables = minimal_nbhd_assignments(n)
+        reference = minimal_nbhd_assignments_reference(n)
+        assert tuple(tables) == reference
+        assert tuple(tables[k] for k in range(len(reference))) == reference
 
 
 class TestCanonicalAgainstReference:

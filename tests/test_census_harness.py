@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +14,7 @@ import pytest
 from fibertop import census
 from fibertop.census import (
     Instance,
+    all_spaces,
     canonical_spaces,
     census_instances,
     continuous_tables,
@@ -77,6 +81,31 @@ from subspace_reference import Submapping, is_f_sigma_submapping, subspace
 
 KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 KNOWN_CANONICAL = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
+
+# what sampled_instances draws: uid, U table and opens of each side, and
+# the map's table, as the tuple-per-table storage drew them
+SAMPLED_PINS = {
+    (4, 6, 7): [
+        ("s0000", (3, 2, 4), (1, 2), (0, 2, 3, 4, 6, 7), (0, 1, 2, 3), (0, 0, 0)),
+        ("s0001", (1,), (3, 3, 7), (0, 1), (0, 3, 7), (0,)),
+        ("s0002", (1,), (1,), (0, 1), (0, 1), (0,)),
+        ("s0003", (3, 3), (1,), (0, 3), (0, 1), (0, 0)),
+        ("s0004", (3, 3), (1,), (0, 3), (0, 1), (0, 0)),
+        ("s0005", (1,), (3, 3), (0, 1), (0, 3), (0,)),
+    ],
+    (6, 5, 0): [
+        ("s0000", (1, 2, 7, 8), (3, 2, 4, 11),
+         (0, 1, 2, 3, 7, 8, 9, 10, 11, 15), (0, 2, 3, 4, 6, 7, 11, 15),
+         (1, 1, 1, 0)),
+        ("s0001", (3, 3, 4, 11), (9, 10, 15, 8), (0, 3, 4, 7, 11, 15),
+         (0, 8, 9, 10, 11, 15), (3, 3, 0, 2)),
+        ("s0002", (11, 10, 14, 10, 16), (1, 3),
+         (0, 10, 11, 14, 15, 16, 26, 27, 30, 31), (0, 1, 3), (1, 0, 0, 0, 0)),
+        ("s0003", (3, 2), (1,), (0, 2, 3), (0, 1), (0, 0)),
+        ("s0004", (1,), (49, 10, 30, 10, 16, 49), (0, 1),
+         (0, 10, 16, 26, 30, 49, 59, 63), (2,)),
+    ],
+}
 
 
 class TestEnumeration:
@@ -171,6 +200,74 @@ class TestEnumeration:
         xs = sampled_instances(3, 10, seed=7)
         ys = sampled_instances(3, 10, seed=7)
         assert [i.f.table for i in xs] == [i.f.table for i in ys]
+
+    @pytest.mark.parametrize("args, pin", SAMPLED_PINS.items())
+    def test_sampled_instances_pinned(self, args, pin):
+        # uid, U table and opens of each side, and the map's table
+        drawn = [(i.uid, i.f.domain._min_nbhd, i.f.codomain._min_nbhd,
+                  i.f.domain.opens, i.f.codomain.opens, i.f.table)
+                 for i in sampled_instances(*args)]
+        assert drawn == pin
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_labelled_tables_contract(self, n):
+        tables = minimal_nbhd_assignments(n)
+        count = len(tables)
+        assert count == KNOWN_LABELED.get(n, 1)
+        for k in (0, count - 1, count // 2):
+            assert tables[k - count] == tables[k]
+        for k in (count, -count - 1):
+            with pytest.raises(IndexError):
+                tables[k]
+        items = list(tables)
+        assert len(items) == count
+        for table in items:
+            assert type(table) is tuple and len(table) == n
+            assert all(type(u) is int for u in table)
+        indexed = [space_from_min_nbhds(tables[k]) for k in range(count)]
+        assert [(s, s._min_nbhd) for s in all_spaces(n)] == \
+            [(s, s._min_nbhd) for s in indexed]
+
+    @pytest.mark.tier2
+    def test_labeled_count_at_seven_points(self):
+        # A000798 at 7 points, enumerated in a fresh interpreter so that
+        # its peak RSS is the tables' own: about 12 s and 80 MB
+        code = ("import resource\n"
+                "from fibertop.census import minimal_nbhd_assignments\n"
+                "t = minimal_nbhd_assignments(7)\n"
+                "print(len(t), t[0], t[-1])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(census.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        tables, maxrss_kb = proc.stdout.splitlines()
+        assert tables == ("9535241 (1, 2, 4, 8, 16, 32, 64) "
+                          "(127, 127, 127, 127, 127, 127, 127)")
+        assert int(maxrss_kb) <= 100 * 1024
+
+    def test_past_the_byte_cap_no_table_is_built(self, monkeypatch):
+        # a 9-point mask outgrows its byte: n = 9 fails before it
+        # enumerates, where it used to run without end
+        built = []
+
+        class Spy(bytearray):
+            def extend(self, table):
+                built.append(tuple(table))
+                super().extend(table)
+
+        monkeypatch.setattr(census, "bytearray", Spy, raising=False)
+        monkeypatch.setattr(census, "_LABELED_CACHE", {})
+        assert len(minimal_nbhd_assignments(2)) == len(built) == 4
+        built.clear()
+        with pytest.raises(ValueError, match=r"^labelled topologies are stored "
+                                             r"one byte a point, so they are "
+                                             r"capped at 8 points, not 9$"):
+            minimal_nbhd_assignments(9)
+        assert built == [] and list(census._LABELED_CACHE) == [2]
 
 
 class TestClassical:
