@@ -83,7 +83,7 @@ KNOWN_LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 KNOWN_CANONICAL = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
 
 # what sampled_instances draws: uid, U table and opens of each side, and
-# the map's table, as the tuple-per-table storage drew them
+# the map's table, recorded when each labelled table was its own tuple
 SAMPLED_PINS = {
     (4, 6, 7): [
         ("s0000", (3, 2, 4), (1, 2), (0, 2, 3, 4, 6, 7), (0, 1, 2, 3), (0, 0, 0)),
@@ -203,7 +203,6 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("args, pin", SAMPLED_PINS.items())
     def test_sampled_instances_pinned(self, args, pin):
-        # uid, U table and opens of each side, and the map's table
         drawn = [(i.uid, i.f.domain._min_nbhd, i.f.codomain._min_nbhd,
                   i.f.domain.opens, i.f.codomain.opens, i.f.table)
                  for i in sampled_instances(*args)]
@@ -231,12 +230,14 @@ class TestEnumeration:
     @pytest.mark.tier2
     def test_labeled_count_at_seven_points(self):
         # A000798 at 7 points, enumerated in a fresh interpreter so that
-        # its peak RSS is the tables' own: about 12 s and 80 MB
-        code = ("import resource\n"
-                "from fibertop.census import minimal_nbhd_assignments\n"
+        # its peak RSS is the tables' own: about 12 s and 80 MB.  The peak
+        # is VmHWM, not ru_maxrss: Linux carries ru_maxrss over fork and
+        # exec, so a child of a large test process reports the parent's
+        code = ("from fibertop.census import minimal_nbhd_assignments\n"
                 "t = minimal_nbhd_assignments(7)\n"
                 "print(len(t), t[0], t[-1])\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                "with open('/proc/self/status') as f:\n"
+                "    print(*[l.split()[1] for l in f if l.startswith('VmHWM')])\n")
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(census.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -244,10 +245,10 @@ class TestEnumeration:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        tables, maxrss_kb = proc.stdout.splitlines()
+        tables, peak_kb = proc.stdout.splitlines()
         assert tables == ("9535241 (1, 2, 4, 8, 16, 32, 64) "
                           "(127, 127, 127, 127, 127, 127, 127)")
-        assert int(maxrss_kb) <= 100 * 1024
+        assert int(peak_kb) <= 100 * 1024
 
     def test_past_the_byte_cap_no_table_is_built(self, monkeypatch):
         # a 9-point mask outgrows its byte: n = 9 fails before it
