@@ -12,7 +12,8 @@ sets the run length.  After the pairs it makes one traced run per side
 (`--trace 1`, which traces every workload) on seed TRACED_SEED.  The result goes to
 BENCH_<label>.json: per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and whether the change's
-median stays within the bound BENCHMARK.json fixes; and the traced runs'
+median stays within the bound BENCHMARK.json fixes, and the median and
+quartiles of the change/parent ratio within each pair; and the traced runs'
 layers and per-workload traced counters, with whether the two sides'
 counters are equal.  A claim
 WORKLOAD:METRIC:GAIN is met when the change wins at least nine tenths of
@@ -81,8 +82,13 @@ def quartiles(values: list) -> dict:
 
 
 def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """One metric's pairs: each side's quartiles, the pairs the change won
+    and lost, and the quartiles of the change/parent ratio within each
+    pair, which host drift shared by the two runs of a pair moves less
+    than it moves either side's own spread."""
     sign = 1 if better == "lower" else -1
     p, c = quartiles(parent), quartiles(change)
+    ratios = quartiles([b / a for a, b in zip(parent, change)])
     wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     iqr = p["q3"] - p["q1"]
@@ -90,6 +96,7 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
         "parent_runs": parent, "change_runs": change, "parent": p, "change": c,
         "change_wins": wins, "change_losses": losses, "pairs": len(parent),
         "median_ratio": round(c["median"] / p["median"], 4),
+        "pair_ratio": {k: round(v, 4) for k, v in ratios.items()},
         "parent_iqr": iqr,
         "gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > iqr,
         "resolved": iqr <= bound * p["median"],
@@ -154,8 +161,9 @@ def main(argv=None) -> int:
         "method": "interleaved pairs, alternating which side runs first; each "
                   "run's metric is bench/run.py's median over its passes; "
                   "quartiles by statistics.quantiles(method='inclusive'); "
-                  "'resolved' means the parent's IQR is within the bound of its "
-                  "median; 'within_bound' means the change's median is no worse "
+                  "'pair_ratio' is the quartiles of each pair's change/parent "
+                  "ratio; 'resolved' means the parent's IQR is within the bound "
+                  "of its median; 'within_bound' means the change's median is no worse "
                   "than the parent's by more than the bound",
         "workloads": {},
         "traced": {

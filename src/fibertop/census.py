@@ -130,11 +130,12 @@ def _check_cap(n: int) -> None:
 
 
 def check_side(n: int) -> None:
-    """ValueError, before any enumeration, when a census side is past the
-    labelled enumeration's limit."""
+    """ValueError, before any enumeration, when a census side is past
+    MAX_CENSUS_SIDE."""
     if n > MAX_CENSUS_SIDE:
-        raise ValueError(f"the labelled enumeration is capped at "
-                         f"{MAX_CENSUS_SIDE} points a side, not {n}")
+        raise ValueError(f"census sides are capped at {MAX_CENSUS_SIDE} points,"
+                         f" not {n}: a larger side means canonicalising every"
+                         f" labelled space of its size, 9,535,241 at 7 points")
 
 
 def canonical_spaces(n: int) -> tuple[FiniteSpace, ...]:

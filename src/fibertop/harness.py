@@ -16,6 +16,9 @@ minimal-neighborhood components.  Both are memoised per domain space:
 the pairs to scan on f^{-1}(O), and the verdicts of the component sides
 on (f^{-1}(O), f^{-1}(U_y)).  Each instance then looks up each family's
 verdicts once per (F, T, y), in the same order as the scans list the pairs.
+The budgeted extension runs call ``tietze_extend`` every time, but read
+their boundary data from the same memo, and the contract checks of each
+distinct result once per (F, T, f^{-1}(U_y)).
 """
 
 from __future__ import annotations
@@ -306,7 +309,9 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
 def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
                    o_mask: int, tolerance: Fraction, expect_ok: bool,
                    anomalies: list) -> dict:
-    phit = boundary_function(f.domain, f_side, t_side)
+    space = f.domain
+    # a RationalFunction is immutable, so every run on (F, T) shares one
+    phit = space.memoised(boundary_function, f_side, t_side)
     run = {"O": o_mask, "F": f_side, "T": t_side, "y": y}
     try:
         res = tietze_extend(f, phit.carrier, phit, y, tolerance=tolerance,
@@ -317,37 +322,51 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
         if expect_ok:
             anomalies.append(f"extension failed on normal map: {exc}")
         return run
-    # The checks read the result's integers, each value a numerator over
-    # scale * 3^k after k steps.  Residual k+1 is at most 2/3 of residual k.
-    chain_ok = all(m1 <= 2 * m0 for m0, m1 in zip(res.mus, res.mus[1:]))
+    # keyed on the result's integers, so a result that differs from the
+    # memoised walk's in any field is checked afresh
+    checks, contract_ok = space.memoised(
+        _run_checks, f_side, t_side, f._nbhd_pre[y], res.scale, res.totals,
+        res.mus, res.separators, res.bound, res.agreement_set)
+    run.update(checks)
+    if not contract_ok:
+        anomalies.append(f"extension contract violated at O={o_mask} y={y}")
+    return run
+
+
+def _run_checks(space: FiniteSpace, f_side: int, t_side: int, pre: int,
+                scale: int, totals: tuple, mus: tuple, separators: tuple,
+                bound: int, agreement_set: int) -> tuple:
+    """The contract checks of one extension result on the boundary data
+    0 on F and 1 on T, with P = ``pre`` = f^{-1}(U_y): the run's fields
+    after its key, and whether every check holds.  They read the result's
+    integers only: each value is a numerator over scale * 3^k after k
+    steps."""
+    iterations = len(separators)
+    lift = 3 ** iterations
+    den = scale * lift
+    # Residual k+1 is at most 2/3 of residual k.
+    chain_ok = all(m1 <= 2 * m0 for m0, m1 in zip(mus, mus[1:]))
     # |phi| <= |phit|, whose numerator over scale is mu_0
-    norm_ok = max(map(abs, res.totals)) <= res.mus[0] * 3 ** res.iterations
-    trace = phit.carrier & f._nbhd_pre[y]
-    exact = res.bound == 0
-    agree_ok = not exact or not (trace & ~res.agreement_set)
-    # |phit(x) - phi(x)| <= residual_bound at each x of the trace,
-    # cross-multiplied by den and phit(x)'s denominator
-    den = res.scale * 3 ** res.iterations
-    covers_ok = all(
-        abs(v.numerator * den - res.totals[x] * v.denominator)
-        <= res.bound * v.denominator
-        for x in bits(trace) for v in (phit.values[x],))
-    # str(res.residual_bound), without building the Fraction
-    g = gcd(res.bound, den)
-    residual = (str(res.bound // g) if g == den
-                else f"{res.bound // g}/{den // g}")
-    run.update({
+    norm_ok = max(map(abs, totals)) <= mus[0] * lift
+    trace = (f_side | t_side) & pre
+    exact = bound == 0
+    agree_ok = not exact or not (trace & ~agreement_set)
+    # |phit(x) - phi(x)| <= residual_bound at each x of the trace, times den
+    covers_ok = all(abs((t_side >> x & 1) * den - totals[x]) <= bound
+                    for x in bits(trace))
+    # str(residual_bound), without building the Fraction
+    g = gcd(bound, den)
+    residual = str(bound // g) if g == den else f"{bound // g}/{den // g}"
+    checks = {
         "ok": True,
-        "iterations": res.iterations,
+        "iterations": iterations,
         "residual": residual,
         "geometric_chain_exact": chain_ok,
         "norm_contract": norm_ok,
         "exact_agreement": exact and agree_ok,
         "residual_covers_sup": covers_ok,
-    })
-    if not (chain_ok and norm_ok and agree_ok and covers_ok):
-        anomalies.append(f"extension contract violated at O={o_mask} y={y}")
-    return run
+    }
+    return checks, chain_ok and norm_ok and agree_ok and covers_ok
 
 
 # ------------------------------------------------------------ sweep drivers

@@ -6,6 +6,9 @@
   The differential tests require the memoised pair scans to give the same
   record, byte for byte, whether the memos of the domain spaces are warm
   or empty.
+- ``extension_run_reference``: one budgeted extension run of
+  ``theorem_record``, with fresh boundary data, its contract checked on
+  the result's ``Fraction`` views on every call.
 - ``constant_map_degeneration``: the cross-oracle run of acceptance
   criterion 8.  On constant maps the separator and extension machinery
   must agree with the classical space-level constructions
@@ -20,8 +23,7 @@ from fractions import Fraction
 from fibertop.census import Instance, canonical_spaces
 from fibertop.classical import space_normal
 from fibertop.errors import FibertopError
-from fibertop.harness import (_build_entry, _extension_run, classify, digest,
-                              hierarchy_violations)
+from fibertop.harness import _build_entry, classify, digest, hierarchy_violations
 from fibertop.normality import is_normal, is_sigma_normal
 from fibertop.oscillation import RationalFunction, norm, osc_on_set
 from fibertop.spaces import FiberedMap, FiniteSpace, bits, constant_map
@@ -29,6 +31,7 @@ from fibertop.urysohn_tietze import (
     boundary_function,
     build_separator,
     exact_extension_exists,
+    tietze_extend,
     verify_condition_D,
 )
 
@@ -96,8 +99,8 @@ def theorem_record_reference(inst: Instance, depth: int = 6,
                     if budget > 0 and (a | b):
                         budget -= 1
                         ext_runs.append(
-                            _extension_run(f, a, b, y, o_mask, tolerance, a_dec,
-                                           anomalies))
+                            extension_run_reference(f, a, b, y, o_mask, tolerance,
+                                                    a_dec, anomalies))
             for t, pieces in zip(rel_closed, pieces_of):
                 for fm in rel_closed:
                     if t & fm:
@@ -142,6 +145,47 @@ def theorem_record_reference(inst: Instance, depth: int = 6,
     record["mismatches"] = mism
     record["digest"] = digest(record)
     return record
+
+
+def extension_run_reference(f: FiberedMap, f_side: int, t_side: int, y: int,
+                            o_mask: int, tolerance: Fraction, expect_ok: bool,
+                            anomalies: list) -> dict:
+    """The run record of extending the boundary data 0 on F, 1 on T from
+    F | T over O, with the contract read from the result's rationals:
+    each residual at most 2/3 of the one before, |phi| <= |phit|, an exact
+    result agreeing with phit on the trace of f^{-1}(U_y), and
+    |phit - phi| within the residual bound there."""
+    phit = boundary_function(f.domain, f_side, t_side)
+    run = {"O": o_mask, "F": f_side, "T": t_side, "y": y}
+    try:
+        res = tietze_extend(f, phit.carrier, phit, y, tolerance=tolerance,
+                            within=o_mask)
+    except FibertopError as exc:
+        run["ok"] = False
+        run["error"] = type(exc).__name__
+        if expect_ok:
+            anomalies.append(f"extension failed on normal map: {exc}")
+        return run
+    residuals, phi, bound = res.residuals, res.phi, res.residual_bound
+    trace = bits(phit.carrier & f._nbhd_pre[y])
+    chain_ok = all(r1 <= Fraction(2, 3) * r0
+                   for r0, r1 in zip(residuals, residuals[1:]))
+    norm_ok = norm(phi) <= norm(phit)
+    exact = bound == 0
+    agree_ok = not exact or all(phi.values[x] == phit.values[x] for x in trace)
+    covers_ok = all(abs(phit.values[x] - phi.values[x]) <= bound for x in trace)
+    run.update({
+        "ok": True,
+        "iterations": res.iterations,
+        "residual": str(bound),
+        "geometric_chain_exact": chain_ok,
+        "norm_contract": norm_ok,
+        "exact_agreement": exact and agree_ok,
+        "residual_covers_sup": covers_ok,
+    })
+    if not (chain_ok and norm_ok and agree_ok and covers_ok):
+        anomalies.append(f"extension contract violated at O={o_mask} y={y}")
+    return run
 
 
 def urysohn_function(space: FiniteSpace, f_side: int, t_side: int

@@ -275,14 +275,16 @@ def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # f^-1(U_y) of a sigma-normal map (classify asks for inheritance only
     # there), the neighbourhood classes of
     # each region, the pairs theorem_record scans for each f^-1(O) and
-    # their verdicts for each (f^-1(O), f^-1(U_y)), and the verdicts of
-    # functional_co_sigma, over the 185 domain spaces
+    # their verdicts for each (f^-1(O), f^-1(U_y)), the verdicts of
+    # functional_co_sigma, and the contract checks of each extension
+    # result and the boundary data of each (F, T) of the extension runs,
+    # over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
         "_separation_ok": 1608, "_least_failing_pair": 402,
         "_least_failing_triple": 402, "_least_failing_closure": 285,
         "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
-        "_no_straddle": 602}
+        "_no_straddle": 602, "_run_checks": 801, "boundary_function": 472}
 
 
 def _ints_only(value) -> bool:

@@ -41,3 +41,34 @@ def test_an_untraced_run_has_no_traced_counters():
     got = bench_pairs.read_stdout(untraced)
     assert got["traced_counters"] == {}
     assert got["digests"] == bench_pairs.read_stdout(TRACED)["digests"]
+
+
+def test_compare_reads_the_ratio_within_each_pair():
+    # both sides of a pair drift together: every pair reads 0.9, while the
+    # parent's own runs spread by 0.4 and the medians by only 0.12
+    parent = [1.0, 1.4, 1.0, 1.4]
+    change = [0.9, 1.26, 0.9, 1.26]
+    got = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert got["pair_ratio"] == {"median": 0.9, "q1": 0.9, "q3": 0.9}
+    assert (got["change_wins"], got["change_losses"], got["pairs"]) == (4, 0, 4)
+    assert got["parent"] == {"median": 1.2, "q1": 1.0, "q3": 1.4}
+    assert got["median_ratio"] == 0.9
+    assert abs(got["parent_iqr"] - 0.4) < 1e-12
+    assert not got["gap_exceeds_parent_iqr"]
+    assert not got["resolved"] and got["within_bound"]
+
+
+def test_compare_ratio_quartiles_and_a_higher_is_better_metric():
+    parent = [2.0, 2.0, 2.0, 2.0, 2.0]
+    change = [1.0, 2.0, 3.0, 4.0, 2.5]
+    got = bench_pairs.compare(parent, change, "higher", 0.1)
+    # ratios 0.5, 1, 1.5, 2, 1.25: quartiles by the inclusive method
+    assert got["pair_ratio"] == {"median": 1.25, "q1": 1.0, "q3": 1.5}
+    assert (got["change_wins"], got["change_losses"]) == (3, 1)
+    assert got["median_ratio"] == 1.25
+    assert got["parent_iqr"] == 0 and got["resolved"]
+    assert got["gap_exceeds_parent_iqr"] and got["within_bound"]
+    # lower is better: the same runs lose three pairs and break the bound
+    lower = bench_pairs.compare(parent, change, "lower", 0.1)
+    assert (lower["change_wins"], lower["change_losses"]) == (1, 3)
+    assert not lower["within_bound"]

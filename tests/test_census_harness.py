@@ -71,6 +71,7 @@ import normality_reference as ref
 from conftest import seeded_maps
 from harness_reference import (
     constant_map_degeneration,
+    extension_run_reference,
     theorem_record_reference,
     tietze_function,
     urysohn_function,
@@ -179,16 +180,23 @@ class TestEnumeration:
 
     def test_past_the_labelled_limit_nothing_is_enumerated(self, monkeypatch):
         # sides of 7 and 8 points are within the cap of forms, but the
-        # census would first build every labelled topology of the side
+        # census would first canonicalise every labelled topology of the side
         calls = []
         monkeypatch.setattr(census, "minimal_nbhd_assignments",
                             lambda n: calls.append(n) or ())
+
+        def capped(side: int) -> str:
+            return (f"census sides are capped at 6 points, not {side}: a larger"
+                    " side means canonicalising every labelled space of its"
+                    " size, 9,535,241 at 7 points")
+
         for args, side in [((8,), 7), ((9, 8), 8), ((12, 7), 7)]:
-            with pytest.raises(ValueError, match=r"^the labelled enumeration is "
-                                                 rf"capped at 6 points a side, not {side}$"):
+            with pytest.raises(ValueError) as err:
                 next(census_instances(*args))
-        with pytest.raises(ValueError, match="capped at 6 points a side, not 7"):
+            assert str(err.value) == capped(side)
+        with pytest.raises(ValueError) as err:
             sampled_instances(7, 3, seed=0)
+        assert str(err.value) == capped(7)
         assert calls == []
 
     def test_census_deterministic(self):
@@ -945,6 +953,45 @@ class TestPairScanMemo:
         assert any(r["thm3"]["A"] for r in records)
 
 
+class TestExtensionRunMemo:
+    """theorem_record's extension runs read their boundary data and the
+    contract checks of each distinct result from the domain's memo; the
+    records are the same bytes whether the memos start empty or warm, and
+    each run equals the reference's, which checks the result's rationals
+    afresh on every call."""
+
+    def test_census5(self):
+        instances = list(census_instances(5))
+        spaces = {id(inst.f.domain): inst.f.domain for inst in instances}
+        for space in spaces.values():
+            space._memo = None
+        cold = [theorem_record(inst) for inst in instances]
+        warm = [theorem_record(inst) for inst in instances]
+        for c, w in zip(cold, warm):
+            assert "".join(_json_pieces(c)) == "".join(_json_pieces(w)), c["id"]
+            assert _dumps(c["extension_runs"]) == _dumps(w["extension_runs"])
+            assert c["anomalies"] == w["anomalies"] == []
+            assert c["digest"] == w["digest"] == digest(
+                {k: v for k, v in c.items() if k != "digest"})
+        runs = []
+        for inst, rec in zip(instances, warm):
+            for run in rec["extension_runs"]:
+                anomalies = []
+                assert run == extension_run_reference(
+                    inst.f, run["F"], run["T"], run["y"], run["O"],
+                    Fraction(1, 1024), rec["thm3"]["A"], anomalies), rec["id"]
+                assert anomalies == []
+                runs.append(run)
+        entries = Counter(key[0].__name__ for space in spaces.values()
+                          for key in space._memo)
+        # every run succeeds, and six in seven repeat an earlier result:
+        # the checks are made once per distinct result, and the boundary
+        # data is built once per (F, T) of a space
+        assert (len(runs), all(run["ok"] for run in runs)) == (1098, True)
+        assert (entries["_extension_walk"], entries["_run_checks"],
+                entries["boundary_function"]) == (158, 158, 102)
+
+
 def _labelled(f: FiberedMap) -> tuple:
     """The labelled map, whatever the order its opens are listed in."""
     return (frozenset(f.domain.opens), frozenset(f.codomain.opens), f.table)
@@ -1023,6 +1070,48 @@ class TestHarnessRecords:
         assert run["ok"] and run["norm_contract"] is False
         assert run["geometric_chain_exact"] and run["residual_covers_sup"]
         assert anomalies == ["extension contract violated at O=1 y=0"]
+
+    def test_an_altered_result_is_checked_afresh(self, D3, monkeypatch):
+        # the checks are memoised on the result's integers: a result that
+        # differs from the walk's is checked, each run of it records its
+        # own anomaly, and the walk's own result keeps its verdicts
+        f = constant_map(D3)
+        real = harness.tietze_extend
+        altered = []
+
+        def maybe_inflated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if not altered:
+                return res
+            big = res.mus[0] * 3 ** res.iterations + 1
+            return res._replace(totals=res.totals[:2] + (big,))
+
+        monkeypatch.setattr(harness, "tietze_extend", maybe_inflated)
+        verdicts = []
+        for inflate in (False, True, True, False):
+            altered[:] = [True] if inflate else []
+            anomalies = []
+            run = harness._extension_run(f, 0b001, 0b010, 0, f.codomain.full,
+                                         Fraction(1, 1024), True, anomalies)
+            verdicts.append((run["norm_contract"], len(anomalies)))
+        assert verdicts == [(True, 0), (False, 1), (False, 1), (True, 0)]
+
+    def test_a_failed_run_is_recorded_on_every_call(self, V_poset):
+        # no exact separator splits the two closed points of the V poset:
+        # each call raises afresh, appends its anomaly, stores no checks
+        # and reads as the reference's run
+        f = constant_map(V_poset)
+        V_poset._memo = None
+        for _ in range(2):
+            runs, anomalies = [], []
+            for extension_run in (harness._extension_run, extension_run_reference):
+                runs.append(extension_run(f, 0b001, 0b010, 0, f.codomain.full,
+                                          Fraction(1, 1024), True, anomalies))
+            assert runs == [{"O": 1, "F": 1, "T": 2, "y": 0, "ok": False,
+                             "error": "SearchFailed"}] * 2
+            assert anomalies == ["extension failed on normal map: no witness"
+                                 " at level 1, step exact separator"] * 2
+        assert not any(key[0] is harness._run_checks for key in V_poset._memo)
 
     def test_residual_text_is_the_fractions(self, monkeypatch):
         # each run's "residual" is written from the result's integers and

@@ -831,8 +831,10 @@ class TestCensus:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: the labelled enumeration is capped "
-                                "at 6 points a side, not 7\n")
+        assert captured.err == ("error: census sides are capped at 6 points,"
+                                " not 7: a larger side means canonicalising"
+                                " every labelled space of its size, 9,535,241"
+                                " at 7 points\n")
         assert calls == []
 
     def test_side_bound_at_four_points(self):
