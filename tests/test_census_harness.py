@@ -1101,7 +1101,6 @@ class TestHarnessRecords:
         # each call raises afresh, appends its anomaly, stores no checks
         # and reads as the reference's run
         f = constant_map(V_poset)
-        V_poset._memo = None
         for _ in range(2):
             runs, anomalies = [], []
             for extension_run in (harness._extension_run, extension_run_reference):
