@@ -235,15 +235,32 @@ class TestEnumeration:
         assert [(s, s._min_nbhd) for s in all_spaces(n)] == \
             [(s, s._min_nbhd) for s in indexed]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_candidate_filters_by_brute_force(self, n):
+        # bit c of has[j], sup[a] and sub[a]: c holds j, c contains a and
+        # c lies inside a, checked on every mask up to the 8-point cap
+        has, sup, sub = census._candidate_filters(n)
+        size = 1 << n
+        assert len(has) == n and len(sup) == len(sub) == size
+        for j in range(n):
+            assert has[j] == sum(1 << c for c in range(size) if c >> j & 1)
+        for a in range(size):
+            assert sup[a] == sum(1 << c for c in range(size) if c & a == a)
+            assert sub[a] == sum(1 << c for c in range(size) if c & ~a == 0)
+
     @pytest.mark.tier2
     def test_labeled_count_at_seven_points(self):
         # A000798 at 7 points, enumerated in a fresh interpreter so that
-        # its peak RSS is the tables' own: about 12 s and 80 MB.  The peak
+        # its peak RSS is the tables' own: about 6 s and 80 MB.  The peak
         # is VmHWM, not ru_maxrss: Linux carries ru_maxrss over fork and
-        # exec, so a child of a large test process reports the parent's
-        code = ("from fibertop.census import minimal_nbhd_assignments\n"
+        # exec, so a child of a large test process reports the parent's.
+        # The hash pins the order as well, which the reference comparison
+        # checks only up to 6 points
+        code = ("import hashlib\n"
+                "from fibertop.census import minimal_nbhd_assignments\n"
                 "t = minimal_nbhd_assignments(7)\n"
                 "print(len(t), t[0], t[-1])\n"
+                "print(hashlib.sha256(t._data).hexdigest())\n"
                 "with open('/proc/self/status') as f:\n"
                 "    print(*[l.split()[1] for l in f if l.startswith('VmHWM')])\n")
         env = dict(os.environ)
@@ -253,9 +270,11 @@ class TestEnumeration:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        tables, peak_kb = proc.stdout.splitlines()
+        tables, sha, peak_kb = proc.stdout.splitlines()
         assert tables == ("9535241 (1, 2, 4, 8, 16, 32, 64) "
                           "(127, 127, 127, 127, 127, 127, 127)")
+        assert sha == ("7a5b2890a4e69b203cfc984597460ec2"
+                       "54888f8443c0b1d470c6c81d9ed7179b")
         assert int(peak_kb) <= 100 * 1024
 
     def test_past_the_byte_cap_no_table_is_built(self, monkeypatch):
@@ -271,6 +290,7 @@ class TestEnumeration:
         monkeypatch.setattr(census, "bytearray", Spy, raising=False)
         monkeypatch.setattr(census, "_LABELED_CACHE", {})
         assert len(minimal_nbhd_assignments(2)) == len(built) == 4
+        assert all(len(table) == 2 for table in built)
         built.clear()
         with pytest.raises(ValueError, match=r"^labelled topologies are stored "
                                              r"one byte a point, so they are "
