@@ -19,6 +19,12 @@ verdicts once per (F, T, y), in the same order as the scans list the pairs.
 The budgeted extension runs call ``tietze_extend`` every time, but read
 their boundary data from the same memo, and the contract checks of each
 distinct result once per (F, T, f^{-1}(U_y)).
+
+Records are read-only values whose equal parts are shared: each part kind
+that repeats across a sweep (the theorem sides, the classification, the
+tallies, the extension runs and their checks, the open and map lists, and
+the empty lists) is stored once per distinct value in ``_SHARED`` and
+reused by every record that has it.
 """
 
 from __future__ import annotations
@@ -100,8 +106,9 @@ def classify(f: FiberedMap) -> dict:
     constant = len(set(f.table)) <= 1
     out["constant_map"] = constant
     if constant:
-        out["vedenisov_domain"] = vedenisov_perfectly_normal(f.domain)
-        out["domain_space_normal"] = space_normal(f.domain)
+        # both depend only on the domain, which many constant maps share
+        out["vedenisov_domain"] = f.domain.memoised(vedenisov_perfectly_normal)
+        out["domain_space_normal"] = f.domain.memoised(space_normal)
     return out
 
 
@@ -148,6 +155,39 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
         if codomain_is_point and c["normal"] != c["domain_space_normal"]:
             bad.append("constant_total_space_mismatch")
     return bad
+
+
+# ------------------------------------------------------ shared record parts
+
+
+# one stored object per distinct record part, for the life of the process.
+# Each key starts with its part kind and holds the part's values, so a hit
+# builds no dict or list; the tag keeps kinds apart, since True == 1 hashes
+# alike and an untagged key could hand a part with 1 where true is due.
+_SHARED: dict = {}
+
+
+def _shared_dict(kind: str, names, *values) -> dict:
+    """The shared dict of ``kind`` that maps names to values, in order."""
+    key = (kind, *values)
+    part = _SHARED.get(key)
+    if part is None:
+        part = _SHARED[key] = dict(zip(names, values))
+    return part
+
+
+def _shared_list(kind: str, values: tuple) -> list:
+    """The shared list of ``kind`` with these values."""
+    key = (kind, values)
+    part = _SHARED.get(key)
+    if part is None:
+        part = _SHARED[key] = list(values)
+    return part
+
+
+_STEPWISE_KEYS = ("families", "osc_or_increment_violations")
+_CHECK_KEYS = ("ok", "iterations", "residual", "geometric_chain_exact",
+               "norm_contract", "exact_agreement", "residual_covers_sup")
 
 
 # --------------------------------------------------------- theorem sweeps
@@ -216,7 +256,12 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                    tolerance: Fraction = Fraction(1, 1024)) -> dict:
     """The full per-instance record: classification, both equivalence
     theorems by independent routes, stepwise-bound tallies, and the
-    budgeted extension runs with their residual checks."""
+    budgeted extension runs with their residual checks.
+
+    The record is a read-only value.  Its parts other than the id, the
+    digest and the list of extension runs are shared with every other
+    record that has an equal part, so changing one in place would change
+    them all; copy a part before editing it."""
     f = inst.f
     space, cod = f.domain, f.codomain
     a_dec = is_normal(f).holds
@@ -279,16 +324,18 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     cls = classify(f)
     record = {
         "id": inst.uid,
-        "x_opens": list(space.opens),
-        "y_opens": list(cod.opens),
-        "map": list(f.table),
-        "classes": cls,
-        "thm3": {"A": a_dec, "B": b_ok, "C": c_ok, "D": d_ok},
-        "thm4": {"A": a_sigma, "B": bs_ok, "C": cs_ok},
-        "stepwise": {"families": families, "osc_or_increment_violations": osc_viol},
+        "x_opens": _shared_list("opens", space.opens),
+        "y_opens": _shared_list("opens", cod.opens),
+        "map": _shared_list("map", f.table),
+        # classify's keys follow from its values' count, in a fixed order
+        "classes": _shared_dict("classes", cls, *cls.values()),
+        "thm3": _shared_dict("thm3", "ABCD", a_dec, b_ok, c_ok, d_ok),
+        "thm4": _shared_dict("thm4", "ABC", a_sigma, bs_ok, cs_ok),
+        "stepwise": _shared_dict("stepwise", _STEPWISE_KEYS, families, osc_viol),
         "extension_runs": ext_runs,
-        "hierarchy_violations": hierarchy_violations(cls, cod.n == 1),
-        "anomalies": anomalies,
+        "hierarchy_violations": (hierarchy_violations(cls, cod.n == 1)
+                                 or _shared_list("empty", ())),
+        "anomalies": anomalies or _shared_list("empty", ()),
     }
     mism = []
     if not (a_dec == b_ok == c_ok == d_ok):
@@ -299,7 +346,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         mism.append("normal_vs_sigma_normal")
     if cls["normal"] != a_dec or cls["sigma_normal"] != a_sigma:
         mism.append("classify_vs_sweep")
-    record["mismatches"] = mism
+    record["mismatches"] = mism or _shared_list("empty", ())
     # the same bytes as digest(record), which streams them in pieces only
     # so that a whole sweep report is never held at once
     record["digest"] = hashlib.sha256(_ENCODE(record).encode()).hexdigest()
@@ -312,24 +359,28 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     space = f.domain
     # a RationalFunction is immutable, so every run on (F, T) shares one
     phit = space.memoised(boundary_function, f_side, t_side)
-    run = {"O": o_mask, "F": f_side, "T": t_side, "y": y}
     try:
         res = tietze_extend(f, phit.carrier, phit, y, tolerance=tolerance,
                             within=o_mask)
     except FibertopError as exc:
-        run["ok"] = False
-        run["error"] = type(exc).__name__
+        checks = _shared_dict("failed_run", ("ok", "error"), False,
+                              type(exc).__name__)
         if expect_ok:
             anomalies.append(f"extension failed on normal map: {exc}")
-        return run
-    # keyed on the result's integers, so a result that differs from the
-    # memoised walk's in any field is checked afresh
-    checks, contract_ok = space.memoised(
-        _run_checks, f_side, t_side, f._nbhd_pre[y], res.scale, res.totals,
-        res.mus, res.separators, res.bound, res.agreement_set)
-    run.update(checks)
-    if not contract_ok:
-        anomalies.append(f"extension contract violated at O={o_mask} y={y}")
+    else:
+        # keyed on the result's integers, so a result that differs from the
+        # memoised walk's in any field is checked afresh
+        checks, contract_ok = space.memoised(
+            _run_checks, f_side, t_side, f._nbhd_pre[y], res.scale, res.totals,
+            res.mus, res.separators, res.bound, res.agreement_set)
+        if not contract_ok:
+            anomalies.append(f"extension contract violated at O={o_mask} y={y}")
+    # checks is itself shared, so its identity stands for its value
+    key = ("run", o_mask, f_side, t_side, y, id(checks))
+    run = _SHARED.get(key)
+    if run is None:
+        run = _SHARED[key] = {"O": o_mask, "F": f_side, "T": t_side, "y": y,
+                              **checks}
     return run
 
 
@@ -357,15 +408,8 @@ def _run_checks(space: FiniteSpace, f_side: int, t_side: int, pre: int,
     # str(residual_bound), without building the Fraction
     g = gcd(bound, den)
     residual = str(bound // g) if g == den else f"{bound // g}/{den // g}"
-    checks = {
-        "ok": True,
-        "iterations": iterations,
-        "residual": residual,
-        "geometric_chain_exact": chain_ok,
-        "norm_contract": norm_ok,
-        "exact_agreement": exact and agree_ok,
-        "residual_covers_sup": covers_ok,
-    }
+    checks = _shared_dict("checks", _CHECK_KEYS, True, iterations, residual,
+                          chain_ok, norm_ok, exact and agree_ok, covers_ok)
     return checks, chain_ok and norm_ok and agree_ok and covers_ok
 
 
@@ -375,6 +419,11 @@ def _run_checks(space: FiniteSpace, f_side: int, t_side: int, pre: int,
 def run_theorem_sweep(max_total: int = 6, depth: int = 6,
                       extender_budget: int = 2,
                       tolerance: Fraction = Fraction(1, 1024)) -> dict:
+    """The summarized report of theorem_record over every map of
+    census_instances(max_total), with the records under "records".  The
+    records are read-only values whose equal parts are shared, between
+    the records and with every later sweep in the process (see
+    theorem_record)."""
     records = [theorem_record(inst, depth, extender_budget, tolerance)
                for inst in census_instances(max_total)]
     return summarize(records, {"max_total": max_total, "depth": depth,

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import fibertop
 from fibertop.census import space_from_min_nbhds
 from fibertop.oscillation import RationalFunction
 from fibertop.spaces import FiberedMap, FiniteSpace, chain, discrete, indiscrete, sierpinski
@@ -142,3 +146,23 @@ def shuffled(f: FiberedMap, rng: random.Random) -> FiberedMap:
     for x, v in enumerate(f.table):
         table[px[x]] = py[v]
     return FiberedMap(dom.relabel(px), cod.relabel(py), table)
+
+
+# appended to a fresh interpreter's code: its peak RSS in kB, as the last
+# line.  The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss over
+# fork and exec, so a child of a large test process reports the parent's
+PRINT_VMHWM = ("with open('/proc/self/status') as f:\n"
+               "    print(*[l.split()[1] for l in f if l.startswith('VmHWM')])\n")
+
+
+def run_fresh(code: str, timeout: int = 300) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter that imports
+    this fibertop, so that the child's peak RSS is its own work's."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fibertop.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()

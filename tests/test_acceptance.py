@@ -21,13 +21,13 @@ from fibertop.harness import (
     classify,
     digest,
     hierarchy_violations,
-    run_theorem_sweep,
     summarize,
     theorem_record,
 )
 from fibertop.oscillation import ONE, ZERO, osc_at_point
 from fibertop.partitions import validate_regular_partition
 from fibertop.urysohn_tietze import _extension_walk
+from conftest import PRINT_VMHWM, run_fresh
 from harness_reference import constant_map_degeneration
 from levels_reference import interiors_cover_check
 from oscillation_reference import osc_at_point_exhaustive
@@ -259,13 +259,19 @@ def test_sweep_digest_is_the_benchmark_gate(reports):
 
 @pytest.mark.tier2
 def test_total_7_sweep_pin():
-    # about 8 s and 180 MB, so it runs only under -m tier2
-    sweep = run_theorem_sweep(7, DEPTH, EXTENDER_BUDGET)
-    assert digest(sweep) == SWEEP7_DIGEST
-    assert sweep["instances"] == 37634
-    for key in ("thm_mismatches", "hierarchy_violations", "anomalies",
-                "extension_contract_failures"):
-        assert sweep[key] == [], key
+    # about 10 s, so it runs only under -m tier2, in a fresh interpreter so
+    # that its peak RSS is the sweep's own; the sweep keeps every record,
+    # and must fit in the 110 MB that total 8 is planned around
+    code = ("from fibertop.harness import digest, run_theorem_sweep\n"
+            f"sweep = run_theorem_sweep(7, {DEPTH}, {EXTENDER_BUDGET})\n"
+            "print(digest(sweep), sweep['instances'])\n"
+            "print(*[k for k in ('thm_mismatches', 'hierarchy_violations',\n"
+            "                    'anomalies', 'extension_contract_failures')\n"
+            "        if sweep[k]])\n" + PRINT_VMHWM)
+    pin, failed, peak_kb = run_fresh(code)
+    assert pin == f"{SWEEP7_DIGEST} 37634"
+    assert failed == ""
+    assert int(peak_kb) <= 110 * 1024
 
 
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
@@ -278,13 +284,15 @@ def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # their verdicts for each (f^-1(O), f^-1(U_y)), the verdicts of
     # functional_co_sigma, and the contract checks of each extension
     # result and the boundary data of each (F, T) of the extension runs,
-    # over the 185 domain spaces
+    # and the two classical verdicts of each domain that classify asks for
+    # on its constant maps, over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
         "_separation_ok": 1608, "_least_failing_pair": 402,
         "_least_failing_triple": 402, "_least_failing_closure": 285,
         "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
-        "_no_straddle": 602, "_run_checks": 801, "boundary_function": 472}
+        "_no_straddle": 602, "_run_checks": 801, "boundary_function": 472,
+        "space_normal": 185, "vedenisov_perfectly_normal": 185}
 
 
 def _ints_only(value) -> bool:

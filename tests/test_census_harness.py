@@ -1,17 +1,16 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from fibertop import census
+from fibertop import census, cli
 from fibertop.census import (
     Instance,
     all_spaces,
@@ -68,7 +67,7 @@ from fibertop.spaces import (
 )
 from fibertop.urysohn_tietze import sigma_separator_family, verify_condition_C
 import normality_reference as ref
-from conftest import seeded_maps
+from conftest import PRINT_VMHWM, run_fresh, seeded_maps
 from harness_reference import (
     constant_map_degeneration,
     extension_run_reference,
@@ -251,26 +250,15 @@ class TestEnumeration:
     @pytest.mark.tier2
     def test_labeled_count_at_seven_points(self):
         # A000798 at 7 points, enumerated in a fresh interpreter so that
-        # its peak RSS is the tables' own: about 6 s and 80 MB.  The peak
-        # is VmHWM, not ru_maxrss: Linux carries ru_maxrss over fork and
-        # exec, so a child of a large test process reports the parent's.
-        # The hash pins the order as well, which the reference comparison
-        # checks only up to 6 points
+        # its peak RSS is the tables' own: about 6 s and 80 MB.  The hash
+        # pins the order as well, which the reference comparison checks
+        # only up to 6 points
         code = ("import hashlib\n"
                 "from fibertop.census import minimal_nbhd_assignments\n"
                 "t = minimal_nbhd_assignments(7)\n"
                 "print(len(t), t[0], t[-1])\n"
-                "print(hashlib.sha256(t._data).hexdigest())\n"
-                "with open('/proc/self/status') as f:\n"
-                "    print(*[l.split()[1] for l in f if l.startswith('VmHWM')])\n")
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(census.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        tables, sha, peak_kb = proc.stdout.splitlines()
+                "print(hashlib.sha256(t._data).hexdigest())\n" + PRINT_VMHWM)
+        tables, sha, peak_kb = run_fresh(code)
         assert tables == ("9535241 (1, 2, 4, 8, 16, 32, 64) "
                           "(127, 127, 127, 127, 127, 127, 127)")
         assert sha == ("7a5b2890a4e69b203cfc984597460ec2"
@@ -1167,6 +1155,55 @@ class TestHarnessRecords:
         for inst in sampled_instances(4, 40, seed=11):
             cls = classify(inst.f)
             assert hierarchy_violations(cls, inst.f.codomain.n == 1) == []
+
+
+class TestSharedRecordParts:
+    """theorem_record stores one object per distinct record part, shared by
+    every record that has it: each record still reads as the reference's,
+    byte for byte, and no reader of the records changes a shared part."""
+
+    SHARED = ("x_opens", "y_opens", "map", "classes", "thm3", "thm4",
+              "stepwise", "hierarchy_violations", "anomalies", "mismatches")
+
+    @pytest.fixture(scope="class")
+    def census5(self):
+        instances = list(census_instances(5))
+        return instances, [theorem_record(inst) for inst in instances]
+
+    def test_equal_parts_are_one_object(self, census5):
+        _, records = census5
+        parts = {name: [r[name] for r in records] for name in self.SHARED}
+        parts["runs"] = [run for r in records for run in r["extension_runs"]]
+        objects = {name: {id(p): _dumps(p) for p in ps}
+                   for name, ps in parts.items()}
+        for name, texts in objects.items():
+            assert len(texts) == len(set(texts.values())), name
+        distinct = {name: len(texts) for name, texts in objects.items()}
+        assert (len(records), len(parts["runs"])) == (551, 1098)
+        assert distinct["thm3"] == distinct["thm4"] == 2
+        assert distinct["classes"] == 7 and distinct["runs"] == 82
+        # the three lists are one empty list on every clean record
+        empties = {id(r[name]) for r in records
+                   for name in ("hierarchy_violations", "anomalies", "mismatches")}
+        assert len(empties) == 1
+
+    def test_canonical_json_matches_reference(self, census5):
+        instances, records = census5
+        for inst, rec in zip(instances, records):
+            assert _dumps(rec) == _dumps(theorem_record_reference(inst)), inst.uid
+
+    def test_readers_leave_the_records_unchanged(self, census5, tmp_path):
+        _, records = census5
+        before = [_dumps(r) for r in records]
+        report = summarize(records, {"max_total": 5})
+        digest(report)
+        out = tmp_path / "records.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["harness", "--total", "5", "--out", str(out)]) == 0
+        assert [_dumps(r) for r in records] == before
+        assert out.read_text().splitlines() == [
+            json.dumps(r, sort_keys=True) for r in records]
 
 
 def _dumps(obj) -> str:
