@@ -19,8 +19,7 @@ _EXPORTS = {
                     "is_f_equicontinuous_at", "norm", "osc_at_point",
                     "osc_on_set", "weighted_sum"),
     "partitions": ("ApproximateLimitFunction", "ConsistentBinaryFamily",
-                   "Level", "RegularKPartition", "assemble_limit",
-                   "validate_consistent_family", "validate_regular_partition"),
+                   "Level", "assemble_limit", "validate_consistent_family"),
     "normality": ("are_f_separated", "build_binary_partitions",
                   "is_co_perfectly_normal", "is_co_sigma_perfectly_normal",
                   "is_f_functionally_open", "is_hereditarily_normal",

@@ -178,10 +178,12 @@ def cmd_build(args) -> int:
             out["osc_bounds"] = [str(o) for o in res.osc_values]
         else:
             t_side = _on_domain("set", inst.sets, args.T, domain)
+            # first, so that a depth the separator rejects builds nothing
+            sep = (build_separator(f, f_side, t_side, y, args.depth)
+                   if args.kind == "separator" else None)
             fam = build_binary_partitions(f, f_side, t_side, y, args.depth)
             out["family"] = serialize_family(fam)
-            if args.kind == "separator":
-                sep = build_separator(f, f_side, t_side, y, args.depth)
+            if sep is not None:
                 rep = verify_condition_C(f, f_side, t_side, y, sep.phi, sep.nbhd)
                 if not rep.all_ok:
                     raise CheckFailed("separator failed re-verification")

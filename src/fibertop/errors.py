@@ -78,10 +78,6 @@ class PartitionError(FibertopError):
     pass
 
 
-class NotDisjoint(PartitionError):
-    pass
-
-
 class NotCovering(PartitionError):
     pass
 

@@ -7,8 +7,8 @@ disjoint closure interaction.  A consistent binary family stacks regular
 2^n-partitions of shrinking preimages so that each block splits into two
 children one level down; the induced stepwise functions k/(2^n - 1)
 converge to a function continuous along the map.  A family keeps each
-level as its table of block indices, the numerators k, and only a
-partition given as block masks is turned into one.
+level as its table of block indices, the numerators k, and
+``check_links`` checks a level's regularity on its table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     LevelNotRegular,
     NeighborhoodNotNested,
     NotCovering,
-    NotDisjoint,
     NotOpen,
     PartitionError,
     PrefixNotClosed,
@@ -33,53 +32,6 @@ from .errors import (
 )
 from .oscillation import RationalFunction
 from .spaces import FiberedMap, FiniteSpace, bits
-
-
-class RegularKPartition(NamedTuple):
-    space: FiniteSpace
-    carrier: int
-    blocks: tuple[int, ...]
-
-
-def validate_regular_partition(space: FiniteSpace, carrier: int,
-                               blocks) -> RegularKPartition:
-    """Check both regularity conditions; empty blocks are allowed.  The
-    blocks become their table, which ``check_links`` scans."""
-    blocks = tuple(int(b) for b in blocks)
-    if not blocks:
-        raise NotCovering("a partition needs at least one block")
-    check_links(space, carrier, partition_table(space.n, carrier, blocks))
-    return RegularKPartition(space, carrier, blocks)
-
-
-def partition_table(n_points: int, carrier: int, blocks) -> tuple:
-    """The table of blocks that partition the carrier: each point's block
-    index, None off the carrier.  NotCovering or NotDisjoint names the
-    first block that leaves the carrier or meets an earlier block, then
-    NotCovering a carrier the blocks do not cover."""
-    table = [None] * n_points
-    union = 0
-    for k, b in enumerate(blocks):
-        if b & ~carrier:
-            raise _leaves(b, carrier)
-        if b & union:
-            raise NotDisjoint(f"block {points_text(b)} overlaps an earlier block")
-        union |= b
-        for x in bits(b):
-            table[x] = k
-    if union != carrier:
-        raise _uncovered(union, carrier)
-    return tuple(table)
-
-
-def _leaves(block: int, carrier: int) -> NotCovering:
-    return NotCovering(f"block {points_text(block)} leaves the carrier "
-                       f"{points_text(carrier)}")
-
-
-def _uncovered(union: int, carrier: int) -> NotCovering:
-    return NotCovering(f"blocks cover {points_text(union)}, carrier is "
-                       f"{points_text(carrier)}")
 
 
 def check_links(space: FiniteSpace, carrier: int, table) -> None:
@@ -152,10 +104,12 @@ def validate_consistent_family(family: ConsistentBinaryFamily) -> ConsistentBina
         try:
             if covered & ~carrier:
                 k = min(table[x] for x in bits(covered & ~carrier))
-                raise _leaves(sum(1 << x for x, j in enumerate(table)
-                                  if j == k), carrier)
+                block = sum(1 << x for x, j in enumerate(table) if j == k)
+                raise NotCovering(f"block {points_text(block)} leaves the "
+                                  f"carrier {points_text(carrier)}")
             if covered != carrier:
-                raise _uncovered(covered, carrier)
+                raise NotCovering(f"blocks cover {points_text(covered)}, "
+                                  f"carrier is {points_text(carrier)}")
             check_links(space, carrier, table)
         except PartitionError as exc:
             raise LevelNotRegular(n, exc) from exc

@@ -14,36 +14,34 @@
     func phi on S
     0: 1/2
     1: -1/3
-    family fam map f y 0
-    O: 0 1
-    blocks: 0 1
-    O: 0
-    blocks: - | 0
 
 Blank lines and '#' comments are ignored.  '-' denotes the empty set.
-Families list one (O:, blocks:) pair per level, blocks separated by '|'.
+A family is output only: ``serialize_family`` prints one (O:, blocks:)
+pair per level, blocks separated by '|', and a file with a ``family``
+line is rejected.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from fractions import Fraction
-from operator import or_
 from typing import NamedTuple
 
-from .errors import (FibertopError, InstanceSyntaxError,
-                     InstanceValidationError, LevelNotRegular, PartitionError)
+from .errors import FibertopError, InstanceSyntaxError, InstanceValidationError
 from .oscillation import RationalFunction
-from .partitions import (ConsistentBinaryFamily, Level, partition_table,
-                         validate_consistent_family)
+from .partitions import ConsistentBinaryFamily
 from .spaces import FiberedMap, FiniteSpace, bits, mask_of
 
 # the header line of each block; a <placeholder> matches any one token
 HEADERS = {shape.split()[0]: shape.split() for shape in (
     "space <name>", "map <name> <X> -> <Y>", "set <name> in <space>",
-    "func <name> on <space>", "family <name> map <map> y <point>")}
-# the first tokens of the lines that end a block body
-KEYWORDS = {*HEADERS, "points", "opens"}
+    "func <name> on <space>")}
+# the first tokens of the other lines that end a block body, with the
+# error each gets where a header should be
+STRAYS = {"points": "points outside a space block",
+          "opens": "opens outside a space block",
+          "family": "instance files have no family block"}
+KEYWORDS = {*HEADERS, *STRAYS}
 # opens rows are read through a table of the names of points below this
 TABLE_POINTS = 64
 
@@ -54,12 +52,11 @@ class _Tables(NamedTuple):
     map_names: dict[str, tuple[str, str]]
     sets: dict[str, tuple[str, int]]
     funcs: dict[str, tuple[str, RationalFunction]]
-    families: dict[str, tuple[str, ConsistentBinaryFamily]]
 
 
 class InstanceFile(_Tables):
     """The objects of one instance file by name, one dict per block kind.
-    ``InstanceFile()`` holds six new empty dicts, which parsing fills."""
+    ``InstanceFile()`` holds five new empty dicts, which parsing fills."""
 
     __slots__ = ()
 
@@ -221,65 +218,11 @@ def _read_func(out, head, lineno, lines, rows, nxt) -> int:
     return nxt
 
 
-def _read_family(out, head, lineno, lines, rows, nxt) -> int:
-    """The family's (O:, blocks:) pairs are its first rows; the first row
-    that starts no pair is where the next header must be.  Each level's
-    2^n blocks become its table (``_level_table``) once every pair is
-    read, and the family is validated on the tables."""
-    name, mname = head[1], head[3]
-    if mname not in out.maps:
-        raise InstanceValidationError(f"family {name}", "unknown map", lineno)
-    try:
-        ypt = int(head[5])
-    except ValueError:
-        raise InstanceSyntaxError(lineno, "bad base point") from None
-    fmap = out.maps[mname]
-    dom, cod = out.map_names[mname]
-    if not 0 <= ypt < fmap.codomain.n:
-        raise _outside(ypt, lineno, fmap.codomain.n, f"space {cod}")
-    levels = []
-    k = 0
-    while k < len(rows) and lines[rows[k]].startswith("O:"):
-        r = rows[k]
-        nbhd = _parse_set_line(lines[r][2:], r + 1, fmap.codomain.n,
-                               f"space {cod}")
-        r = rows[k + 1] if k + 1 < len(rows) else nxt
-        if r == len(lines) or not lines[r].startswith("blocks:"):
-            raise InstanceSyntaxError(r + 1, "expected: blocks:")
-        blocks = tuple(_parse_set_line(part, r + 1, fmap.domain.n, f"space {dom}")
-                       for part in lines[r][len("blocks:"):].split("|"))
-        levels.append((nbhd, blocks))
-        k += 2
-    try:
-        fam = validate_consistent_family(ConsistentBinaryFamily(
-            fmap, ypt, tuple(Level(nbhd, _level_table(fmap, n, blocks))
-                             for n, (nbhd, blocks) in enumerate(levels))))
-    except FibertopError as exc:
-        raise InstanceValidationError(f"family {name}", str(exc), lineno) from exc
-    out.families[name] = (mname, fam)
-    return rows[k] if k < len(rows) else nxt
-
-
-def _level_table(f: FiberedMap, n: int, blocks):
-    """The table of level n from its 2^n block masks, which must be
-    disjoint; validation checks the table against f^-1(O).  Level 0 is the
-    table of zeros when its one block is the domain, and else None, which
-    validation rejects as level 0."""
-    if n == 0:
-        return (0,) * f.domain.n if blocks == (f.domain.full,) else None
-    if len(blocks) != 1 << n:
-        raise PartitionError(f"level {n} must have {1 << n} blocks")
-    try:
-        return partition_table(f.domain.n, reduce(or_, blocks), blocks)
-    except PartitionError as exc:
-        raise LevelNotRegular(n, exc) from exc
-
-
 # each reader takes the instance so far, the header's tokens and line
 # number, the lines, the body rows and the next keyword line's index, and
 # returns the index at which the next block must start
 READERS = {"space": _read_space, "map": _read_map, "set": _read_set,
-           "func": _read_func, "family": _read_family}
+           "func": _read_func}
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -298,7 +241,7 @@ def parse_instance(text: str) -> InstanceFile:
         head = lines[i].split()
         shape = HEADERS.get(head[0])
         if shape is None:
-            raise InstanceSyntaxError(i + 1, f"{head[0]} outside a space block")
+            raise InstanceSyntaxError(i + 1, STRAYS[head[0]])
         if len(head) != len(shape) or any(
                 s != h for s, h in zip(shape, head) if s[0] != "<"):
             raise InstanceSyntaxError(i + 1, "expected: " + " ".join(shape))

@@ -14,11 +14,14 @@
   K = sat(W, T) and 0 elsewhere; at depth 1 it succeeds iff cl(K) misses
   F, with index 1 on K.
 - ``level_blocks``: a level's table expanded to its 2^n block masks, the
-  shape of ``build_levels_reference``.
+  shape of ``build_levels_reference``; ``partition_table`` is its inverse
+  on any carrier, and ``decode_family`` reads printed family text back
+  into ``Level`` tables.
 - ``stepwise_function``: one level's step function k/(2^n - 1) as
   ``Fraction`` values, with its oscillation bound checked on its own.
 - ``interiors_cover_check``: the covering statement of a regular
-  k-partition, k >= 3, which the tests confirm exhaustively.
+  k-partition given as block masks, k >= 3, which the tests confirm
+  exhaustively.
 - ``limit_extrapolation``: the exact limit of a family whose level data
   goes stationary, beyond the truncation ``assemble_limit`` returns.
 """
@@ -26,12 +29,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from fibertop.errors import CheckFailed, DepthExceeded, SearchFailed
+from fibertop.errors import (CheckFailed, DepthExceeded, NotCovering,
+                             PartitionError, SearchFailed, points_text)
 from fibertop.oscillation import RationalFunction
 from fibertop.partitions import (
     ConsistentBinaryFamily,
-    RegularKPartition,
+    Level,
     _links,
     assemble_limit,
 )
@@ -98,6 +104,48 @@ def level_blocks(table, n: int) -> tuple[int, ...]:
     return tuple(blocks)
 
 
+def partition_table(n_points: int, carrier: int, blocks) -> tuple:
+    """The table of blocks that partition the carrier: each point's block
+    index, None off the carrier.  NotCovering names the first block that
+    leaves the carrier, PartitionError the first that meets an earlier
+    block, then NotCovering a carrier the blocks do not cover."""
+    table = [None] * n_points
+    union = 0
+    for k, b in enumerate(blocks):
+        if b & ~carrier:
+            raise NotCovering(f"block {points_text(b)} leaves the carrier "
+                              f"{points_text(carrier)}")
+        if b & union:
+            raise PartitionError(
+                f"block {points_text(b)} overlaps an earlier block")
+        union |= b
+        for x in bits(b):
+            table[x] = k
+    if union != carrier:
+        raise NotCovering(f"blocks cover {points_text(union)}, carrier is "
+                          f"{points_text(carrier)}")
+    return tuple(table)
+
+
+def decode_family(text: str, n_points: int) -> tuple[Level, ...]:
+    """The levels of family text as ``serialize_family`` prints it, one
+    (O:, blocks:) pair of lines per level: each point's block index, None
+    in no block."""
+    def mask(points: str) -> int:
+        points = points.strip()
+        return 0 if points == "-" else sum(1 << int(p) for p in points.split())
+
+    lines = text.splitlines()
+    levels = []
+    for nbhd, row in zip(lines[::2], lines[1::2]):
+        assert nbhd.startswith("O: ") and row.startswith("blocks: "), text
+        blocks = [mask(part) for part in row[len("blocks: "):].split("|")]
+        table = partition_table(n_points, reduce(or_, blocks), blocks)
+        levels.append(Level(mask(nbhd[len("O: "):]), table))
+    assert len(lines) == 2 * len(levels), text
+    return tuple(levels)
+
+
 def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunction:
     """The level-n step function: k/(2^n - 1) on block k, 0 off the blocks.
 
@@ -117,18 +165,17 @@ def stepwise_function(family: ConsistentBinaryFamily, n: int) -> RationalFunctio
     return RationalFunction.total(space, [Fraction(k, denom) for k in idx])
 
 
-def interiors_cover_check(part: RegularKPartition) -> bool:
+def interiors_cover_check(space: FiniteSpace, carrier: int, blocks) -> bool:
     """Do the relative interiors of adjacent block pairs cover the carrier?
 
     Always true for a valid regular k-partition with k >= 3.
     """
-    k = len(part.blocks)
+    k = len(blocks)
     if k < 3:
         raise ValueError("covering statement needs k >= 3")
-    space, carrier = part.space, part.carrier
     cover = 0
     for m in range(k - 1):
-        cover |= space.rel_interior(carrier, part.blocks[m] | part.blocks[m + 1])
+        cover |= space.rel_interior(carrier, blocks[m] | blocks[m + 1])
     return cover == carrier
 
 

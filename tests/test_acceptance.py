@@ -25,11 +25,11 @@ from fibertop.harness import (
     theorem_record,
 )
 from fibertop.oscillation import ONE, ZERO, osc_at_point
-from fibertop.partitions import validate_regular_partition
+from fibertop.partitions import check_links
 from fibertop.urysohn_tietze import _extension_walk
 from conftest import PRINT_VMHWM, run_fresh
 from harness_reference import constant_map_degeneration
-from levels_reference import interiors_cover_check
+from levels_reference import interiors_cover_check, partition_table
 from oscillation_reference import osc_at_point_exhaustive
 
 SEED = 0
@@ -75,11 +75,12 @@ def run_covering_lemma() -> dict:
                     for x, b in enumerate(assign):
                         blocks[b] |= 1 << x
                     try:
-                        part = validate_regular_partition(space, space.full, blocks)
+                        check_links(space, space.full,
+                                    partition_table(space.n, space.full, blocks))
                     except PartitionError:
                         continue
                     partitions += 1
-                    if not interiors_cover_check(part):
+                    if not interiors_cover_check(space, space.full, blocks):
                         violations.append(f"n{n}.{si} {blocks}")
     return {"criterion": 2, "partitions": partitions, "violations": violations}
 

@@ -55,9 +55,6 @@ REASONED = {
     "urysohn_tietze.exact_extension_exists":
         "the public exact-extension decider, an independent route to "
         "extension existence",
-    "partitions.validate_regular_partition":
-        "the public checker of a regular k-partition given as block masks; "
-        "families are checked on their tables by the same link scan",
     "normality.SeparationCertificate.valid_for":
         "the independent re-check of an are_f_separated certificate",
 }

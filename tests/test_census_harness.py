@@ -50,11 +50,7 @@ from fibertop.normality import (
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
-from fibertop.partitions import (
-    assemble_limit,
-    partition_table,
-    stepwise_violation,
-)
+from fibertop.partitions import assemble_limit, stepwise_violation
 from fibertop.spaces import (
     FiniteSpace,
     FiberedMap,
@@ -75,7 +71,8 @@ from harness_reference import (
     tietze_function,
     urysohn_function,
 )
-from levels_reference import build_levels_reference, collapsed_walk, level_blocks
+from levels_reference import (build_levels_reference, collapsed_walk,
+                              level_blocks, partition_table)
 from subspace_reference import Submapping, is_f_sigma_submapping, subspace
 
 

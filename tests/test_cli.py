@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 from fibertop import census, cli, normality
 from fibertop.cli import main
 from fibertop.errors import CheckFailed, HypothesisFailed
-from fibertop.urysohn_tietze import ConditionCReport
+from fibertop.normality import build_binary_partitions
+from fibertop.textfmt import parse_instance
+from fibertop.urysohn_tietze import (ConditionCReport, build_separator,
+                                     sigma_separator_family)
+from levels_reference import decode_family
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = str(ROOT / "scripts" / "demo.top")
@@ -182,6 +186,23 @@ SIGMA_GOLDEN = {
        r'"osc_bounds": ["0", "0"], "y": 1}',
 }
 
+# `--depth 3 build separator --F F --T T --y 0` stdout on CONST_D2, as text
+# and with --json
+SEPARATOR_GOLDEN = {
+    False: "kind: separator\ny: 0\nfamily: O: 0\nblocks: 0 1\nO: 0\n"
+           "blocks: 0 | 1\nO: 0\nblocks: 0 | - | - | 1\nO: 0\nblocks: 0 | - | "
+           "- | - | - | - | - | 1\nOy: [0]\nphi: ['0', '1']\nosc: 0\n"
+           "error_bound: 1/7\nchecks: {'osc_ok': True, 'f_in_zero': True, "
+           "'t_in_one': True, 'f_off_upper_closure': True, "
+           "'t_in_upper_interior': True}\n",
+    True: r'{"Oy": [0], "checks": {"f_in_zero": true, "f_off_upper_closure": '
+          r'true, "osc_ok": true, "t_in_one": true, "t_in_upper_interior": '
+          r'true}, "error_bound": "1/7", "family": "O: 0\nblocks: 0 1\nO: 0'
+          r'\nblocks: 0 | 1\nO: 0\nblocks: 0 | - | - | 1\nO: 0\nblocks: 0 '
+          r'| - | - | - | - | - | - | 1", "kind": "separator", "osc": "0", '
+          r'"phi": ["0", "1"], "y": 0}' "\n",
+}
+
 
 BIG = "space B\npoints 20\nopens\n-\n" + \
     "\n".join(" ".join(str(i) for i in range(k + 1)) for k in range(20)) + \
@@ -294,6 +315,63 @@ class TestBuild:
         assert out["error_bound"] == "1/31"
         assert out["phi"] == ["0", "1"]
         assert all(out["checks"].values())
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_separator_bytes(self, const_d2_file, capsys, as_json):
+        flags = ["--json"] if as_json else []
+        assert main([*flags, "--depth", "3", "build", "separator",
+                     const_d2_file, "--F", "F", "--T", "T", "--y", "0"]) == 0
+        assert capsys.readouterr().out == SEPARATOR_GOLDEN[as_json]
+
+    @pytest.mark.parametrize("depth, calls", [(1, 0), (2, 2), (3, 2)])
+    def test_separator_depth_is_checked_before_any_build(
+            self, const_d2_file, capsys, monkeypatch, depth, calls):
+        # the separator's own family and the printed one take a build
+        # each, and a depth below 2 is refused before either
+        seen = []
+        original = normality.build_levels
+
+        def counted(*args):
+            seen.append(args[3:])
+            return original(*args)
+
+        monkeypatch.setattr(normality, "build_levels", counted)
+        code = main(["--depth", str(depth), "build", "separator",
+                     const_d2_file, "--F", "F", "--T", "T", "--y", "0"])
+        captured = capsys.readouterr()
+        assert len(seen) == calls
+        if depth < 2:
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: a separator needs depth >= 2\n"
+        else:
+            assert code == 0 and captured.out.count("O:") == depth + 1
+
+    @pytest.mark.parametrize("y", [0, 1])
+    @pytest.mark.parametrize("kind", ["partitions", "separator",
+                                      "sigma-family"])
+    def test_printed_family_decodes_to_the_built_levels(self, sigma_file,
+                                                        capsys, kind, y):
+        t_names = "T1,T2" if kind == "sigma-family" else "T2"
+        assert main(["--json", "--depth", "3", "build", kind, sigma_file,
+                     "--F", "F", "--T", t_names, "--y", str(y)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        inst = parse_instance(Path(sigma_file).read_text())
+        f = inst.maps["f"]
+        f_side = inst.sets["F"][1]
+        t_sides = [inst.sets[nm][1] for nm in t_names.split(",")]
+        if kind == "sigma-family":
+            res = sigma_separator_family(f, f_side, t_sides, y, 3)
+            built = [lim.family for lim in res.limits]
+            printed = out["families"]
+        elif kind == "separator":
+            built = [build_separator(f, f_side, t_sides[0], y, 3).limit.family]
+            printed = [out["family"]]
+        else:
+            built = [build_binary_partitions(f, f_side, t_sides[0], y, 3)]
+            printed = [out["family"]]
+        assert len(printed) == len(built)
+        for text, fam in zip(printed, built):
+            assert decode_family(text, f.domain.n) == fam.levels
 
     def test_extend_residuals(self, s_file, capsys):
         code = main(["--json", "build", "extend", s_file,
@@ -559,6 +637,10 @@ class TestInstanceErrors:
          "line 27: point 5 outside space S (points 0..1)"),
         ("\n2 -> 1\n", "\n7 -> 1\n",
          "line 27: point 7 outside space C3 (points 0..2)"),
+        # the family text that build prints is output only
+        ("2: 3/4\n", "2: 3/4\n\nfamily fam map f y 0\nO: 0 1\n"
+                      "blocks: 0 1 2\nO: 0\nblocks: 2 | 0 1\n",
+         "line 38: instance files have no family block"),
     ])
     def test_header_and_image_errors_name_their_line(self, tmp_path, capsys,
                                                      old, new, message):
@@ -594,10 +676,6 @@ class TestInstanceErrors:
          "map f (line 24): preimage {1} of open {0} is not open"),
         ("\n0 1\n0 1 2\n", "\n1\n0 1 2\n",
          "space C3 (line 9): union of opens {1} and {0} is not open"),
-        ("2: 3/4\n", "2: 3/4\n\nfamily fam map f y 0\nO: 0 1\n"
-                      "blocks: 0 1 2\nO: 0\nblocks: 2 | 0 1\n",
-         "family fam (line 38): level 1 partition not regular: "
-         "block {2} leaves the carrier {0 1}"),
     ])
     def test_validation_error_names_header_line(self, tmp_path, capsys, old,
                                                 new, message):

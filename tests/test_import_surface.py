@@ -24,8 +24,7 @@ EXPORTS = {
                     "is_f_equicontinuous_at", "norm", "osc_at_point",
                     "osc_on_set", "weighted_sum"],
     "partitions": ["ApproximateLimitFunction", "ConsistentBinaryFamily",
-                   "Level", "RegularKPartition", "assemble_limit",
-                   "validate_consistent_family", "validate_regular_partition"],
+                   "Level", "assemble_limit", "validate_consistent_family"],
     "normality": ["are_f_separated", "build_binary_partitions",
                   "is_co_perfectly_normal", "is_co_sigma_perfectly_normal",
                   "is_f_functionally_open", "is_hereditarily_normal",
@@ -83,7 +82,7 @@ def test_cli_import_loads_no_sweep_module():
 
 def test_public_names_are_their_submodules_objects():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 36
+    assert len(names) == 34
     assert sorted(fibertop.__all__) == sorted(names + SUBMODULES)
     for module, exported in EXPORTS.items():
         source = importlib.import_module(f"fibertop.{module}")

@@ -14,7 +14,6 @@ from fibertop.errors import (
     LevelNotRegular,
     NeighborhoodNotNested,
     NotCovering,
-    NotDisjoint,
     PartitionError,
     PrefixNotClosed,
 )
@@ -27,13 +26,13 @@ from fibertop.partitions import (
     assemble_limit,
     check_links,
     validate_consistent_family,
-    validate_regular_partition,
 )
 from fibertop.spaces import bits, constant_map, discrete, identity_map, indiscrete
 from conftest import spaces
 from levels_reference import (
     interiors_cover_check,
     limit_extrapolation,
+    partition_table,
     stepwise_function,
 )
 
@@ -56,10 +55,15 @@ def _literal_failure(space, carrier, blocks):
     return None
 
 
+def _regular(space, carrier, blocks):
+    """check_links on the table of the block masks; its error, if any."""
+    check_links(space, carrier, partition_table(space.n, carrier, blocks))
+
+
 def _reading(space, carrier, blocks):
-    """validate_regular_partition's verdict in _literal_failure's shape."""
+    """check_links's verdict on the block masks in _literal_failure's shape."""
     try:
-        validate_regular_partition(space, carrier, blocks)
+        _regular(space, carrier, blocks)
     except (PrefixNotClosed, Condition2Violated) as exc:
         return type(exc), exc.p
     return None
@@ -76,27 +80,27 @@ def all_ordered_partitions(space, k):
 
 class TestRegularPartition:
     def test_sierpinski_two_blocks(self, S):
-        part = validate_regular_partition(S, S.full, (0b10, 0b01))
-        assert len(part.blocks) == 2
+        _regular(S, S.full, (0b10, 0b01))
 
     def test_chain_condition2_violation(self, C3):
         with pytest.raises(Condition2Violated) as err:
-            validate_regular_partition(C3, C3.full, (0b100, 0b010, 0b001))
+            _regular(C3, C3.full, (0b100, 0b010, 0b001))
         assert err.value.p == 0
 
     def test_discrete_singletons(self, D3):
-        validate_regular_partition(D3, D3.full, (0b001, 0b010, 0b100))
+        _regular(D3, D3.full, (0b001, 0b010, 0b100))
 
     def test_prefix_not_closed(self, S):
         with pytest.raises(PrefixNotClosed) as err:
-            validate_regular_partition(S, S.full, (0b01, 0b10))
+            _regular(S, S.full, (0b01, 0b10))
         assert err.value.p == 0
 
     def test_disjoint_and_covering(self, D2):
-        with pytest.raises(NotDisjoint):
-            validate_regular_partition(D2, D2.full, (0b11, 0b01))
+        # block masks that are not a partition of the carrier have no table
+        with pytest.raises(PartitionError, match="overlaps an earlier block"):
+            partition_table(D2.n, D2.full, (0b11, 0b01))
         with pytest.raises(NotCovering):
-            validate_regular_partition(D2, D2.full, (0b01, 0))
+            partition_table(D2.n, D2.full, (0b01, 0))
 
     def test_first_failure_is_the_literal_one(self):
         # every ordered partition, empty blocks included, of every carrier
@@ -142,13 +146,15 @@ class TestRegularPartition:
 
 class TestInteriorsCover:
     def test_discrete_three(self, D3):
-        part = validate_regular_partition(D3, D3.full, (0b001, 0b010, 0b100))
-        assert interiors_cover_check(part)
+        blocks = (0b001, 0b010, 0b100)
+        _regular(D3, D3.full, blocks)
+        assert interiors_cover_check(D3, D3.full, blocks)
 
     def test_k2_rejected(self, S):
-        part = validate_regular_partition(S, S.full, (0b10, 0b01))
+        blocks = (0b10, 0b01)
+        _regular(S, S.full, blocks)
         with pytest.raises(ValueError):
-            interiors_cover_check(part)
+            interiors_cover_check(S, S.full, blocks)
 
     def test_exhaustive_small(self):
         # the covering statement holds for every valid regular partition
@@ -158,11 +164,11 @@ class TestInteriorsCover:
                 for k in (3, 4):
                     for blocks in all_ordered_partitions(space, k):
                         try:
-                            part = validate_regular_partition(space, space.full, blocks)
+                            _regular(space, space.full, blocks)
                         except PartitionError:
                             continue
                         found += 1
-                        assert interiors_cover_check(part)
+                        assert interiors_cover_check(space, space.full, blocks)
         assert found > 50
 
 

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import seeded_maps, spaces
 from fibertop.census import continuous_tables
-from fibertop.errors import InstanceSyntaxError, InstanceValidationError, SearchFailed
+from fibertop.errors import (FibertopError, InstanceSyntaxError,
+                             InstanceValidationError)
 from fibertop.normality import build_binary_partitions
 from fibertop.oscillation import RationalFunction
-from fibertop.spaces import FiberedMap, bits, constant_map, discrete
+from fibertop.partitions import (ConsistentBinaryFamily, Level,
+                                 validate_consistent_family)
+from fibertop.spaces import (FiberedMap, bits, chain, constant_map, discrete,
+                             identity_map)
 from fibertop.textfmt import (
     InstanceFile,
     _fmt_set,
@@ -22,8 +26,7 @@ from fibertop.textfmt import (
 
 def serialize_instance(inst: InstanceFile) -> str:
     """The instance file text of a parsed instance, block by block in the
-    order spaces, maps, sets, funcs, families; parsing it gives the
-    instance back."""
+    order spaces, maps, sets, funcs; parsing it gives the instance back."""
     chunks = []
     for name, space in inst.spaces.items():
         chunks.append(f"space {name}")
@@ -40,9 +43,6 @@ def serialize_instance(inst: InstanceFile) -> str:
     for name, (sname, func) in inst.funcs.items():
         chunks.append(f"func {name} on {sname}")
         chunks.extend(f"{x}: {func.values[x]}" for x in bits(func.carrier))
-    for name, (mname, fam) in inst.families.items():
-        chunks.append(f"family {name} map {mname} y {fam.y}")
-        chunks.append(serialize_family(fam))
     return "\n".join(chunks) + "\n"
 
 
@@ -142,19 +142,6 @@ class TestParse:
             parse_instance("space X\npoints -1\nopens\n-\n")
         assert err.value.line == 2 and "negative point count" in str(err.value)
 
-    @pytest.mark.parametrize("line, point, bad", [
-        ("family fam map id y 99", "99", 19),
-        ("O: 0 5", "5", 20),
-        ("blocks: 0 | -1", "-1", 21),
-    ])
-    def test_family_point_outside_space(self, line, point, bad):
-        lines = ["family fam map id y 1", "O: 0 1", "blocks: 0 1"]
-        lines[bad - 19] = line
-        with pytest.raises(InstanceSyntaxError) as err:
-            parse_instance(SIERPINSKI_ID + "\n".join(lines) + "\n")
-        assert err.value.line == bad
-        assert f"point {point} outside space S (points 0..1)" in str(err.value)
-
     def test_points_line_with_extra_tokens(self):
         bad = SIERPINSKI_ID.replace("points 2\n", "points 2 7\n")
         with pytest.raises(InstanceSyntaxError) as err:
@@ -184,16 +171,9 @@ class TestParse:
             parse_instance("set A in nowhere\n0\n")
 
 
-# demo.top with a family whose O: and blocks: lines are split by a blank line
-DEMO_WITH_FAMILY = (Path(__file__).resolve().parents[1] / "scripts"
-                    / "demo.top").read_text() + """
-family fam map f y 0
-O: 0 1
-blocks: 0 1 2
-O: 0
-
-blocks: 0 1 | -
-"""
+# a space, map, set and func block each, with comments and blank lines
+DEMO = (Path(__file__).resolve().parents[1] / "scripts"
+        / "demo.top").read_text()
 
 
 def _untidy(text: str, indent: str, trail: str) -> str:
@@ -208,23 +188,24 @@ class TestWhitespace:
     @pytest.mark.parametrize("indent, trail", [("\t", " "), ("    ", "\t  "),
                                                (" \t", "")])
     def test_untidy_demo_parses_like_the_clean_file(self, indent, trail):
-        clean = parse_instance(DEMO_WITH_FAMILY)
-        assert clean.families and clean.funcs
-        assert parse_instance(_untidy(DEMO_WITH_FAMILY, indent, trail)) == clean
+        clean = parse_instance(DEMO)
+        assert clean.spaces and clean.maps and clean.sets and clean.funcs
+        assert parse_instance(_untidy(DEMO, indent, trail)) == clean
 
     @pytest.mark.parametrize("old, new", [
         ("\n0 1 2\n", "\n0 1 99\n"),
         ("\n2 -> 1\n", "\n2 -> 5\n"),
         ("\n0 -> 0\n", "\n0 -> 1\n"),
         ("\n2: 3/4\n", "\n2: 3/0\n"),
-        ("\nblocks: 0 1 | -\n", "\nblocks: 2 | 0 1\n"),
-        ("\nblocks: 0 1 | -\n", "\n"),
+        ("\nset T in C3\n-\n", "\nset T in C3\n- 1\n"),
+        ("\nmap f C3 -> S\n", "\nmap f C3 -> Q\n"),
+        ("\nset T in C3\n", "\nfamily fam map f y 0\n"),
     ])
     @pytest.mark.parametrize("indent, trail", [("\t", " "), ("    ", "\t  ")])
     def test_untidy_demo_errors_name_the_same_line(self, old, new, indent,
                                                     trail):
-        bad = DEMO_WITH_FAMILY.replace(old, new, 1)
-        assert bad != DEMO_WITH_FAMILY
+        bad = DEMO.replace(old, new, 1)
+        assert bad != DEMO
         with pytest.raises((InstanceSyntaxError, InstanceValidationError)) as clean:
             parse_instance(bad)
         with pytest.raises(type(clean.value)) as untidy:
@@ -244,19 +225,6 @@ class TestRoundTrip:
         assert again.funcs["phi"][1].values == inst.funcs["phi"][1].values
         assert serialize_instance(again) == text
 
-    def test_family_round_trip(self):
-        f = constant_map(discrete(2))
-        fam = build_binary_partitions(f, 0b01, 0b10, 0, 3)
-        inst = InstanceFile()
-        inst.spaces["X"] = f.domain
-        inst.spaces["pt"] = f.codomain
-        inst.maps["c"] = f
-        inst.map_names["c"] = ("X", "pt")
-        inst.families["fam"] = ("c", fam)
-        text = serialize_instance(inst)
-        again = parse_instance(text)
-        assert again.families["fam"][1].levels == fam.levels
-
     def test_partial_function_round_trip(self):
         text = SIERPINSKI_ID + "func part on S\n1: 4/7\n"
         inst = parse_instance(text)
@@ -268,8 +236,8 @@ class TestRoundTrip:
 
 @st.composite
 def instance_files(draw):
-    """Random spaces, continuous maps between them, sets, partial rational
-    functions and, where the builder succeeds, partition families."""
+    """Random spaces, continuous maps between them, sets and partial
+    rational functions."""
     inst = InstanceFile()
     for i in range(draw(st.integers(1, 3))):
         inst.spaces[f"S{i}"] = draw(spaces(max_points=4))
@@ -293,17 +261,6 @@ def instance_files(draw):
                              min_size=space.n, max_size=space.n))
         inst.funcs[f"g{i}"] = (sname, RationalFunction.on_carrier(
             space, carrier, lambda x: vals[x]))
-    for mname, f in inst.maps.items():
-        closed = f.domain.rel_closed_sets(f.domain.full)
-        f_side, t_side = draw(st.sampled_from(closed)), draw(st.sampled_from(closed))
-        y = draw(st.integers(0, f.codomain.n - 1))
-        if f_side & t_side:
-            continue
-        try:
-            fam = build_binary_partitions(f, f_side, t_side, y, 2)
-        except SearchFailed:
-            continue
-        inst.families[f"fam_{mname}"] = (mname, fam)
     return inst
 
 
@@ -316,58 +273,40 @@ def test_round_trip_property(inst):
     assert parsed == inst
 
 
-# the identity of the chain whose open point is 0, with a valid family:
-# level 1 is {1 2} | {0}, level 2 is - | {1 2} | {0} | -
-CHAIN_FAMILY = """\
-space X
-points 3
-opens
--
-0
-0 1
-0 1 2
-map f X -> X
-0 -> 0
-1 -> 1
-2 -> 2
-family fam map f y 2
-O: 0 1 2
-blocks: 0 1 2
-O: 0 1 2
-blocks: 1 2 | 0
-O: 0 1 2
-blocks: - | 1 2 | 0 | -
-"""
+# the identity of the chain whose open point is 0 at y = 2, with a valid
+# family: level 1 is {1 2} | {0}, level 2 is - | {1 2} | {0} | -
+CHAIN_ID = identity_map(chain(3))
+CHAIN_LEVELS = (Level(0b111, (0, 0, 0)), Level(0b111, (1, 0, 0)),
+                Level(0b111, (2, 1, 1)))
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("blocks: 0 1 2\n", "blocks: 0 1\n",
+@pytest.mark.parametrize("n, level, message", [
+    (0, Level(0b111, (0, 0, None)),
      "level 0 must be the whole codomain with one block"),
-    ("blocks: 1 2 | 0\n", "blocks: 1 2 | 0 | -\n", "level 1 must have 2 blocks"),
-    ("blocks: 1 2 | 0\n", "blocks: 1 2 | 0 1\n",
-     "level 1 partition not regular: block {0 1} overlaps an earlier block"),
-    ("blocks: 1 2 | 0\n", "blocks: 2 | 0\n",
+    (1, Level(0b111, (2, 0, 0)), "level 1 must have 2 blocks"),
+    (1, Level(0b111, (1, None, 0)),
      "level 1 partition not regular: blocks cover {0 2}, carrier is {0 1 2}"),
-    ("blocks: 1 2 | 0\n", "blocks: 0 | 1 2\n",
+    (1, Level(0b111, (0, 1, 1)),
      "level 1 partition not regular: prefix union through block 0 is not "
      "closed"),
-    ("blocks: - | 1 2 | 0 | -\n", "blocks: 2 | - | 1 | 0\n",
+    (2, Level(0b111, (3, 2, 0)),
      "level 2 partition not regular: prefix through 0 meets closure of "
      "blocks >= 2"),
-    ("blocks: - | 1 2 | 0 | -\n", "blocks: - | 0 1 2 | - | -\n",
+    (2, Level(0b111, (1, 1, 1)),
      "children of block 0 at level 2 do not recover it"),
-    ("O: 0 1 2\nblocks: - |", "O: 1 2\nblocks: - |", "set {1 2} is not open"),
-    ("O: 0 1 2\nblocks: - |", "O: 0 1\nblocks: - |",
-     "level 2 neighborhood misses y=2"),
+    (2, Level(0b110, (2, 1, 1)), "set {1 2} is not open"),
+    (2, Level(0b011, (2, 1, 1)), "level 2 neighborhood misses y=2"),
 ])
-def test_single_fault_family_errors(old, new, message):
-    # one edited line of a valid family: the error names that fault, as
+def test_single_fault_family_errors(n, level, message):
+    # one changed level of a valid family: the error names that fault, as
     # when the levels were checked as block masks
-    assert parse_instance(CHAIN_FAMILY).families["fam"][1].depth == 2
-    assert CHAIN_FAMILY.count(old) == 1
-    with pytest.raises(InstanceValidationError) as err:
-        parse_instance(CHAIN_FAMILY.replace(old, new))
-    assert str(err.value) == f"family fam (line 12): {message}"
+    assert CHAIN_ID.domain.opens == (0, 0b001, 0b011, 0b111)
+    validate_consistent_family(ConsistentBinaryFamily(CHAIN_ID, 2,
+                                                      CHAIN_LEVELS))
+    levels = CHAIN_LEVELS[:n] + (level,) + CHAIN_LEVELS[n + 1:]
+    with pytest.raises(FibertopError) as err:
+        validate_consistent_family(ConsistentBinaryFamily(CHAIN_ID, 2, levels))
+    assert str(err.value) == message
 
 
 def test_serialize_family_shape():
@@ -397,24 +336,12 @@ class TestErrorPaths:
          "line 3: expected: opens"),
         ("space X\n\nmap f X -> X\n", InstanceSyntaxError, 3,
          "line 3: expected: points <n>"),
-        # an O: row at the end of the file
-        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\n", InstanceSyntaxError,
-         12, "line 12: expected: blocks:"),
-        # a keyword line right after O:
-        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\n# c\nset A in X\n",
-         InstanceSyntaxError, 13, "line 13: expected: blocks:"),
-        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nO: 0 1\n",
-         InstanceSyntaxError, 12, "line 12: expected: blocks:"),
         (POINT + "map f X -> X\n0 0\n", InstanceSyntaxError, 7,
          "line 7: expected: <i> -> <j>"),
         (POINT + "map f X -> X\na -> 0\n", InstanceSyntaxError, 7,
          "line 7: expected integers"),
         (SIERPINSKI_MAP.replace("1 -> 1\n", "") + "set A in X\n0\n",
          InstanceValidationError, 7, "map f (line 7): no image for point 1"),
-        (SIERPINSKI_MAP + "family a map f y z\nO: 0 1\nblocks: 0 1\n",
-         InstanceSyntaxError, 10, "line 10: bad base point"),
-        (SIERPINSKI_MAP + "family a map g y 0\n", InstanceValidationError, 10,
-         "family a (line 10): unknown map"),
         (POINT + "set A in X\nz\n", InstanceSyntaxError, 7,
          "line 7: bad point list 'z'"),
         (POINT + "func g on X\n0 1/2\n", InstanceSyntaxError, 7,
@@ -428,15 +355,15 @@ class TestErrorPaths:
          "line 1: expected: set <name> in <space>"),
         ("func g in X\n", InstanceSyntaxError, 1,
          "line 1: expected: func <name> on <space>"),
-        ("family a map f y\n", InstanceSyntaxError, 1,
-         "line 1: expected: family <name> map <map> y <point>"),
-        # a stray row after a valid family is the next header
-        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nblocks: 0 1\n0 1\n",
-         InstanceSyntaxError, 13, "line 13: unknown keyword '0'"),
-        # ... and is reported only after the family is validated
-        (SIERPINSKI_MAP + "family a map f y 0\nO: 0 1\nblocks: 0\n0 1\n",
-         InstanceValidationError, 10,
-         "family a (line 10): level 0 must be the whole codomain with one block"),
+        # a family line ends the block before it, then is rejected: at the
+        # top of a file and after each block kind
+        *((text + "family a map f y 0\nO: 0 1\nblocks: 0 1\n",
+           InstanceSyntaxError, line,
+           f"line {line}: instance files have no family block")
+          for text, line in [
+              ("", 1), ("# c\nfamily\n", 2), (POINT, 6), (SIERPINSKI_MAP, 10),
+              (SIERPINSKI_MAP + "set A in X\n0\n", 12),
+              (SIERPINSKI_MAP + "func g on X\n0: 1/2\n\n", 13)]),
     ])
     def test_error_names_its_line(self, text, kind, line, message):
         with pytest.raises((InstanceSyntaxError, InstanceValidationError)) as err:
