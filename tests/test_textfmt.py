@@ -361,7 +361,7 @@ class TestErrorPaths:
            InstanceSyntaxError, line,
            f"line {line}: instance files have no family block")
           for text, line in [
-              ("", 1), ("# c\nfamily\n", 2), (POINT, 6), (SIERPINSKI_MAP, 10),
+              ("", 1), (POINT, 6), (SIERPINSKI_MAP, 10),
               (SIERPINSKI_MAP + "set A in X\n0\n", 12),
               (SIERPINSKI_MAP + "func g on X\n0: 1/2\n\n", 13)]),
     ])
