@@ -10,7 +10,8 @@ fresh interpreter, and prints:
   counted once per field, so a part that records share counts once, and
   how many distinct objects the records hold in that field;
 - the entries per part kind of harness's shared-part table and the bytes
-  that the table keeps alive after the sweep.
+  that the table and the stored JSON texts of its parts keep alive after
+  the sweep.
 
 Deep bytes are sys.getsizeof summed over a part's containers and values;
 dict keys are the record's field names, which the code holds anyway, and
@@ -64,7 +65,8 @@ def measure(total: int) -> dict:
     whole = sum(deep_bytes(r, seen) for r in records)
     table = harness._SHARED
     seen = set()
-    retained = deep_bytes(table, seen) + sum(deep_bytes(k, seen) for k in table)
+    retained = sum(deep_bytes(t, seen) + sum(deep_bytes(k, seen) for k in t)
+                   for t in (table, harness._TEXT))
     return {"total": total, "peak_rss_kb": peak_kb, "records": len(records),
             "records_bytes": whole, "fields": fields,
             "shared_entries": dict(Counter(key[0] for key in table)),

@@ -24,7 +24,12 @@ Records are read-only values whose equal parts are shared: each part kind
 that repeats across a sweep (the theorem sides, the classification, the
 tallies, the extension runs and their checks, the open and map lists, and
 the empty lists) is stored once per distinct value in ``_SHARED`` and
-reused by every record that has it.
+reused by every record that has it.  The canonical JSON text of each part
+is stored with it, in ``_TEXT``, and a record's digest and a report's
+digest both join those texts rather than encode the parts again.  So a
+part must never be edited in place: the edit would reach every record
+that shares the part, and the part's stored text would go stale, so that
+digests would no longer hash the records' bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .census import Instance, census_instances
@@ -166,13 +172,27 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
 # alike and an untagged key could hand a part with 1 where true is due.
 _SHARED: dict = {}
 
+# the canonical JSON text of each part in _SHARED, keyed by the part's id,
+# stored when the part is; an id is safe as a key only because _SHARED
+# keeps every part alive, so no other object can ever take a stored id
+_TEXT: dict = {}
+
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _share(key: tuple, part):
+    """Store part, and its text, as the shared part under key."""
+    _SHARED[key] = part
+    _TEXT[id(part)] = _ENCODE(part)
+    return part
+
 
 def _shared_dict(kind: str, names, *values) -> dict:
     """The shared dict of ``kind`` that maps names to values, in order."""
     key = (kind, *values)
     part = _SHARED.get(key)
     if part is None:
-        part = _SHARED[key] = dict(zip(names, values))
+        part = _share(key, dict(zip(names, values)))
     return part
 
 
@@ -181,7 +201,7 @@ def _shared_list(kind: str, values: tuple) -> list:
     key = (kind, values)
     part = _SHARED.get(key)
     if part is None:
-        part = _SHARED[key] = list(values)
+        part = _share(key, list(values))
     return part
 
 
@@ -258,10 +278,18 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     theorems by independent routes, stepwise-bound tallies, and the
     budgeted extension runs with their residual checks.
 
+    The extension runs take the first ``extender_budget`` pairs (F, T) of
+    the scans with F | T non-empty.  ``_closed_pairs`` sorts F = ∅ first,
+    and a pair with F non-empty needs a second non-empty closed set, whose
+    pair with ∅ comes before it; so a budget of 2 always extends the
+    constant 1 on T, and the sweep's runs never see two-valued data (every
+    census-5 and census-6 run has F = 0).
+
     The record is a read-only value.  Its parts other than the id, the
     digest and the list of extension runs are shared with every other
-    record that has an equal part, so changing one in place would change
-    them all; copy a part before editing it."""
+    record that has an equal part, and the digest joins their stored texts
+    (see ``_encode``), so changing one in place would change every record
+    that has it and leave its text stale; copy a part before editing it."""
     f = inst.f
     space, cod = f.domain, f.codomain
     a_dec = is_normal(f).holds
@@ -349,7 +377,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     record["mismatches"] = mism or _shared_list("empty", ())
     # the same bytes as digest(record), which streams them in pieces only
     # so that a whole sweep report is never held at once
-    record["digest"] = hashlib.sha256(_ENCODE(record).encode()).hexdigest()
+    record["digest"] = hashlib.sha256(_encode(record).encode()).hexdigest()
     return record
 
 
@@ -379,8 +407,8 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     key = ("run", o_mask, f_side, t_side, y, id(checks))
     run = _SHARED.get(key)
     if run is None:
-        run = _SHARED[key] = {"O": o_mask, "F": f_side, "T": t_side, "y": y,
-                              **checks}
+        run = _share(key, {"O": o_mask, "F": f_side, "T": t_side, "y": y,
+                           **checks})
     return run
 
 
@@ -459,43 +487,54 @@ def summarize(records: list, params: dict) -> dict:
     }
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _encode(obj) -> str:
+    """The canonical JSON text of obj, ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))``, joined from the stored texts of the shared
+    parts it holds.  A shared part is its stored text; any other dict is
+    joined entry by entry under its sorted keys, which must be strings, and
+    a list of dicts item by item; everything else is encoded whole."""
+    text = _TEXT.get(id(obj))
+    if text is not None:
+        return text
+    if isinstance(obj, dict):
+        return "{" + ",".join([f"{_key_text(key)}:{_encode(obj[key])}"
+                               for key in sorted(obj)]) + "}"
+    if _is_dict_list(obj):
+        return "[" + ",".join([_encode(item) for item in obj]) + "]"
+    return _ENCODE(obj)
+
+
+def _key_text(key) -> str:
+    # json.dumps writes a non-string key as a string; joined bare, 1 would
+    # give {1:2}, which is not JSON
+    if not isinstance(key, str):
+        raise TypeError(f"dict key {key!r} is not a string")
+    return encode_basestring_ascii(key)
 
 
 def _json_pieces(obj):
-    """The canonical JSON text of obj, ``json.dumps(obj, sort_keys=True,
-    separators=(",", ":"))``, in pieces, so that the text of a whole sweep
-    report is never held at once.  A list of dicts comes item by item, and
-    a dict's entries that hold such lists come apart from the runs of
-    entries between them; everything else is encoded whole.  Dict keys
-    must be strings."""
+    """The text of ``_encode(obj)`` in pieces, so that the text of a whole
+    sweep report is never held at once: a dict comes entry by entry, and a
+    list of dicts, whole or as such an entry, item by item."""
     if isinstance(obj, dict):
-        sep, run = "{", {}
+        sep = "{"
         for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"dict key {key!r} is not a string")
             value = obj[key]
-            if not _is_dict_list(value):
-                run[key] = value
-                continue
-            if run:
-                yield sep + _ENCODE(run)[1:-1]
-                sep, run = ",", {}
-            yield f"{sep}{_ENCODE(key)}:"
-            yield from _json_pieces(value)
+            if _is_dict_list(value):
+                yield f"{sep}{_key_text(key)}:"
+                yield from _json_pieces(value)
+            else:
+                yield f"{sep}{_key_text(key)}:{_encode(value)}"
             sep = ","
-        if run:
-            yield sep + _ENCODE(run)[1:]
-        else:
-            yield "{}" if sep == "{" else "}"
+        yield "{}" if sep == "{" else "}"
     elif _is_dict_list(obj):
         sep = "["
         for item in obj:
-            yield sep + _ENCODE(item)
+            yield sep + _encode(item)
             sep = ","
         yield "]"
     else:
-        yield _ENCODE(obj)
+        yield _encode(obj)
 
 
 def _is_dict_list(obj) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gc
 import hashlib
 import io
@@ -996,6 +997,17 @@ class TestExtensionRunMemo:
         assert (entries["_extension_walk"], entries["_run_checks"],
                 entries["boundary_function"]) == (158, 158, 102)
 
+    def test_census_runs_extend_one_valued_data(self):
+        # _closed_pairs sorts F = 0 first, and a pair with F non-empty comes
+        # after the pairs (0, T) of at least two non-empty closed T, so the
+        # budget of 2 always extends the constant 1 on T.  The sweep never
+        # sees two-valued data; ROADMAP item 6's certificate fuzzing is
+        # where that gets exercised.
+        runs = [run for inst in census_instances(5)
+                for run in theorem_record(inst)["extension_runs"]]
+        assert len(runs) == 1098
+        assert {run["F"] for run in runs} == {0}
+
 
 def _labelled(f: FiberedMap) -> tuple:
     """The labelled map, whatever the order its opens are listed in."""
@@ -1240,6 +1252,45 @@ class TestStreamedDigest:
     def test_keys_must_be_strings(self):
         with pytest.raises(TypeError):
             digest({1: [{"a": 1}]})
+        # json.dumps writes {1: 2} as {"1":2}; joined, it would be {1:2}
+        with pytest.raises(TypeError):
+            digest([{1: 2}])
+
+    def test_joined_texts_follow_the_values(self):
+        """The record and report texts joined from stored part texts are
+        the json.dumps bytes: for the records as they are, for records
+        whose every part is an equal copy, and for records with one shared
+        part swapped for an edited copy, whose stored text must not be
+        read."""
+        records = [theorem_record(inst) for inst in census_instances(5)]
+        copied = [copy.deepcopy(r) for r in records]
+        assert all(c["classes"] is not r["classes"]
+                   for c, r in zip(copied, records))
+        edited = []
+        for r in records:
+            e = dict(r, thm3={**r["thm3"], "B": not r["thm3"]["B"]})
+            if r["extension_runs"]:
+                first, *rest = r["extension_runs"]
+                e["extension_runs"] = [{**first, "y": first["y"] + 1}, *rest]
+            edited.append(e)
+        for case in (records, copied, edited):
+            for record in case:
+                self._same(record)
+            self._same(case)
+        assert all(_dumps(e) != _dumps(r) for e, r in zip(edited, records))
+
+    def test_one_text_per_shared_part(self):
+        """Every shared part has its one stored text, its canonical JSON,
+        and a second sweep over the same maps adds no entry to either
+        table: no record keeps a text of its own."""
+        run_theorem_sweep(5)
+        size = len(harness._TEXT)
+        assert set(harness._TEXT) == {id(p) for p in harness._SHARED.values()}
+        assert size == len(harness._SHARED)
+        for part in harness._SHARED.values():
+            assert harness._TEXT[id(part)] == _dumps(part)
+        run_theorem_sweep(5)
+        assert len(harness._TEXT) == len(harness._SHARED) == size
 
 
 class TestConstantMapDegeneration:
