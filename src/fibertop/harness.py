@@ -496,20 +496,21 @@ def _encode(obj) -> str:
     text = _TEXT.get(id(obj))
     if text is not None:
         return text
+    # the stored text is looked up inline, since most values have one
     if isinstance(obj, dict):
-        return "{" + ",".join([f"{_key_text(key)}:{_encode(obj[key])}"
-                               for key in sorted(obj)]) + "}"
+        return "{" + ",".join([
+            f"{_key_text(key)}:{_TEXT.get(id(obj[key])) or _encode(obj[key])}"
+            for key in sorted(obj)]) + "}"
     if _is_dict_list(obj):
-        return "[" + ",".join([_encode(item) for item in obj]) + "]"
+        return "[" + ",".join([_TEXT.get(id(item)) or _encode(item)
+                               for item in obj]) + "]"
     return _ENCODE(obj)
 
 
-def _key_text(key) -> str:
-    # json.dumps writes a non-string key as a string; joined bare, 1 would
-    # give {1:2}, which is not JSON
-    if not isinstance(key, str):
-        raise TypeError(f"dict key {key!r} is not a string")
-    return encode_basestring_ascii(key)
+# the quoted text of a key, as json.dumps writes it.  It raises TypeError
+# on a key that is not a string: json.dumps writes {1: 2} as {"1":2}, and
+# a key joined bare would give {1:2}, which is not JSON
+_key_text = encode_basestring_ascii
 
 
 def _json_pieces(obj):
