@@ -12,13 +12,15 @@ deciders in ``normality``: the two hereditary entries and the inheritance
 entry from their closed forms on each f^{-1}(U_y).  The other sides are
 computed here on their own routes:
 from the partition families built for each closed pair, and from the
-minimal-neighborhood components.  Both are memoised per domain space:
-the pairs to scan on f^{-1}(O), and the verdicts of the component sides
-on (f^{-1}(O), f^{-1}(U_y)).  Each instance then looks up each family's
-verdicts once per (F, T, y), in the same order as the scans list the pairs.
-The budgeted extension runs call ``tietze_extend`` every time, but read
-their boundary data from the same memo, and the contract checks of each
-distinct result once per (F, T, f^{-1}(U_y)).
+minimal-neighborhood components.  Both are memoised per domain space,
+each through ``space.memoised((walk, *args))``: the pairs to scan on
+f^{-1}(O), under ``(_closed_pairs, pre_o)``, and the verdicts of the
+component sides under ``(_pair_scan, pre_o, w)`` with w = f^{-1}(U_y).
+Each instance then looks up each family's verdicts once per (F, T, y), in
+the same order as the scans list the pairs.  The budgeted extension runs
+call ``tietze_extend`` every time, but read their boundary data from the
+same memo, under ``(boundary_function, F, T)``, and the contract checks of
+each distinct result once per (F, T, f^{-1}(U_y)).
 
 Records are read-only values whose equal parts are shared: each part kind
 that repeats across a sweep (the theorem sides, the classification, the
@@ -79,7 +81,7 @@ def functional_co_sigma(f: FiberedMap) -> bool:
     for o_mask in f.codomain.opens:
         pre_o = f.preimage(o_mask)
         for y in bits(o_mask):
-            if not space.memoised(_no_straddle, pre_o, f._nbhd_pre[y]):
+            if not space.memoised((_no_straddle, pre_o, f._nbhd_pre[y])):
                 return False
     return True
 
@@ -113,8 +115,8 @@ def classify(f: FiberedMap) -> dict:
     out["constant_map"] = constant
     if constant:
         # both depend only on the domain, which many constant maps share
-        out["vedenisov_domain"] = f.domain.memoised(vedenisov_perfectly_normal)
-        out["domain_space_normal"] = f.domain.memoised(space_normal)
+        out["vedenisov_domain"] = f.domain.memoised((vedenisov_perfectly_normal,))
+        out["domain_space_normal"] = f.domain.memoised((space_normal,))
     return out
 
 
@@ -244,7 +246,7 @@ def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
     - side C of thm4: the closure in w of the components meeting t misses
       every fm closed in pre_o and disjoint from t.
     """
-    pairs, _ = space.memoised(_closed_pairs, pre_o)
+    pairs, _ = space.memoised((_closed_pairs, pre_o))
     d_ok = not any(space.saturation(w, a) & b for a, b in pairs)
     rel_closed = space.rel_closed_sets(pre_o)
     cs_ok = True
@@ -305,9 +307,9 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         if o_mask == 0:
             continue
         pre_o = f.preimage(o_mask)
-        pairs, sigma_pairs = space.memoised(_closed_pairs, pre_o)
+        pairs, sigma_pairs = space.memoised((_closed_pairs, pre_o))
         for y in bits(o_mask):
-            d_side, c_side = space.memoised(_pair_scan, pre_o, f._nbhd_pre[y])
+            d_side, c_side = space.memoised((_pair_scan, pre_o, f._nbhd_pre[y]))
             d_ok = d_ok and d_side
             cs_ok = cs_ok and c_side
             if b_ok or c_ok or budget > 0:
@@ -386,7 +388,7 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
                    anomalies: list) -> dict:
     space = f.domain
     # a RationalFunction is immutable, so every run on (F, T) shares one
-    phit = space.memoised(boundary_function, f_side, t_side)
+    phit = space.memoised((boundary_function, f_side, t_side))
     try:
         res = tietze_extend(f, phit.carrier, phit, y, tolerance=tolerance,
                             within=o_mask)
@@ -398,9 +400,9 @@ def _extension_run(f: FiberedMap, f_side: int, t_side: int, y: int,
     else:
         # keyed on the result's integers, so a result that differs from the
         # memoised walk's in any field is checked afresh
-        checks, contract_ok = space.memoised(
+        checks, contract_ok = space.memoised((
             _run_checks, f_side, t_side, f._nbhd_pre[y], res.scale, res.totals,
-            res.mus, res.separators, res.bound, res.agreement_set)
+            res.mus, res.separators, res.bound, res.agreement_set))
         if not contract_ok:
             anomalies.append(f"extension contract violated at O={o_mask} y={y}")
     # checks is itself shared, so its identity stands for its value

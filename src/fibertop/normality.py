@@ -98,7 +98,7 @@ def _first_failing_y(f: FiberedMap, sigma: bool, relative: bool) -> int | None:
     the domain and its key, so it is memoised per domain space."""
     memoised = f.domain.memoised
     for y, pre in enumerate(f._nbhd_pre):
-        if not memoised(_separation_ok, pre, sigma, relative):
+        if not memoised((_separation_ok, pre, sigma, relative)):
             return y
     return None
 
@@ -348,13 +348,14 @@ def build_levels(f: FiberedMap, f_side: int, t_side: int, y: int,
     Raises SearchFailed.  No validation of the inputs beyond what the
     sandwiches themselves detect.  The family and its verdicts depend only
     on the domain and on (carrier, F and T inside it, depth), so they are
-    memoised per domain space on that key, failures included; the
-    neighborhood and the carrier come from each call, and every failing
-    call raises a fresh SearchFailed.
+    memoised per domain space under ``(_level_walk, carrier, F & carrier,
+    T & carrier, depth)``, failures included; the neighborhood and the
+    carrier come from each call, and every failing call raises a fresh
+    SearchFailed.
     """
     carrier = f._nbhd_pre[y]
-    facts, failed = f.domain.memoised(_level_walk, carrier, f_side & carrier,
-                                      t_side & carrier, depth)
+    facts, failed = f.domain.memoised((_level_walk, carrier, f_side & carrier,
+                                       t_side & carrier, depth))
     if failed is not None:
         raise SearchFailed(*failed)
     return LevelIndex(f.codomain._min_nbhd[y], carrier, depth, *facts)
@@ -746,7 +747,7 @@ def _least_failing_carrier(f: FiberedMap, walk) -> HereditaryReport:
     gives the least carrier whose submapping fails at P = f^{-1}(U_y) (0
     for none); memoised per domain space on P."""
     memoised = f.domain.memoised
-    least = min((m for pre in f._nbhd_pre if (m := memoised(walk, pre))),
+    least = min((m for pre in f._nbhd_pre if (m := memoised((walk, pre)))),
                 default=None)
     return HereditaryReport(least is None, least)
 
@@ -757,7 +758,7 @@ def _least_failing_closure(space: FiniteSpace, pre: int) -> int:
     sigma test, or 0 when there is none, which is when P itself passes (see
     ``is_sigma_normal_on_f_sigma_submaps``).  P's own verdict is the entry
     ``is_sigma_normal`` stores."""
-    if space.memoised(_separation_ok, pre, True, True):
+    if space.memoised((_separation_ok, pre, True, True)):
         return 0
     cl = space._cl_point
     return min(cl[v] for v in bits(pre)

@@ -10,6 +10,8 @@ quantifier exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CheckFailed, MemberNotFContinuous
@@ -30,10 +32,9 @@ class RationalFunction(_RationalTable):
 
     ``__new__`` checks the table.  The NamedTuple ``_make``, which
     ``_replace`` calls, would skip that check, so ``_make`` goes through
-    ``__new__`` here and every way of building one is checked.
+    ``__new__`` here and every way of building one is checked.  The
+    instance keeps a ``__dict__`` only for the cached ``integer_form``.
     """
-
-    __slots__ = ()
 
     def __new__(cls, space: FiniteSpace, values: tuple, carrier: int):
         if carrier & ~space.full:
@@ -77,6 +78,18 @@ class RationalFunction(_RationalTable):
             v = assign(x)
             vals[x] = v if isinstance(v, Fraction) else Fraction(v)
         return RationalFunction(space, tuple(vals), carrier)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, numerators): the value at x of the carrier is
+        numerators[x] / scale, with scale the lcm of the values'
+        denominators, and numerators[x] is 0 off the carrier.  Computed
+        once per object, so that a memo keyed on it hashes no
+        ``Fraction``."""
+        values = self.values
+        scale = lcm(*(v.denominator for v in values if v is not None))
+        return scale, tuple(0 if v is None else v.numerator * scale // v.denominator
+                            for v in values)
 
     def value(self, x: int) -> Fraction:
         v = self.values[x]

@@ -287,20 +287,24 @@ class FiniteSpace:
                         acc = nxt
                 raise AssertionError("intersection witness not found")
 
-    def memoised(self, walk, *key):
-        """``walk(self, *key)``, computed once per space object and stored
-        under (walk, *key).  The walk must depend only on this space and
-        its key.  A walk that raises stores nothing, so the next call runs
-        it again."""
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        full_key = (walk, *key)
+    def memoised(self, key):
+        """``walk(self, *args)`` for ``key = (walk, *args)``, computed once
+        per space object and stored under key.  The walk must depend only
+        on this space and its args.  A walk that raises stores nothing, so
+        the next call runs it again.
+
+        The caller builds the key, so a hit is one dict probe.  The walk
+        runs outside the ``except``, so its errors carry no context."""
         try:
-            return memo[full_key]
+            return self._memo[key]
         except KeyError:
             pass
-        hit = memo[full_key] = walk(self, *key)
+        except TypeError:
+            # the memo is still None; an unhashable key raises as it is
+            if self._memo is not None:
+                raise
+            self._memo = {}
+        hit = self._memo[key] = key[0](self, *key[1:])
         return hit
 
     # ----------------------------------------------------------- basic ops
@@ -373,13 +377,13 @@ class FiniteSpace:
         (relative to the region subspace) iff it is constant on each
         component; this is the engine behind every f-continuity collapse.
         """
-        return self.memoised(_nbhd_classes, region)
+        return self.memoised((_nbhd_classes, region))
 
     def saturation(self, region: int, mask: int) -> int:
         """The union of the components in ``nbhd_classes(region)`` that
         meet mask: the least union of components covering mask & region."""
         out = 0
-        for comp in self.memoised(_nbhd_classes, region):
+        for comp in self.memoised((_nbhd_classes, region)):
             if comp & mask:
                 out |= comp
         return out

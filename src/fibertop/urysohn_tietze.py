@@ -14,7 +14,6 @@ a per-component consistency check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -33,7 +32,7 @@ from .oscillation import (
     osc_on_set,
 )
 from .partitions import ApproximateLimitFunction, assemble_limit
-from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple, mask_of
+from .spaces import FiberedMap, FiniteSpace, bits, bits_tuple
 
 HALF = Fraction(1, 2)
 # verify_condition_D sweeps epsilon over 1/2^k for k = 1..EPS_LEVELS
@@ -222,11 +221,13 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     of zero or once the geometric bound drops below the tolerance.
 
     Every call checks y, the tolerance, ``within`` and the carrier.  Past
-    those checks the run depends only on the domain and on
-    (P = f^{-1}(min_nbhd(y)), phit.values, tolerance), so
-    successful results are memoised per domain space on that key, the
-    tolerance keyed as its numerator and denominator.  The values fix the
-    carrier, being None exactly off it.  The remaining check, that phit
+    those checks the run depends only on the domain, on
+    P = f^{-1}(min_nbhd(y)), on phit and on the tolerance, so successful
+    results are memoised per domain space under the integer key
+    ``(_extension_walk, P, carrier, *phit.integer_form, tol_num,
+    tol_den)``: phit's values as numerators over one scale, and the
+    tolerance as its numerator and denominator.  phit caches its integer
+    form, so a hit hashes no ``Fraction``.  The remaining check, that phit
     is f-continuous at y, depends only on the key too, so the walk makes
     it first, on its integers.  Errors are not stored: each failing call
     runs and raises afresh.  The result keeps the walk's integers, and
@@ -249,33 +250,27 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
         raise ValueError("phit must be given exactly on the carrier")
     if not space.rel_is_closed(f.preimage(within), f_carrier):
         raise ValueError("the carrier must be relatively closed over the context open")
-    return space.memoised(_extension_walk, f._nbhd_pre[y], phit.values,
-                          tolerance.numerator, tolerance.denominator)
+    return space.memoised((_extension_walk, f._nbhd_pre[y], f_carrier,
+                           *phit.integer_form, tolerance.numerator,
+                           tolerance.denominator))
 
 
-def _extension_walk(space: FiniteSpace, pre: int, values, tol_num: int,
-                    tol_den: int) -> ExtensionResult:
+def _extension_walk(space: FiniteSpace, pre: int, given_mask: int, scale: int,
+                    data: tuple, tol_num: int, tol_den: int) -> ExtensionResult:
     """The separator-subtraction iteration over P = ``pre`` for boundary
-    ``values`` (None off the carrier) and the positive tolerance
-    tol_num / tol_den; raises on the first failed check.  It runs, and
-    returns, integers only.
+    values data[x] / scale, given on the points of ``given_mask`` (data is
+    0 off it), and the positive tolerance tol_num / tol_den; raises on the
+    first failed check.  It runs, and returns, integers only.
 
     It first checks that phit is f-continuous at y, which depends only on
     P and the values: every x of the carrier trace must have the value of
     each z in U_x & carrier.  P is open, so U_x lies in P, and the
     largest |phit(x) - phit(z)| is the oscillation that
     ``is_f_continuous_at`` reports."""
-    given = tuple(x for x, v in enumerate(values) if v is not None)
-    given_mask = mask_of(given)
     carrier = given_mask & pre
     # Every value is kept as an integer numerator over one denominator,
     # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
     # integral.
-    scale = lcm(*(values[x].denominator for x in given))
-    data = [0] * space.n
-    for x in given:
-        v = values[x]
-        data[x] = v.numerator * (scale // v.denominator)
     points = bits_tuple(carrier)
     osc = max((abs(data[x] - data[z]) for x in points
                for z in bits(space._min_nbhd[x] & given_mask)), default=0)
@@ -283,7 +278,7 @@ def _extension_walk(space: FiniteSpace, pre: int, values, tol_num: int,
         raise PreconditionNotFContinuous(
             f"osc {Fraction(osc, scale)} over the carrier trace of the"
             " minimal neighborhood")
-    m0 = max((abs(data[x]) for x in given), default=0)
+    m0 = max(map(abs, data), default=0)
     if carrier == 0 or m0 == 0:
         # the zero function agrees with phit on the whole carrier trace
         return ExtensionResult(space, scale, (0,) * space.n, (m0,), (), 0,

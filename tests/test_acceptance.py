@@ -24,7 +24,7 @@ from fibertop.harness import (
     summarize,
     theorem_record,
 )
-from fibertop.oscillation import ONE, ZERO, osc_at_point
+from fibertop.oscillation import osc_at_point
 from fibertop.partitions import check_links
 from fibertop.urysohn_tietze import _extension_walk
 from conftest import PRINT_VMHWM, run_fresh
@@ -313,14 +313,20 @@ def test_extension_memo_holds_integers_only(reports):
 
 
 def test_extension_keys_share_the_boundary_constants(reports):
-    # the sweep's boundary data is 0 on F and 1 on T: every key value is
-    # one of the two shared constants, so no key holds a Fraction of its
-    # own, and the tolerance is keyed as two ints
+    # the walk is keyed on integers: P, the carrier, phit's scale and
+    # numerators, and the tolerance's numerator and denominator, so a hit
+    # hashes no Fraction.  The sweep's boundary data is 0 on F and 1 on T,
+    # over the scale 1
     keys = reports["extension_keys"]
     assert len(keys) == reports["memo_entries"]["_extension_walk"]
-    for _, _, values, tol_num, tol_den in keys:
-        assert all(v is None or v is ZERO or v is ONE for v in values)
-        assert (type(tol_num), type(tol_den)) == (int, int)
+    for key in keys:
+        assert all(type(part) is int or (
+            type(part) is tuple
+            and all(v is None or type(v) is int for v in part))
+            for part in key[1:]), key
+        _, _, carrier, scale, nums, _, _ = key
+        assert scale == 1 and all(v in (0, 1) for v in nums)
+        assert all(v == 0 for x, v in enumerate(nums) if not carrier >> x & 1)
 
 
 def test_perfect_type_classes_coincide(reports):

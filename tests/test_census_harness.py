@@ -1219,6 +1219,21 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, checked by length and sha256 first; a mismatch names
+    the first differing offset with 40 characters on each side, so that
+    a report text of half a megabyte fails fast and readably."""
+    if len(got) == len(want) and (hashlib.sha256(got.encode()).digest()
+                                  == hashlib.sha256(want.encode()).digest()):
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(at - 40, 0)
+    pytest.fail(f"texts differ at offset {at} (lengths {len(got)} and "
+                f"{len(want)}):\n got  {got[lo:at + 40]!r}\n want "
+                f"{want[lo:at + 40]!r}")
+
+
 class TestStreamedDigest:
     """digest and _json_pieces stream the canonical text in pieces; the
     bytes are those of one json.dumps call."""
@@ -1226,7 +1241,7 @@ class TestStreamedDigest:
     @staticmethod
     def _same(obj) -> None:
         text = _dumps(obj)
-        assert "".join(_json_pieces(obj)) == text
+        _assert_same_text("".join(_json_pieces(obj)), text)
         assert digest(obj) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_census5_report_and_records(self):
@@ -1248,6 +1263,18 @@ class TestStreamedDigest:
     ])
     def test_small_shapes(self, obj):
         self._same(obj)
+
+    def test_a_mismatch_names_its_offset(self):
+        want = "ab" * 300_000
+        got = want[:400_000] + "X" + want[400_001:]
+        with pytest.raises(pytest.fail.Exception) as info:
+            _assert_same_text(got, want)
+        assert str(info.value) == (
+            "texts differ at offset 400000 (lengths 600000 and 600000):\n"
+            f" got  {'ab' * 20 + 'X' + 'ba' * 19 + 'b'!r}\n want {'ab' * 40!r}")
+        with pytest.raises(pytest.fail.Exception, match="offset 5 .lengths 5 and 6"):
+            _assert_same_text("abcde", "abcdef")
+        _assert_same_text(want, "".join(["ab"] * 300_000))
 
     def test_keys_must_be_strings(self):
         with pytest.raises(TypeError):

@@ -453,6 +453,9 @@ class TestContinuityThroughMinimalNeighborhoods:
 
 
 class TestMemoised:
+    """``memoised((walk, *args))``: the caller builds the whole key, so a
+    hit is one dict probe."""
+
     def test_once_per_walk_key_and_space(self):
         calls = []
 
@@ -466,15 +469,57 @@ class TestMemoised:
 
         one, two = discrete(2), discrete(2)
         assert one == two
-        assert one.memoised(first, 1, 2) == ("first", (1, 2))
+        assert one.memoised((first, 1, 2)) == ("first", (1, 2))
         # another walk on the same key is not handed the first's answer
-        assert one.memoised(second, 1, 2) == ("second", (1, 2))
-        assert one.memoised(first, 1, 3) == ("first", (1, 3))
-        hit = one.memoised(first, 1, 2)
-        assert hit == ("first", (1, 2)) and hit is one.memoised(first, 1, 2)
-        assert two.memoised(first, 1, 2) == ("first", (1, 2))
+        assert one.memoised((second, 1, 2)) == ("second", (1, 2))
+        assert one.memoised((first, 1, 3)) == ("first", (1, 3))
+        hit = one.memoised((first, 1, 2))
+        assert hit == ("first", (1, 2)) and hit is one.memoised((first, 1, 2))
+        assert two.memoised((first, 1, 2)) == ("first", (1, 2))
         assert calls == [("first", (1, 2)), ("second", (1, 2)),
                          ("first", (1, 3)), ("first", (1, 2))]
+
+    def test_a_hit_runs_no_walk(self):
+        space, calls = discrete(3), []
+
+        def walk(space, a, b):
+            calls.append((a, b))
+            return a + b
+
+        key = (walk, 1, 2)
+        assert [space.memoised(key) for _ in range(5)] == [3] * 5
+        # an equal key built afresh is a hit too
+        assert space.memoised((walk, 1, 2)) == 3
+        assert calls == [(1, 2)] and space._memo == {key: 3}
+
+    def test_a_reset_memo_refills(self):
+        space, calls = discrete(2), []
+
+        def walk(space, k):
+            calls.append(k)
+            return k * 10
+
+        assert space._memo is None
+        assert space.memoised((walk, 4)) == 40
+        space._memo = None
+        assert space.memoised((walk, 4)) == 40
+        assert space.memoised((walk, 4)) == 40
+        assert calls == [4, 4] and space._memo == {(walk, 4): 40}
+
+    def test_an_unhashable_key_raises_and_stores_nothing(self):
+        space = discrete(2)
+
+        def walk(space, items):
+            return len(items)
+
+        # first on a memo that is still None, then on a filled one
+        with pytest.raises(TypeError, match="unhashable"):
+            space.memoised((walk, [1, 2]))
+        assert not space._memo
+        assert space.memoised((walk, (1, 2))) == 2
+        with pytest.raises(TypeError, match="unhashable"):
+            space.memoised((walk, [1, 2]))
+        assert space._memo == {(walk, (1, 2)): 2}
 
     def test_a_walk_that_raises_stores_nothing(self):
         space, attempts = discrete(2), []
@@ -483,9 +528,10 @@ class TestMemoised:
             attempts.append(k)
             raise ValueError(f"walk {k} failed")
 
+        # the first miss finds the memo None, the second finds it empty
         for _ in range(2):
             with pytest.raises(ValueError, match="walk 5 failed") as info:
-                space.memoised(failing, 5)
+                space.memoised((failing, 5))
             # the missed lookup does not chain onto the walk's error
             assert info.value.__context__ is None
         assert attempts == [5, 5] and not space._memo
