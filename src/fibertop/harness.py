@@ -8,9 +8,11 @@ any disagreement.  Zero recorded mismatches over a census is the artifact
 level acceptance ground.
 
 Side A of each theorem and the whole classification come from the public
-deciders in ``normality``: the two hereditary entries and the inheritance
-entry from their closed forms on each f^{-1}(U_y).  The other sides are
-computed here on their own routes:
+deciders in ``normality``, hereditary normality from its closed form on
+each f^{-1}(U_y).  The hereditary perfect-normality and F_sigma
+inheritance entries run no decider: the two inheritance theorems, proved
+in ``classify``, fix their values.  The other sides are computed here on
+their own routes:
 from the partition families built for each closed pair, and from the
 minimal-neighborhood components.  Both are memoised per domain space,
 each through ``space.memoised((walk, *args))``: the pairs to scan on
@@ -50,12 +52,10 @@ from .normality import (
     is_co_perfectly_normal,
     is_co_sigma_perfectly_normal,
     is_hereditarily_normal,
-    is_hereditarily_perfectly_normal,
     is_normal,
     is_perfectly_normal,
     is_prenormal,
     is_sigma_normal,
-    is_sigma_normal_on_f_sigma_submaps,
     is_sigma_prenormal,
 )
 from .spaces import FiberedMap, FiniteSpace, bits
@@ -95,7 +95,37 @@ def _no_straddle(space: FiniteSpace, pre_o: int, w: int) -> bool:
 
 
 def classify(f: FiberedMap) -> dict:
-    """All classification booleans for one map, via the public deciders."""
+    """All classification booleans for one map, via the public deciders.
+
+    Two entries are the paper's inheritance theorems, which hold on every
+    finite map, so no decider runs for them.  Let P = f^{-1}(U_y).
+
+    Perfect normality is hereditary (the pair lemma).  By
+    ``normality._least_failing_pair``, the submapping on a carrier C fails
+    at y iff some x, z in P & C have z in U_x ^ cl{x}; then the pair
+    {x, z}, inside C, fails at the same y.  So failure is closed under
+    enlarging the carrier, and with C the whole domain, hereditarily
+    perfectly normal is perfectly normal.
+
+    Sigma-normality passes to every F_sigma submapping.  Lemma 1: the
+    F_sigma carriers are the closed sets.  A closed C has cl(C & P) & P
+    inside C for every P, which is ``normality._f_sigma_failure``'s test.
+    Conversely, let C pass that test, s be in C and t in cl{s}.  By
+    continuity f(t) is in cl{f(s)}, so s and t both lie in
+    P = f^{-1}(U_f(t)), and t, in cl(C & P) & P, is in C.  So C holds
+    cl{s} for each of its points s.
+
+    Lemma 2: a failing closed carrier holds a failing point closure, and
+    then P fails.  Let C be closed and Q = C & P; then
+    cl{q} & Q = cl{q} & P for every q in Q.  By
+    ``normality._separation_ok``'s relative sigma test, Q fails iff some
+    x, v, z in Q and u in cl{x} & cl{v} & Q have z in cl{v} and
+    cl{x} & cl{z} & Q empty.  Then (u, v, z) fails on cl{v} & P: that set
+    lies inside Q, as cl{v} lies inside C, and cl{u} lies inside cl{x}.  A
+    failure on cl{v} & P is also one on P, since cl{u} lies inside cl{v}.
+    So on a sigma-normal map every F_sigma submapping is sigma-normal, and
+    on any other map the entry holds vacuously.
+    """
     out = {
         "prenormal": is_prenormal(f).holds,
         "normal": is_normal(f).holds,
@@ -106,11 +136,11 @@ def classify(f: FiberedMap) -> dict:
         "co_sigma_perfectly_normal": is_co_sigma_perfectly_normal(f).holds,
         "functional_co_sigma": functional_co_sigma(f),
         "hereditarily_normal": is_hereditarily_normal(f).holds,
-        "hereditarily_perfectly_normal": is_hereditarily_perfectly_normal(f).holds,
     }
-    # the inheritance theorem is about sigma-normal maps only
-    out["sigma_inherited_by_f_sigma_submaps"] = (
-        not out["sigma_normal"] or is_sigma_normal_on_f_sigma_submaps(f).holds)
+    # both keys stay, with the values the theorems above give them, since
+    # the record digest, and so every pinned sweep digest, hashes them
+    out["hereditarily_perfectly_normal"] = out["perfectly_normal"]
+    out["sigma_inherited_by_f_sigma_submaps"] = True
     constant = len(set(f.table)) <= 1
     out["constant_map"] = constant
     if constant:
@@ -136,19 +166,8 @@ def hierarchy_violations(c: dict, codomain_is_point: bool) -> list[str]:
         c["hereditarily_normal"])
     imp("sigma_normal->normal", c["sigma_normal"], c["normal"])
     imp("normal->prenormal", c["normal"], c["prenormal"])
-    # both entries read normality._least_failing_pair, and its proof makes
-    # them equal on every finite map: a consistency check between two
-    # reads of one pair test, not an independent route
-    if c["perfectly_normal"] != c["hereditarily_perfectly_normal"]:
-        bad.append("perfect_normality_not_hereditary")
     if c["functional_co_sigma"] != c["co_sigma_perfectly_normal"]:
         bad.append("functional_characterization_mismatch")
-    # the entry reads the relative sigma test of normality._separation_ok
-    # that sigma_normal read, and the proof in
-    # is_sigma_normal_on_f_sigma_submaps's docstring makes it hold on every
-    # finite map: again two reads of one test, not an independent route
-    if not c["sigma_inherited_by_f_sigma_submaps"]:
-        bad.append("sigma_not_inherited_by_f_sigma_submaps")
     if c["constant_map"]:
         trio = {c["co_perfectly_normal"], c["perfectly_normal"],
                 c["co_sigma_perfectly_normal"]}

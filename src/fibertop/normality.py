@@ -20,10 +20,11 @@ of (relatively) closed sets reduces to one over pairs of points of the
 preimage P of a minimal neighborhood (see ``_separation_ok``).  The
 deciders answer on those point tables and run the literal scan over closed
 sets only once a failure is known, so each counterexample is the first one
-in the literal order.  The hereditary deciders try no carrier: the least
-failing carrier is the least failing pair or triple of points of some P,
-or the least failing point closure (see ``_least_failing_pair``,
-``_least_failing_triple`` and ``_least_failing_closure``).
+in the literal order.  ``is_hereditarily_normal`` tries no carrier: the
+least failing carrier is the least failing triple of points of some P (see
+``_least_failing_triple``).  Perfect normality is hereditary and
+sigma-normality passes to every F_sigma submapping on every finite map, so
+neither has a decider here; ``harness.classify`` gives the proofs.
 """
 
 from __future__ import annotations
@@ -153,20 +154,24 @@ def are_f_separated(f: FiberedMap, a: int, b: int) -> SeparationReport:
     return SeparationReport(True, tuple(certs), None)
 
 
-class PrenormalReport(NamedTuple):
+class Report(NamedTuple):
+    """A decider's verdict and, when it fails, its counterexample, whose
+    shape the decider's docstring states."""
+
     holds: bool
-    counterexample: tuple[int, int, int] | None  # (A, B, failing y)
+    counterexample: tuple | None
 
 
-def is_prenormal(f: FiberedMap) -> PrenormalReport:
+def is_prenormal(f: FiberedMap) -> Report:
     """Every pair of disjoint closed subsets of the domain is f-separated.
 
     Decided pointwise; on failure the literal pair scan finds the first
-    failing pair and its first failing y.
+    failing pair and its first failing y.  Counterexample: (A, B, y), the
+    disjoint closed A and B and the first y where they are not separated.
     """
     # plain, global closures
     if _first_failing_y(f, False, False) is None:
-        return PrenormalReport(True, None)
+        return Report(True, None)
     closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
         for b in closed[i + 1:]:
@@ -174,23 +179,19 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
                 continue
             rep = are_f_separated(f, a, b)
             if not rep.holds:
-                return PrenormalReport(False, (a, b, rep.failure_y))
+                return Report(False, (a, b, rep.failure_y))
     raise AssertionError("pointwise and literal prenormality disagree")
 
 
-class NormalReport(NamedTuple):
-    holds: bool
-    counterexample: tuple[int, int, int, int] | None  # (O, A, B, y)
-
-
-def is_normal(f: FiberedMap) -> NormalReport:
+def is_normal(f: FiberedMap) -> Report:
     """Prenormality of every restriction over an open of the codomain.
 
     Collapsed form: traces of relatively closed sets over any open O are
     relatively closed over the minimal neighborhood of each y in O, so it
     suffices to separate disjoint relatively-closed pairs over f^{-1} of
     each minimal neighborhood.  The counterexample is reported in the
-    literal (O, pair, y) shape with O the minimal neighborhood.
+    literal shape (O, A, B, y), with O the minimal neighborhood of y and A
+    and B disjoint and closed in f^{-1}(O).
 
     Decided pointwise; the literal pair scan runs only at the first failing
     y, where it finds the first failing pair.
@@ -199,7 +200,7 @@ def is_normal(f: FiberedMap) -> NormalReport:
     # plain, relative closures
     y = _first_failing_y(f, False, True)
     if y is None:
-        return NormalReport(True, None)
+        return Report(True, None)
     nbhd = f.codomain.min_nbhd(y)
     pre = f._nbhd_pre[y]
     rel_closed = space.rel_closed_sets(pre)
@@ -208,16 +209,11 @@ def is_normal(f: FiberedMap) -> NormalReport:
         for j in range(i + 1, len(rel_closed)):
             b = rel_closed[j]
             if not a & b and hulls[i] & hulls[j]:
-                return NormalReport(False, (nbhd, a, b, y))
+                return Report(False, (nbhd, a, b, y))
     raise AssertionError("pointwise and literal normality disagree")
 
 
 # ------------------------------------------------------------ sigma variants
-
-
-class SigmaReport(NamedTuple):
-    holds: bool
-    counterexample: tuple | None
 
 
 def _sigma_separated_at(space: FiniteSpace, pre: int, t: int, fm: int) -> bool:
@@ -231,18 +227,20 @@ def _sigma_separated_at(space: FiniteSpace, pre: int, t: int, fm: int) -> bool:
     return True
 
 
-def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
+def is_sigma_prenormal(f: FiberedMap) -> Report:
     """Separation of every F_sigma set from every disjoint closed set.
 
     F_sigma subsets of a finite space are exactly the closed ones; the
     quantifier runs over closed T with the canonical decomposition into
     singleton closures (any coarser decomposition is refined by it).
     Decided pointwise; on failure the literal scan finds the first pair.
+    Counterexample: (T, F, y), the disjoint closed T and F and the first y
+    where a piece of T has no neighborhood with closure off F.
     """
     space = f.domain
     # sigma, global closures
     if _first_failing_y(f, True, False) is None:
-        return SigmaReport(True, None)
+        return Report(True, None)
     closed = space.rel_closed_sets(space.full)
     for t in closed:
         for fm in closed:
@@ -250,19 +248,20 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
                 continue
             for y, pre in enumerate(f._nbhd_pre):
                 if not _sigma_separated_at(space, pre, t, fm):
-                    return SigmaReport(False, (t, fm, y))
+                    return Report(False, (t, fm, y))
     raise AssertionError("pointwise and literal sigma-prenormality disagree")
 
 
-def is_sigma_normal(f: FiberedMap) -> SigmaReport:
+def is_sigma_normal(f: FiberedMap) -> Report:
     """Sigma-prenormality of every restriction, collapsed like is_normal,
     and decided like it: pointwise, with the literal scan only at the
-    first failing y."""
+    first failing y.  Counterexample: (O, T, F, y), with O the minimal
+    neighborhood of y and T and F disjoint and closed in f^{-1}(O)."""
     space = f.domain
     # sigma, relative closures
     y = _first_failing_y(f, True, True)
     if y is None:
-        return SigmaReport(True, None)
+        return Report(True, None)
     nbhd = f.codomain.min_nbhd(y)
     pre = f._nbhd_pre[y]
     rel_closed = space.rel_closed_sets(pre)
@@ -271,7 +270,7 @@ def is_sigma_normal(f: FiberedMap) -> SigmaReport:
             if t & fm:
                 continue
             if not _sigma_separated_at(space, pre, t, fm):
-                return SigmaReport(False, (nbhd, t, fm, y))
+                return Report(False, (nbhd, t, fm, y))
     raise AssertionError("pointwise and literal sigma-normality disagree")
 
 
@@ -534,11 +533,6 @@ class PerfectWitness(NamedTuple):
     family: tuple[RationalFunction, ...]
 
 
-class PerfectNormalityReport(NamedTuple):
-    holds: bool
-    counterexample: tuple[int, int, int] | None  # (O, y, offending component)
-
-
 def verify_perfect_witness(f: FiberedMap, w: PerfectWitness) -> bool:
     """Independent re-check of conditions (1), (2) and equicontinuity, over
     the common carrier of the family (the domain of the submapping the
@@ -569,7 +563,7 @@ def _least_opens(space: FiniteSpace) -> list[int]:
     return sorted(set(space._min_nbhd))
 
 
-def is_perfectly_normal(f: FiberedMap) -> PerfectNormalityReport:
+def is_perfectly_normal(f: FiberedMap) -> Report:
     """Every open set is locally the union of the 1-sets of an equicontinuous
     family vanishing off it.
 
@@ -579,23 +573,23 @@ def is_perfectly_normal(f: FiberedMap) -> PerfectNormalityReport:
     all of its points x, which ``_least_failing_pair`` decides pointwise.
     ``perfect_witnesses`` gives the witnesses.
 
-    On failure the report names the first (open, y, component) of the
-    literal scan over the opens in order, then y, then the components, and
-    only the minimal neighborhoods need scanning: if an open o straddles a
-    component K of f^-1(U_y), K links some k1 in K & o to some k2 in
-    K - o.  k2 is not in U_k1, which lies inside o, so k1 is in U_k2, and
-    U_k1 straddles K too, with a mask at most o's.  So the least failing
-    open is a minimal neighborhood, and the scan over those alone stops at
-    the same (open, y, component).
+    Counterexample: the first (O, y, K), an open O straddling a component K
+    of f^{-1}(U_y), of the literal scan over the opens in order, then y,
+    then the components.  Only the minimal neighborhoods need scanning: if
+    an open o straddles a component K of f^-1(U_y), K links some k1 in
+    K & o to some k2 in K - o.  k2 is not in U_k1, which lies inside o, so
+    k1 is in U_k2, and U_k1 straddles K too, with a mask at most o's.  So
+    the least failing open is a minimal neighborhood, and the scan over
+    those alone stops at the same (open, y, component).
     """
     if _least_failing_carrier(f, _least_failing_pair).holds:
-        return PerfectNormalityReport(True, None)
+        return Report(True, None)
     classes = _components(f)
     for open_mask in _least_opens(f.domain):
         for y, comps in enumerate(classes):
             for comp in comps:
                 if comp & open_mask and comp & ~open_mask:
-                    return PerfectNormalityReport(False, (open_mask, y, comp))
+                    return Report(False, (open_mask, y, comp))
     raise AssertionError("pointwise and literal perfect normality disagree")
 
 
@@ -626,19 +620,17 @@ def perfect_witnesses(f: FiberedMap):
 # ------------------------------------------------------- functionally open
 
 
-class FunctionalReport(NamedTuple):
-    holds: bool
-    counterexample: tuple[int, int] | None  # (y, offending component)
+def is_f_functionally_open(f: FiberedMap, u: int) -> Report:
+    """Is U locally cut out as phi^{-1}((0,1]) by f-continuous functions?
 
-
-def is_f_functionally_open(f: FiberedMap, u: int) -> FunctionalReport:
-    """Is U locally cut out as phi^{-1}((0,1]) by f-continuous functions?"""
+    Counterexample: (y, K), the first y with a minimal-neighborhood
+    component K of f^{-1}(U_y) that meets U and leaves it."""
     space = f.domain
     for y, region in enumerate(f._nbhd_pre):
         for comp in space.nbhd_classes(region):
             if comp & u and comp & ~u:
-                return FunctionalReport(False, (y, comp))
-    return FunctionalReport(True, None)
+                return Report(False, (y, comp))
+    return Report(True, None)
 
 
 # ------------------------------------------------------- co-perfect variants
@@ -657,8 +649,8 @@ def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
 
     This is the library's one locally-F_sigma test, for the co-perfect
     deciders; on a continuous map it passes exactly on the closed carriers
-    (Lemma 1 of ``is_sigma_normal_on_f_sigma_submaps``), which is why that
-    decider never calls it.
+    (Lemma 1 in ``harness.classify``), which is why the census needs no
+    decider of sigma-normality on F_sigma submappings.
     ``test_f_sigma_failure_matches_submapping_report`` (in
     tests/test_pointwise_deciders.py) holds it to the witness-giving
     ``is_f_sigma_submapping`` of tests/subspace_reference.py and to
@@ -752,19 +744,6 @@ def _least_failing_carrier(f: FiberedMap, walk) -> HereditaryReport:
     return HereditaryReport(least is None, least)
 
 
-def _least_failing_closure(space: FiniteSpace, pre: int) -> int:
-    """The least point closure cl{v}, v in the preimage P of a minimal
-    neighborhood, whose trace cl{v} & P fails ``_separation_ok``'s relative
-    sigma test, or 0 when there is none, which is when P itself passes (see
-    ``is_sigma_normal_on_f_sigma_submaps``).  P's own verdict is the entry
-    ``is_sigma_normal`` stores."""
-    if space.memoised((_separation_ok, pre, True, True)):
-        return 0
-    cl = space._cl_point
-    return min(cl[v] for v in bits(pre)
-               if not _separation_ok(space, cl[v] & pre, True, True))
-
-
 def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
     """Normality of the submapping on every carrier.
 
@@ -783,41 +762,3 @@ def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
     closure under enlarging the carrier is needed (and none holds: a
     larger carrier can meet cl{x} & cl{z})."""
     return _least_failing_carrier(f, _least_failing_triple)
-
-
-def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
-    """Perfect normality of the submapping on every carrier.
-
-    By ``_least_failing_pair``, the submapping on C fails at y iff some
-    x, z in P & C have z in U_x ^ cl{x}; then the pair {x, z}, inside C,
-    fails at the same y.  So failure is closed under enlarging the carrier,
-    the offending carrier is the least pair of ``_least_failing_pair`` over
-    every P, and with C the whole domain, hereditarily perfectly normal is
-    perfectly normal for every finite map."""
-    return _least_failing_carrier(f, _least_failing_pair)
-
-
-def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
-    """Sigma-normality of the submapping on every carrier that makes it an
-    F_sigma submapping.
-
-    Lemma 1: the F_sigma carriers are the closed sets.  A closed C has
-    cl(C & P) & P inside C for every P = f^{-1}(U_y), which is
-    ``_f_sigma_failure``'s test.  Conversely, let C pass that test, s be in
-    C and t in cl{s}.  By continuity f(t) is in cl{f(s)}, so s and t both
-    lie in P = f^{-1}(U_f(t)), and t, in cl(C & P) & P, is in C.  So C
-    holds cl{s} for each of its points s.
-
-    Lemma 2: the least failing closed carrier is a point closure.  Let C be
-    closed and Q = C & P; then cl{q} & Q = cl{q} & P for every q in Q.  By
-    ``_separation_ok``'s relative sigma test, Q fails iff some x, v, z in Q
-    and u in cl{x} & cl{v} & Q have z in cl{v} and cl{x} & cl{z} & Q
-    empty.  Then (u, v, z) fails on cl{v} & P: that set lies inside Q, as
-    cl{v} lies inside C, and cl{u} lies inside cl{x}.  A failure on
-    cl{v} & P is also one on P, since cl{u} lies inside cl{v}.  The closed
-    carrier cl{v} is inside C, so its mask is at most C's, and the offending
-    carrier is the least one of ``_least_failing_closure`` over every P.
-    With C the whole domain, P fails iff some cl{v} & P does, so ``holds``
-    equals ``is_sigma_normal(f).holds``: the paper's theorem that
-    sigma-normality passes to every F_sigma submapping, for finite maps."""
-    return _least_failing_carrier(f, _least_failing_closure)

@@ -147,7 +147,7 @@ class FiniteSpace:
     def __init__(self, n: int, opens):
         self.n = n
         self.full = full = (1 << n) - 1
-        self._open_set = fam_set = frozenset(map(int, opens))
+        self._open_set = fam_set = frozenset(map(index, opens))
         self._opens = family = tuple(sorted(fam_set))
         if family and (family[0] < 0 or family[-1] > full):
             for o in family:
@@ -539,7 +539,7 @@ class FiniteSpace:
         return hash((self.n, self.opens))
 
     def __repr__(self):
-        sets = ",".join("{" + " ".join(map(str, bits(o))) + "}" for o in self.opens)
+        sets = ",".join(map(points_text, self.opens))
         return f"FiniteSpace(n={self.n}, opens=[{sets}])"
 
 
@@ -555,7 +555,7 @@ class FiberedMap:
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, table):
         self.domain = domain
         self.codomain = codomain
-        self.table = tuple(int(v) for v in table)
+        self.table = tuple(map(index, table))
         if len(self.table) != domain.n:
             raise ValueError("table length must equal domain size")
         for v in self.table:

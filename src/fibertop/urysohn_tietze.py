@@ -237,7 +237,8 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     f.check_point(y)
     if not isinstance(tolerance, Fraction):
         tolerance = Fraction(tolerance)
-    if tolerance <= 0:
+    # a Fraction's denominator is positive, so its sign is the numerator's
+    if tolerance.numerator <= 0:
         # the geometric bound never reaches it: only an exact zero
         # residual would stop the loop
         raise ValueError(f"the tolerance must be positive, not {tolerance}")

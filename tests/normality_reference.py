@@ -8,18 +8,20 @@ hereditary deciders try every carrier in mask order.
 
 The pointwise carrier loops (``pointwise_hereditarily_normal``,
 ``pointwise_hereditarily_perfectly_normal`` and
-``pointwise_sigma_normal_on_f_sigma_submaps``) are the hereditary
-deciders' former route: every carrier in mask order, each decided by the
-pointwise test on the preimages cut down to it (``normality._separation_ok``,
-and ``components_indiscrete`` here), the last one only on the carriers that
-pass ``normality._f_sigma_failure``.  They are as exact as the literal
-scans and fast enough for census 6 and the 12-point cap, where the scans
-are not.
+``pointwise_sigma_normal_on_f_sigma_submaps``) try every carrier in mask
+order, each decided by the pointwise test on the preimages cut down to it
+(``normality._separation_ok``, and ``components_indiscrete`` here), the
+last one only on the carriers that pass ``normality._f_sigma_failure``.
+They are as exact as the literal scans and fast enough for census 6 and
+the 12-point cap, where the scans are not.
 
 They are kept only for the differential tests, which require every public
 decider to give the same verdict and the same counterexample as these
 oracles, and ``perfect_witnesses`` to yield the same witnesses in the same
-order.
+order.  The perfect and the F_sigma carrier scans have no decider to
+match: they check the two inheritance theorems that ``harness.classify``
+relies on, whose verdicts are those of ``is_perfectly_normal`` and
+``is_sigma_normal``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,8 @@ from __future__ import annotations
 from fibertop.normality import (
     CoPerfectReport,
     HereditaryReport,
-    NormalReport,
-    PerfectNormalityReport,
     PerfectWitness,
-    PrenormalReport,
-    SigmaReport,
+    Report,
     _f_sigma_failure,
     _separation_ok,
 )
@@ -50,7 +49,7 @@ def separated_at(f: FiberedMap, a: int, b: int) -> int | None:
     return None
 
 
-def is_prenormal(f: FiberedMap) -> PrenormalReport:
+def is_prenormal(f: FiberedMap) -> Report:
     closed = f.domain.rel_closed_sets(f.domain.full)
     for i, a in enumerate(closed):
         for b in closed[i + 1:]:
@@ -58,11 +57,11 @@ def is_prenormal(f: FiberedMap) -> PrenormalReport:
                 continue
             y = separated_at(f, a, b)
             if y is not None:
-                return PrenormalReport(False, (a, b, y))
-    return PrenormalReport(True, None)
+                return Report(False, (a, b, y))
+    return Report(True, None)
 
 
-def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
+def is_normal(f: FiberedMap, carrier: int | None = None) -> Report:
     space = f.domain
     if carrier is None:
         carrier = space.full
@@ -75,8 +74,8 @@ def is_normal(f: FiberedMap, carrier: int | None = None) -> NormalReport:
             for j in range(i + 1, len(rel_closed)):
                 b = rel_closed[j]
                 if not a & b and hulls[i] & hulls[j]:
-                    return NormalReport(False, (nbhd, a, b, y))
-    return NormalReport(True, None)
+                    return Report(False, (nbhd, a, b, y))
+    return Report(True, None)
 
 
 def sigma_separated(space, pre: int, t: int, fm: int) -> bool:
@@ -89,7 +88,7 @@ def sigma_separated(space, pre: int, t: int, fm: int) -> bool:
     return True
 
 
-def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
+def is_sigma_prenormal(f: FiberedMap) -> Report:
     space = f.domain
     closed = space.rel_closed_sets(space.full)
     for t in closed:
@@ -99,11 +98,11 @@ def is_sigma_prenormal(f: FiberedMap) -> SigmaReport:
             for y in range(f.codomain.n):
                 pre = f.preimage(f.codomain.min_nbhd(y))
                 if not sigma_separated(space, pre, t, fm):
-                    return SigmaReport(False, (t, fm, y))
-    return SigmaReport(True, None)
+                    return Report(False, (t, fm, y))
+    return Report(True, None)
 
 
-def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
+def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> Report:
     space = f.domain
     if carrier is None:
         carrier = space.full
@@ -116,12 +115,12 @@ def is_sigma_normal(f: FiberedMap, carrier: int | None = None) -> SigmaReport:
                 if t & fm:
                     continue
                 if not sigma_separated(space, pre, t, fm):
-                    return SigmaReport(False, (nbhd, t, fm, y))
-    return SigmaReport(True, None)
+                    return Report(False, (nbhd, t, fm, y))
+    return Report(True, None)
 
 
 def perfect_scan(f: FiberedMap, carrier: int | None = None
-                 ) -> tuple[PerfectNormalityReport, tuple[PerfectWitness, ...]]:
+                 ) -> tuple[Report, tuple[PerfectWitness, ...]]:
     """The verdict and the witnesses gathered before it, over every open
     and every y in order."""
     space, cod = f.domain, f.codomain
@@ -136,7 +135,7 @@ def perfect_scan(f: FiberedMap, carrier: int | None = None
             for comp in comps:
                 if comp & open_mask:
                     if comp & ~open_mask:
-                        return (PerfectNormalityReport(False, (open_mask, y, comp)),
+                        return (Report(False, (open_mask, y, comp)),
                                 tuple(witnesses))
                     members.append(comp)
             family = tuple(
@@ -145,11 +144,10 @@ def perfect_scan(f: FiberedMap, carrier: int | None = None
                 for comp in members
             ) or (RationalFunction.on_carrier(space, carrier, lambda x: 0),)
             witnesses.append(PerfectWitness(open_mask, y, cod.min_nbhd(y), family))
-    return PerfectNormalityReport(True, None), tuple(witnesses)
+    return Report(True, None), tuple(witnesses)
 
 
-def is_perfectly_normal(f: FiberedMap, carrier: int | None = None
-                        ) -> PerfectNormalityReport:
+def is_perfectly_normal(f: FiberedMap, carrier: int | None = None) -> Report:
     return perfect_scan(f, carrier)[0]
 
 

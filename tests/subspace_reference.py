@@ -1,7 +1,7 @@
 """Reference oracles on re-indexed subspaces and submappings.
 
 The library names every submapping by a carrier mask of its domain: the
-offending carriers of the hereditary deciders and
+offending carrier of ``is_hereditarily_normal`` and
 ``normality._f_sigma_failure``; the carrier-mask oracles of
 ``normality_reference`` (``is_normal(f, carrier)`` and its siblings, and
 its pointwise carrier loops) decide the submapping on one.  This module

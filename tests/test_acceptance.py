@@ -278,20 +278,18 @@ def test_total_7_sweep_pin():
 def test_sweep_stores_one_memo_entry_per_distinct_key(reports):
     # level walks (72 of them failed), successful extension runs, the
     # pointwise verdicts of the deciders and the least failing pair and
-    # triple of each f^-1(U_y), the least failing point closure of each
-    # f^-1(U_y) of a sigma-normal map (classify asks for inheritance only
-    # there), the neighbourhood classes of
-    # each region, the pairs theorem_record scans for each f^-1(O) and
-    # their verdicts for each (f^-1(O), f^-1(U_y)), the verdicts of
-    # functional_co_sigma, and the contract checks of each extension
-    # result and the boundary data of each (F, T) of the extension runs,
-    # and the two classical verdicts of each domain that classify asks for
-    # on its constant maps, over the 185 domain spaces
+    # triple of each f^-1(U_y), the neighbourhood classes of each region,
+    # the pairs theorem_record scans for each f^-1(O) and their verdicts
+    # for each (f^-1(O), f^-1(U_y)), the verdicts of functional_co_sigma,
+    # and the contract checks of each extension result and the boundary
+    # data of each (F, T) of the extension runs, and the two classical
+    # verdicts of each domain that classify asks for on its constant maps,
+    # over the 185 domain spaces
     assert reports["memo_entries"] == {
         "_level_walk": 2835, "_extension_walk": 801,
         "_separation_ok": 1608, "_least_failing_pair": 402,
-        "_least_failing_triple": 402, "_least_failing_closure": 285,
-        "_nbhd_classes": 402, "_closed_pairs": 402, "_pair_scan": 658,
+        "_least_failing_triple": 402, "_nbhd_classes": 402,
+        "_closed_pairs": 402, "_pair_scan": 658,
         "_no_straddle": 602, "_run_checks": 801, "boundary_function": 472,
         "space_normal": 185, "vedenisov_perfectly_normal": 185}
 

@@ -24,6 +24,9 @@ the parameter by keyword, or passes enough positional arguments to reach
 it; a ``*args`` or ``**kwargs`` in the call counts as reaching every
 positional or every keyword parameter.  A default that no caller changes
 is a constant, and belongs in the body or at module level.
+
+And no two ``NamedTuple`` classes in src have the same field names: one
+shape is one type, however many deciders return it.
 """
 
 import ast
@@ -202,3 +205,27 @@ def test_readme_lists_the_reasoned_names():
                            1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^- `([\w.]+)`", section, re.M))
     assert listed == set(REASONED)
+
+
+def _named_tuple_fields() -> dict[str, tuple[str, ...]]:
+    """Qualified name ("module.Class") -> field names, for every NamedTuple
+    class in src."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "NamedTuple"
+                    for base in node.bases):
+                out[f"{path.stem}.{node.name}"] = tuple(
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign))
+    return out
+
+
+def test_no_two_named_tuples_have_the_same_fields():
+    # a second class with the same fields is a copy of the first one's type
+    by_fields = {}
+    for name, fields in _named_tuple_fields().items():
+        by_fields.setdefault(fields, []).append(name)
+    assert [names for names in by_fields.values() if len(names) > 1] == []
+    assert "normality.Report" in _named_tuple_fields()

@@ -43,11 +43,9 @@ from fibertop.normality import (
     build_binary_partitions,
     is_co_sigma_perfectly_normal,
     is_hereditarily_normal,
-    is_hereditarily_perfectly_normal,
     is_normal,
     is_perfectly_normal,
     is_sigma_normal,
-    is_sigma_normal_on_f_sigma_submaps,
     verify_perfect_witness,
 )
 from fibertop.oscillation import RationalFunction, norm
@@ -905,20 +903,19 @@ class TestCarrierRelativeDeciders:
             def first_bad(ok):
                 return next((c for c in carriers if not ok(c, induced[c])), None)
 
-            expected = {
-                is_hereditarily_normal:
-                    first_bad(lambda c, g: is_normal(g).holds),
-                is_hereditarily_perfectly_normal:
-                    first_bad(lambda c, g: is_perfectly_normal(g).holds),
-                is_sigma_normal_on_f_sigma_submaps:
-                    first_bad(lambda c, g: (
-                        not is_f_sigma_submapping(Submapping(f, c)).holds
-                        or is_sigma_normal(g).holds)),
-            }
-            for decider, bad in expected.items():
-                rep = decider(f)
-                assert (rep.holds, rep.offending_carrier) == (bad is None, bad), \
-                    (decider.__name__, inst.uid)
+            bad = first_bad(lambda c, g: is_normal(g).holds)
+            rep = is_hereditarily_normal(f)
+            assert (rep.holds, rep.offending_carrier) == (bad is None, bad), \
+                inst.uid
+            # the two inheritance theorems that classify relies on
+            bad = first_bad(lambda c, g: is_perfectly_normal(g).holds)
+            assert (bad is None) == is_perfectly_normal(f).holds, inst.uid
+            assert normality._least_failing_carrier(
+                f, normality._least_failing_pair).offending_carrier == bad
+            bad = first_bad(lambda c, g: (
+                not is_f_sigma_submapping(Submapping(f, c)).holds
+                or is_sigma_normal(g).holds))
+            assert (bad is None) == is_sigma_normal(f).holds, inst.uid
 
     def test_nbhd_classes_match_bfs_on_every_region(self):
         for space in canonical_spaces(4):

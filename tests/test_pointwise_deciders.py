@@ -19,8 +19,7 @@ from subspace_reference import Submapping, is_f_sigma_submapping
 DECIDERS = ("is_prenormal", "is_normal", "is_sigma_prenormal",
             "is_sigma_normal", "is_perfectly_normal",
             "is_co_perfectly_normal", "is_co_sigma_perfectly_normal")
-HEREDITARY = ("is_hereditarily_normal", "is_hereditarily_perfectly_normal",
-              "is_sigma_normal_on_f_sigma_submaps")
+HEREDITARY = ("is_hereditarily_normal",)
 
 
 def _disagreements(f) -> list[str]:
@@ -69,16 +68,15 @@ def test_f_sigma_failure_matches_submapping_report():
             rep = is_f_sigma_submapping(Submapping(f, carrier))
             assert normality._f_sigma_failure(f, carrier) == rep.failure_y, \
                 (inst.uid, carrier)
-            # Lemma 1 of is_sigma_normal_on_f_sigma_submaps
+            # Lemma 1 in harness.classify
             assert (normality._f_sigma_failure(f, carrier) is None) == \
                 f.domain.is_closed(carrier), (inst.uid, carrier)
 
 
 def test_closed_carrier_failures_reach_a_point_closure():
-    """Lemma 2 of is_sigma_normal_on_f_sigma_submaps, on every closed
-    carrier and not only the least failing one: the relative sigma test
-    fails on C & P iff it fails on cl{v} & P for some v in C & P, and
-    then it fails on P itself."""
+    """Lemma 2 in harness.classify, on every closed carrier: the relative
+    sigma test fails on C & P iff it fails on cl{v} & P for some v in
+    C & P, and then it fails on P itself."""
     instances = [*census_instances(5), *sampled_instances(5, 80, seed=3)]
     checked = 0
     for inst in instances:
@@ -99,21 +97,28 @@ def test_closed_carrier_failures_reach_a_point_closure():
     assert checked > 0
 
 
+def _least_failing_pair_carrier(f):
+    return normality._least_failing_carrier(f, normality._least_failing_pair)
+
+
 def test_hereditary_closed_forms_match_carrier_loops():
-    """The closed forms of the three hereditary deciders report the same
-    offending carriers as the pointwise carrier loops they replaced, on
-    census 6 and on seeded maps at the 12-point cap, as drawn and renamed
-    (``seeded_maps`` numbers its points in mask order, and the least
-    offending carrier depends on the labelling; the verdicts do not)."""
+    """``is_hereditarily_normal``'s closed form reports the same offending
+    carrier as the pointwise carrier loop, and the loops over every carrier
+    and every F_sigma carrier check the two inheritance theorems that
+    ``harness.classify`` relies on: their verdicts are those of
+    ``is_perfectly_normal`` and ``is_sigma_normal``, and the perfect loop
+    fails first on the least failing pair.  On census 6 and on seeded maps
+    at the 12-point cap, as drawn and renamed (``seeded_maps`` numbers its
+    points in mask order, and the least offending carrier depends on the
+    labelling; the verdicts do not)."""
     def failures(maps) -> list[int]:
         count = [0, 0, 0]
         for f in maps:
             normal = normality.is_hereditarily_normal(f)
-            perfect = normality.is_hereditarily_perfectly_normal(f)
-            sigma = normality.is_sigma_normal_on_f_sigma_submaps(f)
+            perfect = ref.pointwise_hereditarily_perfectly_normal(f)
+            sigma = ref.pointwise_sigma_normal_on_f_sigma_submaps(f)
             assert normal == ref.pointwise_hereditarily_normal(f)
-            assert perfect == ref.pointwise_hereditarily_perfectly_normal(f)
-            assert sigma == ref.pointwise_sigma_normal_on_f_sigma_submaps(f)
+            assert perfect == _least_failing_pair_carrier(f)
             assert normality.is_perfectly_normal(f).holds == perfect.holds
             assert normality.is_sigma_normal(f).holds == sigma.holds
             count[0] += not normal.holds
@@ -136,20 +141,16 @@ def test_hereditary_closed_forms_match_carrier_loops():
 def test_hereditary_closed_forms_on_labelled_maps(f):
     # census maps are canonically labelled, and the least offending
     # carrier depends on the labelling
-    oracles = {
-        normality.is_hereditarily_normal: (
-            ref.is_hereditarily_normal, ref.pointwise_hereditarily_normal),
-        normality.is_hereditarily_perfectly_normal: (
-            ref.is_hereditarily_perfectly_normal,
-            ref.pointwise_hereditarily_perfectly_normal),
-        normality.is_sigma_normal_on_f_sigma_submaps: (
-            ref.is_sigma_normal_on_f_sigma_submaps,
-            ref.pointwise_sigma_normal_on_f_sigma_submaps),
-    }
-    for decider, (literal, loop) in oracles.items():
-        got = decider(f).offending_carrier
-        assert got == literal(f).offending_carrier == \
-            loop(f).offending_carrier, decider.__name__
+    assert normality.is_hereditarily_normal(f) == \
+        ref.is_hereditarily_normal(f) == ref.pointwise_hereditarily_normal(f)
+    # the two inheritance theorems, on the literal scans and the loops
+    perfect = _least_failing_pair_carrier(f)
+    assert perfect == ref.is_hereditarily_perfectly_normal(f) == \
+        ref.pointwise_hereditarily_perfectly_normal(f)
+    assert perfect.holds == normality.is_perfectly_normal(f).holds
+    sigma = ref.is_sigma_normal_on_f_sigma_submaps(f)
+    assert sigma == ref.pointwise_sigma_normal_on_f_sigma_submaps(f)
+    assert sigma.holds == normality.is_sigma_normal(f).holds
 
 
 class TestVerdictMemo:

@@ -87,6 +87,15 @@ class TestValidateTopology:
             FiniteSpace(3, opens)
         assert str(err.value) == f"open {named} uses points outside 0..2"
 
+    def test_non_integer_open_is_rejected(self):
+        # int() would read 1.9 as the open {0}
+        with pytest.raises(TypeError):
+            FiniteSpace(2, [0, 1.9, 3])
+
+    def test_repr_lists_each_open_as_its_points(self):
+        assert repr(FiniteSpace(3, [0, 1, 3, 7])) == \
+            "FiniteSpace(n=3, opens=[{},{0},{0 1},{0 1 2}])"
+
 
     def test_every_family_on_three_points(self):
         # accepted exactly when it is a topology, checked by brute force
@@ -663,6 +672,11 @@ class TestFiberedMap:
         # 0 -> 1, 1 -> 0 pulls the open {0} back to the non-open {1}
         with pytest.raises(NotContinuous):
             FiberedMap(S, S, [1, 0])
+
+    def test_non_integer_image_is_rejected(self, S):
+        # int() would map point 0 to 0
+        with pytest.raises(TypeError):
+            FiberedMap(S, point(), [0.7, 0])
 
     def test_preimage(self, S, D3):
         f = FiberedMap(D3, S, [0, 0, 1])
