@@ -224,8 +224,9 @@ def _named_tuple_fields() -> dict[str, tuple[str, ...]]:
 
 def test_no_two_named_tuples_have_the_same_fields():
     # a second class with the same fields is a copy of the first one's type
+    found = _named_tuple_fields()
     by_fields = {}
-    for name, fields in _named_tuple_fields().items():
+    for name, fields in found.items():
         by_fields.setdefault(fields, []).append(name)
     assert [names for names in by_fields.values() if len(names) > 1] == []
-    assert "normality.Report" in _named_tuple_fields()
+    assert "normality.Report" in found
