@@ -47,58 +47,49 @@ BUILD_FLAGS = {"partitions": ("F", "T"), "separator": ("F", "T"),
                "extend": ("phi",), "sigma-family": ("F", "T"),
                "functional-witness": ("F",)}
 
-CHECKS = {
-    "prenormal": lambda f: _plain(is_prenormal(f)),
-    "normal": lambda f: _plain(is_normal(f)),
-    "sigma-normal": lambda f: _plain(is_sigma_normal(f)),
-    "perfectly-normal": lambda f: _perfect(f),
-    "co-perfect": lambda f: _coperfect(is_co_perfectly_normal(f)),
-    "co-sigma-perfect": lambda f: _coperfect(is_co_sigma_perfectly_normal(f)),
-    "hereditarily-normal": lambda f: _hereditary(f),
-}
-
 
 def _points(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def _plain(rep):
-    ce = None
-    if rep.counterexample is not None:
-        ce = [_points(m) if isinstance(m, int) else m for m in rep.counterexample]
-    return rep.holds, [], ce
+def _masks(ce) -> list:
+    # every entry as a point list; y too, so y = 1 prints as [0]
+    return [_points(m) for m in ce]
 
 
-def _perfect(f):
-    rep = is_perfectly_normal(f)
-    witnesses = [{"y": w.y, "Oy": _points(w.nbhd),
-                  "functions": [[str(v) for v in phi.values] for phi in w.family],
-                  "open": _points(w.open_mask)}
-                 for w in islice(perfect_witnesses(f), WITNESS_LIMIT)]
-    ce = None
-    if rep.counterexample is not None:
-        o, y, comp = rep.counterexample
-        ce = {"open": _points(o), "y": y, "component": _points(comp)}
-    return rep.holds, witnesses, ce
+def _perfect(ce) -> dict:
+    o, y, comp = ce
+    return {"open": _points(o), "y": y, "component": _points(comp)}
 
 
-def _coperfect(rep):
-    ce = None
-    if rep.counterexample is not None:
-        if rep.normality_ok:
-            carrier, y = rep.counterexample
-            ce = {"open_carrier": _points(carrier), "y": y}
-        else:
-            ce = [_points(m) if isinstance(m, int) else m
-                  for m in rep.counterexample]
-    return rep.holds, [], ce
+def _coperfect(ce):
+    # the base class's counterexample, or (open carrier, y)
+    if len(ce) != 2:
+        return _masks(ce)
+    carrier, y = ce
+    return {"open_carrier": _points(carrier), "y": y}
 
 
-def _hereditary(f):
-    rep = is_hereditarily_normal(f)
-    ce = None if rep.offending_carrier is None else {
-        "carrier": _points(rep.offending_carrier)}
-    return rep.holds, [], ce
+def _witnesses(f) -> list[dict]:
+    return [{"y": w.y, "Oy": _points(w.nbhd),
+             "functions": [[str(v) for v in phi.values] for phi in w.family],
+             "open": _points(w.open_mask)}
+            for w in islice(perfect_witnesses(f), WITNESS_LIMIT)]
+
+
+# each class: the name of its decider, which cmd_check looks up in this
+# module when it runs (a rebinding of cli.is_normal, say, takes effect),
+# and the printer of its counterexample
+CHECKS = {
+    "prenormal": ("is_prenormal", _masks),
+    "normal": ("is_normal", _masks),
+    "sigma-normal": ("is_sigma_normal", _masks),
+    "perfectly-normal": ("is_perfectly_normal", _perfect),
+    "co-perfect": ("is_co_perfectly_normal", _coperfect),
+    "co-sigma-perfect": ("is_co_sigma_perfectly_normal", _coperfect),
+    "hereditarily-normal": ("is_hereditarily_normal",
+                            lambda ce: {"carrier": _points(ce[0])}),
+}
 
 
 def _load(path: str):
@@ -126,10 +117,12 @@ def cmd_check(args) -> int:
     inst = _load(args.file)
     f = inst.maps[_pick_map(inst, args.map)]
     _cap(f.domain.n + f.codomain.n, args)
-    holds, witnesses, ce = CHECKS[args.property](f)
+    decider, show = CHECKS[args.property]
+    holds, ce = globals()[decider](f)
+    witnesses = _witnesses(f) if args.property == "perfectly-normal" else []
     cert = {"class": args.property, "holds": holds, "witnesses": witnesses}
     if ce is not None:
-        cert["counterexample"] = ce
+        ce = cert["counterexample"] = show(ce)
     if args.json:
         print(json.dumps(cert, sort_keys=True))
     else:

@@ -279,17 +279,15 @@ def _pair_scan(space: FiniteSpace, pre_o: int, w: int) -> tuple:
 
 def _build_entry(cache: dict, f: FiberedMap, f_side: int, t_side: int, y: int,
                  depth: int):
-    """(built, stepwise bounds, condition C) of the family for (F, T, y)."""
-    key = (f_side, t_side, y)
-    hit = cache.get(key)
-    if hit is None:
-        try:
-            levels = build_levels(f, f_side, t_side, y, depth)
-        except SearchFailed:
-            hit = (False, False, False)
-        else:
-            hit = (True, levels.stepwise_ok, levels.condition_c_ok)
-        cache[key] = hit
+    """(built, stepwise bounds, condition C) of the family for (F, T, y),
+    stored in the cache; the callers probe the cache first."""
+    try:
+        levels = build_levels(f, f_side, t_side, y, depth)
+    except SearchFailed:
+        hit = (False, False, False)
+    else:
+        hit = (True, levels.stepwise_ok, levels.condition_c_ok)
+    cache[f_side, t_side, y] = hit
     return hit
 
 

@@ -19,8 +19,9 @@ Closures and hulls are unions over points, so every quantifier over pairs
 of (relatively) closed sets reduces to one over pairs of points of the
 preimage P of a minimal neighborhood (see ``_separation_ok``).  The
 deciders answer on those point tables and run the literal scan over closed
-sets only once a failure is known, so each counterexample is the first one
-in the literal order.  ``is_hereditarily_normal`` tries no carrier: the
+sets (one ``_separation`` for the four separation classes) only once a
+failure is known, so each counterexample is the first one in the literal
+order.  Every class decider returns one ``Report``.  ``is_hereditarily_normal`` tries no carrier: the
 least failing carrier is the least failing triple of points of some P (see
 ``_least_failing_triple``).  Perfect normality is hereditary and
 sigma-normality passes to every F_sigma submapping on every finite map, so
@@ -162,6 +163,39 @@ class Report(NamedTuple):
     counterexample: tuple | None
 
 
+def _separation(f: FiberedMap, sigma: bool, relative: bool) -> Report:
+    """The separation decider for the two flags: pointwise, and once a
+    failing y is known, the literal scan for the first failing pair.
+
+    Relative closures scan the pairs closed in P = f^{-1}(U_y) at that y
+    only and report (U_y, A, B, y); global closures scan the closed pairs
+    of the domain at every y and report (A, B, y).  Plain pairs are taken
+    once, with A before B, and fail when their hulls in P meet; sigma
+    pairs are taken in both orders, and fail when a piece of A has no
+    neighborhood with closure off B (``_sigma_separated_at``).
+    """
+    y = _first_failing_y(f, sigma, relative)
+    if y is None:
+        return Report(True, None)
+    space, pres = f.domain, f._nbhd_pre
+    ys = [y] if relative else range(len(pres))
+    closed = space.rel_closed_sets(pres[y] if relative else space.full)
+    if not sigma:
+        hulls = {y: [space.rel_hull(pres[y], a) for a in closed] for y in ys}
+    for i, a in enumerate(closed):
+        for j in range(0 if sigma else i + 1, len(closed)):
+            b = closed[j]
+            if a & b:
+                continue
+            for y in ys:
+                if (not _sigma_separated_at(space, pres[y], a, b) if sigma
+                        else hulls[y][i] & hulls[y][j]):
+                    ce = (a, b, y)
+                    return Report(False, (f.codomain.min_nbhd(y), *ce)
+                                  if relative else ce)
+    raise AssertionError("pointwise and literal separation disagree")
+
+
 def is_prenormal(f: FiberedMap) -> Report:
     """Every pair of disjoint closed subsets of the domain is f-separated.
 
@@ -169,18 +203,7 @@ def is_prenormal(f: FiberedMap) -> Report:
     failing pair and its first failing y.  Counterexample: (A, B, y), the
     disjoint closed A and B and the first y where they are not separated.
     """
-    # plain, global closures
-    if _first_failing_y(f, False, False) is None:
-        return Report(True, None)
-    closed = f.domain.rel_closed_sets(f.domain.full)
-    for i, a in enumerate(closed):
-        for b in closed[i + 1:]:
-            if a & b:
-                continue
-            rep = are_f_separated(f, a, b)
-            if not rep.holds:
-                return Report(False, (a, b, rep.failure_y))
-    raise AssertionError("pointwise and literal prenormality disagree")
+    return _separation(f, sigma=False, relative=False)
 
 
 def is_normal(f: FiberedMap) -> Report:
@@ -196,21 +219,7 @@ def is_normal(f: FiberedMap) -> Report:
     Decided pointwise; the literal pair scan runs only at the first failing
     y, where it finds the first failing pair.
     """
-    space = f.domain
-    # plain, relative closures
-    y = _first_failing_y(f, False, True)
-    if y is None:
-        return Report(True, None)
-    nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y]
-    rel_closed = space.rel_closed_sets(pre)
-    hulls = [space.rel_hull(pre, a) for a in rel_closed]
-    for i, a in enumerate(rel_closed):
-        for j in range(i + 1, len(rel_closed)):
-            b = rel_closed[j]
-            if not a & b and hulls[i] & hulls[j]:
-                return Report(False, (nbhd, a, b, y))
-    raise AssertionError("pointwise and literal normality disagree")
+    return _separation(f, sigma=False, relative=True)
 
 
 # ------------------------------------------------------------ sigma variants
@@ -237,19 +246,7 @@ def is_sigma_prenormal(f: FiberedMap) -> Report:
     Counterexample: (T, F, y), the disjoint closed T and F and the first y
     where a piece of T has no neighborhood with closure off F.
     """
-    space = f.domain
-    # sigma, global closures
-    if _first_failing_y(f, True, False) is None:
-        return Report(True, None)
-    closed = space.rel_closed_sets(space.full)
-    for t in closed:
-        for fm in closed:
-            if t & fm:
-                continue
-            for y, pre in enumerate(f._nbhd_pre):
-                if not _sigma_separated_at(space, pre, t, fm):
-                    return Report(False, (t, fm, y))
-    raise AssertionError("pointwise and literal sigma-prenormality disagree")
+    return _separation(f, sigma=True, relative=False)
 
 
 def is_sigma_normal(f: FiberedMap) -> Report:
@@ -257,21 +254,7 @@ def is_sigma_normal(f: FiberedMap) -> Report:
     and decided like it: pointwise, with the literal scan only at the
     first failing y.  Counterexample: (O, T, F, y), with O the minimal
     neighborhood of y and T and F disjoint and closed in f^{-1}(O)."""
-    space = f.domain
-    # sigma, relative closures
-    y = _first_failing_y(f, True, True)
-    if y is None:
-        return Report(True, None)
-    nbhd = f.codomain.min_nbhd(y)
-    pre = f._nbhd_pre[y]
-    rel_closed = space.rel_closed_sets(pre)
-    for t in rel_closed:
-        for fm in rel_closed:
-            if t & fm:
-                continue
-            if not _sigma_separated_at(space, pre, t, fm):
-                return Report(False, (nbhd, t, fm, y))
-    raise AssertionError("pointwise and literal sigma-normality disagree")
+    return _separation(f, sigma=True, relative=True)
 
 
 # ------------------------------------------------------- partition builders
@@ -636,12 +619,6 @@ def is_f_functionally_open(f: FiberedMap, u: int) -> Report:
 # ------------------------------------------------------- co-perfect variants
 
 
-class CoPerfectReport(NamedTuple):
-    holds: bool
-    normality_ok: bool
-    counterexample: tuple | None  # normality ce or (open carrier, y)
-
-
 def _f_sigma_failure(f: FiberedMap, carrier: int) -> int | None:
     """The first y at which the submapping on carrier is not locally
     F_sigma, or None: the first y where the closure of some point of
@@ -678,17 +655,22 @@ def _open_submaps_f_sigma(f: FiberedMap):
     return None
 
 
-def _co_perfect(f: FiberedMap, base) -> CoPerfectReport:
-    """The report ``base`` of a normality class of f, plus: every open
-    submapping is F_sigma."""
+def _co_perfect(f: FiberedMap, base: Report) -> Report:
+    """The report ``base`` of a normality class of f when it fails; else
+    whether every open submapping is F_sigma, with the least failing open
+    u and its first failing y as the counterexample (u, y)."""
     if not base.holds:
-        return CoPerfectReport(False, False, base.counterexample)
+        return base
     bad = _open_submaps_f_sigma(f)
-    return CoPerfectReport(bad is None, True, bad)
+    return Report(bad is None, bad)
 
 
-def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+def is_co_perfectly_normal(f: FiberedMap) -> Report:
     """Normality plus: every open submapping is F_sigma.
+
+    Counterexample: ``is_normal``'s (O, A, B, y) when normality fails,
+    else (u, y), the least open u whose submapping is not F_sigma and the
+    first y where it fails.
 
     On every finite map this is perfect normality.  Let P = f^{-1}(U_y).
     Every open submapping is F_sigma at y iff cl{x} & P lies inside U_x
@@ -707,18 +689,14 @@ def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
     return _co_perfect(f, is_normal(f))
 
 
-def is_co_sigma_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+def is_co_sigma_perfectly_normal(f: FiberedMap) -> Report:
     """Sigma-normality plus: every open submapping is F_sigma; perfect
-    normality again (see ``is_co_perfectly_normal``)."""
+    normality again (see ``is_co_perfectly_normal``).  Counterexample:
+    ``is_sigma_normal``'s (O, T, F, y), else (u, y) as there."""
     return _co_perfect(f, is_sigma_normal(f))
 
 
 # ---------------------------------------------------------------- hereditary
-
-
-class HereditaryReport(NamedTuple):
-    holds: bool
-    offending_carrier: int | None
 
 
 def _least_failing_triple(space: FiniteSpace, pre: int) -> int:
@@ -734,18 +712,20 @@ def _least_failing_triple(space: FiniteSpace, pre: int) -> int:
                 if (ws := pre & nbhd[x] & nbhd[z])), default=0)
 
 
-def _least_failing_carrier(f: FiberedMap, walk) -> HereditaryReport:
-    """The least carrier whose submapping fails at some y, where ``walk``
-    gives the least carrier whose submapping fails at P = f^{-1}(U_y) (0
-    for none); memoised per domain space on P."""
+def _least_failing_carrier(f: FiberedMap, walk) -> Report:
+    """The least carrier whose submapping fails at some y, reported as
+    the counterexample (carrier,).  ``walk`` gives the least carrier whose
+    submapping fails at P = f^{-1}(U_y), or 0 for none; it is memoised per
+    domain space on P."""
     memoised = f.domain.memoised
     least = min((m for pre in f._nbhd_pre if (m := memoised((walk, pre)))),
                 default=None)
-    return HereditaryReport(least is None, least)
+    return Report(True, None) if least is None else Report(False, (least,))
 
 
-def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
-    """Normality of the submapping on every carrier.
+def is_hereditarily_normal(f: FiberedMap) -> Report:
+    """Normality of the submapping on every carrier.  Counterexample:
+    (C,), the least carrier C whose submapping is not normal.
 
     By ``_separation_ok``'s relative plain test, the submapping on a
     carrier C fails at y iff some x, z, w in P & C, P = f^{-1}(U_y), have

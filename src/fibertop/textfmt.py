@@ -226,8 +226,11 @@ READERS = {"space": _read_space, "map": _read_map, "set": _read_set,
 
 
 def parse_instance(text: str) -> InstanceFile:
-    """Parse and validate the whole file; every object is checked on sight."""
+    """Parse and validate the whole file; every object is checked on sight,
+    and a second block of one kind and name is rejected with both lines."""
     out = InstanceFile()
+    # the header line of each (kind, name) declared so far
+    declared: dict[tuple[str, str], int] = {}
     # stripped once; line i + 1 of the file is lines[i]
     lines = [ln.strip() for ln in text.splitlines()]
     i = 0
@@ -245,6 +248,11 @@ def parse_instance(text: str) -> InstanceFile:
         if len(head) != len(shape) or any(
                 s != h for s, h in zip(shape, head) if s[0] != "<"):
             raise InstanceSyntaxError(i + 1, "expected: " + " ".join(shape))
+        first = declared.setdefault((head[0], head[1]), i + 1)
+        if first != i + 1:
+            raise InstanceValidationError(f"{head[0]} {head[1]}",
+                                          f"already declared on line {first}",
+                                          i + 1)
         rows, nxt = _scan(lines, i + 1)
         i = READERS[head[0]](out, head, i + 1, lines, rows, nxt)
 

@@ -27,8 +27,6 @@ relies on, whose verdicts are those of ``is_perfectly_normal`` and
 from __future__ import annotations
 
 from fibertop.normality import (
-    CoPerfectReport,
-    HereditaryReport,
     PerfectWitness,
     Report,
     _f_sigma_failure,
@@ -159,38 +157,38 @@ def _open_submaps_f_sigma(f: FiberedMap):
     return None
 
 
-def is_co_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+def is_co_perfectly_normal(f: FiberedMap) -> Report:
     base = is_normal(f)
     if not base.holds:
-        return CoPerfectReport(False, False, base.counterexample)
+        return base
     bad = _open_submaps_f_sigma(f)
-    return CoPerfectReport(bad is None, True, bad)
+    return Report(bad is None, bad)
 
 
-def is_co_sigma_perfectly_normal(f: FiberedMap) -> CoPerfectReport:
+def is_co_sigma_perfectly_normal(f: FiberedMap) -> Report:
     base = is_sigma_normal(f)
     if not base.holds:
-        return CoPerfectReport(False, False, base.counterexample)
+        return base
     bad = _open_submaps_f_sigma(f)
-    return CoPerfectReport(bad is None, True, bad)
+    return Report(bad is None, bad)
 
 
-def _first_failing_carrier(f: FiberedMap, decide) -> HereditaryReport:
+def _first_failing_carrier(f: FiberedMap, decide) -> Report:
     for carrier in range(f.domain.full + 1):
         if not decide(carrier):
-            return HereditaryReport(False, carrier)
-    return HereditaryReport(True, None)
+            return Report(False, (carrier,))
+    return Report(True, None)
 
 
-def is_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
+def is_hereditarily_normal(f: FiberedMap) -> Report:
     return _first_failing_carrier(f, lambda c: is_normal(f, c).holds)
 
 
-def is_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
+def is_hereditarily_perfectly_normal(f: FiberedMap) -> Report:
     return _first_failing_carrier(f, lambda c: is_perfectly_normal(f, c).holds)
 
 
-def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
+def is_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> Report:
     return _first_failing_carrier(
         f, lambda c: (not is_f_sigma_submapping(Submapping(f, c)).holds
                       or is_sigma_normal(f, c).holds))
@@ -207,19 +205,19 @@ def components_indiscrete(space, region: int) -> bool:
     return True
 
 
-def pointwise_hereditarily_normal(f: FiberedMap) -> HereditaryReport:
+def pointwise_hereditarily_normal(f: FiberedMap) -> Report:
     return _first_failing_carrier(
         f, lambda c: all(_separation_ok(f.domain, pre & c, False, True)
                          for pre in f._nbhd_pre))
 
 
-def pointwise_hereditarily_perfectly_normal(f: FiberedMap) -> HereditaryReport:
+def pointwise_hereditarily_perfectly_normal(f: FiberedMap) -> Report:
     return _first_failing_carrier(
         f, lambda c: all(components_indiscrete(f.domain, pre & c)
                          for pre in f._nbhd_pre))
 
 
-def pointwise_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> HereditaryReport:
+def pointwise_sigma_normal_on_f_sigma_submaps(f: FiberedMap) -> Report:
     return _first_failing_carrier(
         f, lambda c: (_f_sigma_failure(f, c) is not None
                       or all(_separation_ok(f.domain, pre & c, True, True)

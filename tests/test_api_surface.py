@@ -58,6 +58,9 @@ REASONED = {
     "urysohn_tietze.exact_extension_exists":
         "the public exact-extension decider, an independent route to "
         "extension existence",
+    "normality.are_f_separated":
+        "the certificate-giving f-separation decider; the class deciders "
+        "scan hulls without certificates",
     "normality.SeparationCertificate.valid_for":
         "the independent re-check of an are_f_separated certificate",
 }

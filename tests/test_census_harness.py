@@ -905,13 +905,14 @@ class TestCarrierRelativeDeciders:
 
             bad = first_bad(lambda c, g: is_normal(g).holds)
             rep = is_hereditarily_normal(f)
-            assert (rep.holds, rep.offending_carrier) == (bad is None, bad), \
+            assert rep == ((True, None) if bad is None else (False, (bad,))), \
                 inst.uid
             # the two inheritance theorems that classify relies on
             bad = first_bad(lambda c, g: is_perfectly_normal(g).holds)
             assert (bad is None) == is_perfectly_normal(f).holds, inst.uid
             assert normality._least_failing_carrier(
-                f, normality._least_failing_pair).offending_carrier == bad
+                f, normality._least_failing_pair).counterexample == (
+                None if bad is None else (bad,))
             bad = first_bad(lambda c, g: (
                 not is_f_sigma_submapping(Submapping(f, c)).holds
                 or is_sigma_normal(g).holds))

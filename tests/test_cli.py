@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,13 @@ from levels_reference import decode_family
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = str(ROOT / "scripts" / "demo.top")
+# each check class and the decider that the CLI looks up for it
+CHECK_DECIDERS = {
+    "prenormal": "is_prenormal", "normal": "is_normal",
+    "sigma-normal": "is_sigma_normal", "perfectly-normal": "is_perfectly_normal",
+    "co-perfect": "is_co_perfectly_normal",
+    "co-sigma-perfect": "is_co_sigma_perfectly_normal",
+    "hereditarily-normal": "is_hereditarily_normal"}
 
 ID_D2 = """\
 space D2
@@ -301,8 +310,8 @@ class TestCheck:
         assert captured.err == f"error: {message}\n"
 
     def test_every_class_runs(self, d2_file):
-        for prop in ["prenormal", "normal", "sigma-normal", "perfectly-normal",
-                     "co-perfect", "co-sigma-perfect", "hereditarily-normal"]:
+        assert sorted(CHECK_DECIDERS) == sorted(cli.CHECKS)
+        for prop in CHECK_DECIDERS:
             assert main(["check", prop, d2_file]) == 0
 
 
@@ -651,6 +660,44 @@ class TestInstanceErrors:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["functional-witness", "--F", "F"],
+        ["separator", "--F", "F", "--T", "T"]])
+    def test_redeclared_space_is_named_with_both_lines(self, tmp_path,
+                                                       capsys, argv):
+        # a set declared after the second S would be read against the
+        # map's 2-point domain: functional-witness once said "holds: True"
+        path = tmp_path / "twice.top"
+        path.write_text(ID_S.split("set F")[0] + "space S\npoints 3\nopens\n"
+                        "-\n0 1 2\nset F in S\n2\nset T in S\n-\n")
+        assert main(["build", argv[0], str(path), *argv[1:], "--y", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: space S (line 10): already declared "
+                                "on line 1\n")
+
+    @pytest.mark.parametrize("block, first", [
+        ("map id S -> S\n0 -> 0\n1 -> 1\n", 7),
+        ("set F in S\n0\n", 10),
+        ("func phit on S\n0: 1\n", 14)])
+    def test_every_block_kind_rejects_a_repeated_name(self, tmp_path, capsys,
+                                                      block, first):
+        # ID_S has 15 lines, so the repeated block starts on line 16
+        path = tmp_path / "twice.top"
+        path.write_text(ID_S + block)
+        assert main(["check", "normal", str(path)]) == 2
+        kind, name = block.split()[:2]
+        assert capsys.readouterr().err == (
+            f"error: {kind} {name} (line 16): already declared on line "
+            f"{first}\n")
+
+    def test_one_name_may_serve_two_kinds(self, tmp_path, capsys):
+        # names are per kind: a set and a func may share one
+        path = tmp_path / "shared.top"
+        path.write_text(ID_S + "set phit in S\n0 1\n")
+        assert main(["build", "functional-witness", str(path), "--F", "phit",
+                     "--y", "0"]) == 0
+
     @pytest.mark.parametrize("opens, message", [
         ("-\n0\n0 1 2", "map f: preimage {0 1} of open {0} is not open"),
         ("-\n0\n1\n0 1 2", "space C3: union of opens {1} and {0} is not open"),
@@ -777,12 +824,16 @@ class TestParserReuse:
 
 
 class TestInternalError:
-    def test_invariant_failure_exits_3(self, d2_file, capsys, monkeypatch):
+    @pytest.mark.parametrize("prop", CHECK_DECIDERS)
+    def test_invariant_failure_exits_3(self, d2_file, capsys, monkeypatch,
+                                       prop):
+        # the CLI looks each decider up when it runs, as the bench's
+        # tracer does when it rebinds them
         def broken(f):
             raise AssertionError("invariant broke")
 
-        monkeypatch.setattr(cli, "is_normal", broken)
-        assert main(["check", "normal", d2_file]) == 3
+        monkeypatch.setattr(cli, CHECK_DECIDERS[prop], broken)
+        assert main(["check", prop, d2_file]) == 3
         captured = capsys.readouterr()
         assert "internal error" in captured.err and "invariant broke" in captured.err
         # the traceback, whose module loads only on this path, comes first
@@ -1036,4 +1087,34 @@ def test_deep_builds_smoke():
     assert seconds.startswith("seconds: ") and float(seconds[9:]) > 0
     assert digest == ("sha256: fa25c5452303fb9eac8378049bbf1ba9"
                       "245ef75b480b904333536f7fdbe1eea0")
+    assert sorted((ROOT / "bench").rglob("*")) == bench
+
+
+def _bench_module(name: str) -> types.ModuleType:
+    """A module of bench/, run from its source, so that no bytecode is
+    written under bench/."""
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_check_output_golden(tmp_path):
+    # every check class, plain and --json, on the cli12 seed-1 files; the
+    # digest pins their exit codes and stdout
+    bench = sorted((ROOT / "bench").rglob("*"))
+    results = []
+    for k, spec in enumerate(_bench_module("instances").cli12_files(1)):
+        path = tmp_path / f"f{k:02d}.top"
+        path.write_text(spec["text"], encoding="utf-8")
+        for prop in CHECK_DECIDERS:
+            for flags in ([], ["--json"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([*flags, "check", prop, str(path)])
+                results.append((code, out.getvalue()))
+    assert len(results) == 74 * 7 * 2
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "7f8544c43fda79f3a7b6528ff17cd9b6e4f0403c2ef034c349f4c29425ae1e19")
     assert sorted((ROOT / "bench").rglob("*")) == bench
