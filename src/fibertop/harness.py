@@ -26,14 +26,15 @@ each distinct result once per (F, T, f^{-1}(U_y)).
 
 Records are read-only values whose equal parts are shared: each part kind
 that repeats across a sweep (the theorem sides, the classification, the
-tallies, the extension runs and their checks, the open and map lists, and
-the empty lists) is stored once per distinct value in ``_SHARED`` and
-reused by every record that has it.  The canonical JSON text of each part
-is stored with it, in ``_TEXT``, and a record's digest and a report's
-digest both join those texts rather than encode the parts again.  So a
-part must never be edited in place: the edit would reach every record
-that shares the part, and the part's stored text would go stale, so that
-digests would no longer hash the records' bytes.
+tallies, the extension runs, their checks and each record's list of
+them, the open and map lists, and the empty lists) is stored once per
+distinct value in ``_SHARED`` and reused by every record that has it.
+The canonical JSON text of each part is stored with it, in ``_TEXT``, and
+a record's digest and a report's digest both join those texts rather
+than encode the parts again.  So a part must never be edited in place:
+the edit would reach every record that shares the part, and the part's
+stored text would go stale, so that digests would no longer hash the
+records' bytes.
 """
 
 from __future__ import annotations
@@ -304,11 +305,12 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
     constant 1 on T, and the sweep's runs never see two-valued data (every
     census-5 and census-6 run has F = 0).
 
-    The record is a read-only value.  Its parts other than the id, the
-    digest and the list of extension runs are shared with every other
-    record that has an equal part, and the digest joins their stored texts
-    (see ``_encode``), so changing one in place would change every record
-    that has it and leave its text stale; copy a part before editing it."""
+    The record is a read-only value.  Its parts other than the id and the
+    digest, the list of extension runs included, are shared with every
+    other record that has an equal part, and the digest joins their stored
+    texts (see ``_encode``), so changing one in place would change every
+    record that has it and leave its text stale; copy a part before
+    editing it."""
     f = inst.f
     space, cod = f.domain, f.codomain
     a_dec = is_normal(f).holds
@@ -368,6 +370,11 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
                         bs_ok = False
                         break
     families = sum(1 for v in cache.values() if v[0])
+    # each run is a shared part, so the ids of the runs stand for the list
+    key = ("runs", *map(id, ext_runs))
+    runs = _SHARED.get(key)
+    if runs is None:
+        runs = _share(key, ext_runs)
     cls = classify(f)
     record = {
         "id": inst.uid,
@@ -379,7 +386,7 @@ def theorem_record(inst: Instance, depth: int = 6, extender_budget: int = 2,
         "thm3": _shared_dict("thm3", "ABCD", a_dec, b_ok, c_ok, d_ok),
         "thm4": _shared_dict("thm4", "ABC", a_sigma, bs_ok, cs_ok),
         "stepwise": _shared_dict("stepwise", _STEPWISE_KEYS, families, osc_viol),
-        "extension_runs": ext_runs,
+        "extension_runs": runs,
         "hierarchy_violations": (hierarchy_violations(cls, cod.n == 1)
                                  or _shared_list("empty", ())),
         "anomalies": anomalies or _shared_list("empty", ()),

@@ -218,7 +218,12 @@ def tietze_extend(f: FiberedMap, f_carrier: int, phit: RationalFunction,
     separates the +/- mu/3 level closures with an exactly
     f-continuous-at-y two-valued function, subtracts the rescaled copy, and
     certifies mu_{n+1} <= (2/3) mu_n.  The loop stops at an exact residual
-    of zero or once the geometric bound drops below the tolerance.
+    of zero or once the geometric bound drops below the tolerance.  Once a
+    step doubles every value of the walk, every later step repeats it
+    doubled, and the walk takes those steps in closed form with the same
+    results and checks (see ``_extension_walk``); so each walk of the
+    census sweep, which extends the constant 1 on T, computes at most one
+    step.
 
     Every call checks y, the tolerance, ``within`` and the carrier.  Past
     those checks the run depends only on the domain, on
@@ -267,7 +272,31 @@ def _extension_walk(space: FiniteSpace, pre: int, given_mask: int, scale: int,
     P and the values: every x of the carrier trace must have the value of
     each z in U_x & carrier.  P is open, so U_x lies in P, and the
     largest |phit(x) - phit(z)| is the oscillation that
-    ``is_f_continuous_at`` reports."""
+    ``is_f_continuous_at`` reports.
+
+    The repeat lemma.  Let a step start from the values c(x) on the
+    carrier trace and the residual mu, and end with c'(x) = 3c(x) - psi(x)
+    = 2c(x) at every point (all over the step's denominator).  Then every
+    c(x) = psi(x) = +/- mu, so mu' = max |c'| = 2 mu, and the next step
+    compares 3c' = 2 * 3c with the thresholds +/- mu' = 2 * (+/- mu): it
+    selects the same low and high sets, hence the same closures and the
+    same separator, its psi is 2 psi, and it ends with 3c' - 2 psi =
+    2c' at every point.  So it is the step scaled by 2 and satisfies the
+    hypothesis again; by induction the k-th step after it has the same
+    separator, psi_k = 2^k psi and residual 2^(k+1) mu.
+
+    The closed form.  Each step multiplies the total by 3 and adds its
+    psi, so r such steps take the total t to 3^r t + sum_{k=1..r}
+    3^(r-k) 2^k psi = 3^r t + 2 (3^r - 2^r) psi, because sum_{k=1..r}
+    3^(r-k) 2^(k-1) = (3^r - 2^r) / (3 - 2).  Once a step doubles its
+    values, the walk takes the later steps in this form: each still
+    appends its separator and residual and runs the four guards of a step
+    on its own values (which pass, being the computed step's scaled by
+    2^k), and r is the count the geometric test allows, as before.  So
+    the result, every error and the iteration count are those of the
+    step-by-step walk; only the closures, the separator search and the
+    per-point updates of the repeated steps are not redone.  A walk whose
+    values never double iterates every step."""
     carrier = given_mask & pre
     # Every value is kept as an integer numerator over one denominator,
     # scale * 3^n after n steps: multiplying by 3 each step keeps mu/3
@@ -293,37 +322,46 @@ def _extension_walk(space: FiniteSpace, pre: int, given_mask: int, scale: int,
     residuals = [m0]
     separators = []
     n = 0
+    doubled = False
+    repeats = 0
     while mu and geo_lhs > geo_rhs:
-        # over scale * 3^(n+1) the thresholds +/- mu/3 are +/- mu
-        cur = [3 * c for c in cur]
-        low = high = 0
-        for x, c in zip(points, cur):
-            if c <= -mu:
-                low |= 1 << x
-            elif c >= mu:
-                high |= 1 << x
-        p_side = space.rel_closure(pre, low)
-        q_side = space.rel_closure(pre, high)
-        if p_side & q_side:
-            raise CheckFailed("level closures overlap despite the osc bound")
-        # the exact {0, 1} separator: 1 on the components meeting q_side
-        out = space.saturation(pre, q_side)
-        if out & p_side:
-            raise SearchFailed(n, "exact separator")
-        psi = [mu if out >> x & 1 else -mu for x in range(space.n)]
-        if max(map(abs, psi)) > mu:
-            raise CheckFailed("psi norm above mu/3")
+        if doubled:
+            # the last computed step scaled by 2^repeats (the repeat lemma)
+            repeats += 1
+            psi_norm *= 2
+            nxt = 2 * mu
+        else:
+            start = cur
+            # over scale * 3^(n+1) the thresholds +/- mu/3 are +/- mu
+            cur = [3 * c for c in cur]
+            low = high = 0
+            for x, c in zip(points, cur):
+                if c <= -mu:
+                    low |= 1 << x
+                elif c >= mu:
+                    high |= 1 << x
+            p_side = space.rel_closure(pre, low)
+            q_side = space.rel_closure(pre, high)
+            # the exact {0, 1} separator: 1 on the components meeting q_side
+            out = space.saturation(pre, q_side)
+            psi = [mu if out >> x & 1 else -mu for x in range(space.n)]
+            psi_norm = max(map(abs, psi))
+            total = [3 * t + p for t, p in zip(total, psi)]
+            cur = [c - psi[x] for x, c in zip(points, cur)]
+            nxt = max(map(abs, cur))
+            # the lemma's hypothesis: every value doubled.  That implies
+            # nxt == 2 mu, which is tested first as the cheaper comparison
+            doubled = nxt == 2 * mu and cur == [2 * c for c in start]
+        _step_guards(n, p_side, q_side, out, psi_norm, mu, nxt)
         separators.append(out)
-        total = [3 * t + p for t, p in zip(total, psi)]
-        cur = [c - psi[x] for x, c in zip(points, cur)]
-        nxt = max(map(abs, cur))
-        if nxt > 2 * mu:
-            raise CheckFailed("residual contraction failed")
         mu = nxt
         residuals.append(mu)
         geo_lhs *= 2
         geo_rhs *= 3
         n += 1
+    if repeats:
+        total = [3 ** repeats * t + 2 * (3 ** repeats - 2 ** repeats) * p
+                 for t, p in zip(total, psi)]
     lift = 3 ** n
     if max(map(abs, total)) > m0 * lift:
         raise CheckFailed("norm of the extension above the boundary norm")
@@ -341,6 +379,22 @@ def _extension_walk(space: FiniteSpace, pre: int, given_mask: int, scale: int,
         raise CheckFailed("reported residual below the actual difference")
     return ExtensionResult(space, scale, tuple(total), tuple(residuals),
                            tuple(separators), mu, agree)
+
+
+def _step_guards(n: int, p_side: int, q_side: int, out: int, psi_norm: int,
+                 mu: int, nxt: int) -> None:
+    """Raise on the first failed check of extension step n, over the
+    step's denominator: the level closures are disjoint, the separator
+    ``out`` misses p_side, |psi| <= mu, and the residual contracts,
+    nxt <= 2 mu, that is mu_{n+1} <= (2/3) mu_n."""
+    if p_side & q_side:
+        raise CheckFailed("level closures overlap despite the osc bound")
+    if out & p_side:
+        raise SearchFailed(n, "exact separator")
+    if psi_norm > mu:
+        raise CheckFailed("psi norm above mu/3")
+    if nxt > 2 * mu:
+        raise CheckFailed("residual contraction failed")
 
 
 def _sup_difference(a: RationalFunction, b: RationalFunction, mask: int) -> Fraction:

@@ -55,9 +55,6 @@ REASONED = {
         "the NamedTuple hook that _replace calls, routed through the table check",
     "urysohn_tietze.ExtensionResult.psis":
         "the paper's psi_k, the function each extension step subtracts",
-    "urysohn_tietze.exact_extension_exists":
-        "the public exact-extension decider, an independent route to "
-        "extension existence",
     "normality.are_f_separated":
         "the certificate-giving f-separation decider; the class deciders "
         "scan hulls without certificates",

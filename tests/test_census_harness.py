@@ -1170,7 +1170,8 @@ class TestSharedRecordParts:
     byte for byte, and no reader of the records changes a shared part."""
 
     SHARED = ("x_opens", "y_opens", "map", "classes", "thm3", "thm4",
-              "stepwise", "hierarchy_violations", "anomalies", "mismatches")
+              "stepwise", "extension_runs", "hierarchy_violations",
+              "anomalies", "mismatches")
 
     @pytest.fixture(scope="class")
     def census5(self):

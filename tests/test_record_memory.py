@@ -27,5 +27,7 @@ def test_reports_the_total_4_sweep():
             for line in out if line.startswith("| `")}
     assert rows["id"] == rows["digest"] == "75"
     assert rows["thm3"] == rows["thm4"] == "2"
+    # one list object per distinct list of extension runs
+    assert rows["extension_runs"] == "36"
     assert out[-1] == ("checks 2, classes 5, empty 1, map 8, opens 13, run 27, "
-                       "stepwise 10, thm3 2, thm4 2")
+                       "runs 36, stepwise 10, thm3 2, thm4 2")

@@ -1,7 +1,9 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from oscillation_reference import affine
@@ -31,6 +33,7 @@ from fibertop.oscillation import (
 )
 from fibertop.spaces import (
     FiberedMap,
+    FiniteSpace,
     chain,
     constant_map,
     discrete,
@@ -40,6 +43,7 @@ from fibertop.spaces import (
 from fibertop.urysohn_tietze import (
     ExtensionResult,
     _extension_walk,
+    boundary_function,
     build_separator,
     exact_extension_exists,
     sigma_separator_family,
@@ -47,6 +51,9 @@ from fibertop.urysohn_tietze import (
     verify_condition_C,
     verify_condition_D,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from extension_census import two_valued_runs  # noqa: E402
 
 
 def two_valued(space, f_side, t_side):
@@ -320,6 +327,86 @@ class TestTietzeAgainstReference:
             assert _public(new) == _public(tietze_extend_reference(
                 f, 0b101, phit, 0, tolerance=tol))
             assert norm(new.phi) <= norm(phit)
+
+
+def _distinct_two_valued_walks(total):
+    """(f, O, phit, y) of the first run of each distinct walk among the
+    two-valued runs of ``scripts/extension_census.py`` over census(total):
+    runs on one domain with equal P = f^-1(U_y), F and T walk alike."""
+    seen = set()
+    for inst in census_instances(total):
+        f = inst.f
+        for o_mask, a, b, y in two_valued_runs(f):
+            key = (id(f.domain), f._nbhd_pre[y], a, b)
+            if key not in seen:
+                seen.add(key)
+                yield f, o_mask, boundary_function(f.domain, a, b), y
+
+
+@pytest.fixture
+def saturations(monkeypatch):
+    """A one-item list counting the FiniteSpace.saturation calls made while
+    the test runs: the walk makes one per step it computes, so a walk that
+    takes its repeated steps in closed form makes fewer than it has steps."""
+    count = [0]
+    real = FiniteSpace.saturation
+
+    def counted(self, region, mask):
+        count[0] += 1
+        return real(self, region, mask)
+
+    monkeypatch.setattr(FiniteSpace, "saturation", counted)
+    return count
+
+
+class TestRepeatShortcut:
+    """Once a step doubles every value of the walk, every later step is
+    that step doubled, and the walk finishes in closed form; its results
+    and errors are the step-by-step reference's."""
+
+    def _fresh(self, saturations, f, phit, y, within=None):
+        """(outcome, computed steps) of one walk run with an empty memo."""
+        f.domain._memo = None
+        saturations[0] = 0
+        out = _outcome(tietze_extend, f, phit.carrier, phit, y, within=within)
+        assert out == _outcome(tietze_extend_reference, f, phit.carrier, phit,
+                               y, within=within)
+        return out, saturations[0]
+
+    def test_census5_two_valued_walks(self, saturations):
+        kinds = Counter()
+        late = 0
+        for f, o_mask, phit, y in _distinct_two_valued_walks(5):
+            out, computed = self._fresh(saturations, f, phit, y, o_mask)
+            if out[0] is not ExtensionResult:
+                kinds["raise"] += 1
+                continue
+            steps = out[1][PUBLIC_FIELDS.index("iterations")]
+            if not steps:
+                kinds["none"] += 1
+            elif computed < steps:
+                kinds["repeat"] += 1
+                # the first step did not double: the repeat starts later
+                late += computed > 1
+            else:
+                kinds["full"] += 1
+        assert kinds == {"repeat": 341, "full": 87, "none": 94, "raise": 18}
+        assert late > 0
+
+    def test_repeat_after_a_first_step_that_does_not_double(self, D2,
+                                                              saturations):
+        # P = f^-1(U_0) = {0} holds F = {0} only, so mu_0 = 1 comes from
+        # T = {1} outside P: step 0 takes the value 0 at point 0 to 1, and
+        # from step 1 on every step doubles it
+        f = identity_map(D2)
+        phit = boundary_function(D2, 0b01, 0b10)
+        out, computed = self._fresh(saturations, f, phit, 0)
+        assert out[0] is ExtensionResult
+        res = dict(zip(PUBLIC_FIELDS, out[1]))
+        # (2/3)^18 is the first power at most 1/1024
+        assert (computed, res["iterations"]) == (2, 18)
+        assert res["residuals"][:3] == (1, Fraction(1, 3), Fraction(2, 9))
+        assert res["psis"][1].values == (Fraction(1, 9), Fraction(-1, 9))
 
 
 @pytest.fixture(scope="module")
